@@ -4,10 +4,11 @@
 //! per-aggregate state in a monitoring cache; we refer to it as the
 //! collector module." The collector:
 //!
-//! * classifies each packet into a registered HOP path;
-//! * computes its digest and timestamp;
-//! * feeds the path's [`DelaySampler`] (Algorithm 1) and
-//!   [`Aggregator`] (Algorithm 2);
+//! * classifies each packet into a registered HOP path
+//!   ([`Collector::classify`]; the driver digests and timestamps it);
+//! * takes the classified, digested packets in batches through
+//!   [`Ingest::ingest`] — its only entry point — and feeds each path's
+//!   [`DelaySampler`] (Algorithm 1) and [`Aggregator`] (Algorithm 2);
 //! * accounts every memory access, hash and timestamp so the §7.1
 //!   processing claims can be measured rather than asserted.
 
@@ -15,7 +16,7 @@ use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 use serde::{Deserialize, Serialize};
-use vpm_hash::{Digest, DigestSeed, DEFAULT_DIGEST_SEED};
+use vpm_hash::Digest;
 use vpm_packet::{HeaderSpec, Packet, SimTime};
 
 use crate::aggregation::{Aggregator, FinishedAggregate};
@@ -40,7 +41,7 @@ pub struct CostCounters {
     pub timestamp_ops: u64,
     /// Extra accesses spent sweeping the temp buffer at markers.
     pub marker_sweep_accesses: u64,
-    /// Packets that matched no registered path.
+    /// Batch entries that named no registered path.
     pub unclassified: u64,
 }
 
@@ -145,7 +146,6 @@ pub struct PathState {
 #[derive(Debug)]
 pub struct Collector {
     config: HopConfig,
-    digest_seed: DigestSeed,
     paths: Vec<PathState>,
     index: ClassifierIndex,
     counters: CostCounters,
@@ -174,7 +174,6 @@ impl Collector {
     pub fn new(config: HopConfig) -> Self {
         Collector {
             config,
-            digest_seed: DEFAULT_DIGEST_SEED,
             paths: Vec::new(),
             index: ClassifierIndex::default(),
             counters: CostCounters::default(),
@@ -233,65 +232,13 @@ impl Collector {
         self.paths.get(idx)
     }
 
-    /// Observe a packet at local time `t`: classify, digest, update.
-    /// Returns the path index it was classified into, if any; an
-    /// unmatched packet is counted in [`CostCounters::unclassified`]
-    /// (no digest is computed for it, so no hash is charged).
-    #[deprecated(
-        since = "0.10.0",
-        note = "classify + digest upstream, then batch through `Ingest::ingest`"
-    )]
-    pub fn observe(&mut self, pkt: &Packet, t: SimTime) -> Option<usize> {
-        let Some(idx) = self.index.classify(pkt) else {
-            self.counters.unclassified += 1;
-            return None;
-        };
-        let digest = pkt.digest_with(self.digest_seed);
-        self.counters.hash_ops += 1;
-        self.observe_at(idx, digest, t);
-        Some(idx)
-    }
-
-    /// Observe a packet whose classification and digest are already
-    /// known (the hot path used by experiment drivers; also counts the
-    /// hash the HOP would have computed). Returns `false` — charging no
-    /// hash and counting the packet as unclassified — when `idx` names
-    /// no registered path.
-    #[deprecated(
-        since = "0.10.0",
-        note = "use `Ingest::ingest`, which reports the out-of-range case as a \
-                typed `IngestError::PathOutOfRange` instead of a silent bool"
-    )]
-    pub fn observe_digest(&mut self, idx: usize, digest: Digest, t: SimTime) -> bool {
-        if idx >= self.paths.len() {
-            self.counters.unclassified += 1;
-            return false;
-        }
-        self.counters.hash_ops += 1;
-        self.observe_at(idx, digest, t);
-        true
-    }
-
-    /// Observe a batch of pre-classified, pre-digested packets —
-    /// byte-identical in samples, aggregates and [`CostCounters`] to
-    /// calling [`Self::observe_digest`] once per element, but
-    /// amortized: the batch is partitioned per path (per-path
-    /// observation order is preserved; cross-path order is
-    /// unobservable because paths share no state and the counters are
-    /// sums), counter updates become one add per partition, the marker
-    /// (`µ`) and cut (`δ`) threshold checks are precomputed into pass
-    /// masks in tight loops, and the per-path sampler/aggregator take
-    /// their own batch fast paths.
-    #[deprecated(
-        since = "0.10.0",
-        note = "use `Ingest::ingest`, which additionally reports rejected entries"
-    )]
-    pub fn observe_batch(&mut self, batch: &[(usize, Digest, SimTime)]) {
-        self.ingest_batch(batch);
-    }
-
-    /// The shared batch-observation engine behind [`Ingest::ingest`]
-    /// and the deprecated [`Self::observe_batch`] shim.
+    /// The batch-observation engine behind [`Ingest::ingest`]: the
+    /// batch is partitioned per path (per-path observation order is
+    /// preserved; cross-path order is unobservable because paths share
+    /// no state and the counters are sums), counter updates become one
+    /// add per partition, the marker (`µ`) and cut (`δ`) threshold
+    /// checks are precomputed into pass masks in tight loops, and the
+    /// per-path sampler/aggregator take their own batch fast paths.
     fn ingest_batch(&mut self, batch: &[(usize, Digest, SimTime)]) {
         let Some(&(first_idx, _, _)) = batch.first() else {
             return;
@@ -322,8 +269,7 @@ impl Collector {
         let mut used = 0usize;
         for &(idx, d, t) in batch {
             let Some(slot) = self.scratch_slot.get_mut(idx) else {
-                // Out-of-range index: same accounting as per-packet
-                // `observe_digest` — unclassified, no hash charged.
+                // Out-of-range index: unclassified, no hash charged.
                 self.counters.unclassified += 1;
                 continue;
             };
@@ -379,21 +325,6 @@ impl Collector {
         // sweeps (§7.1).
         self.counters.marker_sweep_accesses +=
             ps.sampler.observe_batch(items, &self.scratch_markers);
-    }
-
-    fn observe_at(&mut self, idx: usize, digest: Digest, t: SimTime) {
-        let ps = &mut self.paths[idx]; // vpm-lint: allow(R1, idx is a registered path index - collector invariant)
-        self.counters.packets += 1;
-        self.counters.timestamp_ops += 1;
-        // §7.1: lookup PathID + update PktCnt + store to temp buffer.
-        self.counters.memory_accesses += 3;
-
-        ps.aggregator.observe(digest, t);
-        if let crate::sampling::ObserveOutcome::Marker { swept, .. } = ps.sampler.observe(digest, t)
-        {
-            // One extra access per buffered packet examined (§7.1).
-            self.counters.marker_sweep_accesses += swept as u64;
-        }
     }
 
     /// Flush end-of-stream state on every path.
@@ -471,8 +402,7 @@ impl Ingest for Collector {
     /// per-packet fold (pinned by `batch_observe_matches_per_packet`);
     /// on top of that, every entry naming an unregistered path index
     /// comes back as a typed [`IngestError::PathOutOfRange`] — the
-    /// entry itself is counted as unclassified and charged no hash,
-    /// exactly as before.
+    /// entry itself is counted as unclassified and charged no hash.
     fn ingest(&mut self, batch: &[(usize, Digest, SimTime)]) -> IngestReport {
         let paths = self.paths.len();
         let mut errors = Vec::new();
@@ -509,12 +439,8 @@ impl Ingest for Collector {
 
 #[cfg(test)]
 mod tests {
-    // The deprecated observe trio stays byte-identical to `ingest`
-    // for its one-release deprecation window; these tests keep
-    // exercising it until it is deleted.
-    #![allow(deprecated)]
-
     use super::*;
+    use crate::sampling::ObserveOutcome;
     use vpm_packet::{DomainId, HeaderSpec, HopId, SimDuration};
 
     fn config() -> HopConfig {
@@ -545,15 +471,100 @@ mod tests {
         t
     }
 
+    /// Classify and digest upstream, then one `ingest` call — the
+    /// shape of every collector feed. Returns the packets accepted.
+    fn ingest_trace(c: &mut Collector, trace: &[vpm_trace::TracePacket]) -> u64 {
+        let batch: Vec<_> = trace
+            .iter()
+            .filter_map(|tp| {
+                c.classify(&tp.packet)
+                    .map(|idx| (idx, tp.packet.digest(), tp.ts))
+            })
+            .collect();
+        let report = c.ingest(&batch);
+        assert!(report.is_clean());
+        report.accepted
+    }
+
+    /// The per-packet specification `ingest` is checked against: one
+    /// `Aggregator::observe` + `DelaySampler::observe` per entry and
+    /// the §7.1 counter rule, with none of the collector's batching.
+    struct PerPacketFold {
+        paths: Vec<PathState>,
+        counters: CostCounters,
+    }
+
+    impl PerPacketFold {
+        fn new(cfg: HopConfig, paths: &[PathId]) -> Self {
+            let paths = paths
+                .iter()
+                .map(|&path| {
+                    let sampler = DelaySampler::new(cfg.marker, cfg.sampling);
+                    PathState {
+                        path,
+                        sampler: match cfg.buffer_cap {
+                            Some(cap) => sampler.with_buffer_cap(cap),
+                            None => sampler,
+                        },
+                        aggregator: Aggregator::new(cfg.partition, cfg.j_window),
+                    }
+                })
+                .collect();
+            PerPacketFold {
+                paths,
+                counters: CostCounters::default(),
+            }
+        }
+
+        fn observe(&mut self, idx: usize, digest: Digest, t: SimTime) {
+            let Some(ps) = self.paths.get_mut(idx) else {
+                // Out of range: unclassified, no hash charged.
+                self.counters.unclassified += 1;
+                return;
+            };
+            self.counters.packets += 1;
+            self.counters.hash_ops += 1;
+            self.counters.timestamp_ops += 1;
+            // §7.1: lookup PathID + update PktCnt + store to temp buffer.
+            self.counters.memory_accesses += 3;
+            ps.aggregator.observe(digest, t);
+            if let ObserveOutcome::Marker { swept, .. } = ps.sampler.observe(digest, t) {
+                // One extra access per buffered packet examined (§7.1).
+                self.counters.marker_sweep_accesses += swept as u64;
+            }
+        }
+
+        /// Flush, then drain into receipt form in registration order.
+        fn finish(mut self) -> (CostCounters, Vec<SampleReceipt>, Vec<AggReceipt>) {
+            let mut samples = Vec::new();
+            let mut aggregates = Vec::new();
+            for ps in &mut self.paths {
+                ps.aggregator.flush();
+                let recs = ps.sampler.drain();
+                if !recs.is_empty() {
+                    samples.push(SampleReceipt {
+                        path: ps.path,
+                        samples: recs,
+                    });
+                }
+                aggregates.extend(ps.aggregator.drain().into_iter().map(|f| AggReceipt {
+                    path: ps.path,
+                    agg: f.agg,
+                    pkt_cnt: f.pkt_cnt,
+                    agg_trans: f.agg_trans,
+                }));
+            }
+            (self.counters, samples, aggregates)
+        }
+    }
+
     #[test]
     fn classifies_and_counts() {
         let trace = mk_trace(5_000);
         let spec = vpm_trace::TraceConfig::paper_default(1, 0).spec;
         let mut c = Collector::new(config());
         c.register_path(path_id(spec));
-        for tp in &trace {
-            assert!(c.observe(&tp.packet, tp.ts).is_some());
-        }
+        assert_eq!(ingest_trace(&mut c, &trace), trace.len() as u64);
         c.flush();
         let counters = c.counters();
         assert_eq!(counters.packets, trace.len() as u64);
@@ -575,13 +586,12 @@ mod tests {
             "2.0.0.0/8".parse().unwrap(),
         )));
         for tp in &trace {
-            assert!(c.observe(&tp.packet, tp.ts).is_none());
+            assert!(c.classify(&tp.packet).is_none());
         }
-        assert_eq!(c.counters().packets, 0);
-        // Every rejected packet is accounted — nothing silently
-        // disappears from the cost model.
-        assert_eq!(c.counters().unclassified, trace.len() as u64);
-        assert_eq!(c.counters().hash_ops, 0, "no digest for unmatched packets");
+        // Nothing classified, so nothing reaches the collector and no
+        // work is charged.
+        assert_eq!(ingest_trace(&mut c, &trace), 0);
+        assert_eq!(c.counters(), CostCounters::default());
     }
 
     #[test]
@@ -590,12 +600,13 @@ mod tests {
         let spec = vpm_trace::TraceConfig::paper_default(1, 0).spec;
         let mut c = Collector::new(config());
         let idx = c.register_path(path_id(spec));
-        assert!(c.observe_digest(idx, Digest(1), SimTime::ZERO));
+        assert!(c.ingest(&[(idx, Digest(1), SimTime::ZERO)]).is_clean());
         // A bogus index must not charge a hash for work never done,
         // must not update any path, and must count as unclassified.
         let before = c.counters();
         for tp in trace.iter().take(5) {
-            assert!(!c.observe_digest(7, tp.packet.digest(), tp.ts));
+            let report = c.ingest(&[(7, tp.packet.digest(), tp.ts)]);
+            assert_eq!((report.accepted, report.rejected()), (0, 1));
         }
         let after = c.counters();
         assert_eq!(after.hash_ops, before.hash_ops);
@@ -614,8 +625,9 @@ mod tests {
         let decoy_idx = c.register_path(path_id(decoy));
         let real_idx = c.register_path(path_id(real_spec));
         for tp in &trace {
-            assert_eq!(c.observe(&tp.packet, tp.ts), Some(real_idx));
+            assert_eq!(c.classify(&tp.packet), Some(real_idx));
         }
+        ingest_trace(&mut c, &trace);
         c.flush();
         let (s_decoy, a_decoy) = c.drain_path(decoy_idx);
         assert!(s_decoy.is_empty() && a_decoy.is_empty());
@@ -632,10 +644,7 @@ mod tests {
             c.monitoring_cache_bytes(),
             crate::overhead::PER_PATH_STATE_BYTES
         );
-        let trace = mk_trace(300);
-        for tp in &trace {
-            c.observe(&tp.packet, tp.ts);
-        }
+        ingest_trace(&mut c, &mk_trace(300));
         // Some packets should be buffered awaiting a marker.
         assert!(c.temp_buffer_bytes() > 0);
     }
@@ -663,6 +672,7 @@ mod tests {
             n_paths as usize * crate::overhead::PER_PATH_STATE_BYTES
         );
         // Send 50 packets down each of three scattered paths.
+        let mut batch = Vec::new();
         for &target in &[0u16, 57, 199] {
             for k in 0..50u16 {
                 let mut pkt = vpm_packet::Packet {
@@ -681,12 +691,15 @@ mod tests {
                     payload_len: 0,
                 };
                 pkt.ipv4.id = k;
-                assert_eq!(
-                    c.observe(&pkt, SimTime::from_micros(k as u64 * 10)),
-                    Some(target as usize)
-                );
+                assert_eq!(c.classify(&pkt), Some(target as usize));
+                batch.push((
+                    target as usize,
+                    pkt.digest(),
+                    SimTime::from_micros(k as u64 * 10),
+                ));
             }
         }
+        assert!(c.ingest(&batch).is_clean());
         c.flush();
         for i in 0..n_paths as usize {
             let (samples, aggs) = c.drain_path(i);
@@ -768,20 +781,15 @@ mod tests {
         }
     }
 
-    /// `observe_batch` must be byte-identical to per-packet
-    /// `observe_digest` — samples, aggregates, and cost counters —
-    /// including runs across multiple paths and invalid indices.
+    /// `ingest` must be byte-identical to the per-packet fold —
+    /// samples, aggregates, and cost counters — including runs across
+    /// multiple paths and invalid indices.
     #[test]
     fn batch_observe_matches_per_packet() {
         let trace = mk_trace(20_000);
         let spec = vpm_trace::TraceConfig::paper_default(1, 0).spec;
         let decoy = HeaderSpec::new("1.0.0.0/8".parse().unwrap(), "2.0.0.0/8".parse().unwrap());
-        let mk = || {
-            let mut c = Collector::new(config());
-            c.register_path(path_id(decoy));
-            c.register_path(path_id(spec));
-            c
-        };
+        let paths = [path_id(decoy), path_id(spec)];
         // Spread packets over path 0, path 1, and an invalid index.
         let batch: Vec<(usize, Digest, SimTime)> = trace
             .iter()
@@ -795,61 +803,29 @@ mod tests {
             })
             .collect();
 
-        let mut per_packet = mk();
+        let mut per_packet = PerPacketFold::new(config(), &paths);
         for &(idx, d, t) in &batch {
-            per_packet.observe_digest(idx, d, t);
+            per_packet.observe(idx, d, t);
         }
-        per_packet.flush();
+        let expected = per_packet.finish();
 
         for batch_size in [1usize, 64, 257] {
-            let mut batched = mk();
+            let mut batched = Collector::new(config());
+            for &p in &paths {
+                batched.register_path(p);
+            }
             for chunk in batch.chunks(batch_size) {
-                batched.observe_batch(chunk);
+                let _ = batched.ingest(chunk);
             }
             batched.flush();
-            assert_eq!(per_packet.counters(), batched.counters(), "bs {batch_size}");
-            for idx in 0..2 {
-                let (s_a, a_a) = {
-                    let ps = per_packet.path(idx).unwrap();
-                    (ps.sampler.pending().to_vec(), ps.aggregator.finished_len())
-                };
-                let ps = batched.path(idx).unwrap();
-                assert_eq!(
-                    s_a,
-                    ps.sampler.pending(),
-                    "samples path {idx} bs {batch_size}"
-                );
-                assert_eq!(a_a, ps.aggregator.finished_len());
-            }
-            let mut s1 = Vec::new();
-            let mut g1 = Vec::new();
-            batched.drain_receipts(&mut s1, &mut g1);
-            let mut s2 = Vec::new();
-            let mut g2 = Vec::new();
-            for idx in 0..2 {
-                let (recs, aggs) = per_packet.drain_path(idx);
-                if !recs.is_empty() {
-                    s2.push(crate::receipt::SampleReceipt {
-                        path: per_packet.path(idx).unwrap().path,
-                        samples: recs,
-                    });
-                }
-                for f in aggs {
-                    g2.push(crate::receipt::AggReceipt {
-                        path: per_packet.path(idx).unwrap().path,
-                        agg: f.agg,
-                        pkt_cnt: f.pkt_cnt,
-                        agg_trans: f.agg_trans,
-                    });
-                }
-            }
-            assert_eq!(s1, s2, "bs {batch_size}");
-            assert_eq!(g1, g2, "bs {batch_size}");
-            per_packet = mk();
-            for &(idx, d, t) in &batch {
-                per_packet.observe_digest(idx, d, t);
-            }
-            per_packet.flush();
+            let mut samples = Vec::new();
+            let mut aggregates = Vec::new();
+            batched.drain_receipts(&mut samples, &mut aggregates);
+            assert_eq!(
+                (batched.counters(), samples, aggregates),
+                expected,
+                "bs {batch_size}"
+            );
         }
     }
 
@@ -877,8 +853,9 @@ mod tests {
         // one true slot.
         let trace = mk_trace(500);
         for tp in &trace {
-            assert_eq!(c.observe(&tp.packet, tp.ts), Some(a));
+            assert_eq!(c.classify(&tp.packet), Some(a));
         }
+        ingest_trace(&mut c, &trace);
         c.flush();
         let (_, aggs) = c.drain_path(a);
         let total: u64 = aggs.iter().map(|x| x.pkt_cnt).sum();
@@ -886,7 +863,7 @@ mod tests {
     }
 
     /// `Ingest::ingest` must (a) leave state and counters exactly as
-    /// the per-packet `observe_digest` fold would, and (b) surface
+    /// the per-packet fold would, and (b) surface
     /// each out-of-range entry as a typed `PathOutOfRange` carrying
     /// its batch position.
     #[test]
@@ -909,10 +886,9 @@ mod tests {
             .collect();
         let bad = batch.iter().filter(|&&(i, _, _)| i == 42).count();
 
-        let mut reference = Collector::new(config());
-        reference.register_path(path_id(spec));
+        let mut reference = PerPacketFold::new(config(), &[path_id(spec)]);
         for &(i, d, t) in &batch {
-            reference.observe_digest(i, d, t);
+            reference.observe(i, d, t);
         }
 
         let report = c.ingest(&batch);
@@ -936,7 +912,7 @@ mod tests {
                 }
             }
         }
-        assert_eq!(c.counters(), reference.counters());
+        assert_eq!(c.counters(), reference.counters);
         assert_eq!(
             c.counters().unclassified,
             bad as u64,
@@ -959,9 +935,7 @@ mod tests {
         let spec = vpm_trace::TraceConfig::paper_default(1, 0).spec;
         let mut c = Collector::new(config());
         c.register_path(path_id(spec));
-        for tp in &trace {
-            c.observe(&tp.packet, tp.ts);
-        }
+        ingest_trace(&mut c, &trace);
         let counters = c.counters();
         // Every non-marker packet is swept exactly once (when the next
         // marker arrives), so sweep accesses ≈ packets − markers −

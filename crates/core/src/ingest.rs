@@ -1,27 +1,16 @@
 //! The batch-first ingest surface.
 //!
-//! [`Ingest`] is *the* way packets enter a collector: one call per
-//! pre-classified, pre-digested batch, one [`IngestReport`] back. It
-//! replaces the historical `observe` / `observe_digest` /
-//! `observe_batch` trio on [`Collector`](crate::Collector), whose
-//! three `&mut self` entry points and silent-`bool` error signalling
-//! could not stretch across per-core collectors (which one of the
-//! three would a shard router forward, and to whom would the `bool`
-//! go?). Batch-first fixes both at once:
+//! [`Ingest`] is the only way packets enter a collector: one call per
+//! pre-classified, pre-digested batch, one [`IngestReport`] back.
 //!
 //! * **One entry point.** [`Collector`](crate::Collector) and the
 //!   multi-core [`ShardedCollector`](crate::ShardedCollector) are
-//!   interchangeable behind `impl Ingest` — `Processor::report`,
-//!   `run_path`, and the benches are generic over it.
+//!   interchangeable behind `impl Ingest` — `Processor::report` and
+//!   `run_path` are generic over it.
 //! * **Typed errors.** An entry naming an unregistered path index
 //!   comes back as [`IngestError::PathOutOfRange`] in the report
-//!   (position, offending index, table size) instead of a dropped
-//!   `bool`. Accounting is unchanged: the entry still counts into
-//!   [`CostCounters::unclassified`] and is charged no hash, exactly as
-//!   the per-packet fold did.
-//!
-//! The deprecated trio remains as thin shims for one release so
-//! downstream code migrates on its own schedule.
+//!   (position, offending index, table size). The entry counts into
+//!   [`CostCounters::unclassified`] and is charged no hash.
 
 use vpm_hash::Digest;
 use vpm_packet::SimTime;

@@ -16,10 +16,10 @@ use std::collections::HashSet;
 pub const R1_SCOPE: [&str; 3] = ["crates/wire/src", "crates/sim/src", "crates/core/src"];
 
 /// Crates whose non-test code feeds serialized verdicts, wire frames,
-/// or golden fixtures (R2): everything except the bench harnesses
-/// (`crates/bench` legitimately reads clocks — the module-path
-/// allowlist) and the offline dependency shims (stand-ins for external
-/// crates, not product code).
+/// or golden fixtures (R2): everything except the analyzer itself and
+/// the offline dependency shims (stand-ins for external crates, not
+/// product code). `benchmark/`, which legitimately reads clocks, is a
+/// package of its own outside the workspace and is never walked.
 pub const R2_SCOPE: [&str; 9] = [
     "crates/core/src",
     "crates/sim/src",

@@ -27,7 +27,8 @@
 //!   toggling) for thousands of intervals, GC-ing the bus through
 //!   [`ReceiptTransport::compact_before`] as the auditor's cursor
 //!   advances and asserting that bus entry count and process RSS stay
-//!   flat — surfaced as `vpm audit`, measured by `vpm bench-audit`.
+//!   flat — surfaced as `vpm audit`, measured by the `audit_stream`
+//!   workload of `benchmark/`.
 
 pub mod workload;
 

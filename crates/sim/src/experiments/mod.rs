@@ -1,8 +1,8 @@
 //! Experiment drivers regenerating the paper's evaluation (§7).
 //!
 //! Each submodule produces the rows/series of one published artifact;
-//! the Criterion benches in `vpm-bench` and the runnable examples call
-//! into these drivers so figures are regenerated from one code path.
+//! the `vpm` subcommands and the runnable examples call into these
+//! drivers so figures are regenerated from one code path.
 //!
 //! | driver | artifact |
 //! |--------|----------|

@@ -14,9 +14,6 @@
 //!   HOPs — every batch encoded into a v1 wire frame, published through
 //!   a `vpm_wire::ReceiptTransport`, fetched and decoded back — with
 //!   ground truth retained for evaluation.
-//! * [`bus`] — receipt dissemination ("each receipt is made available
-//!   only to the domains that observed the corresponding traffic");
-//!   now a compatibility surface over `vpm_wire::transport`.
 //! * [`adversary`] — lying-domain strategies: blame shifting, delay
 //!   sugarcoating, marker dropping, collusive cover-up, and the
 //!   sample-bias attempt VPM is designed to defeat.
@@ -56,7 +53,6 @@
 pub mod adversary;
 pub mod audit;
 pub mod baselines;
-pub mod bus;
 pub mod experiments;
 pub mod fleet;
 pub mod partial;

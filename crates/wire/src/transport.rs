@@ -1320,14 +1320,12 @@ impl ShardedBus {
     /// *every* shard for entries past the cursor's sequence number and
     /// release the contiguous prefix. Behaviourally equivalent to
     /// [`ReceiptTransport::poll`] on a global subscription (the
-    /// differential tests pin this), but O(total entries) per call —
-    /// `vpm bench-verifier` measures exactly this gap. Only meaningful
-    /// on subscriptions from [`ReceiptTransport::subscribe`];
-    /// path-filtered subscriptions are delegated to the regular poll.
-    pub fn poll_full_rescan(
-        &self,
-        sub: SubscriptionId,
-    ) -> Result<Vec<Arc<Published>>, TransportError> {
+    /// differential test below pins this), but O(total entries) per
+    /// call. Only meaningful on subscriptions from
+    /// [`ReceiptTransport::subscribe`]; path-filtered subscriptions
+    /// are delegated to the regular poll.
+    #[cfg(test)]
+    fn poll_full_rescan(&self, sub: SubscriptionId) -> Result<Vec<Arc<Published>>, TransportError> {
         let mut subs = self.subs.lock();
         let cursor = subs
             .get_mut(&sub.0)

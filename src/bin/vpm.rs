@@ -18,21 +18,6 @@
 //!                                    under churn with epoch GC and
 //!                                    checkpointable verification; --json
 //!                                    prints the restart-invariant verdict
-//! vpm bench-audit [--paths N] [--intervals N] [--shards S] [--gc-every N]
-//!                 [--checkpoint-paths P] [--repeats R] [--json]
-//!                                    measure audit throughput, GC reclaim
-//!                                    rate, and checkpoint codec cost
-//! vpm bench-collector [--packets N] [--paths P] [--batch B] [--shards S] [--repeats R] [--json]
-//!                                    measure the collector hot path
-//! vpm bench-wire [--receipts N] [--records N] [--aggs N] [--window W]
-//!                [--repeats R] [--json]
-//!                                    measure the wire codec vs the JSON path,
-//!                                    plus HMAC-signed frame encode/verify
-//!                                    against the unsigned baseline
-//! vpm bench-verifier [--paths N] [--jobs J] [--shards S] [--frames F]
-//!                    [--subs K] [--repeats R] [--json]
-//!                                    measure parallel verification and
-//!                                    cursor-poll throughput
 //! vpm lint [--json] [--rule ID] [--root PATH] [--audit]
 //!                                    run the in-tree invariant analyzer
 //!                                    (R1 panic-freedom, R2 determinism,
@@ -91,32 +76,6 @@ fn print_usage() {
                                                 prints the restart-invariant verdict,\n\
                                                 --assert-flat fails (exit 1) if bus\n\
                                                 entries or RSS grow\n\
-           bench-audit [--paths N] [--intervals N] [--shards S]\n\
-                       [--gc-every N] [--checkpoint-paths P]\n\
-                       [--repeats R] [--json]\n\
-                                                measure streaming-audit intervals/s,\n\
-                                                GC reclaim rate, and checkpoint\n\
-                                                encode/restore cost; write\n\
-                                                BENCH_audit.json\n\
-           bench-collector [--packets N] [--paths P] [--batch B] [--shards S]\n\
-                           [--repeats R] [--json]\n\
-                                                measure collector hot-path ns/packet and\n\
-                                                Mpps (linear scan vs classifier index,\n\
-                                                per-packet vs batched; min over R timed\n\
-                                                repeats) and write BENCH_collector.json\n\
-           bench-wire [--receipts N] [--records N] [--aggs N]\n\
-                      [--window W] [--repeats R] [--json]\n\
-                                                measure wire-codec encode/decode MB/s\n\
-                                                and bytes-per-sample (compact vs precise\n\
-                                                vs JSON shim), plus HMAC-SHA-256 signed\n\
-                                                frame encode/verify vs the unsigned\n\
-                                                baseline, and write BENCH_wire.json\n\
-           bench-verifier [--paths N] [--jobs J] [--shards S]\n\
-                          [--frames F] [--subs K] [--repeats R] [--json]\n\
-                                                measure sequential vs parallel fleet\n\
-                                                verification and full-rescan vs\n\
-                                                per-shard-cursor polling; write\n\
-                                                BENCH_verifier.json\n\
            lint [--json] [--rule ID] [--root PATH] [--audit]\n\
                                                 run the workspace invariant analyzer\n\
                                                 (R1 panic-freedom, R2 determinism, R3\n\
@@ -398,69 +357,6 @@ fn serve(args: &[String]) -> ExitCode {
     }
 }
 
-/// Parse and run `vpm bench-verifier [--paths N] [--jobs J]
-/// [--shards S] [--frames F] [--subs K] [--repeats R] [--json]`.
-fn bench_verifier(args: &[String]) -> ExitCode {
-    let mut cfg = vpm::bench::verifier_bench::VerifierBenchConfig::default();
-    let mut json = false;
-    let mut i = 1;
-    while i < args.len() {
-        let flag = args[i].as_str();
-        match flag {
-            "--json" => {
-                json = true;
-                i += 1;
-            }
-            "--paths" | "--jobs" | "--shards" | "--frames" | "--subs" | "--repeats" => {
-                let Some(v) = args.get(i + 1) else {
-                    eprintln!("vpm: {flag} needs a number");
-                    return usage();
-                };
-                let parsed = match v.parse::<usize>() {
-                    Ok(n) if n >= 1 => n,
-                    _ => {
-                        eprintln!("vpm: {flag} value '{v}' is not a positive integer");
-                        return usage();
-                    }
-                };
-                match flag {
-                    "--paths" => cfg.paths = parsed,
-                    "--jobs" => cfg.jobs = parsed,
-                    "--shards" => cfg.shards = parsed,
-                    "--frames" => cfg.frames = parsed,
-                    "--subs" => cfg.subs = parsed,
-                    _ => cfg.repeats = parsed,
-                }
-                i += 2;
-            }
-            other => {
-                eprintln!("vpm: unknown bench-verifier option '{other}'");
-                return usage();
-            }
-        }
-    }
-
-    let report = vpm::bench::verifier_bench::run(&cfg);
-    let serialized = match serde_json::to_string(&report) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("vpm: cannot serialize bench report: {e:?}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if let Err(e) = std::fs::write("BENCH_verifier.json", &serialized) {
-        eprintln!("vpm: cannot write BENCH_verifier.json: {e}");
-        return ExitCode::FAILURE;
-    }
-    if json {
-        println!("{serialized}");
-    } else {
-        print!("{}", vpm::bench::verifier_bench::render_table(&report));
-        println!("wrote BENCH_verifier.json");
-    }
-    ExitCode::SUCCESS
-}
-
 /// Parse and run `vpm audit [--paths N] [--intervals N] [--shards S]
 /// [--gc-every N] [--checkpoint-every N] [--restart-at K] [--seed S]
 /// [--assert-flat] [--json]`.
@@ -569,204 +465,6 @@ fn audit(args: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Parse and run `vpm bench-audit [--paths N] [--intervals N]
-/// [--shards S] [--gc-every N] [--checkpoint-paths P] [--repeats R]
-/// [--json]`.
-fn bench_audit(args: &[String]) -> ExitCode {
-    let mut cfg = vpm::bench::audit_bench::AuditBenchConfig::default();
-    let mut json = false;
-    let mut i = 1;
-    while i < args.len() {
-        let flag = args[i].as_str();
-        match flag {
-            "--json" => {
-                json = true;
-                i += 1;
-            }
-            "--paths" | "--intervals" | "--shards" | "--gc-every" | "--checkpoint-paths"
-            | "--repeats" => {
-                let Some(v) = args.get(i + 1) else {
-                    eprintln!("vpm: {flag} needs a number");
-                    return usage();
-                };
-                let parsed = match v.parse::<usize>() {
-                    Ok(n) if n >= 1 => n,
-                    _ => {
-                        eprintln!("vpm: {flag} value '{v}' is not a positive integer");
-                        return usage();
-                    }
-                };
-                match flag {
-                    "--paths" => cfg.paths = parsed,
-                    "--intervals" => cfg.intervals = parsed as u64,
-                    "--shards" => cfg.shards = parsed,
-                    "--gc-every" => cfg.gc_every = parsed as u64,
-                    "--checkpoint-paths" => cfg.checkpoint_paths = parsed,
-                    _ => cfg.repeats = parsed,
-                }
-                i += 2;
-            }
-            other => {
-                eprintln!("vpm: unknown bench-audit option '{other}'");
-                return usage();
-            }
-        }
-    }
-
-    let report = vpm::bench::audit_bench::run(&cfg);
-    let serialized = match serde_json::to_string(&report) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("vpm: cannot serialize bench report: {e:?}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if let Err(e) = std::fs::write("BENCH_audit.json", &serialized) {
-        eprintln!("vpm: cannot write BENCH_audit.json: {e}");
-        return ExitCode::FAILURE;
-    }
-    if json {
-        println!("{serialized}");
-    } else {
-        print!("{}", vpm::bench::audit_bench::render_table(&report));
-        println!("wrote BENCH_audit.json");
-    }
-    ExitCode::SUCCESS
-}
-
-/// Parse and run `vpm bench-collector [--packets N] [--paths P]
-/// [--batch B] [--shards S] [--repeats R] [--json]`.
-fn bench_collector(args: &[String]) -> ExitCode {
-    let mut cfg = vpm::bench::collector_bench::CollectorBenchConfig::default();
-    let mut json = false;
-    let mut i = 1;
-    while i < args.len() {
-        let flag = args[i].as_str();
-        match flag {
-            "--json" => {
-                json = true;
-                i += 1;
-            }
-            "--packets" | "--paths" | "--batch" | "--shards" | "--repeats" => {
-                let Some(v) = args.get(i + 1) else {
-                    eprintln!("vpm: {flag} needs a number");
-                    return usage();
-                };
-                let parsed = match v.parse::<usize>() {
-                    Ok(n) if n >= 1 => n,
-                    _ => {
-                        eprintln!("vpm: {flag} value '{v}' is not a positive integer");
-                        return usage();
-                    }
-                };
-                match flag {
-                    "--packets" => cfg.packets = parsed,
-                    "--paths" => cfg.paths = parsed,
-                    "--batch" => cfg.batch = parsed,
-                    "--shards" => cfg.shards = parsed,
-                    _ => cfg.repeats = parsed,
-                }
-                i += 2;
-            }
-            other => {
-                eprintln!("vpm: unknown bench-collector option '{other}'");
-                return usage();
-            }
-        }
-    }
-    if cfg.paths > 1 << 24 {
-        eprintln!("vpm: --paths is limited to {} /32 pairs", 1usize << 24);
-        return usage();
-    }
-
-    let report = vpm::bench::collector_bench::run(&cfg);
-    let serialized = match serde_json::to_string(&report) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("vpm: cannot serialize bench report: {e:?}");
-            return ExitCode::FAILURE;
-        }
-    };
-    // The JSON artifact seeds the repo's perf trajectory either way;
-    // --json additionally prints it instead of the table.
-    if let Err(e) = std::fs::write("BENCH_collector.json", &serialized) {
-        eprintln!("vpm: cannot write BENCH_collector.json: {e}");
-        return ExitCode::FAILURE;
-    }
-    if json {
-        println!("{serialized}");
-    } else {
-        print!("{}", vpm::bench::collector_bench::render_table(&report));
-        println!("wrote BENCH_collector.json");
-    }
-    ExitCode::SUCCESS
-}
-
-/// Parse and run `vpm bench-wire [--receipts N] [--records N]
-/// [--aggs N] [--window W] [--repeats R] [--json]`.
-fn bench_wire(args: &[String]) -> ExitCode {
-    let mut cfg = vpm::bench::wire_bench::WireBenchConfig::default();
-    let mut json = false;
-    let mut i = 1;
-    while i < args.len() {
-        let flag = args[i].as_str();
-        match flag {
-            "--json" => {
-                json = true;
-                i += 1;
-            }
-            "--receipts" | "--records" | "--aggs" | "--window" | "--repeats" => {
-                let Some(v) = args.get(i + 1) else {
-                    eprintln!("vpm: {flag} needs a number");
-                    return usage();
-                };
-                // `--window 0` is a legitimate workload (empty AggTrans
-                // windows); the item counts must stay positive.
-                let min = usize::from(flag != "--window");
-                let parsed = match v.parse::<usize>() {
-                    Ok(n) if n >= min => n,
-                    _ => {
-                        eprintln!("vpm: {flag} value '{v}' is not a valid count");
-                        return usage();
-                    }
-                };
-                match flag {
-                    "--receipts" => cfg.receipts = parsed,
-                    "--records" => cfg.records = parsed,
-                    "--aggs" => cfg.aggs = parsed,
-                    "--window" => cfg.window = parsed,
-                    _ => cfg.repeats = parsed,
-                }
-                i += 2;
-            }
-            other => {
-                eprintln!("vpm: unknown bench-wire option '{other}'");
-                return usage();
-            }
-        }
-    }
-
-    let report = vpm::bench::wire_bench::run(&cfg);
-    let serialized = match serde_json::to_string(&report) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("vpm: cannot serialize bench report: {e:?}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if let Err(e) = std::fs::write("BENCH_wire.json", &serialized) {
-        eprintln!("vpm: cannot write BENCH_wire.json: {e}");
-        return ExitCode::FAILURE;
-    }
-    if json {
-        println!("{serialized}");
-    } else {
-        print!("{}", vpm::bench::wire_bench::render_table(&report));
-        println!("wrote BENCH_wire.json");
-    }
-    ExitCode::SUCCESS
-}
-
 /// Parse and run `vpm lint [--json] [--rule ID] [--root PATH]
 /// [--audit]`: the in-tree invariant analyzer (see `vpm-lint`).
 fn lint(args: &[String]) -> ExitCode {
@@ -865,10 +563,6 @@ fn main() -> ExitCode {
         "fleet" => return fleet(&args),
         "serve" => return serve(&args),
         "audit" => return audit(&args),
-        "bench-audit" => return bench_audit(&args),
-        "bench-collector" => return bench_collector(&args),
-        "bench-wire" => return bench_wire(&args),
-        "bench-verifier" => return bench_verifier(&args),
         "lint" => return lint(&args),
         "fig2" => {
             let cfg = experiments::fig2::Fig2Config::paper(

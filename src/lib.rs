@@ -45,7 +45,6 @@
 //! | [`core`] | `vpm-core` | receipts, Algorithms 1 & 2, joins, verification |
 //! | [`wire`] | `vpm-wire` | v1 binary receipt codec, `ReceiptTransport` dissemination |
 //! | [`sim`] | `vpm-sim` | topologies, adversaries, the paper's experiments, the scenario matrix, the many-path fleet |
-//! | [`mod@bench`] | `vpm-bench` | measured throughput harnesses (`vpm bench-collector`, `vpm bench-wire`, `vpm bench-verifier`) |
 //! | [`lint`] | `vpm-lint` | in-tree invariant analyzer (`vpm lint`): panic-freedom, determinism, lock discipline, wire-constant drift |
 //!
 //! ## Minimal example
@@ -80,7 +79,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub use vpm_bench as bench;
 pub use vpm_core as core;
 pub use vpm_hash as hash;
 pub use vpm_lint as lint;

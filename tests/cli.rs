@@ -30,9 +30,21 @@ fn no_command_prints_usage_and_exits_2() {
 
 #[test]
 fn unknown_command_prints_usage_and_exits_2() {
-    let out = vpm(&["frobnicate"]);
-    assert_eq!(out.status.code(), Some(2));
-    assert!(stderr(&out).contains("usage: vpm"));
+    // The retired `bench-*` harnesses are unknown commands like any
+    // other; `benchmark/` is the one measuring stick.
+    for cmd in [
+        "frobnicate",
+        "bench-audit",
+        "bench-collector",
+        "bench-wire",
+        "bench-verifier",
+    ] {
+        let out = vpm(&[cmd]);
+        assert_eq!(out.status.code(), Some(2), "{cmd}");
+        let err = stderr(&out);
+        assert!(err.contains("usage: vpm"), "{cmd}: {err}");
+        assert!(!err.contains("bench-"), "{cmd}: {err}");
+    }
 }
 
 #[test]
@@ -197,199 +209,6 @@ fn serve_reports_an_unbindable_listen_address_as_failure() {
     let out = vpm(&["serve", "--listen", "256.256.256.256:0"]);
     assert_eq!(out.status.code(), Some(1), "{}", stderr(&out));
     assert!(stderr(&out).contains("cannot bind"), "{}", stderr(&out));
-}
-
-#[test]
-fn bench_verifier_emits_valid_json_and_artifact() {
-    // Tiny workload: this is a smoke test of plumbing, not a timing
-    // assertion.
-    let dir = std::env::temp_dir().join(format!("vpm-bench-verifier-cli-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    let out = Command::new(env!("CARGO_BIN_EXE_vpm"))
-        .args([
-            "bench-verifier",
-            "--paths",
-            "2",
-            "--jobs",
-            "2",
-            "--shards",
-            "4",
-            "--frames",
-            "32",
-            "--subs",
-            "2",
-            "--repeats",
-            "1",
-            "--json",
-        ])
-        .current_dir(&dir)
-        .output()
-        .expect("binary runs");
-    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
-    let printed = stdout(&out);
-    let report: vpm::bench::verifier_bench::VerifierBenchReport =
-        serde_json::from_str(printed.trim()).expect("stdout is the JSON report");
-    assert_eq!(report.config.paths, 2);
-    assert!(report
-        .results
-        .iter()
-        .any(|r| r.name == "poll_cursor" && r.items_per_s > 0.0));
-    assert!(report.cursor_poll_speedup > 0.0);
-    // The artifact on disk is the same report.
-    let on_disk = std::fs::read_to_string(dir.join("BENCH_verifier.json")).expect("artifact");
-    assert_eq!(on_disk, printed.trim_end());
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn bench_verifier_rejects_bad_flags() {
-    for (args, needle) in [
-        (vec!["bench-verifier", "--paths", "0"], "--paths value"),
-        (vec!["bench-verifier", "--frames"], "--frames needs"),
-        (
-            vec!["bench-verifier", "--frobnicate"],
-            "unknown bench-verifier option",
-        ),
-    ] {
-        let out = vpm(&args);
-        assert_eq!(out.status.code(), Some(2), "{args:?}");
-        assert!(stderr(&out).contains(needle), "{args:?}: {}", stderr(&out));
-    }
-}
-
-#[test]
-fn bench_collector_emits_valid_json_and_artifact() {
-    // Tiny workload: this is a smoke test of plumbing, not a timing
-    // assertion.
-    let dir = std::env::temp_dir().join(format!("vpm-bench-cli-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    let out = Command::new(env!("CARGO_BIN_EXE_vpm"))
-        .args([
-            "bench-collector",
-            "--packets",
-            "4000",
-            "--paths",
-            "20",
-            "--repeats",
-            "1",
-            "--json",
-        ])
-        .current_dir(&dir)
-        .output()
-        .expect("binary runs");
-    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
-    let printed = stdout(&out);
-    let report: vpm::bench::collector_bench::CollectorBenchReport =
-        serde_json::from_str(printed.trim()).expect("stdout is the JSON report");
-    assert_eq!(report.config.packets, 4000);
-    assert!(report
-        .results
-        .iter()
-        .any(|r| r.name == "observe_batch_prehashed" && r.ns_per_packet > 0.0 && r.mpps > 0.0));
-    // The artifact on disk is the same report.
-    let on_disk = std::fs::read_to_string(dir.join("BENCH_collector.json")).expect("artifact");
-    assert_eq!(on_disk, printed.trim_end());
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn bench_wire_emits_valid_json_and_artifact() {
-    // Tiny workload: this is a smoke test of plumbing, not a timing
-    // assertion.
-    let dir = std::env::temp_dir().join(format!("vpm-bench-wire-cli-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    let out = Command::new(env!("CARGO_BIN_EXE_vpm"))
-        .args([
-            "bench-wire",
-            "--receipts",
-            "8",
-            "--records",
-            "16",
-            "--aggs",
-            "8",
-            "--repeats",
-            "1",
-            "--json",
-        ])
-        .current_dir(&dir)
-        .output()
-        .expect("binary runs");
-    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
-    let printed = stdout(&out);
-    let report: vpm::bench::wire_bench::WireBenchReport =
-        serde_json::from_str(printed.trim()).expect("stdout is the JSON report");
-    assert_eq!(report.config.receipts, 8);
-    assert!(report
-        .results
-        .iter()
-        .any(|r| r.name == "encode_compact" && r.mb_per_s > 0.0));
-    assert_eq!(report.bytes_per_sample_compact, 7.0);
-    // The artifact on disk is the same report.
-    let on_disk = std::fs::read_to_string(dir.join("BENCH_wire.json")).expect("artifact");
-    assert_eq!(on_disk, printed.trim_end());
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn bench_wire_rejects_bad_flags() {
-    for (args, needle) in [
-        (vec!["bench-wire", "--receipts", "zero"], "--receipts value"),
-        (vec!["bench-wire", "--records"], "--records needs"),
-        (vec!["bench-wire", "--receipts", "0"], "--receipts value"),
-        (
-            vec!["bench-wire", "--frobnicate"],
-            "unknown bench-wire option",
-        ),
-    ] {
-        let out = vpm(&args);
-        assert_eq!(out.status.code(), Some(2), "{args:?}");
-        assert!(stderr(&out).contains(needle), "{args:?}: {}", stderr(&out));
-    }
-    // --window 0 is a legal workload (empty patch-up windows). Run in
-    // a temp dir so the artifact never clobbers a real BENCH_wire.json
-    // in the checkout.
-    let dir = std::env::temp_dir().join(format!("vpm-bench-wire-w0-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    let out = Command::new(env!("CARGO_BIN_EXE_vpm"))
-        .args([
-            "bench-wire",
-            "--receipts",
-            "2",
-            "--records",
-            "2",
-            "--aggs",
-            "2",
-            "--window",
-            "0",
-            "--repeats",
-            "1",
-            "--json",
-        ])
-        .current_dir(&dir)
-        .output()
-        .expect("binary runs");
-    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn bench_collector_rejects_bad_flags() {
-    for (args, needle) in [
-        (
-            vec!["bench-collector", "--packets", "zero"],
-            "--packets value",
-        ),
-        (vec!["bench-collector", "--packets"], "--packets needs"),
-        (vec!["bench-collector", "--paths", "0"], "--paths value"),
-        (
-            vec!["bench-collector", "--frobnicate"],
-            "unknown bench-collector option",
-        ),
-    ] {
-        let out = vpm(&args);
-        assert_eq!(out.status.code(), Some(2), "{args:?}");
-        assert!(stderr(&out).contains(needle), "{args:?}: {}", stderr(&out));
-    }
 }
 
 #[test]

@@ -1,18 +1,21 @@
 //! Equivalence of the batched collector data plane with the
-//! per-packet path, through the public API.
+//! per-packet specification, through the public API.
 //!
-//! These tests deliberately run the deprecated
-//! `observe_digest`/`observe_batch` shims: until the trio is removed,
-//! the shims must stay byte-identical to the per-packet fold — for any
-//! batch size and any interleaving of paths, the samples, aggregates,
-//! and cost counters they produce must match. (The batch-first
-//! `Ingest` surface and its sharded drain-merge identity are pinned in
-//! `vpm_core::sharded`'s own tests.)
-#![allow(deprecated)]
+//! `Ingest::ingest` is the collector's only entry point. Its oracle
+//! here is [`PerPacketFold`]: one public `DelaySampler::observe` +
+//! `Aggregator::observe` per entry and the §7.1 counter rule, with
+//! none of the collector's partitioning or pass masks. For any batch
+//! size and any interleaving of paths, the samples, aggregates, cost
+//! counters and ingest reports must match. (The sharded drain-merge
+//! identity is pinned in `vpm_core::sharded`'s own tests.)
 
 use proptest::prelude::*;
+use vpm::core::collector::CostCounters;
 use vpm::core::receipt::{AggReceipt, PathId, SampleReceipt};
-use vpm::core::{Collector, HopConfig};
+use vpm::core::sampling::ObserveOutcome;
+use vpm::core::{
+    Aggregator, Collector, DelaySampler, HopConfig, Ingest, IngestError, IngestReport,
+};
 use vpm::hash::Digest;
 use vpm::packet::{DomainId, HeaderSpec, HopId, Ipv4Prefix, SimDuration, SimTime};
 
@@ -52,20 +55,129 @@ fn mk_collector(n_paths: u8, buffer_cap: Option<usize>) -> Collector {
     c
 }
 
-/// Flush, then drain both collectors into receipt form and compare
+/// The per-packet specification of the collector, behind the same
+/// [`Ingest`] surface so both sides take identical calls.
+struct PerPacketFold {
+    paths: Vec<(PathId, DelaySampler, Aggregator)>,
+    counters: CostCounters,
+}
+
+fn mk_fold(n_paths: u8, buffer_cap: Option<usize>) -> PerPacketFold {
+    let cfg = hop_config();
+    let paths = (0..n_paths)
+        .map(|tag| {
+            let sampler = DelaySampler::new(cfg.marker, cfg.sampling);
+            (
+                path_id(spec32(tag)),
+                match buffer_cap {
+                    Some(cap) => sampler.with_buffer_cap(cap),
+                    None => sampler,
+                },
+                Aggregator::new(cfg.partition, cfg.j_window),
+            )
+        })
+        .collect();
+    PerPacketFold {
+        paths,
+        counters: CostCounters::default(),
+    }
+}
+
+impl Ingest for PerPacketFold {
+    fn ingest(&mut self, batch: &[(usize, Digest, SimTime)]) -> IngestReport {
+        let paths = self.paths.len();
+        let mut report = IngestReport::default();
+        for (entry, &(index, digest, t)) in batch.iter().enumerate() {
+            let Some((_, sampler, aggregator)) = self.paths.get_mut(index) else {
+                // Out of range: unclassified, no hash charged.
+                self.counters.unclassified += 1;
+                report.errors.push(IngestError::PathOutOfRange {
+                    entry,
+                    index,
+                    paths,
+                });
+                continue;
+            };
+            report.accepted += 1;
+            self.counters.packets += 1;
+            self.counters.hash_ops += 1;
+            self.counters.timestamp_ops += 1;
+            // §7.1: lookup PathID + update PktCnt + store to temp buffer.
+            self.counters.memory_accesses += 3;
+            aggregator.observe(digest, t);
+            if let ObserveOutcome::Marker { swept, .. } = sampler.observe(digest, t) {
+                // One extra access per buffered packet examined (§7.1).
+                self.counters.marker_sweep_accesses += swept as u64;
+            }
+        }
+        report
+    }
+
+    fn flush(&mut self) {
+        for (_, _, aggregator) in &mut self.paths {
+            aggregator.flush();
+        }
+    }
+
+    fn drain_receipts(
+        &mut self,
+        samples: &mut Vec<SampleReceipt>,
+        aggregates: &mut Vec<AggReceipt>,
+    ) {
+        for (path, sampler, aggregator) in &mut self.paths {
+            let recs = sampler.drain();
+            if !recs.is_empty() {
+                samples.push(SampleReceipt {
+                    path: *path,
+                    samples: recs,
+                });
+            }
+            aggregates.extend(aggregator.drain().into_iter().map(|f| AggReceipt {
+                path: *path,
+                agg: f.agg,
+                pkt_cnt: f.pkt_cnt,
+                agg_trans: f.agg_trans,
+            }));
+        }
+    }
+
+    fn counters(&self) -> CostCounters {
+        self.counters
+    }
+}
+
+/// Feed both sides the same `batch_size` chunks (reports must agree
+/// call by call), then flush, drain into receipt form and compare
 /// everything observable.
-fn assert_identical(mut a: Collector, mut b: Collector, context: &str) {
-    a.flush();
-    b.flush();
-    assert_eq!(a.counters(), b.counters(), "counters differ: {context}");
-    let drain = |c: &mut Collector| -> (Vec<SampleReceipt>, Vec<AggReceipt>) {
+fn assert_identical(
+    stream: &[(usize, Digest, SimTime)],
+    batch_size: usize,
+    mut fold: PerPacketFold,
+    mut batched: Collector,
+    context: &str,
+) {
+    for chunk in stream.chunks(batch_size) {
+        assert_eq!(
+            fold.ingest(chunk),
+            batched.ingest(chunk),
+            "reports differ: {context}"
+        );
+    }
+    fold.flush();
+    batched.flush();
+    assert_eq!(
+        fold.counters(),
+        batched.counters(),
+        "counters differ: {context}"
+    );
+    let drain = |c: &mut dyn Ingest| -> (Vec<SampleReceipt>, Vec<AggReceipt>) {
         let mut s = Vec::new();
         let mut g = Vec::new();
         c.drain_receipts(&mut s, &mut g);
         (s, g)
     };
-    let (sa, ga) = drain(&mut a);
-    let (sb, gb) = drain(&mut b);
+    let (sa, ga) = drain(&mut fold);
+    let (sb, gb) = drain(&mut batched);
     assert_eq!(sa, sb, "samples differ: {context}");
     assert_eq!(ga, gb, "aggregates differ: {context}");
 }
@@ -102,17 +214,11 @@ proptest! {
     ) {
         let cap = [None, Some(16usize), Some(256usize)][cap_sel];
         let stream = synth_stream(seed, 6_000, n_paths);
-        let mut per_packet = mk_collector(n_paths, cap);
-        for &(idx, d, t) in &stream {
-            per_packet.observe_digest(idx, d, t);
-        }
-        let mut batched = mk_collector(n_paths, cap);
-        for chunk in stream.chunks(batch_size) {
-            batched.observe_batch(chunk);
-        }
         assert_identical(
-            per_packet,
-            batched,
+            &stream,
+            batch_size,
+            mk_fold(n_paths, cap),
+            mk_collector(n_paths, cap),
             &format!("bs={batch_size} paths={n_paths} cap={cap:?}"),
         );
     }
@@ -122,17 +228,15 @@ proptest! {
 /// chunked drivers actually use.
 #[test]
 fn observe_batch_equals_per_packet_at_driver_sizes() {
+    let stream = synth_stream(7, 30_000, 4);
     for batch_size in [1usize, 2, 255, 256, 257, 4096] {
-        let stream = synth_stream(7, 30_000, 4);
-        let mut per_packet = mk_collector(4, None);
-        for &(idx, d, t) in &stream {
-            per_packet.observe_digest(idx, d, t);
-        }
-        let mut batched = mk_collector(4, None);
-        for chunk in stream.chunks(batch_size) {
-            batched.observe_batch(chunk);
-        }
-        assert_identical(per_packet, batched, &format!("bs={batch_size}"));
+        assert_identical(
+            &stream,
+            batch_size,
+            mk_fold(4, None),
+            mk_collector(4, None),
+            &format!("bs={batch_size}"),
+        );
     }
 }
 
@@ -141,37 +245,27 @@ fn observe_batch_equals_per_packet_at_driver_sizes() {
 #[test]
 fn observe_batch_commutes_with_reporting() {
     let stream = synth_stream(21, 20_000, 3);
-    let run = |batch_size: Option<usize>| {
-        let mut c = mk_collector(3, None);
+    let run = |c: &mut dyn Ingest, batch_size: usize| {
         let mut p = vpm::core::Processor::new(HopId(4));
         let mut samples = Vec::new();
         let mut aggs = Vec::new();
         for part in stream.chunks(stream.len() / 4 + 1) {
-            match batch_size {
-                Some(bs) => {
-                    for chunk in part.chunks(bs) {
-                        c.observe_batch(chunk);
-                    }
-                }
-                None => {
-                    for &(idx, d, t) in part {
-                        c.observe_digest(idx, d, t);
-                    }
-                }
+            for chunk in part.chunks(batch_size) {
+                let _ = c.ingest(chunk);
             }
-            let b = p.report(&mut c);
+            let b = p.report(c);
             samples.extend(b.samples.into_iter().flat_map(|r| r.samples));
             aggs.extend(b.aggregates);
         }
         c.flush();
-        let b = p.report(&mut c);
+        let b = p.report(c);
         samples.extend(b.samples.into_iter().flat_map(|r| r.samples));
         aggs.extend(b.aggregates);
         (samples, aggs)
     };
-    let per_packet = run(None);
+    let per_packet = run(&mut mk_fold(3, None), stream.len());
     for bs in [64, 257] {
-        let batched = run(Some(bs));
+        let batched = run(&mut mk_collector(3, None), bs);
         assert_eq!(per_packet.0, batched.0, "bs={bs}");
         assert_eq!(per_packet.1, batched.1, "bs={bs}");
     }
