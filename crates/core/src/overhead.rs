@@ -151,7 +151,7 @@ pub struct OverheadReport {
     pub rows: Vec<(String, f64, f64)>,
 }
 
-/// Receipt-plane sizes **measured from actual encoded v1 wire frames**
+/// Receipt-plane sizes **measured from actual encoded v2 wire frames**
 /// rather than assumed from the model constants. Produced by
 /// `vpm_wire::measure::measured_sizes()` (the codec crate sits above
 /// this one, so the measurement lives there); consumed by
@@ -357,7 +357,7 @@ mod tests {
             agg_receipt_bytes: 22,
             agg_window_digest_bytes: 4,
             path_entry_bytes: 24,
-            frame_base_bytes: 34,
+            frame_base_bytes: 26,
         };
         let bw = measured_bandwidth_spec(&m);
         assert!((bw.agg_bytes_per_pkt_path() - 0.22).abs() < 1e-9);

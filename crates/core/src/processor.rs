@@ -3,18 +3,15 @@
 //! "The control-plane part periodically reads the state from the
 //! data-plane and performs further processing." The processor drains
 //! the collector's finished samples/aggregates at each reporting
-//! interval, wraps them into receipts, stamps an authenticity tag, and
-//! accounts the bytes that receipt dissemination will cost (the §7.1
-//! bandwidth model).
+//! interval, wraps them into receipts, and accounts the bytes that
+//! receipt dissemination will cost (the §7.1 bandwidth model).
 //!
 //! Authenticity: the paper assumes receipts are disseminated with
-//! integrity/authenticity guarantees (assumption #2, e.g. HTTPS). The
-//! in-batch `auth_tag` is a cheap keyed-digest checksum over the batch
-//! content; the real cryptographic binding is the HMAC-SHA-256 MAC
-//! trailer the wire layer stamps on every published frame under the
-//! HOP's [`HopKey`] (see `vpm-wire`'s codec and transport). The tag
-//! key is the [`HopKey`]'s seed prefix ([`HopKey::tag_key`]), so both
-//! layers are driven by one per-HOP secret.
+//! integrity/authenticity guarantees (assumption #2, e.g. HTTPS). A
+//! batch itself carries no authenticator; the binding is the
+//! HMAC-SHA-256 MAC trailer the wire layer stamps on every published
+//! frame under the HOP's [`HopKey`] (see `vpm-wire`'s codec and
+//! transport), which the processor holds ([`Processor::hop_key`]).
 
 use serde::{Deserialize, Serialize};
 use vpm_hash::HopKey;
@@ -34,8 +31,6 @@ pub struct ReceiptBatch {
     pub samples: Vec<SampleReceipt>,
     /// Aggregate receipts, one per finalized aggregate.
     pub aggregates: Vec<AggReceipt>,
-    /// Keyed-digest authenticity tag.
-    pub auth_tag: u64,
 }
 
 impl ReceiptBatch {
@@ -78,38 +73,6 @@ impl ReceiptBatch {
         }
         out
     }
-
-    fn tag_input(&self) -> Vec<u8> {
-        // Canonical content serialization without the tag itself.
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(&self.hop.0.to_le_bytes());
-        bytes.extend_from_slice(&self.batch_seq.to_le_bytes());
-        for s in &self.samples {
-            for r in &s.samples {
-                bytes.extend_from_slice(&r.pkt_id.0.to_le_bytes());
-                bytes.extend_from_slice(&r.time.as_nanos().to_le_bytes());
-            }
-        }
-        for a in &self.aggregates {
-            bytes.extend_from_slice(&a.agg.first.0.to_le_bytes());
-            bytes.extend_from_slice(&a.agg.last.0.to_le_bytes());
-            bytes.extend_from_slice(&a.pkt_cnt.to_le_bytes());
-            for d in &a.agg_trans {
-                bytes.extend_from_slice(&d.0.to_le_bytes());
-            }
-        }
-        bytes
-    }
-
-    /// Compute the authenticity tag under `key`.
-    pub fn compute_tag(&self, key: u64) -> u64 {
-        vpm_hash::lookup3::hash64(&self.tag_input(), key)
-    }
-
-    /// Verify the stored tag under `key`.
-    pub fn verify_tag(&self, key: u64) -> bool {
-        self.auth_tag == self.compute_tag(key)
-    }
 }
 
 /// Cumulative reporting statistics of a processor.
@@ -125,9 +88,7 @@ pub struct ProcessorStats {
     pub aggregate_receipts: u64,
 }
 
-/// The default per-HOP signing key, derived from the HOP id. Its seed
-/// doubles as the legacy u64 tag key ([`HopKey::tag_key`]), so batches
-/// signed through it keep the auth-tag values of the pre-HMAC fixtures.
+/// The default per-HOP signing key, derived from the HOP id.
 pub fn default_hop_key(hop: HopId) -> HopKey {
     HopKey::from_seed(0x5650_4d00 ^ hop.0 as u64)
 }
@@ -152,18 +113,13 @@ impl Processor {
         }
     }
 
-    /// The legacy u64 tag key the batch `auth_tag` is computed under.
-    pub fn key(&self) -> u64 {
-        self.key.tag_key()
-    }
-
     /// The HOP's full signing key (registered with the transport out
     /// of band; MACs every published frame).
     pub fn hop_key(&self) -> HopKey {
         self.key
     }
 
-    /// Drain the collector into a signed receipt batch (one pass over
+    /// Drain the collector into a receipt batch (one pass over
     /// the collector plane's path table via [`Ingest::drain_receipts`]).
     ///
     /// Generic over the whole ingest surface: a single-core
@@ -174,14 +130,12 @@ impl Processor {
         let mut samples = Vec::new();
         let mut aggregates = Vec::new();
         collector.drain_receipts(&mut samples, &mut aggregates);
-        let mut batch = ReceiptBatch {
+        let batch = ReceiptBatch {
             hop: self.hop,
             batch_seq: self.next_seq,
             samples,
             aggregates,
-            auth_tag: 0,
         };
-        batch.auth_tag = batch.compute_tag(self.key.tag_key());
         self.next_seq += 1;
         self.stats.batches += 1;
         self.stats.receipt_bytes += batch.compact_bytes() as u64;
@@ -249,36 +203,19 @@ mod tests {
     }
 
     #[test]
-    fn report_drains_and_signs() {
+    fn report_drains_and_numbers_batches() {
         let (mut c, mut p) = pipeline_parts();
         feed(&mut c, 10_000, 31);
         c.flush();
         let batch = p.report(&mut c);
         assert!(!batch.samples.is_empty());
         assert!(!batch.aggregates.is_empty());
-        assert!(batch.verify_tag(p.key()));
-        assert_eq!(batch.batch_seq, 0);
-        // Second report is empty but still valid.
+        assert_eq!((batch.hop, batch.batch_seq), (HopId(4), 0));
+        // Second report is empty but still sequenced.
         let batch2 = p.report(&mut c);
         assert_eq!(batch2.batch_seq, 1);
         assert_eq!(batch2.sample_records(), 0);
-        assert!(batch2.verify_tag(p.key()));
-    }
-
-    #[test]
-    fn tampering_breaks_tag() {
-        let (mut c, mut p) = pipeline_parts();
-        feed(&mut c, 5_000, 32);
-        c.flush();
-        let mut batch = p.report(&mut c);
-        assert!(batch.verify_tag(p.key()));
-        // A lying relay edits a packet count.
-        if let Some(a) = batch.aggregates.first_mut() {
-            a.pkt_cnt += 1;
-        }
-        assert!(!batch.verify_tag(p.key()));
-        // And a wrong key never verifies.
-        assert!(!batch.verify_tag(p.key() ^ 1));
+        assert_eq!(p.hop_key(), default_hop_key(HopId(4)));
     }
 
     #[test]

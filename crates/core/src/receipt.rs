@@ -119,7 +119,7 @@ pub struct AggReceipt {
 ///
 /// ## Truncation semantics
 ///
-/// The compact wire profile (`vpm-wire`, v1 frames without the PRECISE
+/// The compact wire profile (`vpm-wire`, v2 frames without the PRECISE
 /// flag) carries exactly these truncated values:
 ///
 /// * **Digests** keep their low 32 bits ([`compact::truncate_digest`]),

@@ -337,9 +337,8 @@ mod tests {
         }
     }
 
-    /// `Processor::report` is generic over `Ingest`; the signed batch
-    /// from a sharded plane must be byte-identical to the single-core
-    /// one (tag included).
+    /// `Processor::report` is generic over `Ingest`; the batch from a
+    /// sharded plane must be identical to the single-core one.
     #[test]
     fn processor_report_is_identical_over_sharded_plane() {
         let n_paths = 16usize;

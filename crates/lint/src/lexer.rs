@@ -461,8 +461,15 @@ fn mark_test_scopes(tokens: &mut [Token<'_>]) {
     // scope while this stack is non-empty.
     let mut test_stack: Vec<i64> = Vec::new();
     // A `#[test]`/`#[cfg(test)]` attribute (or `mod tests` header) was
-    // seen and applies to the next `{ … }` block or `…;` item.
+    // seen and applies to the next `{ … }` block, `…;` item, or
+    // comma-terminated field / variant / arm.
     let mut pending = false;
+    // Paren/bracket nesting, and its value where `pending` was raised:
+    // only a `,` at the attribute's own level ends its item (commas in
+    // a generic parameter list are not told apart and end it early —
+    // test code judged as product code, the loud direction).
+    let mut nest: i64 = 0;
+    let mut pending_nest: i64 = 0;
     let mut i = 0;
     while i < tokens.len() {
         // Attributes: scan them as a unit.
@@ -474,6 +481,7 @@ fn mark_test_scopes(tokens: &mut [Token<'_>]) {
             }
             if attr_is_test(&tokens[i..j]) {
                 pending = true;
+                pending_nest = nest;
             }
             i = j;
             continue;
@@ -493,17 +501,26 @@ fn mark_test_scopes(tokens: &mut [Token<'_>]) {
                 test_stack.pop();
             }
             depth -= 1;
-        } else if tokens[i].is_punct(';') {
+            // An attribute on a block's last, comma-less field.
+            pending = false;
+        } else if tokens[i].is_punct(';') || (tokens[i].is_punct(',') && nest == pending_nest) {
             in_test_now = !test_stack.is_empty();
-            // `#[cfg(test)] mod tests;` / `#[cfg(test)] use …;`: the
-            // attribute applied to a braceless item.
+            // `#[cfg(test)] mod tests;` / `#[cfg(test)] use …;` /
+            // `#[cfg(test)] field: T,`: the attribute applied to a
+            // braceless item.
             pending = false;
         } else {
+            if tokens[i].is_punct('(') || tokens[i].is_punct('[') {
+                nest += 1;
+            } else if tokens[i].is_punct(')') || tokens[i].is_punct(']') {
+                nest -= 1;
+            }
             if tokens[i].is_ident("mod")
                 && i + 1 < tokens.len()
                 && (tokens[i + 1].is_ident("tests") || tokens[i + 1].is_ident("test"))
             {
                 pending = true;
+                pending_nest = nest;
             }
             in_test_now = !test_stack.is_empty();
         }
@@ -567,6 +584,37 @@ mod tests {
             .map(|t| t.in_test)
             .collect();
         assert_eq!(unwraps, vec![false, true, false]);
+    }
+
+    #[test]
+    fn cfg_test_on_a_field_does_not_leak_into_the_next_block() {
+        let src = r#"
+            struct S {
+                #[cfg(test)]
+                hits: Counter<(u8, u8)>,
+                #[cfg(test)]
+                last: u8
+            }
+            impl S {
+                fn new() -> S {
+                    S {
+                        #[cfg(test)]
+                        hits: Counter::new(0, 0),
+                    }
+                }
+                fn product(&self) { x.unwrap(); }
+                #[cfg(test)]
+                fn probe(&self, a: u8, b: u8) { y.unwrap(); }
+            }
+        "#;
+        let lexed = lex(src);
+        let unwraps: Vec<bool> = lexed
+            .tokens
+            .iter()
+            .filter(|t| t.is_ident("unwrap"))
+            .map(|t| t.in_test)
+            .collect();
+        assert_eq!(unwraps, vec![false, true]);
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! R4 — wire-constant drift.
 //!
-//! The v1 frame layout is declared three times: as constants in
+//! The v2 frame layout is declared three times: as constants in
 //! `crates/wire/src/codec.rs` (+ the compact record constants in
 //! `crates/core/src/receipt.rs`), as the pinned golden fixture
-//! `tests/golden/wire_v1.hex`, and as the README's frame diagram. §7.1
+//! `tests/golden/wire_v2.hex`, and as the README's frame diagram. §7.1
 //! byte accounting depends on all three agreeing, so R4 cross-checks
 //! them on every run:
 //!
@@ -17,7 +17,7 @@
 //!   shared field must agree and every truncated field must be the
 //!   documented truncation of its precise counterpart (lo-32 digests,
 //!   µs-mod-2²⁴ times);
-//! * the README's documented sizes (`24-B header`, `24 B per distinct
+//! * the README's documented sizes (`16-B header`, `24 B per distinct
 //!   path`, `= 7 B`, `22 B`, `36 B`…) must match the constants.
 
 use crate::report::Violation;
@@ -224,7 +224,6 @@ struct ParsedFrame {
     flags: u8,
     hop: [u8; 2],
     seq: [u8; 8],
-    tag: [u8; 8],
     path_table: Vec<Vec<u8>>,
     /// (path_ref, records) per sample receipt.
     samples: Vec<(u32, Vec<(u64, u64)>)>,
@@ -285,11 +284,10 @@ fn walk_frame(bytes: &[u8], precise: bool, c: &WireConsts) -> Result<ParsedFrame
         ));
     }
     if flags & !0b11 != 0 {
-        return Err(format!("flags {flags:#010b} set bits v1 does not assign"));
+        return Err(format!("flags {flags:#010b} set bits v2 does not assign"));
     }
     let hop: [u8; 2] = cur.take(2)?.try_into().map_err(|_| "hop".to_string())?;
     let seq: [u8; 8] = cur.take(8)?.try_into().map_err(|_| "seq".to_string())?;
-    let tag: [u8; 8] = cur.take(8)?.try_into().map_err(|_| "tag".to_string())?;
     if cur.off != c.header_bytes {
         return Err(format!(
             "header fields end at byte {} but HEADER_BYTES is {}",
@@ -364,7 +362,6 @@ fn walk_frame(bytes: &[u8], precise: bool, c: &WireConsts) -> Result<ParsedFrame
         flags,
         hop,
         seq,
-        tag,
         path_table,
         samples,
         aggs,
@@ -375,8 +372,8 @@ fn walk_frame(bytes: &[u8], precise: bool, c: &WireConsts) -> Result<ParsedFrame
 /// batch under the documented truncation rules.
 fn differential(compact: &ParsedFrame, precise: &ParsedFrame, c: &WireConsts) -> Vec<String> {
     let mut errs = Vec::new();
-    if compact.hop != precise.hop || compact.seq != precise.seq || compact.tag != precise.tag {
-        errs.push("compact and precise frames disagree on hop/seq/auth-tag".to_string());
+    if compact.hop != precise.hop || compact.seq != precise.seq {
+        errs.push("compact and precise frames disagree on hop/seq".to_string());
     }
     if compact.path_table != precise.path_table {
         errs.push(
@@ -554,7 +551,7 @@ pub fn r4(root: &Path) -> Vec<Violation> {
     }
 
     // 2. Structurally walk the golden fixture.
-    let golden_rel = "tests/golden/wire_v1.hex";
+    let golden_rel = "tests/golden/wire_v2.hex";
     let golden = match std::fs::read_to_string(root.join(golden_rel)) {
         Ok(g) => g,
         Err(e) => {

@@ -63,7 +63,7 @@ pub fn apply_lie(ingress: &HopOutput, egress: &mut HopOutput, strategy: LieStrat
             }
         }
     }
-    resign(egress);
+    rebatch(egress);
 }
 
 /// One lying egress: the domain whose egress HOP doctors its receipts
@@ -118,16 +118,18 @@ pub fn cover_up(liar_egress: &HopOutput, accomplice_ingress: &mut HopOutput) {
             ..a.clone()
         })
         .collect();
-    resign(accomplice_ingress);
+    rebatch(accomplice_ingress);
 }
 
-fn resign(out: &mut HopOutput) {
+/// Rebuild the HOP's batch from its doctored records. The liar holds
+/// its own key, so the frame it publishes MAC-verifies: authenticity
+/// binds a receipt to its HOP, not to the truth.
+fn rebatch(out: &mut HopOutput) {
     out.batch.samples = vec![vpm_core::receipt::SampleReceipt {
         path: out.path,
         samples: out.samples.clone(),
     }];
     out.batch.aggregates = out.aggregates.clone();
-    out.batch.auth_tag = out.batch.compute_tag(out.tag_key());
 }
 
 #[cfg(test)]
@@ -182,12 +184,9 @@ mod tests {
             "lie must add fabricated records"
         );
         assert_eq!(egress.samples.len(), ingress.samples.len());
-        // The doctored batch still signs correctly (liars sign lies).
-        assert!(run
-            .hop(HopId(5))
-            .unwrap()
-            .batch
-            .verify_tag(run.hop(HopId(5)).unwrap().tag_key()));
+        // The batch the liar will sign and publish carries the lie.
+        let h5 = run.hop(HopId(5)).unwrap();
+        assert_eq!(h5.batch.sample_records(), h5.samples.len());
     }
 
     #[test]
@@ -233,11 +232,11 @@ mod tests {
                 },
             ],
         );
-        // Each egress now mirrors its own ingress and still signs.
+        // Each egress now mirrors its own ingress, batch included.
         for (egress, expect) in [(HopId(3), l_ingress), (HopId(7), n_ingress)] {
             let h = run.hop(egress).unwrap();
             assert_eq!(h.samples.len(), expect, "{egress}");
-            assert!(h.batch.verify_tag(h.tag_key()), "{egress}");
+            assert_eq!(h.batch.sample_records(), expect, "{egress}");
         }
     }
 

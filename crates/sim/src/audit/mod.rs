@@ -339,7 +339,7 @@ impl Auditor {
 mod tests {
     use super::workload::{publish_interval, Churn};
     use super::*;
-    use vpm_wire::{InMemoryBus, ShardedBus};
+    use vpm_wire::ShardedBus;
 
     const REQ: DomainId = DomainId(0);
 
@@ -347,7 +347,7 @@ mod tests {
     /// incremental fold reaches the obvious verdict.
     #[test]
     fn incremental_fold_counts_and_flags_per_interval() {
-        let bus = InMemoryBus::new();
+        let bus = ShardedBus::new(1);
         let mut auditor = Auditor::subscribe(&bus, REQ).unwrap();
         let churn = Churn::fixed(2, &[true, true], &[false, true]);
         for t in 0..5 {
@@ -368,11 +368,11 @@ mod tests {
 
     /// Stop at an interval boundary, checkpoint, restore into a fresh
     /// auditor, continue — the final verdict is byte-identical to the
-    /// uninterrupted run, across both bus backends.
+    /// uninterrupted run, on a one-shard and a four-shard bus.
     #[test]
     fn checkpoint_restore_verdicts_are_byte_identical() {
         let backends: Vec<Box<dyn ReceiptTransport>> =
-            vec![Box::new(InMemoryBus::new()), Box::new(ShardedBus::new(4))];
+            vec![Box::new(ShardedBus::new(1)), Box::new(ShardedBus::new(4))];
         for bus in &backends {
             let run = |restart_at: Option<u64>| {
                 let mut churn = Churn::new(3, 0xA0D1);
@@ -453,7 +453,7 @@ mod tests {
     /// A checkpoint mid-interval (partial accumulators) is refused.
     #[test]
     fn mid_interval_checkpoints_are_refused() {
-        let bus = InMemoryBus::new();
+        let bus = ShardedBus::new(1);
         let churn = Churn::fixed(1, &[true], &[false]);
         let mut auditor = Auditor::subscribe(&bus, REQ).unwrap();
         // Publish a full interval but drop the last HOP's frame by

@@ -156,7 +156,7 @@ fn publish_hop(
     let hop = slot_hop(slot, idx);
     let key = slot_key(hop);
     transport.register_key(hop, key)?; // idempotent after the first interval
-    let mut batch = ReceiptBatch {
+    let batch = ReceiptBatch {
         hop,
         batch_seq: interval,
         samples: vec![],
@@ -169,9 +169,7 @@ fn publish_hop(
             pkt_cnt: count,
             agg_trans: vec![],
         }],
-        auth_tag: 0,
     };
-    batch.auth_tag = batch.compute_tag(key.tag_key());
     // The publisher domain is the slot's own; the auditor is on-path
     // for everything (the visibility rule stays exercised, not waived).
     let publisher = DomainId(1 + (slot as u16));

@@ -311,14 +311,12 @@ fn publish_path(path: &FleetPath, transport: &dyn ReceiptTransport) -> usize {
             // Interval 0: nothing matured yet — an empty, signed batch
             // (the PR 4 quiet-first-interval edge, now a standing part
             // of the fleet's traffic shape).
-            let mut empty = vpm_core::processor::ReceiptBatch {
+            let empty = vpm_core::processor::ReceiptBatch {
                 hop: h.hop,
                 batch_seq: 0,
                 samples: vec![],
                 aggregates: vec![],
-                auth_tag: 0,
             };
-            empty.auth_tag = empty.compute_tag(key.tag_key());
             transport
                 .publish_batch(h.domain, &empty, Profile::Precise, on_path.clone(), &key)
                 .expect("signed empty batches publish"); // vpm-lint: allow(R1, encoding a batch this code just built cannot exceed wire limits)

@@ -11,7 +11,7 @@
 //! * [`topology`] — domains, HOPs, inter-domain links; the canonical
 //!   Figure 1 topology `S–L–X–N–D`.
 //! * [`run`] — the path runner: trace in at HOP 1, receipts out of all
-//!   HOPs — every batch encoded into a v1 wire frame, published through
+//!   HOPs — every batch encoded into a v2 wire frame, published through
 //!   a `vpm_wire::ReceiptTransport`, fetched and decoded back — with
 //!   ground truth retained for evaluation.
 //! * [`adversary`] — lying-domain strategies: blame shifting, delay

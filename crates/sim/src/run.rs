@@ -8,7 +8,7 @@
 //! the receipt-derived estimates against reality.
 //!
 //! Receipts do not shortcut from processor to analysis: every batch is
-//! encoded into a v1 wire frame, published through a
+//! encoded into a v2 wire frame, published through a
 //! [`ReceiptTransport`], then fetched and decoded to rebuild the
 //! [`HopOutput`]s — so the whole test surface built on `run_path`
 //! (including the 216-cell scenario matrix) exercises the codec's
@@ -153,7 +153,7 @@ pub struct HopOutput {
     pub domain: DomainId,
     /// The `PathID` its receipts carry.
     pub path: PathId,
-    /// The signed receipt batch.
+    /// The receipt batch, decoded from its published signed frame.
     pub batch: ReceiptBatch,
     /// Flattened sample records (observation order).
     pub samples: Vec<SampleRecord>,
@@ -176,12 +176,6 @@ impl HopOutput {
     #[allow(clippy::expect_used)] // audited: every expect below carries a vpm-lint allow
     pub fn hop_key(&self) -> HopKey {
         self.key.expect("output carries its signing key") // vpm-lint: allow(R1, the builder sets the key before any output is produced)
-    }
-
-    /// The legacy u64 tag key (for `ReceiptBatch::verify_tag`); panics
-    /// on collector-rebuilt outputs.
-    pub fn tag_key(&self) -> u64 {
-        self.hop_key().tag_key()
     }
 }
 
@@ -386,7 +380,7 @@ pub fn run_path_with_transport(
 
     // Final reports: encode every batch into a precise-profile wire
     // frame, publish it through the transport (which re-decodes and
-    // tag-verifies the actual bytes), then drain this run's
+    // MAC-verifies the actual bytes), then drain this run's
     // subscription and rebuild the outputs from the *decoded* batches —
     // the codec round trip is on the pipeline's critical path.
     let on_path = topology.domain_ids();
@@ -481,9 +475,11 @@ pub fn run_path_with_transport(
 mod tests {
     use super::*;
     use crate::topology::Figure1;
+    use std::sync::Arc;
     use vpm_netsim::channel::DelayModel;
     use vpm_netsim::reorder::ReorderModel;
     use vpm_trace::{TraceConfig, TraceGenerator};
+    use vpm_wire::{Published, SubscriptionId, WireFrame};
 
     fn trace(n_ms: u64, seed: u64) -> Vec<TracePacket> {
         let cfg = TraceConfig {
@@ -513,7 +509,6 @@ mod tests {
             assert_eq!(h.observed, t.len(), "{} observed", h.hop);
             assert!(!h.samples.is_empty());
             assert!(!h.aggregates.is_empty());
-            assert!(h.batch.verify_tag(h.tag_key()));
         }
         for truth in &run.truths {
             assert_eq!(truth.sent, truth.delivered, "{}", truth.name);
@@ -521,18 +516,16 @@ mod tests {
     }
 
     /// The receipts in a `PathRun` went through encode → transport →
-    /// decode; losslessness means the decoded batches still verify
-    /// under their HOPs' keys and re-encode to the very frames the
-    /// transport holds.
+    /// decode; losslessness means the decoded batches re-sign-and-encode
+    /// under their HOPs' keys to the very frames the transport holds.
     #[test]
     fn run_receipts_round_trip_the_wire_codec_losslessly() {
         let t = trace(150, 21);
         let topo = Figure1::ideal().build();
-        let transport = vpm_wire::InMemoryBus::new();
+        let transport = vpm_wire::ShardedBus::new(1);
         let run = run_path_with_transport(&t, &topo, &quick_cfg(), &transport).unwrap();
         assert_eq!(transport.len(), run.hops.len());
         for h in &run.hops {
-            assert!(h.batch.verify_tag(h.tag_key()), "{}", h.hop);
             let published = transport.fetch(h.domain, h.hop).unwrap();
             assert_eq!(published.len(), 1);
             assert_eq!(published[0].epoch, h.key_epoch);
@@ -546,17 +539,17 @@ mod tests {
         }
     }
 
-    /// The transport implementation is invisible to the result: the
-    /// same trace through the in-memory bus and through sharded buses
-    /// of every acceptance shard count yields identical outputs.
+    /// The shard count is invisible to the result: the same trace
+    /// through the single-lock store and through wider sharded buses
+    /// yields identical outputs.
     #[test]
     fn path_run_is_identical_across_transports_and_shard_counts() {
         let t = trace(150, 22);
         let topo = Figure1::ideal().build();
         let cfg = quick_cfg();
         let baseline =
-            run_path_with_transport(&t, &topo, &cfg, &vpm_wire::InMemoryBus::new()).unwrap();
-        for shards in [1, 4, 16] {
+            run_path_with_transport(&t, &topo, &cfg, &vpm_wire::ShardedBus::new(1)).unwrap();
+        for shards in [4, 16] {
             let run = run_path_with_transport(&t, &topo, &cfg, &vpm_wire::ShardedBus::new(shards))
                 .unwrap();
             assert_eq!(run.trace_len, baseline.trace_len);
@@ -609,103 +602,119 @@ mod tests {
         }
     }
 
-    /// The PR's headline bugfix: a publisher that claims a global
-    /// sequence number and dies before inserting used to hang the
-    /// drain loop forever (unbounded `yield_now` spin). Now the drain
-    /// blocks on `wait` and surfaces a typed [`RunError::DrainTimeout`]
-    /// — and the failed run still releases its subscription.
+    /// What a [`FaultyTransport`] does to the run driving it.
+    enum Fault {
+        /// Publishes land but never come back: `poll` is empty and
+        /// `wait` times out — what a global stream looks like behind a
+        /// publisher that claimed a sequence number and died (the bus
+        /// itself pins that in `vpm-wire`'s
+        /// `a_claimed_but_never_inserted_seq_does_not_ready_a_wait`).
+        NeverDelivers,
+        /// Every fallible operation fails with a connection error —
+        /// the shape a dead `vpm serve` endpoint presents.
+        RefusesAll,
+    }
+
+    /// Delegates to a real [`ShardedBus`] except where `fault` bites.
+    struct FaultyTransport {
+        inner: ShardedBus,
+        fault: Fault,
+    }
+
+    impl FaultyTransport {
+        fn new(fault: Fault) -> Self {
+            FaultyTransport {
+                inner: ShardedBus::new(4),
+                fault,
+            }
+        }
+
+        /// `Err(Connection)` under [`Fault::RefusesAll`], else `op`.
+        fn unless_refused<T>(
+            &self,
+            op: impl FnOnce(&ShardedBus) -> Result<T, TransportError>,
+        ) -> Result<T, TransportError> {
+            match self.fault {
+                Fault::RefusesAll => Err(TransportError::Connection("refused by test".into())),
+                Fault::NeverDelivers => op(&self.inner),
+            }
+        }
+    }
+
+    impl ReceiptTransport for FaultyTransport {
+        fn register_key(&self, hop: HopId, key: HopKey) -> Result<KeyEpoch, TransportError> {
+            self.unless_refused(|b| b.register_key(hop, key))
+        }
+        fn rotate_key(&self, hop: HopId, new_key: HopKey) -> Result<KeyEpoch, TransportError> {
+            self.unless_refused(|b| b.rotate_key(hop, new_key))
+        }
+        fn key_epoch(&self, hop: HopId) -> Option<KeyEpoch> {
+            self.inner.key_epoch(hop)
+        }
+        fn publish(
+            &self,
+            domain: DomainId,
+            frame: WireFrame,
+            on_path: Vec<DomainId>,
+        ) -> Result<u64, TransportError> {
+            self.unless_refused(|b| b.publish(domain, frame, on_path))
+        }
+        fn fetch(
+            &self,
+            requester: DomainId,
+            hop: HopId,
+        ) -> Result<Vec<Arc<Published>>, TransportError> {
+            self.unless_refused(|b| b.fetch(requester, hop))
+        }
+        fn fetch_path(
+            &self,
+            requester: DomainId,
+            path: &PathId,
+        ) -> Result<Vec<Arc<Published>>, TransportError> {
+            self.unless_refused(|b| b.fetch_path(requester, path))
+        }
+        fn subscribe(&self, requester: DomainId) -> SubscriptionId {
+            self.inner.subscribe(requester)
+        }
+        fn subscribe_path(&self, requester: DomainId, path: &PathId) -> SubscriptionId {
+            self.inner.subscribe_path(requester, path)
+        }
+        fn subscribe_from(
+            &self,
+            requester: DomainId,
+            from_seq: u64,
+        ) -> Result<SubscriptionId, TransportError> {
+            self.unless_refused(|b| b.subscribe_from(requester, from_seq))
+        }
+        fn poll(&self, _: SubscriptionId) -> Result<Vec<Arc<Published>>, TransportError> {
+            self.unless_refused(|_| Ok(Vec::new()))
+        }
+        fn wait(&self, _: SubscriptionId, _: Duration) -> Result<WaitOutcome, TransportError> {
+            self.unless_refused(|_| Ok(WaitOutcome::TimedOut))
+        }
+        fn unsubscribe(&self, sub: SubscriptionId) -> Result<(), TransportError> {
+            self.inner.unsubscribe(sub)
+        }
+        fn subscriptions(&self) -> usize {
+            self.inner.subscriptions()
+        }
+        fn len(&self) -> usize {
+            self.inner.len()
+        }
+    }
+
+    /// A stream that never delivers this run's frames — the classic
+    /// cause being a publisher that claimed a global sequence number
+    /// and died before inserting — must not hang the drain: it is
+    /// bounded by `wait`, surfaces a typed [`RunError::DrainTimeout`],
+    /// and the failed run still releases its subscription.
     #[test]
     fn a_publisher_that_claims_a_seq_and_dies_times_out_instead_of_hanging() {
-        use std::sync::atomic::{AtomicBool, Ordering};
-        use std::sync::Arc;
-        use vpm_wire::{Published, SubscriptionId, TransportError, WaitOutcome, WireFrame};
-
-        /// Delegates to a real [`ShardedBus`], but the first publish is
-        /// preceded by a sequence-number claim that never lands — the
-        /// exact hole a publisher dying between `fetch_add` and its
-        /// shard insert leaves behind.
-        struct DyingPublisher {
-            inner: ShardedBus,
-            killed: AtomicBool,
-        }
-
-        impl ReceiptTransport for DyingPublisher {
-            fn register_key(&self, hop: HopId, key: HopKey) -> Result<KeyEpoch, TransportError> {
-                self.inner.register_key(hop, key)
-            }
-            fn rotate_key(&self, hop: HopId, new_key: HopKey) -> Result<KeyEpoch, TransportError> {
-                self.inner.rotate_key(hop, new_key)
-            }
-            fn key_epoch(&self, hop: HopId) -> Option<KeyEpoch> {
-                self.inner.key_epoch(hop)
-            }
-            fn publish(
-                &self,
-                domain: DomainId,
-                frame: WireFrame,
-                on_path: Vec<DomainId>,
-            ) -> Result<u64, TransportError> {
-                if !self.killed.swap(true, Ordering::Relaxed) {
-                    self.inner.claim_seq_and_die();
-                }
-                self.inner.publish(domain, frame, on_path)
-            }
-            fn fetch(
-                &self,
-                requester: DomainId,
-                hop: HopId,
-            ) -> Result<Vec<Arc<Published>>, TransportError> {
-                self.inner.fetch(requester, hop)
-            }
-            fn fetch_path(
-                &self,
-                requester: DomainId,
-                path: &PathId,
-            ) -> Result<Vec<Arc<Published>>, TransportError> {
-                self.inner.fetch_path(requester, path)
-            }
-            fn subscribe(&self, requester: DomainId) -> SubscriptionId {
-                self.inner.subscribe(requester)
-            }
-            fn subscribe_path(&self, requester: DomainId, path: &PathId) -> SubscriptionId {
-                self.inner.subscribe_path(requester, path)
-            }
-            fn subscribe_from(
-                &self,
-                requester: DomainId,
-                from_seq: u64,
-            ) -> Result<SubscriptionId, TransportError> {
-                self.inner.subscribe_from(requester, from_seq)
-            }
-            fn poll(&self, sub: SubscriptionId) -> Result<Vec<Arc<Published>>, TransportError> {
-                self.inner.poll(sub)
-            }
-            fn wait(
-                &self,
-                sub: SubscriptionId,
-                timeout: std::time::Duration,
-            ) -> Result<WaitOutcome, TransportError> {
-                self.inner.wait(sub, timeout)
-            }
-            fn unsubscribe(&self, sub: SubscriptionId) -> Result<(), TransportError> {
-                self.inner.unsubscribe(sub)
-            }
-            fn subscriptions(&self) -> usize {
-                self.inner.subscriptions()
-            }
-            fn len(&self) -> usize {
-                self.inner.len()
-            }
-        }
-
         let t = trace(60, 33);
         let topo = Figure1::ideal().build();
         let mut cfg = quick_cfg();
         cfg.drain_timeout = Duration::from_millis(200);
-        let transport = DyingPublisher {
-            inner: ShardedBus::new(4),
-            killed: AtomicBool::new(false),
-        };
+        let transport = FaultyTransport::new(Fault::NeverDelivers);
         let started = Instant::now();
         let err = run_path_with_transport(&t, &topo, &cfg, &transport).unwrap_err();
         assert!(
@@ -718,14 +727,17 @@ mod tests {
                 expected,
                 waited,
             } => {
-                // The hole precedes every real publish, so the global
-                // cursor releases nothing.
                 assert_eq!(collected, 0);
                 assert_eq!(expected, topo.hops().len());
                 assert_eq!(waited, Duration::from_millis(200));
             }
             other => panic!("expected DrainTimeout, got {other:?}"),
         }
+        assert_eq!(
+            transport.inner.len(),
+            topo.hops().len(),
+            "every publish landed; only delivery failed"
+        );
         assert_eq!(
             transport.inner.subscriptions(),
             0,
@@ -738,84 +750,17 @@ mod tests {
     /// or misreport the failure as a drain timeout.
     #[test]
     fn a_refusing_transport_is_a_typed_run_error() {
-        use std::sync::Arc;
-        use vpm_wire::{Published, SubscriptionId, TransportError, WaitOutcome, WireFrame};
-
-        /// Refuses every fallible operation with a connection error —
-        /// the shape a dead `vpm serve` endpoint presents.
-        struct RefusingTransport;
-
-        impl ReceiptTransport for RefusingTransport {
-            fn register_key(&self, _: HopId, _: HopKey) -> Result<KeyEpoch, TransportError> {
-                Err(TransportError::Connection("refused by test".into()))
-            }
-            fn rotate_key(&self, _: HopId, _: HopKey) -> Result<KeyEpoch, TransportError> {
-                Err(TransportError::Connection("refused by test".into()))
-            }
-            fn key_epoch(&self, _: HopId) -> Option<KeyEpoch> {
-                None
-            }
-            fn publish(
-                &self,
-                _: DomainId,
-                _: WireFrame,
-                _: Vec<DomainId>,
-            ) -> Result<u64, TransportError> {
-                Err(TransportError::Connection("refused by test".into()))
-            }
-            fn fetch(&self, _: DomainId, _: HopId) -> Result<Vec<Arc<Published>>, TransportError> {
-                Err(TransportError::Connection("refused by test".into()))
-            }
-            fn fetch_path(
-                &self,
-                _: DomainId,
-                _: &PathId,
-            ) -> Result<Vec<Arc<Published>>, TransportError> {
-                Err(TransportError::Connection("refused by test".into()))
-            }
-            fn subscribe(&self, _: DomainId) -> SubscriptionId {
-                SubscriptionId(0)
-            }
-            fn subscribe_path(&self, _: DomainId, _: &PathId) -> SubscriptionId {
-                SubscriptionId(0)
-            }
-            fn subscribe_from(
-                &self,
-                _: DomainId,
-                _: u64,
-            ) -> Result<SubscriptionId, TransportError> {
-                Err(TransportError::Connection("refused by test".into()))
-            }
-            fn poll(&self, _: SubscriptionId) -> Result<Vec<Arc<Published>>, TransportError> {
-                Err(TransportError::Connection("refused by test".into()))
-            }
-            fn wait(
-                &self,
-                _: SubscriptionId,
-                _: std::time::Duration,
-            ) -> Result<WaitOutcome, TransportError> {
-                Err(TransportError::Connection("refused by test".into()))
-            }
-            fn unsubscribe(&self, _: SubscriptionId) -> Result<(), TransportError> {
-                Ok(())
-            }
-            fn subscriptions(&self) -> usize {
-                0
-            }
-            fn len(&self) -> usize {
-                0
-            }
-        }
-
         let t = trace(20, 11);
         let topo = Figure1::ideal().build();
-        let err = run_path_with_transport(&t, &topo, &quick_cfg(), &RefusingTransport).unwrap_err();
+        let transport = FaultyTransport::new(Fault::RefusesAll);
+        let err = run_path_with_transport(&t, &topo, &quick_cfg(), &transport).unwrap_err();
         match err {
             RunError::Transport(TransportError::Connection(msg)) => {
                 assert_eq!(msg, "refused by test");
             }
             other => panic!("expected Transport(Connection), got {other:?}"),
         }
+        assert_eq!(transport.inner.subscriptions(), 0);
     }
 
     #[test]

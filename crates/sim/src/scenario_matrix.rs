@@ -30,7 +30,7 @@
 //!    whose estimates still track the truth.
 //!
 //! Every cell's receipts take the full dissemination path: `run_path`
-//! encodes each HOP's batch into a v1 wire frame, publishes it through
+//! encodes each HOP's batch into a v2 wire frame, publishes it through
 //! a `vpm_wire::ReceiptTransport`, and rebuilds the outputs from the
 //! fetched, decoded frames — so all 216 cells double as a losslessness
 //! proof for the binary codec.

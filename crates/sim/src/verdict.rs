@@ -401,20 +401,18 @@ mod tests {
             ..RunConfig::default()
         };
         let run = crate::run::run_path(&t, &topo, &cfg);
-        let transport = vpm_wire::InMemoryBus::new();
+        let transport = vpm_wire::ShardedBus::new(1);
         let on_path = topo.domain_ids();
         for h in &run.hops {
             let key = h.hop_key();
             transport.register_key(h.hop, key).unwrap();
             // Interval 0: nothing matured yet — an empty, signed batch.
-            let mut empty = vpm_core::processor::ReceiptBatch {
+            let empty = vpm_core::processor::ReceiptBatch {
                 hop: h.hop,
                 batch_seq: 0,
                 samples: vec![],
                 aggregates: vec![],
-                auth_tag: 0,
             };
-            empty.auth_tag = empty.compute_tag(key.tag_key());
             transport
                 .publish_batch(
                     h.domain,
@@ -479,14 +477,12 @@ mod tests {
         for (hop, _) in topo.hop_path_ids() {
             let key = vpm_core::processor::default_hop_key(hop);
             transport.register_key(hop, key).unwrap();
-            let mut empty = vpm_core::processor::ReceiptBatch {
+            let empty = vpm_core::processor::ReceiptBatch {
                 hop,
                 batch_seq: 0,
                 samples: vec![],
                 aggregates: vec![],
-                auth_tag: 0,
             };
-            empty.auth_tag = empty.compute_tag(key.tag_key());
             transport
                 .publish_batch(
                     topo.domain_of(hop).unwrap().id,
@@ -521,7 +517,7 @@ mod tests {
     fn rotated_key_hop_still_verifies_and_carries_the_new_epoch() {
         use vpm_wire::{HopKey, KeyEpoch, ReceiptTransport};
         let (topo, run) = scenario(0.0);
-        let transport = vpm_wire::InMemoryBus::new();
+        let transport = vpm_wire::ShardedBus::new(1);
         let on_path = topo.domain_ids();
         for h in &run.hops {
             let key = h.hop_key();
@@ -540,14 +536,12 @@ mod tests {
         let h4 = run.hop(vpm_packet::HopId(4)).unwrap();
         let rotated = HopKey::from_seed(0x5070_a7ed ^ h4.hop.0 as u64);
         assert_eq!(transport.rotate_key(h4.hop, rotated), Ok(KeyEpoch(1)));
-        let mut next = vpm_core::processor::ReceiptBatch {
+        let next = vpm_core::processor::ReceiptBatch {
             hop: h4.hop,
             batch_seq: h4.batch.batch_seq + 1,
             samples: vec![],
             aggregates: vec![],
-            auth_tag: 0,
         };
-        next.auth_tag = next.compute_tag(rotated.tag_key());
         transport
             .publish_batch(
                 h4.domain,

@@ -1,4 +1,4 @@
-//! The v1 binary receipt codec.
+//! The v2 binary receipt codec.
 //!
 //! Receipts travel as **frames**: one frame per [`ReceiptBatch`],
 //! self-describing, versioned, and decodable without out-of-band
@@ -7,14 +7,13 @@
 //! ```text
 //! offset size      field
 //! 0      4         magic "VPMW"
-//! 4      1         version (currently 1)
+//! 4      1         version (currently 2)
 //! 5      1         flags (bit0: PRECISE profile; bit1: SIGNED frame;
 //!                  all other bits zero)
 //! 6      2         reporting HOP id
 //! 8      8         batch sequence number
-//! 16     8         authenticity tag
-//! 24     2         path count (p)
-//! 26     24·p      PathID table, one entry per distinct path:
+//! 16     2         path count (p)
+//! 18     24·p      PathID table, one entry per distinct path:
 //!                  src net u32 | src len u8 | dst net u32 | dst len u8
 //!                  | prev flag u8 | prev u16 | next flag u8 | next u16
 //!                  | MaxDiff ns u64
@@ -67,11 +66,10 @@
 //! preceding bytes under the HOP's 32-byte [`vpm_hash::HopKey`].
 //! [`WireEncoder::encode_signed`] produces them;
 //! [`WireFrame::verify_mac`] checks them (constant-time compare). An
-//! unsigned v1 frame is byte-identical to what pre-MAC encoders
-//! produced, so the golden fixture and every historical frame still
-//! decode; the decoder merely reports `signature: None`. Enforcement —
-//! *rejecting* unsigned or mis-signed publishes — lives in the
-//! transport's `admit`, not the codec.
+//! unsigned frame is the same bytes minus the flag and the trailer; the
+//! decoder merely reports `signature: None`. Enforcement — *rejecting*
+//! unsigned or mis-signed publishes — lives in the transport's `admit`,
+//! not the codec. The MAC is the frame's only authenticator.
 //!
 //! ## Versioning rules
 //!
@@ -79,11 +77,13 @@
 //! — field widths, section order, new sections — bumps it; decoders
 //! reject versions they do not know ([`WireError::UnsupportedVersion`])
 //! rather than guessing. Flag bits not assigned in a version are
-//! reserved-zero and rejected ([`WireError::BadFlags`]), so a v1
-//! decoder can never silently misread a frame that depends on a newer
-//! feature. The golden fixture `tests/golden/wire_v1.hex` pins the v1
-//! bytes; it fails loudly on any drift that forgets to bump the
-//! version.
+//! reserved-zero and rejected ([`WireError::BadFlags`]), so a decoder
+//! can never silently misread a frame that depends on a newer feature.
+//! v2 is v1 without the header's 8-byte lookup3 authenticity tag
+//! (bytes 16..24); nothing persists frames, so v1 has no decode path
+//! and is refused like any unknown version. The golden fixture
+//! `tests/golden/wire_v2.hex` pins the v2 bytes; it fails loudly on any
+//! drift that forgets to bump the version.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -96,20 +96,20 @@ use vpm_packet::{HeaderSpec, HopId, Ipv4Prefix, SimDuration, SimTime};
 /// Frame magic: `"VPMW"`.
 pub const MAGIC: [u8; 4] = *b"VPMW";
 /// Current wire-format version.
-pub const VERSION: u8 = 1;
+pub const VERSION: u8 = 2;
 /// Flag bit selecting the precise (full-fidelity) record profile.
 const FLAG_PRECISE: u8 = 0b0000_0001;
 /// Flag bit marking a signed frame (MAC trailer present).
 const FLAG_SIGNED: u8 = 0b0000_0010;
-/// Fixed frame header bytes (magic, version, flags, hop, seq, tag).
-pub const HEADER_BYTES: usize = 24;
+/// Fixed frame header bytes (magic, version, flags, hop, seq).
+pub const HEADER_BYTES: usize = 16;
 /// Encoded bytes per `PathID` table entry.
 pub const PATH_ENTRY_BYTES: usize = 24;
 /// Bytes of the MAC trailer a signed frame appends: key epoch (u32) +
 /// HMAC-SHA-256 (32 B).
 pub const MAC_TRAILER_BYTES: usize = 4 + SHA256_DIGEST_BYTES;
 
-/// Record encoding carried by a v1 frame.
+/// Record encoding carried by a frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Profile {
     /// §7.1 truncated records: 7-byte samples, 22-byte aggregates.
@@ -173,7 +173,7 @@ pub enum WireError {
     BadMagic([u8; 4]),
     /// The version byte names a layout this decoder does not know.
     UnsupportedVersion(u8),
-    /// The flags byte sets bits v1 does not assign.
+    /// The flags byte sets bits this version does not assign.
     BadFlags(u8),
     /// A prefix length exceeded 32 bits.
     BadPrefixLen(u8),
@@ -335,7 +335,7 @@ pub struct DecodedFrame {
     pub signature: Option<FrameSignature>,
 }
 
-/// Encodes [`ReceiptBatch`]es into v1 frames.
+/// Encodes [`ReceiptBatch`]es into frames.
 #[derive(Debug, Clone, Copy)]
 pub struct WireEncoder {
     profile: Profile,
@@ -426,7 +426,6 @@ impl WireEncoder {
         w.u8(flags);
         w.u16(batch.hop.0);
         w.u64(batch.batch_seq);
-        w.u64(batch.auth_tag);
         let header_bytes = w.len();
 
         // Path table.
@@ -521,7 +520,7 @@ impl WireEncoder {
     }
 }
 
-/// Decodes v1 frames back into batches. Stateless; decoding is total.
+/// Decodes frames back into batches. Stateless; decoding is total.
 #[derive(Debug, Clone, Copy)]
 pub struct WireDecoder;
 
@@ -546,7 +545,6 @@ impl WireDecoder {
         };
         let hop = HopId(r.u16()?);
         let batch_seq = r.u64()?;
-        let auth_tag = r.u64()?;
 
         // Path table.
         let path_count = r.u16()?;
@@ -650,7 +648,6 @@ impl WireDecoder {
                 batch_seq,
                 samples,
                 aggregates,
-                auth_tag,
             },
             profile,
             paths,
@@ -846,7 +843,7 @@ mod tests {
     }
 
     fn known_batch() -> ReceiptBatch {
-        let mut b = ReceiptBatch {
+        ReceiptBatch {
             hop: HopId(4),
             batch_seq: 9,
             samples: vec![
@@ -877,10 +874,7 @@ mod tests {
                 pkt_cnt: 100_000,
                 agg_trans: vec![Digest(7), Digest(0xffff_ffff_0000_0001)],
             }],
-            auth_tag: 0,
-        };
-        b.auth_tag = b.compute_tag(0xabc);
-        b
+        }
     }
 
     /// Deterministic pseudo-random batch for the fuzz properties.
@@ -933,13 +927,11 @@ mod tests {
                         .collect(),
                 })
                 .collect(),
-            auth_tag: rng.gen(),
         }
     }
 
     /// The compact truncation of a batch: what a compact frame decodes
-    /// to (tag bytes preserved verbatim — re-signing is the signer's
-    /// job, not the codec's).
+    /// to.
     fn truncated(b: &ReceiptBatch) -> ReceiptBatch {
         ReceiptBatch {
             hop: b.hop,
@@ -954,7 +946,6 @@ mod tests {
                 .iter()
                 .map(compact::truncate_agg_receipt)
                 .collect(),
-            auth_tag: b.auth_tag,
         }
     }
 
@@ -966,8 +957,6 @@ mod tests {
         assert_eq!(d.profile, Profile::Precise);
         assert_eq!(d.batch, b);
         assert_eq!(d.paths, b.paths());
-        // The tag still verifies after the round trip.
-        assert!(d.batch.verify_tag(0xabc));
     }
 
     #[test]
@@ -1056,12 +1045,16 @@ mod tests {
             WireDecoder::decode(&bad),
             Err(WireError::BadMagic(_))
         ));
-        let mut bad = bytes.clone();
-        bad[4] = 2;
-        assert_eq!(
-            WireDecoder::decode(&bad),
-            Err(WireError::UnsupportedVersion(2))
-        );
+        // The retired v1 layout has no decode path: its version byte
+        // is refused like any other unknown version.
+        for version in [1, VERSION + 1] {
+            let mut bad = bytes.clone();
+            bad[4] = version;
+            assert_eq!(
+                WireDecoder::decode(&bad),
+                Err(WireError::UnsupportedVersion(version))
+            );
+        }
         let mut bad = bytes.clone();
         bad[5] = 0b1000_0001;
         assert_eq!(
@@ -1135,7 +1128,6 @@ mod tests {
                     agg_trans: Vec::new(),
                 })
                 .collect(),
-            auth_tag: 0,
         };
         assert_eq!(
             WireFrame::encode(&batch, Profile::Compact),
@@ -1176,12 +1168,12 @@ mod tests {
             let sig = d.signature.expect("signed frame decodes a signature");
             assert_eq!(sig.epoch, KeyEpoch(3));
             assert!(frame.verify_mac(&key));
-            // A different key — even one sharing the legacy tag-key
-            // prefix — must not verify.
+            // A different key — even one differing in a single bit —
+            // must not verify.
             assert!(!frame.verify_mac(&HopKey::from_seed(0xabd)));
-            let mut same_prefix = *key.as_bytes();
-            same_prefix[31] ^= 1;
-            assert!(!frame.verify_mac(&HopKey::from_bytes(same_prefix)));
+            let mut one_bit_off = *key.as_bytes();
+            one_bit_off[31] ^= 1;
+            assert!(!frame.verify_mac(&HopKey::from_bytes(one_bit_off)));
             // The signed body is the unsigned encoding except for the
             // flags byte, so the batch content is unchanged.
             if profile == Profile::Precise {
@@ -1219,8 +1211,8 @@ mod tests {
 
     #[test]
     fn unsigned_frames_are_byte_identical_to_the_pre_mac_encoding() {
-        // The SIGNED flag is opt-in: plain encode produces exactly the
-        // historical bytes (flag clear, no trailer, signature None).
+        // The SIGNED flag is opt-in: plain encode sets no flag and
+        // appends no trailer, and the decoder reports no signature.
         let b = known_batch();
         let frame = WireFrame::encode(&b, Profile::Precise).unwrap();
         assert_eq!(frame.as_bytes()[5] & FLAG_SIGNED, 0);

@@ -6,7 +6,7 @@
 //! that observed the corresponding traffic. This crate is that receipt
 //! plane:
 //!
-//! * [`codec`] — the versioned binary codec. v1 frames carry a magic +
+//! * [`codec`] — the versioned binary codec. v2 frames carry a magic +
 //!   version byte, a per-batch `PathID` table (receipts reference paths
 //!   by a 4-byte index, `receipt::compact::PATH_REF_BYTES`), and
 //!   records in one of two profiles: **compact** (byte-for-byte the
@@ -22,9 +22,10 @@
 //!   the paper's authenticity rule with real receipt binding — an
 //!   epoch-tagged per-HOP key registry with explicit rotation, MAC
 //!   verification at publish and again at fetch — and the on-path
-//!   visibility rule, with an [`InMemoryBus`] reference implementation
-//!   and a [`ShardedBus`] that spreads frames across `PathID`-hashed
-//!   shards. Continuous operation is bounded-memory: verified entries
+//!   visibility rule, implemented in process by [`ShardedBus`], which
+//!   spreads frames across `PathID`-hashed shards (`ShardedBus::new(1)`
+//!   is the single-lock store). The frame MAC is the only authenticity
+//!   mechanism. Continuous operation is bounded-memory: verified entries
 //!   compact into per-HOP [`IntervalSummary`] digests
 //!   ([`ReceiptTransport::compact_before`]) and a subscriber whose
 //!   cursor falls behind the retention horizon gets a typed
@@ -56,7 +57,7 @@ pub use codec::{
 pub use measure::{measured_overhead_report, measured_sizes};
 pub use net::{TcpServer, TcpTransport};
 pub use transport::{
-    CompactionReport, InMemoryBus, IntervalSummary, Published, ReceiptTransport, ShardedBus,
-    SubscriptionId, TransportError, WaitOutcome,
+    CompactionReport, IntervalSummary, Published, ReceiptTransport, ShardedBus, SubscriptionId,
+    TransportError, WaitOutcome,
 };
 pub use vpm_hash::{HopKey, KeyEpoch};

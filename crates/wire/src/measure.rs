@@ -60,7 +60,6 @@ fn batch(samples: &[usize], aggs: &[usize]) -> ReceiptBatch {
                 agg_trans: (0..w).map(|i| Digest(0x3333_0000 + i as u64)).collect(),
             })
             .collect(),
-        auth_tag: 0,
     }
 }
 

@@ -1,4 +1,4 @@
-//! The first out-of-process receipt transport: signed v1 frames over
+//! The first out-of-process receipt transport: signed v2 frames over
 //! length-prefixed TCP.
 //!
 //! The paper's dissemination plane (§7) crosses administrative
@@ -115,8 +115,10 @@ const OP_COMPACT: u8 = 13;
 const OP_HORIZON: u8 = 14;
 const OP_SUMMARIES: u8 = 15;
 
-// Typed-error wire codes (response status 1).
-const ERR_BAD_TAG: u8 = 1;
+// Typed-error wire codes (response status 1). Code 1 named the retired
+// lookup3 batch-tag refusal and stays unassigned: a peer still sending
+// it gets the `unknown error code` protocol error, never a reused
+// meaning.
 const ERR_BAD_MAC: u8 = 2;
 const ERR_UNSIGNED: u8 = 3;
 const ERR_UNKNOWN_KEY_EPOCH: u8 = 4;
@@ -139,10 +141,6 @@ fn conn_err(e: &io::Error) -> TransportError {
 /// Serialize a typed transport error into a status-1 response body.
 fn encode_error(w: &mut Writer, e: &TransportError) {
     match e {
-        TransportError::BadTag { hop } => {
-            w.u8(ERR_BAD_TAG);
-            w.u16(hop.0);
-        }
         TransportError::BadMac { hop } => {
             w.u8(ERR_BAD_MAC);
             w.u16(hop.0);
@@ -192,9 +190,6 @@ fn encode_error(w: &mut Writer, e: &TransportError) {
 /// Decode a status-1 response body back into the typed error.
 fn decode_error(r: &mut Reader<'_>) -> Result<TransportError, WireError> {
     Ok(match r.u8()? {
-        ERR_BAD_TAG => TransportError::BadTag {
-            hop: HopId(r.u16()?),
-        },
         ERR_BAD_MAC => TransportError::BadMac {
             hop: HopId(r.u16()?),
         },
@@ -1221,7 +1216,6 @@ mod tests {
     #[test]
     fn transport_errors_round_trip_the_error_codec() {
         let cases = vec![
-            TransportError::BadTag { hop: HopId(7) },
             TransportError::BadMac { hop: HopId(8) },
             TransportError::Unsigned { hop: HopId(9) },
             TransportError::UnknownKeyEpoch {
@@ -1252,6 +1246,12 @@ mod tests {
         );
         match decode_error(&mut Reader::new(w.as_slice())).unwrap() {
             TransportError::Protocol(msg) => assert!(msg.contains("server refused frame")),
+            other => panic!("expected Protocol, got {other:?}"),
+        }
+        // Error code 1, retired with the lookup3 batch tag, is a typed
+        // protocol error.
+        match decode_error(&mut Reader::new(&[1, 7, 0])).unwrap() {
+            TransportError::Protocol(msg) => assert_eq!(msg, "unknown error code 1"),
             other => panic!("expected Protocol, got {other:?}"),
         }
     }
@@ -1290,6 +1290,159 @@ mod tests {
         let bytes = w.into_vec();
         for n in 0..bytes.len() {
             let _ = decode_error(&mut Reader::new(&bytes[..n])); // must not panic
+        }
+    }
+
+    /// A served bus with one admitted frame and two live session
+    /// cursors, plus one valid request per opcode, in an order in which
+    /// each succeeds (register before publish, poll before unsubscribe).
+    /// `stop` is set, so `OP_WAIT` answers at once instead of parking.
+    struct Served {
+        bus: Arc<ShardedBus>,
+        session: Session,
+        stop: AtomicBool,
+        requests: Vec<Vec<u8>>,
+    }
+
+    impl Served {
+        fn new() -> Served {
+            use vpm_core::processor::ReceiptBatch;
+            use vpm_core::receipt::SampleReceipt;
+            let path = PathId {
+                spec: vpm_packet::HeaderSpec::new(
+                    "10.1.0.0/16".parse().unwrap(),
+                    "192.168.0.0/24".parse().unwrap(),
+                ),
+                prev_hop: None,
+                next_hop: Some(HopId(6)),
+                max_diff: vpm_packet::SimDuration::from_millis(2),
+            };
+            let key = HopKey::from_seed(5);
+            let batch = ReceiptBatch {
+                hop: HopId(5),
+                batch_seq: 0,
+                samples: vec![SampleReceipt {
+                    path,
+                    samples: vec![],
+                }],
+                aggregates: vec![],
+            };
+            let frame = crate::WireEncoder::compact()
+                .encode_signed(&batch, &key, KeyEpoch(0))
+                .unwrap();
+
+            let bus = Arc::new(ShardedBus::new(4));
+            let mut session = Session::default();
+            let [polled, dropped] = [(); 2].map(|()| {
+                let sub = bus.subscribe(DomainId(1)).0;
+                session.queues.insert(sub, VecDeque::new());
+                sub.to_le_bytes()
+            });
+
+            let mut path_bytes = Writer::default();
+            encode_path(&mut path_bytes, &path);
+            let path_bytes = path_bytes.into_vec();
+            let (hop, domain) = (5u16.to_le_bytes(), 1u16.to_le_bytes());
+            let resume_at_0 = [1u8, 0, 0, 0, 0, 0, 0, 0, 0];
+            let frame_len = (frame.len() as u32).to_le_bytes();
+            let request = |op: u8, fields: &[&[u8]]| [&[op], fields.concat().as_slice()].concat();
+            let requests = vec![
+                request(OP_REGISTER_KEY, &[&hop, key.as_bytes()]),
+                request(OP_ROTATE_KEY, &[&hop, HopKey::from_seed(6).as_bytes()]),
+                request(OP_KEY_EPOCH, &[&hop]),
+                // On-path list: one entry, the publishing domain itself.
+                request(
+                    OP_PUBLISH,
+                    &[&domain, &[1, 0], &domain, &frame_len, frame.as_bytes()],
+                ),
+                request(OP_FETCH, &[&domain, &hop]),
+                request(OP_FETCH_PATH, &[&domain, &path_bytes]),
+                request(OP_SUBSCRIBE, &[&domain, &resume_at_0]),
+                request(OP_SUBSCRIBE_PATH, &[&domain, &path_bytes, &resume_at_0]),
+                request(OP_POLL, &[&polled]),
+                request(OP_WAIT, &[&polled, &60_000u32.to_le_bytes()]),
+                request(OP_UNSUBSCRIBE, &[&dropped]),
+                request(OP_LEN, &[]),
+                request(OP_COMPACT, &[&1u64.to_le_bytes()]),
+                request(OP_HORIZON, &[]),
+                request(OP_SUMMARIES, &[]),
+            ];
+            Served {
+                bus,
+                session,
+                stop: AtomicBool::new(true),
+                requests,
+            }
+        }
+
+        /// Handle `body` and check the response is well-formed: status
+        /// 0, or status 1 followed by exactly one decodable typed
+        /// error. Returns the status byte.
+        fn handle(&mut self, body: &[u8]) -> u8 {
+            let resp = handle_request(&self.bus, &mut self.session, body, &self.stop);
+            match resp.split_first() {
+                Some((0, _)) => 0,
+                Some((1, error)) => {
+                    let mut r = Reader::new(error);
+                    decode_error(&mut r).expect("a status-1 body is a typed error");
+                    assert_eq!(r.remaining(), 0, "nothing follows the error");
+                    1
+                }
+                other => panic!("malformed response {other:?} to request {body:02x?}"),
+            }
+        }
+    }
+
+    /// The fixture's requests are valid — one per opcode, each answered
+    /// with status 0 — and every strict prefix of each is refused with
+    /// a typed error: requests are not self-delimiting by luck.
+    #[test]
+    fn every_strict_prefix_of_a_valid_request_is_a_typed_refusal() {
+        let mut served = Served::new();
+        let requests = served.requests.clone();
+        let opcodes: Vec<u8> = requests.iter().map(|r| r[0]).collect();
+        assert_eq!(
+            opcodes,
+            (OP_REGISTER_KEY..=OP_SUMMARIES).collect::<Vec<_>>()
+        );
+        for request in &requests {
+            assert_eq!(served.handle(request), 0, "opcode {}", request[0]);
+        }
+        for request in &requests {
+            for cut in 0..request.len() {
+                assert_eq!(
+                    served.handle(&request[..cut]),
+                    1,
+                    "opcode {} cut at {cut}",
+                    request[0]
+                );
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// Request handling is total: arbitrary bytes never panic the
+        /// server and always get a well-formed response.
+        #[test]
+        fn arbitrary_request_bytes_get_a_well_formed_response(
+            body in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..256)
+        ) {
+            Served::new().handle(&body);
+        }
+
+        /// Corrupting any one byte of any valid request never panics
+        /// and always gets a well-formed response (it may still succeed
+        /// — a flipped requester id is a valid request).
+        #[test]
+        fn single_byte_request_corruption_gets_a_well_formed_response(xor in 1u8..=255) {
+            let mut served = Served::new();
+            for request in served.requests.clone() {
+                for at in 0..request.len() {
+                    let mut corrupt = request.clone();
+                    corrupt[at] ^= xor;
+                    served.handle(&corrupt);
+                }
+            }
         }
     }
 }

@@ -43,7 +43,7 @@
 //! | [`trace`] | `vpm-trace` | synthetic traces (CAIDA substitute) |
 //! | [`netsim`] | `vpm-netsim` | DES, queues, TCP/UDP, Gilbert-Elliott, clocks |
 //! | [`core`] | `vpm-core` | receipts, Algorithms 1 & 2, joins, verification |
-//! | [`wire`] | `vpm-wire` | v1 binary receipt codec, `ReceiptTransport` dissemination |
+//! | [`wire`] | `vpm-wire` | v2 binary receipt codec, `ReceiptTransport` dissemination |
 //! | [`sim`] | `vpm-sim` | topologies, adversaries, the paper's experiments, the scenario matrix, the many-path fleet |
 //! | [`lint`] | `vpm-lint` | in-tree invariant analyzer (`vpm lint`): panic-freedom, determinism, lock discipline, wire-constant drift |
 //!

@@ -326,7 +326,7 @@ fn lint_r4_fails_on_a_seeded_golden_mismatch() {
     // Corrupt one batch-sequence byte of the compact golden frame (hex
     // chars 16..18 encode frame byte 8, the first `batch_seq` byte):
     // the compact and precise frames now disagree and R4 must say so.
-    let golden = std::fs::read_to_string(src_root.join("tests/golden/wire_v1.hex")).unwrap();
+    let golden = std::fs::read_to_string(src_root.join("tests/golden/wire_v2.hex")).unwrap();
     let seeded: String = golden
         .lines()
         .map(|line| {
@@ -341,7 +341,7 @@ fn lint_r4_fails_on_a_seeded_golden_mismatch() {
         .collect::<Vec<_>>()
         .join("\n");
     std::fs::create_dir_all(dir.join("tests/golden")).unwrap();
-    std::fs::write(dir.join("tests/golden/wire_v1.hex"), seeded).unwrap();
+    std::fs::write(dir.join("tests/golden/wire_v2.hex"), seeded).unwrap();
 
     let out = vpm(&["lint", "--root", dir.to_str().unwrap(), "--rule", "R4"]);
     assert_eq!(

@@ -11,7 +11,7 @@ use vpm::sim::topology::Figure1;
 use vpm::sim::verdict::analyze_path;
 use vpm::trace::{TraceConfig, TraceGenerator, TracePacket};
 use vpm::wire::{
-    InMemoryBus, KeyEpoch, Profile, ReceiptTransport, TransportError, WireEncoder, WireFrame,
+    HopKey, KeyEpoch, Profile, ReceiptTransport, ShardedBus, TransportError, WireEncoder, WireFrame,
 };
 
 fn trace(ms: u64, seed: u64) -> Vec<TracePacket> {
@@ -85,7 +85,7 @@ fn receipts_flow_through_the_transport_with_privacy() {
     let topo = Figure1::ideal().build();
     let run = run_path(&t, &topo, &base_cfg());
 
-    let bus = InMemoryBus::new();
+    let bus = ShardedBus::new(1);
     let on_path: Vec<DomainId> = topo.domain_ids();
     for h in &run.hops {
         let key = h.hop_key();
@@ -111,7 +111,7 @@ fn tampered_receipts_never_enter_circulation() {
     let t = trace(100, 3);
     let topo = Figure1::ideal().build();
     let run = run_path(&t, &topo, &base_cfg());
-    let bus = InMemoryBus::new();
+    let bus = ShardedBus::new(1);
     let h5 = run.hop(HopId(5)).unwrap();
     let key = h5.hop_key();
     bus.register_key(h5.hop, key).unwrap();
@@ -139,6 +139,21 @@ fn tampered_receipts_never_enter_circulation() {
     let mut bytes = signed.as_bytes().to_vec();
     *bytes.last_mut().unwrap() ^= 0x01;
     match bus.publish(h5.domain, WireFrame::from_bytes(bytes), topo.domain_ids()) {
+        Err(TransportError::BadMac { hop }) => assert_eq!(hop, h5.hop),
+        other => panic!("expected BadMac, got {other:?}"),
+    }
+
+    // A relay that doctors the body and splices the honest MAC back on
+    // (it holds no key to re-sign with) fails the same check: the MAC
+    // covers every body byte.
+    let mut spliced = WireEncoder::precise()
+        .encode_signed(&doctored, &HopKey::from_seed(0), KeyEpoch(0))
+        .expect("doctored batches still encode")
+        .as_bytes()
+        .to_vec();
+    let (n, honest) = (spliced.len(), signed.as_bytes());
+    spliced[n - 32..].copy_from_slice(&honest[honest.len() - 32..]);
+    match bus.publish(h5.domain, WireFrame::from_bytes(spliced), topo.domain_ids()) {
         Err(TransportError::BadMac { hop }) => assert_eq!(hop, h5.hop),
         other => panic!("expected BadMac, got {other:?}"),
     }
@@ -251,5 +266,5 @@ fn domain_estimates_survive_serde_roundtrip() {
 
     let batch_json = serde_json::to_string(&h4.batch).unwrap();
     let batch_back: vpm::core::processor::ReceiptBatch = serde_json::from_str(&batch_json).unwrap();
-    assert!(batch_back.verify_tag(h4.tag_key()));
+    assert_eq!(batch_back, h4.batch);
 }

@@ -9,8 +9,9 @@
 //!   arbitrary path counts 1..=65 and jobs 1/2/8, including paths
 //!   whose first published batch is empty (the quiet-first-interval
 //!   edge) and paths with partially deployed HOPs;
-//! * the transport implementation stays invisible: the same fleet
-//!   through `InMemoryBus` and `ShardedBus` yields identical verdicts.
+//! * the shard count stays invisible: the same fleet through
+//!   `ShardedBus::new(1)` and `ShardedBus::new(16)` yields identical
+//!   verdicts.
 
 use proptest::prelude::*;
 use vpm::core::processor::ReceiptBatch;
@@ -24,7 +25,7 @@ use vpm::sim::fleet::{
 use vpm::sim::topology::Figure1;
 use vpm::sim::verdict::analyze_from_transport;
 use vpm::sim::RunConfig;
-use vpm::wire::{HopKey, InMemoryBus, Profile, ReceiptTransport, ShardedBus};
+use vpm::wire::{HopKey, Profile, ReceiptTransport, ShardedBus};
 
 fn small_fleet_config() -> FleetConfig {
     FleetConfig {
@@ -87,14 +88,14 @@ fn fleet_verdicts_are_byte_identical_across_jobs_and_transports() {
             "--jobs {jobs} must not change the bytes"
         );
     }
-    // Same fleet, different transport (and a re-run: path runs are
-    // deterministic): identical verdicts.
-    let in_memory = InMemoryBus::new();
-    run_fleet(&fleet, &in_memory);
+    // Same fleet through the single-lock store (and a re-run: path
+    // runs are deterministic): identical verdicts.
+    let single = ShardedBus::new(1);
+    run_fleet(&fleet, &single);
     assert_eq!(
-        bytes(&analyze_fleet_from_transport(&fleet, &in_memory, 2)),
+        bytes(&analyze_fleet_from_transport(&fleet, &single, 2)),
         baseline,
-        "the transport implementation must be invisible to the verdicts"
+        "the shard count must be invisible to the verdicts"
     );
 }
 
@@ -133,14 +134,12 @@ fn forged_and_replaced_keys_never_enter_fleet_circulation() {
 
     // ...so a fabricated batch signed under the attacker's key fails
     // HMAC verification against the victim's real epoch-0 key.
-    let mut fake = ReceiptBatch {
+    let fake = ReceiptBatch {
         hop: victim,
         batch_seq: 99,
         samples: vec![],
         aggregates: vec![],
-        auth_tag: 0,
     };
-    fake.auth_tag = fake.compute_tag(forged_key.tag_key());
     let forged_frame = WireEncoder::precise()
         .encode_signed(&fake, &forged_key, KeyEpoch(0))
         .unwrap();
@@ -212,14 +211,12 @@ fn synthetic_fleet(n: usize, seed: u64) -> (Fleet, ShardedBus) {
             }
             if mix(&mut rng) % 10 < 4 {
                 // Quiet first interval: an empty, signed, pathless batch.
-                let mut empty = ReceiptBatch {
+                let empty = ReceiptBatch {
                     hop,
                     batch_seq: 0,
                     samples: vec![],
                     aggregates: vec![],
-                    auth_tag: 0,
                 };
-                empty.auth_tag = empty.compute_tag(key.tag_key());
                 bus.publish_batch(
                     p.topology.domain_of(hop).unwrap().id,
                     &empty,
@@ -230,7 +227,7 @@ fn synthetic_fleet(n: usize, seed: u64) -> (Fleet, ShardedBus) {
                 .unwrap();
             }
             let records = 1 + (mix(&mut rng) % 3) as usize;
-            let mut batch = ReceiptBatch {
+            let batch = ReceiptBatch {
                 hop,
                 batch_seq: 1,
                 samples: vec![SampleReceipt {
@@ -251,9 +248,7 @@ fn synthetic_fleet(n: usize, seed: u64) -> (Fleet, ShardedBus) {
                     pkt_cnt: 1 + mix(&mut rng) % 1000,
                     agg_trans: vec![],
                 }],
-                auth_tag: 0,
             };
-            batch.auth_tag = batch.compute_tag(key.tag_key());
             bus.publish_batch(
                 p.topology.domain_of(hop).unwrap().id,
                 &batch,

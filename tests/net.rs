@@ -52,7 +52,7 @@ fn hop_key(hop: HopId) -> HopKey {
 }
 
 fn batch(hop: HopId, seq: u64, path_n: u8) -> ReceiptBatch {
-    let mut b = ReceiptBatch {
+    ReceiptBatch {
         hop,
         batch_seq: seq,
         samples: vec![SampleReceipt {
@@ -71,10 +71,7 @@ fn batch(hop: HopId, seq: u64, path_n: u8) -> ReceiptBatch {
             pkt_cnt: 100,
             agg_trans: vec![],
         }],
-        auth_tag: 0,
-    };
-    b.auth_tag = b.compute_tag(hop_key(hop).tag_key());
-    b
+    }
 }
 
 #[test]
