@@ -19,7 +19,8 @@
 //!   §5.2, §6.2);
 //! * [`mod@sha256`] — in-tree SHA-256 / HMAC-SHA-256 (NIST FIPS 180-4 and
 //!   RFC 4231 test-vector verified), the primitive behind real receipt
-//!   binding on the wire;
+//!   binding on the wire, on the x86 SHA extensions where the running
+//!   CPU has them ([`sha256::backend`] says which);
 //! * [`hopkey`] — per-HOP 32-byte secret keys ([`HopKey`]) and rotation
 //!   generations ([`KeyEpoch`]) for the transport's key registry.
 //!
@@ -27,9 +28,13 @@
 //! always produce the same digest on every HOP, which is the foundation
 //! of receipt consistency checking.
 //!
-//! `unsafe` is denied crate-wide; the single exception is the SSE2
-//! dispatch call in [`lanes`], which carries its own module-scoped
-//! allow and a `SAFETY` argument (the feature gate is compile-time).
+//! `unsafe` is denied crate-wide, with two audited exceptions, each a
+//! module-scoped allow around `#[target_feature]` kernels with a
+//! `SAFETY` argument at every `unsafe` block: the SSE2 dispatch call
+//! in [`lanes`] (the feature gate is compile-time) and the SHA-NI
+//! kernel under [`mod@sha256`] (`sha256/shani.rs`; the gate is run-time
+//! detection, and the kernel is unreachable without it). CI fails if
+//! a third file lifts the `unsafe_code` lint.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]

@@ -3,14 +3,37 @@
 //! The receipt plane needs real cryptographic binding — a MAC trailer
 //! over every published wire frame — and the build container has no
 //! crates.io access, so the primitive lives here under the same
-//! no-dependency discipline as the rest of `vpm-hash`. The
-//! implementation is the straightforward scalar compression function:
-//! receipts are batched, so MAC cost is amortized over whole frames
-//! and the §7.1 budget cares about bytes, not cycles.
+//! no-dependency discipline as the rest of `vpm-hash`.
 //!
-//! Correctness is pinned against the NIST FIPS 180-4 example vectors
-//! (including the streaming million-`a` message) and all seven RFC
-//! 4231 HMAC-SHA-256 test cases.
+//! Every frame is MAC'd two to four times on its way to a verdict
+//! (sign, admit, fetch re-check, remote client), so the compression
+//! function is the receipt plane's inner loop and the §7.1 processing
+//! budget is spent in it. It exists as one block-run kernel — fold
+//! any number of whole 64-byte blocks into the state in one call —
+//! with two implementations:
+//!
+//! * **SHA-NI** (`x86_64` CPUs that report `sha`, `sse2`, `ssse3` and
+//!   `sse4.1` at run time): the `sha256rnds2` / `sha256msg1` /
+//!   `sha256msg2` instructions, state kept packed across the whole
+//!   run — the private `shani` submodule.
+//! * **Scalar** (every other target, and every x86 CPU without the
+//!   extension): the FIPS 180-4 §6.2.2 rounds as written.
+//!
+//! Each [`Sha256`] picks its kernel when it is created, from what the
+//! CPU reports and nothing else — no cargo feature, environment
+//! variable or argument selects one; [`backend`] names the choice.
+//! [`Sha256::update`] hands the kernel the whole block-aligned middle
+//! of its input in one call, and [`Sha256::finalize`] writes the
+//! padding straight into the last block.
+//!
+//! Correctness is pinned, for *each* kernel called directly, against
+//! the NIST FIPS 180-4 example vectors (including the streaming
+//! million-`a` message), all seven RFC 4231 HMAC-SHA-256 test cases
+//! and every padding-boundary length; a proptest pins the kernels to
+//! each other on arbitrary messages in arbitrary `update` chunks.
+
+#[cfg(target_arch = "x86_64")]
+mod shani;
 
 /// Round constants: fractional parts of the cube roots of the first
 /// 64 primes (FIPS 180-4 §4.2.2).
@@ -48,6 +71,7 @@ pub const SHA256_DIGEST_BYTES: usize = 32;
 /// ```
 #[derive(Clone)]
 pub struct Sha256 {
+    kernel: Kernel,
     state: [u32; 8],
     buf: [u8; SHA256_BLOCK_BYTES],
     buf_len: usize,
@@ -61,9 +85,15 @@ impl Default for Sha256 {
 }
 
 impl Sha256 {
-    /// Fresh hasher in the FIPS 180-4 initial state.
+    /// Fresh hasher in the FIPS 180-4 initial state, on the fastest
+    /// kernel the running CPU supports.
     pub fn new() -> Self {
+        Self::with_kernel(detect().0)
+    }
+
+    fn with_kernel(kernel: Kernel) -> Self {
         Sha256 {
+            kernel,
             state: H0,
             buf: [0u8; SHA256_BLOCK_BYTES],
             buf_len: 0,
@@ -80,45 +110,91 @@ impl Sha256 {
             self.buf_len += take;
             data = &data[take..];
             if self.buf_len == SHA256_BLOCK_BYTES {
-                let block = self.buf;
-                compress(&mut self.state, &block);
+                (self.kernel)(&mut self.state, &self.buf);
                 self.buf_len = 0;
             }
         }
-        while data.len() >= SHA256_BLOCK_BYTES {
-            let (block, rest) = data.split_at(SHA256_BLOCK_BYTES);
-            compress(&mut self.state, block.try_into().expect("64-byte split"));
-            data = rest;
+        // Invariant from here on: the buffer is empty or `data` is.
+        let (blocks, tail) = data.split_at(data.len() - data.len() % SHA256_BLOCK_BYTES);
+        if !blocks.is_empty() {
+            (self.kernel)(&mut self.state, blocks);
         }
-        if !data.is_empty() {
-            self.buf[..data.len()].copy_from_slice(data);
-            self.buf_len = data.len();
+        if !tail.is_empty() {
+            self.buf[..tail.len()].copy_from_slice(tail);
+            self.buf_len = tail.len();
         }
     }
 
     /// Pad, run the final blocks, and return the 32-byte digest.
     pub fn finalize(mut self) -> [u8; SHA256_DIGEST_BYTES] {
+        const LEN_AT: usize = SHA256_BLOCK_BYTES - 8;
+        // `update` never leaves a full buffer, so the 0x80 terminator
+        // always fits; zeros follow until 8 bytes remain in a block.
+        self.buf[self.buf_len] = 0x80;
+        self.buf[self.buf_len + 1..].fill(0);
+        if self.buf_len >= LEN_AT {
+            // The terminator took the length field's room: the length
+            // goes in a second, otherwise zero, block.
+            (self.kernel)(&mut self.state, &self.buf);
+            self.buf[..LEN_AT].fill(0);
+        }
         let bit_len = self.total_len.wrapping_mul(8);
-        // 0x80 terminator, then zeros until 8 bytes remain in a block.
-        self.update(&[0x80]);
-        while self.buf_len != SHA256_BLOCK_BYTES - 8 {
-            self.update(&[0]);
-        }
-        // Length field is excluded from `total_len` bookkeeping by
-        // snapshotting `bit_len` first.
-        let mut block = self.buf;
-        block[SHA256_BLOCK_BYTES - 8..].copy_from_slice(&bit_len.to_be_bytes());
-        compress(&mut self.state, &block);
-
-        let mut out = [0u8; SHA256_DIGEST_BYTES];
-        for (chunk, word) in out.chunks_exact_mut(4).zip(self.state) {
-            chunk.copy_from_slice(&word.to_be_bytes());
-        }
-        out
+        self.buf[LEN_AT..].copy_from_slice(&bit_len.to_be_bytes());
+        (self.kernel)(&mut self.state, &self.buf);
+        digest_of(self.state)
     }
 }
 
-/// One FIPS 180-4 §6.2.2 compression round over a 64-byte block.
+/// The digest a final state stands for: its words, big-endian.
+fn digest_of(state: [u32; 8]) -> [u8; SHA256_DIGEST_BYTES] {
+    let mut out = [0u8; SHA256_DIGEST_BYTES];
+    for (chunk, word) in out.chunks_exact_mut(4).zip(state) {
+        chunk.copy_from_slice(&word.to_be_bytes());
+    }
+    out
+}
+
+/// A block-run kernel: fold every 64-byte block of `blocks` (whose
+/// length is a multiple of 64) into `state`, in order.
+type Kernel = fn(state: &mut [u32; 8], blocks: &[u8]);
+
+/// The hardware kernel, where the target has one and the running CPU
+/// reports the extensions it needs.
+fn hardware_kernel() -> Option<Kernel> {
+    #[cfg(target_arch = "x86_64")]
+    {
+        shani::kernel()
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        None
+    }
+}
+
+/// The kernel a new [`Sha256`] runs on, and its [`backend`] name.
+fn detect() -> (Kernel, &'static str) {
+    match hardware_kernel() {
+        Some(kernel) => (kernel, "sha-ni"),
+        None => (compress_blocks_scalar, "scalar"),
+    }
+}
+
+/// Which compression kernel this process hashes with: `"sha-ni"` where
+/// the CPU has the x86 SHA extensions, `"scalar"` everywhere else.
+/// Digests and MACs are bit-identical on both; only the speed differs.
+pub fn backend() -> &'static str {
+    detect().1
+}
+
+/// The portable kernel: the scalar rounds, one block at a time.
+fn compress_blocks_scalar(state: &mut [u32; 8], blocks: &[u8]) {
+    debug_assert_eq!(blocks.len() % SHA256_BLOCK_BYTES, 0);
+    for block in blocks.chunks_exact(SHA256_BLOCK_BYTES) {
+        compress(state, block.try_into().expect("64-byte chunk"));
+    }
+}
+
+/// One FIPS 180-4 §6.2.2 compression over a 64-byte block.
 fn compress(state: &mut [u32; 8], block: &[u8; SHA256_BLOCK_BYTES]) {
     let mut w = [0u32; 64];
     for (i, chunk) in block.chunks_exact(4).enumerate() {
@@ -166,7 +242,11 @@ fn compress(state: &mut [u32; 8], block: &[u8; SHA256_BLOCK_BYTES]) {
 
 /// One-shot SHA-256 of `data`.
 pub fn sha256(data: &[u8]) -> [u8; SHA256_DIGEST_BYTES] {
-    let mut h = Sha256::new();
+    sha256_on(detect().0, data)
+}
+
+fn sha256_on(kernel: Kernel, data: &[u8]) -> [u8; SHA256_DIGEST_BYTES] {
+    let mut h = Sha256::with_kernel(kernel);
     h.update(data);
     h.finalize()
 }
@@ -174,9 +254,13 @@ pub fn sha256(data: &[u8]) -> [u8; SHA256_DIGEST_BYTES] {
 /// HMAC-SHA-256 of `msg` under `key` (RFC 2104; any key length —
 /// keys longer than the 64-byte block are hashed first).
 pub fn hmac_sha256(key: &[u8], msg: &[u8]) -> [u8; SHA256_DIGEST_BYTES] {
+    hmac_sha256_on(detect().0, key, msg)
+}
+
+fn hmac_sha256_on(kernel: Kernel, key: &[u8], msg: &[u8]) -> [u8; SHA256_DIGEST_BYTES] {
     let mut k = [0u8; SHA256_BLOCK_BYTES];
     if key.len() > SHA256_BLOCK_BYTES {
-        k[..SHA256_DIGEST_BYTES].copy_from_slice(&sha256(key));
+        k[..SHA256_DIGEST_BYTES].copy_from_slice(&sha256_on(kernel, key));
     } else {
         k[..key.len()].copy_from_slice(key);
     }
@@ -188,12 +272,12 @@ pub fn hmac_sha256(key: &[u8], msg: &[u8]) -> [u8; SHA256_DIGEST_BYTES] {
         opad[i] ^= k[i];
     }
 
-    let mut inner = Sha256::new();
+    let mut inner = Sha256::with_kernel(kernel);
     inner.update(&ipad);
     inner.update(msg);
     let inner_digest = inner.finalize();
 
-    let mut outer = Sha256::new();
+    let mut outer = Sha256::with_kernel(kernel);
     outer.update(&opad);
     outer.update(&inner_digest);
     outer.finalize()
@@ -212,6 +296,7 @@ pub fn mac_eq(a: &[u8; SHA256_DIGEST_BYTES], b: &[u8; SHA256_DIGEST_BYTES]) -> b
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn hex(bytes: &[u8]) -> String {
         bytes.iter().map(|b| format!("{b:02x}")).collect()
@@ -222,6 +307,34 @@ mod tests {
             .step_by(2)
             .map(|i| u8::from_str_radix(&s[i..i + 2], 16).expect("hex"))
             .collect()
+    }
+
+    /// Every kernel this machine can run, called directly rather than
+    /// through detection. Where the CPU lacks the SHA extensions the
+    /// hardware half is skipped, and says so (once per test binary).
+    fn kernels() -> Vec<(&'static str, Kernel)> {
+        let mut all = vec![("scalar", compress_blocks_scalar as Kernel)];
+        match hardware_kernel() {
+            Some(kernel) => all.push(("sha-ni", kernel)),
+            None => {
+                static NOTICE: std::sync::Once = std::sync::Once::new();
+                NOTICE.call_once(|| {
+                    println!("SKIPPED: this CPU has no SHA-NI; only the scalar kernel was tested");
+                });
+            }
+        }
+        all
+    }
+
+    #[test]
+    fn backend_agrees_with_feature_detection() {
+        #[cfg(target_arch = "x86_64")]
+        let has_sha = std::arch::is_x86_feature_detected!("sha");
+        #[cfg(not(target_arch = "x86_64"))]
+        let has_sha = false;
+        println!("vpm-hash sha256 backend: {}", backend());
+        assert_eq!(backend(), if has_sha { "sha-ni" } else { "scalar" });
+        assert_eq!(kernels().len(), if has_sha { 2 } else { 1 });
     }
 
     // FIPS 180-4 example vectors (NIST CSRC "SHA All" examples).
@@ -246,8 +359,11 @@ mod tests {
                 "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1",
             ),
         ];
-        for (msg, want) in cases {
-            assert_eq!(&hex(&sha256(msg)), want, "msg len {}", msg.len());
+        for (name, kernel) in kernels() {
+            for (msg, want) in cases {
+                let got = sha256_on(kernel, msg);
+                assert_eq!(&hex(&got), want, "{name}, msg len {}", msg.len());
+            }
         }
     }
 
@@ -255,19 +371,22 @@ mod tests {
     fn nist_million_a_streams_through_arbitrary_chunking() {
         // The millionth-`a` vector, fed in deliberately awkward chunk
         // sizes to exercise the buffered update path.
-        let mut h = Sha256::new();
-        let mut fed = 0usize;
-        let mut chunk = 1usize;
-        while fed < 1_000_000 {
-            let n = chunk.min(1_000_000 - fed);
-            h.update(&b"a".repeat(n));
-            fed += n;
-            chunk = (chunk * 3 + 7) % 257 + 1;
+        for (name, kernel) in kernels() {
+            let mut h = Sha256::with_kernel(kernel);
+            let mut fed = 0usize;
+            let mut chunk = 1usize;
+            while fed < 1_000_000 {
+                let n = chunk.min(1_000_000 - fed);
+                h.update(&b"a".repeat(n));
+                fed += n;
+                chunk = (chunk * 3 + 7) % 257 + 1;
+            }
+            assert_eq!(
+                hex(&h.finalize()),
+                "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0",
+                "{name}"
+            );
         }
-        assert_eq!(
-            hex(&h.finalize()),
-            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
-        );
     }
 
     #[test]
@@ -279,6 +398,81 @@ mod tests {
             h.update(&data[..split]);
             h.update(&data[split..]);
             assert_eq!(h.finalize(), want, "split {split}");
+        }
+    }
+
+    /// FIPS 180-4 §5.1.1 padding spelled out by hand — message, 0x80,
+    /// zeros to 56 mod 64, 64-bit big-endian bit length — and run
+    /// through the scalar rounds with no `Sha256` involved: the oracle
+    /// for `finalize`, which writes the same bytes in place.
+    fn sha256_by_hand(msg: &[u8]) -> [u8; SHA256_DIGEST_BYTES] {
+        let mut padded = msg.to_vec();
+        padded.push(0x80);
+        while padded.len() % SHA256_BLOCK_BYTES != SHA256_BLOCK_BYTES - 8 {
+            padded.push(0);
+        }
+        padded.extend_from_slice(&(msg.len() as u64 * 8).to_be_bytes());
+        let mut state = H0;
+        compress_blocks_scalar(&mut state, &padded);
+        digest_of(state)
+    }
+
+    #[test]
+    fn finalize_pads_correctly_at_every_boundary() {
+        // Either side of: empty, the last length whose padding fits one
+        // block (55), the first that needs two (56), a full block, and
+        // the same again one block up.
+        for len in [0usize, 1, 55, 56, 57, 63, 64, 65, 119, 120, 127, 128] {
+            let msg: Vec<u8> = (0..len).map(|i| (i * 7 + 3) as u8).collect();
+            let want = sha256_by_hand(&msg);
+            for (name, kernel) in kernels() {
+                assert_eq!(sha256_on(kernel, &msg), want, "{name}, len {len}");
+                // And with the tail arriving through the buffer.
+                let mut h = Sha256::with_kernel(kernel);
+                h.update(&msg[..len / 2]);
+                h.update(&msg[len / 2..]);
+                assert_eq!(h.finalize(), want, "{name}, len {len}, split");
+            }
+        }
+    }
+
+    proptest! {
+        /// The kernels pinned to each other, as `lanes` is pinned to
+        /// scalar lookup3: any message, cut into any `update` chunks,
+        /// hashes the same on every kernel, chunked or one-shot.
+        #[test]
+        fn kernels_agree_on_arbitrary_messages_and_chunkings(
+            msg in proptest::collection::vec(any::<u8>(), 0..=4096),
+            cuts in proptest::collection::vec(0usize..=200, 0..=40),
+        ) {
+            let want = sha256_on(compress_blocks_scalar, &msg);
+            for (name, kernel) in kernels() {
+                prop_assert_eq!(sha256_on(kernel, &msg), want, "{} one-shot", name);
+                let mut h = Sha256::with_kernel(kernel);
+                let mut rest = &msg[..];
+                for cut in &cuts {
+                    let (head, tail) = rest.split_at((*cut).min(rest.len()));
+                    h.update(head);
+                    rest = tail;
+                }
+                h.update(rest);
+                prop_assert_eq!(h.finalize(), want, "{} chunked", name);
+            }
+            prop_assert_eq!(sha256(&msg), want, "detected kernel");
+        }
+
+        /// Same pin one layer up: HMAC over arbitrary keys (short,
+        /// block-sized, hashed-first) and messages.
+        #[test]
+        fn kernels_agree_on_arbitrary_hmacs(
+            key in proptest::collection::vec(any::<u8>(), 0..=160),
+            msg in proptest::collection::vec(any::<u8>(), 0..=1024),
+        ) {
+            let want = hmac_sha256_on(compress_blocks_scalar, &key, &msg);
+            for (name, kernel) in kernels() {
+                prop_assert_eq!(hmac_sha256_on(kernel, &key, &msg), want, "{}", name);
+            }
+            prop_assert_eq!(hmac_sha256(&key, &msg), want, "detected kernel");
         }
     }
 
@@ -339,14 +533,16 @@ mod tests {
                 truncated_to: 32,
             },
         ];
-        for (i, tc) in cases.iter().enumerate() {
-            let got = hmac_sha256(&tc.key, &tc.data);
-            assert_eq!(
-                hex(&got[..tc.truncated_to]),
-                tc.mac,
-                "RFC 4231 test case {}",
-                i + 1
-            );
+        for (name, kernel) in kernels() {
+            for (i, tc) in cases.iter().enumerate() {
+                let got = hmac_sha256_on(kernel, &tc.key, &tc.data);
+                assert_eq!(
+                    hex(&got[..tc.truncated_to]),
+                    tc.mac,
+                    "{name}, RFC 4231 test case {}",
+                    i + 1
+                );
+            }
         }
     }
 

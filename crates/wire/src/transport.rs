@@ -598,13 +598,19 @@ fn verify_frame(
     epoch: Option<KeyEpoch>,
     frame: &WireFrame,
 ) -> Result<KeyEpoch, TransportError> {
-    let keys = keys.read();
-    let ring = keys.get(&hop).ok_or(TransportError::UnknownHop(hop))?;
-    let epoch = epoch.ok_or(TransportError::Unsigned { hop })?;
-    let key = ring
-        .get(epoch.0 as usize)
-        .ok_or(TransportError::UnknownKeyEpoch { hop, epoch })?;
-    if !frame.verify_mac(key) {
+    // Copy the key out so the registry guard ends with this block: the
+    // HMAC below walks the whole frame, and `register_key` /
+    // `rotate_key` must not queue behind it.
+    let (epoch, key) = {
+        let keys = keys.read();
+        let ring = keys.get(&hop).ok_or(TransportError::UnknownHop(hop))?;
+        let epoch = epoch.ok_or(TransportError::Unsigned { hop })?;
+        let key = ring
+            .get(epoch.0 as usize)
+            .ok_or(TransportError::UnknownKeyEpoch { hop, epoch })?;
+        (epoch, *key)
+    };
+    if !frame.verify_mac(&key) {
         return Err(TransportError::BadMac { hop });
     }
     Ok(epoch)

@@ -348,6 +348,7 @@ fn serve(args: &[String]) -> ExitCode {
     };
     // The exact line harnesses scrape for the resolved ephemeral port.
     println!("vpm serve: listening on {}", server.local_addr());
+    println!("vpm serve: sha256 backend {}", vpm::hash::sha256::backend());
     use std::io::Write;
     let _ = std::io::stdout().flush();
     // Serve until the process is killed; connections are handled on
@@ -605,6 +606,8 @@ fn main() -> ExitCode {
                 "measured from wire frames", "paper", "ours"
             );
             print_overhead_rows(&measured.rows);
+            println!();
+            println!("sha256 backend: {}", vpm::hash::sha256::backend());
         }
         "baselines" => {
             let reports = baselines::compare(arg(&args, 1, 1u64));

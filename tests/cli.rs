@@ -212,6 +212,14 @@ fn serve_reports_an_unbindable_listen_address_as_failure() {
 }
 
 #[test]
+fn overhead_names_the_sha256_backend_under_the_measured_table() {
+    let out = vpm(&["overhead"]);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+    let want = format!("sha256 backend: {}", vpm::hash::sha256::backend());
+    assert_eq!(stdout(&out).lines().last(), Some(want.as_str()));
+}
+
+#[test]
 fn matrix_table_matches_golden_file() {
     // Pin the exact table rendering for a small filtered slice. If a
     // legitimate change alters the rendering or the cells' verdicts,
