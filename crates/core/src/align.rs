@@ -39,13 +39,6 @@ impl Migration {
     }
 }
 
-/// Split a window at the first occurrence of the boundary digest.
-/// Returns `(before, from_boundary_on)`; `None` if absent.
-fn split_at_boundary(window: &[Digest], boundary: Digest) -> Option<(&[Digest], &[Digest])> {
-    let pos = window.iter().position(|&d| d == boundary)?;
-    Some((&window[..pos], &window[pos..])) // vpm-lint: allow(R1, position() returned an in-bounds index)
-}
-
 /// Compute the migration for one boundary from the `AggTrans` windows
 /// of the two receipts that closed at it.
 ///
@@ -53,26 +46,58 @@ fn split_at_boundary(window: &[Digest], boundary: Digest) -> Option<(&[Digest], 
 /// the following aggregate). Returns `None` when either window does not
 /// contain the boundary — the verifier then cannot re-align this
 /// boundary and must fall back to a coarser join.
+///
+/// Each window is split at the boundary's first occurrence. Every
+/// upstream entry (a digest listed twice counts twice) that the
+/// downstream window holds on the other side of the boundary is one
+/// migrated packet; the boundary packet itself never migrates. The two
+/// downstream sides are sorted once and searched, so a boundary costs
+/// `O(w log w)` for `w`-digest windows.
 pub fn window_migration(
     up_window: &[Digest],
     down_window: &[Digest],
     boundary: Digest,
 ) -> Option<Migration> {
+    let is_boundary = |d: &Digest| *d == boundary;
+    let (up_before, up_after) = up_window.split_at(up_window.iter().position(is_boundary)?);
+    let mut down = down_window.to_vec();
+    let (down_before, down_after) = down.split_at_mut(down_window.iter().position(is_boundary)?);
+    down_before.sort_unstable();
+    down_after.sort_unstable();
+    let crossed = |side: &[Digest], d: &Digest| !is_boundary(d) && side.binary_search(d).is_ok();
+    Some(Migration {
+        // downstream put it after; upstream before
+        to_earlier: up_before.iter().filter(|d| crossed(down_after, d)).count() as u64,
+        to_later: up_after.iter().filter(|d| crossed(down_before, d)).count() as u64,
+    })
+}
+
+/// The nested-scan `window_migration` this module shipped before the
+/// sort-and-search one: quadratic in the window, and the specification
+/// the differential tests here and in `verify` hold the new one to.
+#[cfg(test)]
+pub(crate) fn window_migration_reference(
+    up_window: &[Digest],
+    down_window: &[Digest],
+    boundary: Digest,
+) -> Option<Migration> {
+    fn split_at_boundary(window: &[Digest], boundary: Digest) -> Option<(&[Digest], &[Digest])> {
+        let pos = window.iter().position(|&d| d == boundary)?;
+        Some((&window[..pos], &window[pos..]))
+    }
     let (up_before, up_after) = split_at_boundary(up_window, boundary)?;
     let (down_before, down_after) = split_at_boundary(down_window, boundary)?;
 
     let mut m = Migration::default();
-    // Packets present in both windows whose side differs.
     for &d in up_before {
         if d == boundary {
             continue;
         }
         if down_after.contains(&d) {
-            m.to_earlier += 1; // downstream put it after; upstream before
+            m.to_earlier += 1;
         }
     }
     for &d in up_after.iter().skip(1) {
-        // skip the boundary itself
         if down_before.contains(&d) {
             m.to_later += 1;
         }
@@ -86,6 +111,39 @@ mod tests {
 
     fn d(xs: &[u64]) -> Vec<Digest> {
         xs.iter().map(|&x| Digest(x)).collect()
+    }
+
+    proptest::proptest! {
+        /// Digests from a 12-value space: windows repeat digests, and
+        /// the boundary is absent, repeated, first or last about as
+        /// often as it is ordinary.
+        #[test]
+        fn migration_equals_the_nested_scan(
+            up in proptest::collection::vec(0u64..12, 0..40),
+            down in proptest::collection::vec(0u64..12, 0..40),
+            boundary in 0u64..12
+        ) {
+            let (up, down) = (d(&up), d(&down));
+            proptest::prop_assert_eq!(
+                window_migration(&up, &down, Digest(boundary)),
+                window_migration_reference(&up, &down, Digest(boundary))
+            );
+        }
+    }
+
+    #[test]
+    fn duplicates_count_once_per_upstream_occurrence() {
+        // 3 sits before the cut twice upstream and after it (twice)
+        // downstream: two upstream entries crossed, not one, not four.
+        let m = window_migration(&d(&[3, 3, 5, 6]), &d(&[5, 3, 3, 6]), Digest(5)).unwrap();
+        assert_eq!((m.to_earlier, m.to_later), (2, 0));
+        // A window repeating its boundary splits at the first one, and
+        // the repeats never migrate.
+        let m = window_migration(&d(&[4, 5, 6, 5]), &d(&[6, 5, 5, 4]), Digest(5)).unwrap();
+        assert_eq!((m.to_earlier, m.to_later), (1, 1));
+        // Boundary first upstream and last downstream.
+        let m = window_migration(&d(&[5, 1, 2]), &d(&[1, 2, 5]), Digest(5)).unwrap();
+        assert_eq!((m.to_earlier, m.to_later), (0, 2));
     }
 
     #[test]

@@ -14,6 +14,7 @@
 //! transport), which the processor holds ([`Processor::hop_key`]).
 
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
 use vpm_hash::HopKey;
 use vpm_packet::HopId;
 
@@ -59,19 +60,57 @@ impl ReceiptBatch {
     /// the encoder emits each path once here and every receipt carries
     /// a 4-byte reference into it (`receipt::compact::PATH_REF_BYTES`).
     pub fn paths(&self) -> Vec<PathId> {
-        let mut seen = std::collections::HashSet::new();
-        let mut out = Vec::new();
+        self.path_table().0
+    }
+
+    /// [`ReceiptBatch::paths`] together with every receipt's reference
+    /// into it: one index per sample receipt, then one per aggregate
+    /// receipt, in batch order. One pass. A receipt on the path of the
+    /// receipt before it (a path's consecutive aggregates), or on the
+    /// table's next path (aggregates listed in the order the sample
+    /// receipts were, as [`Processor::report`] lists them), costs a
+    /// comparison; any other costs one table lookup.
+    pub fn path_table(&self) -> (Vec<PathId>, Vec<u32>) {
+        let receipts = self.samples.len() + self.aggregates.len();
+        let mut paths: Vec<PathId> = Vec::new();
+        let mut refs: Vec<u32> = Vec::with_capacity(receipts);
+        let mut index: HashMap<ByShardKey, u32> = HashMap::with_capacity(receipts);
         for path in self
             .samples
             .iter()
             .map(|s| s.path)
             .chain(self.aggregates.iter().map(|a| a.path))
         {
-            if seen.insert(path) {
-                out.push(path);
-            }
+            let is = |reference: u32| paths.get(reference as usize) == Some(&path);
+            let reference = match refs.last() {
+                Some(&last) if is(last) => last,
+                Some(&last) if is(last + 1) => last + 1,
+                _ => {
+                    let next = paths.len() as u32;
+                    let reference = *index.entry(ByShardKey(path)).or_insert(next);
+                    if reference == next {
+                        paths.push(path);
+                    }
+                    reference
+                }
+            };
+            refs.push(reference);
         }
-        out
+        (paths, refs)
+    }
+}
+
+/// A `PathId` that hashes as its [`PathId::shard_key`] — one lookup3
+/// pass over the 24 encoded bytes instead of a keyed pass per field —
+/// and compares as itself, so paths whose keys collide stay distinct.
+/// The key is unkeyed, which is sound where the paths are the reporting
+/// HOP's own ([`ReceiptBatch::path_table`]), not a peer's.
+#[derive(PartialEq, Eq)]
+struct ByShardKey(PathId);
+
+impl std::hash::Hash for ByShardKey {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        state.write_u64(self.0.shard_key());
     }
 }
 
@@ -289,6 +328,97 @@ mod tests {
         // An empty batch has an empty table.
         let empty = p.report(&mut c);
         assert!(empty.paths().is_empty());
+    }
+
+    /// Every receipt's path, in batch order.
+    fn receipt_paths(b: &ReceiptBatch) -> Vec<PathId> {
+        let samples = b.samples.iter().map(|s| s.path);
+        samples.chain(b.aggregates.iter().map(|a| a.path)).collect()
+    }
+
+    /// The `HashSet` walk `paths()` was before it became
+    /// `path_table`'s first half.
+    fn paths_reference(b: &ReceiptBatch) -> Vec<PathId> {
+        let mut seen = std::collections::HashSet::new();
+        let mut out = receipt_paths(b);
+        out.retain(|path| seen.insert(*path));
+        out
+    }
+
+    /// A batch whose sample receipts are on paths `samples` and whose
+    /// aggregate receipts on paths `aggregates` (path `n` is `10.n/32`).
+    fn batch_on(samples: &[u32], aggregates: &[u32]) -> ReceiptBatch {
+        let path = |n: u32| PathId {
+            spec: vpm_packet::HeaderSpec::new(
+                vpm_packet::Ipv4Prefix::new(std::net::Ipv4Addr::from(0x0a00_0000 | n), 32).unwrap(),
+                "192.168.0.0/24".parse().unwrap(),
+            ),
+            prev_hop: None,
+            next_hop: Some(HopId(5)),
+            max_diff: SimDuration::from_millis(2),
+        };
+        ReceiptBatch {
+            hop: HopId(4),
+            batch_seq: 0,
+            samples: samples
+                .iter()
+                .map(|&n| SampleReceipt {
+                    path: path(n),
+                    samples: Vec::new(),
+                })
+                .collect(),
+            aggregates: aggregates
+                .iter()
+                .map(|&n| AggReceipt {
+                    path: path(n),
+                    agg: crate::receipt::AggId {
+                        first: vpm_hash::Digest(1),
+                        last: vpm_hash::Digest(2),
+                    },
+                    pkt_cnt: 1,
+                    agg_trans: Vec::new(),
+                })
+                .collect(),
+        }
+    }
+
+    fn assert_table_resolves(b: &ReceiptBatch) {
+        let (paths, refs) = b.path_table();
+        assert_eq!(paths, paths_reference(b));
+        assert_eq!(paths, b.paths());
+        let resolved: Vec<PathId> = refs.iter().map(|&r| paths[r as usize]).collect();
+        assert_eq!(resolved, receipt_paths(b));
+    }
+
+    #[test]
+    fn path_table_references_resolve_whatever_the_receipt_order() {
+        // As `report` lists them: samples, then the same order again.
+        assert_table_resolves(&batch_on(&[0, 1, 2, 3], &[0, 0, 1, 2, 2, 3]));
+        // Interleaved and not grouped; aggregates on paths no sample
+        // receipt named, first; reversed.
+        assert_table_resolves(&batch_on(&[2, 0, 2, 1], &[1, 2, 1, 0, 2]));
+        assert_table_resolves(&batch_on(&[1], &[7, 1, 8, 7, 1]));
+        assert_table_resolves(&batch_on(&[0, 1, 2, 3], &[3, 2, 1, 0]));
+        // One side empty, both empty.
+        assert_table_resolves(&batch_on(&[], &[4, 4, 5]));
+        assert_table_resolves(&batch_on(&[5, 4, 5], &[]));
+        assert_table_resolves(&batch_on(&[], &[]));
+        // More paths than a one-byte reference could name, each met
+        // again out of order.
+        let forward: Vec<u32> = (0..700).collect();
+        let scattered: Vec<u32> = (0..700).map(|i| (i * 37) % 700).collect();
+        assert_table_resolves(&batch_on(&forward, &scattered));
+        assert_eq!(batch_on(&forward, &scattered).paths().len(), 700);
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn path_table_equals_the_hash_set_walk(
+            samples in proptest::collection::vec(0u32..12, 0..30),
+            aggregates in proptest::collection::vec(0u32..12, 0..30)
+        ) {
+            assert_table_resolves(&batch_on(&samples, &aggregates));
+        }
     }
 
     #[test]

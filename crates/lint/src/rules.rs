@@ -106,11 +106,21 @@ pub fn r1(rel: &str, tokens: &[Token<'_>]) -> Vec<Violation> {
                 && tokens[i + 2].is_punct('.')
                 && tokens[i + 3].is_punct(']');
             // A `[` directly after a keyword is an array expression
-            // (`return [`, `in [`…), not indexing.
+            // (`return [`, `in [`…) or pattern (`let [a, b] =`), not
+            // indexing.
             let keyword_before = p.kind == TokKind::Ident
                 && matches!(
                     p.text,
-                    "return" | "in" | "if" | "else" | "match" | "break" | "mut" | "as" | "dyn"
+                    "return"
+                        | "in"
+                        | "if"
+                        | "else"
+                        | "match"
+                        | "break"
+                        | "mut"
+                        | "as"
+                        | "dyn"
+                        | "let"
                 );
             if postfix && !full_range && !keyword_before && !p.in_attr {
                 out.push(viol(
@@ -611,7 +621,7 @@ mod tests {
     fn r1_array_literals_are_not_indexing() {
         let v = run(
             r1,
-            "fn f() { let a = [0u8; 4]; let b: [u8; 2] = x; return [1, 2]; }",
+            "fn f() { let a = [0u8; 4]; let b: [u8; 2] = x; let [c, _] = b; return [1, c]; }",
         );
         assert!(v.is_empty(), "{v:?}");
     }

@@ -153,7 +153,10 @@ pub struct HopOutput {
     pub domain: DomainId,
     /// The `PathID` its receipts carry.
     pub path: PathId,
-    /// The receipt batch, decoded from its published signed frame.
+    /// The receipt batch, decoded from its published signed frame. On
+    /// an output a receipt collector rebuilt from fetched frames
+    /// (`verdict::analyze_from_transport*`) it is the first frame's
+    /// header alone: the receipts are in `samples` and `aggregates`.
     pub batch: ReceiptBatch,
     /// Flattened sample records (observation order).
     pub samples: Vec<SampleRecord>,

@@ -232,9 +232,12 @@ pub fn analyze_from_transport_scoped(
     Ok(analyze_path(topology, &run))
 }
 
-/// Rebuild one HOP's output from its fetched frames, merging the
-/// decoded batches in publish order (shared by the by-HOP and
-/// path-scoped collectors so they cannot drift apart).
+/// Rebuild one HOP's output from its fetched frames: the sample records
+/// and aggregate receipts of every frame, in publish order, each copied
+/// once (shared by the by-HOP and path-scoped collectors so they cannot
+/// drift apart). `batch` keeps the first frame's header only — the
+/// verdict reads `samples` and `aggregates`, and a collector has no use
+/// for a second copy of them.
 #[allow(clippy::expect_used)] // audited: every expect below carries a vpm-lint allow
 fn hop_output_from_frames(
     topology: &Topology,
@@ -242,22 +245,26 @@ fn hop_output_from_frames(
     path: vpm_core::receipt::PathId,
     published: &[std::sync::Arc<vpm_wire::Published>],
 ) -> HopOutput {
-    let mut batch = published
+    let first = &published
         .first()
         .expect("caller checked non-empty") // vpm-lint: allow(R1, the caller checked the window is non-empty)
-        .batch
-        .clone();
-    // vpm-lint: allow(R1, the caller checked published is non-empty)
-    for p in &published[1..] {
-        batch.samples.extend(p.batch.samples.iter().cloned());
-        batch.aggregates.extend(p.batch.aggregates.iter().cloned());
+        .batch;
+    let batch = vpm_core::ReceiptBatch {
+        hop: first.hop,
+        batch_seq: first.batch_seq,
+        samples: Vec::new(),
+        aggregates: Vec::new(),
+    };
+    let receipts = published.iter().flat_map(|p| &p.batch.samples);
+    let mut samples = Vec::with_capacity(receipts.clone().map(|r| r.samples.len()).sum());
+    for r in receipts {
+        samples.extend_from_slice(&r.samples);
     }
-    let samples = batch
-        .samples
+    let aggregates = published
         .iter()
-        .flat_map(|r| r.samples.iter().copied())
+        .flat_map(|p| &p.batch.aggregates)
+        .cloned()
         .collect();
-    let aggregates = batch.aggregates.clone();
     // The collector never learns HOP secrets, so the rebuilt output
     // carries no key — but it does carry the authenticated key epoch
     // the transport MAC-verified the frames under (the newest one, if
@@ -571,6 +578,12 @@ mod tests {
         let rebuilt = super::hop_output_from_frames(&topo, h4.hop, h4.path, &published);
         assert_eq!(rebuilt.key_epoch, KeyEpoch(1));
         assert!(rebuilt.key.is_none());
+        // Both frames' receipts, in publish order, each once; `batch` is
+        // the first frame's header and nothing else.
+        assert_eq!(rebuilt.samples, h4.samples);
+        assert_eq!(rebuilt.aggregates, h4.aggregates);
+        assert_eq!(rebuilt.batch.batch_seq, h4.batch.batch_seq);
+        assert!(rebuilt.batch.samples.is_empty() && rebuilt.batch.aggregates.is_empty());
         // And the collector's verdicts are unchanged by the rotation.
         let analysis = super::analyze_from_transport(&topo, &transport, on_path[0]).unwrap();
         assert!(analysis.all_consistent());

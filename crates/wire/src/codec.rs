@@ -85,7 +85,6 @@
 //! `tests/golden/wire_v2.hex` pins the v2 bytes; it fails loudly on any
 //! drift that forgets to bump the version.
 
-use std::collections::HashMap;
 use std::fmt;
 
 use vpm_core::processor::ReceiptBatch;
@@ -335,7 +334,10 @@ pub struct DecodedFrame {
     pub signature: Option<FrameSignature>,
 }
 
-/// Encodes [`ReceiptBatch`]es into frames.
+/// Encodes [`ReceiptBatch`]es into frames: one pass over the receipts
+/// for the path table and references
+/// ([`ReceiptBatch::path_table`]), one for the exact size, one
+/// allocation, every record written as a whole unit.
 #[derive(Debug, Clone, Copy)]
 pub struct WireEncoder {
     profile: Profile,
@@ -400,79 +402,98 @@ impl WireEncoder {
         self.encode_inner(batch, Some((key, epoch)))
     }
 
+    /// One pass to build the path table and every receipt's reference,
+    /// one to validate every count and add up the exact frame size,
+    /// then a single allocation that the writes below fill to the last
+    /// byte: nothing after the size pass can fail.
     fn encode_inner(
         &self,
         batch: &ReceiptBatch,
         sign: Option<(&HopKey, KeyEpoch)>,
     ) -> Result<(WireFrame, FrameStats), WireError> {
-        let paths = batch.paths();
-        if paths.len() > u16::MAX as usize {
-            return Err(WireError::TooManyPaths(paths.len()));
-        }
-        let path_index: HashMap<PathId, u32> = paths
-            .iter()
-            .enumerate()
-            .map(|(i, &p)| (p, i as u32))
-            .collect();
+        let profile = self.profile;
+        let (paths, refs) = batch.path_table();
+        let path_count =
+            u16::try_from(paths.len()).map_err(|_| WireError::TooManyPaths(paths.len()))?;
+        let mut refs = refs.into_iter();
 
-        let mut w = Writer::default();
+        let header_bytes = HEADER_BYTES;
+        let path_table_bytes = 2 + paths.len() * PATH_ENTRY_BYTES;
+        let sample_count = count32(batch.samples.len())?;
+        let sample_directory_bytes = 4 + 4 * batch.samples.len();
+        let mut sample_body_bytes = 0;
+        for r in &batch.samples {
+            count32(r.samples.len())?;
+            sample_body_bytes += profile.sample_receipt_bytes(r.samples.len());
+        }
+        let agg_count = count32(batch.aggregates.len())?;
+        let mut agg_section_bytes = 4;
+        for a in &batch.aggregates {
+            if profile == Profile::Compact && a.pkt_cnt >= 1 << 48 {
+                return Err(WireError::CountTooLarge(a.pkt_cnt));
+            }
+            count32(a.agg_trans.len())?;
+            agg_section_bytes += profile.agg_receipt_bytes(a.agg_trans.len());
+        }
+        let mac_trailer_bytes = if sign.is_some() { MAC_TRAILER_BYTES } else { 0 };
+        let total_bytes = header_bytes
+            + path_table_bytes
+            + sample_directory_bytes
+            + sample_body_bytes
+            + agg_section_bytes
+            + mac_trailer_bytes;
+
+        let mut w = Writer::with_capacity(total_bytes);
         // Header.
         w.bytes(&MAGIC);
         w.u8(VERSION);
-        let mut flags = self.profile.flags();
+        let mut flags = profile.flags();
         if sign.is_some() {
             flags |= FLAG_SIGNED;
         }
         w.u8(flags);
         w.u16(batch.hop.0);
         w.u64(batch.batch_seq);
-        let header_bytes = w.len();
 
         // Path table.
-        w.u16(paths.len() as u16);
+        w.u16(path_count);
         for p in &paths {
             encode_path(&mut w, p);
         }
-        let path_table_bytes = w.len() - header_bytes;
 
-        // Sample directory.
-        w.u32(count32(batch.samples.len())?);
+        // Sample directory, then bodies: each record one whole unit.
+        w.u32(sample_count);
         for r in &batch.samples {
-            w.u32(count32(r.samples.len())?);
+            w.u32(r.samples.len() as u32);
         }
-        let sample_directory_bytes = w.len() - header_bytes - path_table_bytes;
-
-        // Sample bodies.
-        let body_start = w.len();
-        for r in &batch.samples {
-            w.u32(path_index[&r.path]); // vpm-lint: allow(R1, the path table was built from these same receipts above)
-            for s in &r.samples {
-                match self.profile {
-                    Profile::Compact => {
-                        w.u32(compact::truncate_digest(s.pkt_id));
-                        w.u24(compact::truncate_time(s.time));
+        for (r, reference) in batch.samples.iter().zip(refs.by_ref()) {
+            w.u32(reference);
+            match profile {
+                Profile::Compact => {
+                    for s in &r.samples {
+                        let id = u64::from(compact::truncate_digest(s.pkt_id));
+                        let time = u64::from(compact::truncate_time(s.time));
+                        let [b0, b1, b2, b3, b4, b5, b6, _] = (id | time << 32).to_le_bytes();
+                        w.bytes(&[b0, b1, b2, b3, b4, b5, b6]);
                     }
-                    Profile::Precise => {
-                        w.u64(s.pkt_id.0);
-                        w.u64(s.time.as_nanos());
+                }
+                Profile::Precise => {
+                    for s in &r.samples {
+                        let unit = u128::from(s.pkt_id.0) | u128::from(s.time.as_nanos()) << 64;
+                        w.bytes(&unit.to_le_bytes());
                     }
                 }
             }
         }
-        let sample_body_bytes = w.len() - body_start;
 
         // Aggregate section.
-        let agg_start = w.len();
-        w.u32(count32(batch.aggregates.len())?);
-        for a in &batch.aggregates {
-            w.u32(path_index[&a.path]); // vpm-lint: allow(R1, the path table was built from these same receipts above)
-            match self.profile {
+        w.u32(agg_count);
+        for (a, reference) in batch.aggregates.iter().zip(refs) {
+            w.u32(reference);
+            match profile {
                 Profile::Compact => {
                     w.u32(compact::truncate_digest(a.agg.first));
                     w.u32(compact::truncate_digest(a.agg.last));
-                    if a.pkt_cnt >= 1 << 48 {
-                        return Err(WireError::CountTooLarge(a.pkt_cnt));
-                    }
                     w.u48(a.pkt_cnt);
                 }
                 Profile::Precise => {
@@ -481,29 +502,27 @@ impl WireEncoder {
                     w.u64(a.pkt_cnt);
                 }
             }
-            w.u32(count32(a.agg_trans.len())?);
+            w.u32(a.agg_trans.len() as u32);
             for &d in &a.agg_trans {
-                match self.profile {
+                match profile {
                     Profile::Compact => w.u32(compact::truncate_digest(d)),
                     Profile::Precise => w.u64(d.0),
                 }
             }
         }
-        let agg_section_bytes = w.len() - agg_start;
 
         // MAC trailer: epoch, then the HMAC over everything written so
         // far — epoch field included, so a replay under a different
         // epoch cannot reuse the MAC.
-        let mut mac_trailer_bytes = 0;
         if let Some((key, epoch)) = sign {
             w.u32(epoch.0);
             let mac = key.mac(w.as_slice());
             w.bytes(&mac);
-            mac_trailer_bytes = MAC_TRAILER_BYTES;
         }
+        debug_assert_eq!(w.len(), total_bytes, "the size pass is exact");
 
         let stats = FrameStats {
-            total_bytes: w.len(),
+            total_bytes,
             header_bytes,
             path_table_bytes,
             sample_directory_bytes,
@@ -521,6 +540,11 @@ impl WireEncoder {
 }
 
 /// Decodes frames back into batches. Stateless; decoding is total.
+///
+/// The result owns its batch. A receipt's records, and an aggregate's
+/// window, are each taken off the input as one bounds-checked run and
+/// converted unit by unit into a `Vec` of exactly that many — the cost
+/// of an owned decode is then the allocation and the copy.
 #[derive(Debug, Clone, Copy)]
 pub struct WireDecoder;
 
@@ -563,31 +587,41 @@ impl WireDecoder {
                 })
         };
 
-        // Sample directory, then bodies.
+        // Sample directory, then bodies: a receipt's records are one
+        // run of whole units, taken as one slice.
         let sample_count = r.u32()? as usize;
-        r.can_hold(sample_count, 4)?;
-        let mut record_counts = Vec::with_capacity(sample_count);
-        for _ in 0..sample_count {
-            record_counts.push(r.u32()? as usize);
-        }
-        let rec_bytes = profile.sample_record_bytes();
+        let (directory, _) = r.run(sample_count, 4)?.as_chunks::<4>();
         let mut samples = Vec::with_capacity(sample_count);
-        for &records in &record_counts {
+        for count in directory {
+            let records = u32::from_le_bytes(*count) as usize;
             let path = path_at(r.u32()?)?;
-            r.can_hold(records, rec_bytes)?;
-            let mut recs = Vec::with_capacity(records);
-            for _ in 0..records {
-                recs.push(match profile {
-                    Profile::Compact => SampleRecord {
-                        pkt_id: compact::expand_digest(r.u32()?),
-                        time: compact::expand_time(r.u24()?),
-                    },
-                    Profile::Precise => SampleRecord {
-                        pkt_id: Digest(r.u64()?),
-                        time: SimTime::from_nanos(r.u64()?),
-                    },
-                });
-            }
+            let recs = match profile {
+                Profile::Compact => {
+                    let (units, _) = r
+                        .run(records, compact::SAMPLE_RECORD_BYTES)?
+                        .as_chunks::<{ compact::SAMPLE_RECORD_BYTES }>();
+                    units
+                        .iter()
+                        .map(|&[i0, i1, i2, i3, t0, t1, t2]| SampleRecord {
+                            pkt_id: compact::expand_digest(u32::from_le_bytes([i0, i1, i2, i3])),
+                            time: compact::expand_time(u32::from_le_bytes([t0, t1, t2, 0])),
+                        })
+                        .collect()
+                }
+                Profile::Precise => {
+                    let (units, _) = r.run(records, 16)?.as_chunks::<16>();
+                    units
+                        .iter()
+                        .map(|unit| {
+                            let unit = u128::from_le_bytes(*unit);
+                            SampleRecord {
+                                pkt_id: Digest(unit as u64),
+                                time: SimTime::from_nanos((unit >> 64) as u64),
+                            }
+                        })
+                        .collect()
+                }
+            };
             samples.push(SampleReceipt {
                 path,
                 samples: recs,
@@ -609,18 +643,24 @@ impl WireDecoder {
                 Profile::Precise => (Digest(r.u64()?), Digest(r.u64()?), r.u64()?),
             };
             let window = r.u32()? as usize;
-            let digest_bytes = match profile {
-                Profile::Compact => compact::PKT_ID_BYTES,
-                Profile::Precise => 8,
+            let agg_trans = match profile {
+                Profile::Compact => {
+                    let (digests, _) = r
+                        .run(window, compact::PKT_ID_BYTES)?
+                        .as_chunks::<{ compact::PKT_ID_BYTES }>();
+                    digests
+                        .iter()
+                        .map(|d| compact::expand_digest(u32::from_le_bytes(*d)))
+                        .collect()
+                }
+                Profile::Precise => {
+                    let (digests, _) = r.run(window, 8)?.as_chunks::<8>();
+                    digests
+                        .iter()
+                        .map(|d| Digest(u64::from_le_bytes(*d)))
+                        .collect()
+                }
             };
-            r.can_hold(window, digest_bytes)?;
-            let mut agg_trans = Vec::with_capacity(window);
-            for _ in 0..window {
-                agg_trans.push(match profile {
-                    Profile::Compact => compact::expand_digest(r.u32()?),
-                    Profile::Precise => Digest(r.u64()?),
-                });
-            }
             aggregates.push(AggReceipt {
                 path,
                 agg: AggId { first, last },
@@ -716,6 +756,13 @@ pub(crate) struct Writer {
 }
 
 impl Writer {
+    /// A writer whose buffer never grows while at most `bytes` are
+    /// written.
+    pub(crate) fn with_capacity(bytes: usize) -> Self {
+        Writer {
+            buf: Vec::with_capacity(bytes),
+        }
+    }
     pub(crate) fn len(&self) -> usize {
         self.buf.len()
     }
@@ -733,9 +780,6 @@ impl Writer {
     }
     pub(crate) fn u16(&mut self, v: u16) {
         self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    pub(crate) fn u24(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes()[..3]); // vpm-lint: allow(R1, to_le_bytes() yields 8 bytes and 3 are taken)
     }
     pub(crate) fn u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
@@ -777,6 +821,14 @@ impl<'a> Reader<'a> {
         Ok(())
     }
 
+    /// `items` whole units of `size` bytes as one slice. The length is
+    /// the product [`Reader::can_hold`] checks: a count the input
+    /// cannot back is [`WireError::Truncated`] before anything is
+    /// allocated for it, and a product that overflows backs nothing.
+    pub(crate) fn run(&mut self, items: usize, size: usize) -> Result<&'a [u8], WireError> {
+        self.take(items.saturating_mul(size))
+    }
+
     pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
         if self.remaining() < n {
             return Err(WireError::Truncated {
@@ -800,11 +852,6 @@ impl<'a> Reader<'a> {
 
     pub(crate) fn u16(&mut self) -> Result<u16, WireError> {
         Ok(u16::from_le_bytes(self.array()?))
-    }
-
-    pub(crate) fn u24(&mut self) -> Result<u32, WireError> {
-        let b = self.take(3)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], 0])) // vpm-lint: allow(R1, take(3) returned exactly three bytes)
     }
 
     pub(crate) fn u32(&mut self) -> Result<u32, WireError> {
@@ -1027,6 +1074,165 @@ mod tests {
         }
         assert_eq!(Profile::Compact.sample_record_bytes(), 7);
         assert_eq!(Profile::Compact.agg_receipt_bytes(0), 22);
+    }
+
+    /// One allocation, filled to the last byte: the size pass is exact
+    /// for every shape of batch, on both profiles, signed or not.
+    fn assert_exact_size(b: &ReceiptBatch) {
+        let key = HopKey::from_seed(0xabc);
+        for profile in [Profile::Compact, Profile::Precise] {
+            let enc = WireEncoder::new(profile);
+            for (frame, stats) in [
+                enc.encode_with_stats(b).unwrap(),
+                enc.encode_signed_with_stats(b, &key, KeyEpoch(2)).unwrap(),
+            ] {
+                assert_eq!(frame.len(), stats.total_bytes, "{profile:?}");
+                assert_eq!(frame.bytes.capacity(), frame.len(), "{profile:?}");
+                assert_eq!(
+                    stats.total_bytes,
+                    stats.header_bytes
+                        + stats.path_table_bytes
+                        + stats.sample_directory_bytes
+                        + stats.sample_body_bytes
+                        + stats.agg_section_bytes
+                        + stats.mac_trailer_bytes
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn frames_are_allocated_once_at_their_exact_size() {
+        assert_exact_size(&known_batch());
+        for seed in 0..64 {
+            assert_exact_size(&arb_batch(seed));
+        }
+        let empty = ReceiptBatch {
+            hop: HopId(4),
+            batch_seq: 0,
+            samples: Vec::new(),
+            aggregates: Vec::new(),
+        };
+        assert_exact_size(&empty);
+        assert_eq!(
+            WireFrame::encode(&empty, Profile::Compact).unwrap().len(),
+            HEADER_BYTES + 2 + 4 + 4
+        );
+        let only_aggregates = ReceiptBatch {
+            samples: Vec::new(),
+            ..known_batch()
+        };
+        assert_exact_size(&only_aggregates);
+        assert_eq!(
+            only_aggregates,
+            WireFrame::encode(&only_aggregates, Profile::Precise)
+                .unwrap()
+                .decode()
+                .unwrap()
+                .batch
+        );
+    }
+
+    #[test]
+    fn path_references_survive_any_receipt_order() {
+        // 300 paths — more than one byte of reference — whose sample
+        // receipts come in one order and whose aggregates, several per
+        // path and not grouped, in another.
+        let n = 300u32;
+        let many = |i: u32| PathId {
+            max_diff: SimDuration::from_nanos(u64::from(i)),
+            ..path(i as u8)
+        };
+        let b = ReceiptBatch {
+            hop: HopId(4),
+            batch_seq: 1,
+            samples: (0..n)
+                .map(|i| SampleReceipt {
+                    path: many(i),
+                    samples: vec![SampleRecord {
+                        pkt_id: Digest(u64::from(i)),
+                        time: SimTime::from_nanos(u64::from(i)),
+                    }],
+                })
+                .collect(),
+            aggregates: (0..3 * n)
+                .map(|i| AggReceipt {
+                    path: many((i * 7) % (n + 20)),
+                    agg: AggId {
+                        first: Digest(u64::from(i)),
+                        last: Digest(u64::from(i) + 1),
+                    },
+                    pkt_cnt: u64::from(i),
+                    agg_trans: vec![Digest(u64::from(i))],
+                })
+                .collect(),
+        };
+        assert_eq!(b.paths().len(), (n + 20) as usize);
+        assert_exact_size(&b);
+        let d = WireFrame::encode(&b, Profile::Precise)
+            .unwrap()
+            .decode()
+            .unwrap();
+        assert_eq!(d.paths, b.paths());
+        assert_eq!(d.batch, b);
+        let d = WireFrame::encode(&b, Profile::Compact)
+            .unwrap()
+            .decode()
+            .unwrap();
+        assert_eq!(d.paths, b.paths());
+        assert_eq!(d.batch, truncated(&b));
+    }
+
+    #[test]
+    fn hostile_counts_are_truncation_not_allocation() {
+        // Every count a run is sized from — receipts in the directory,
+        // records of a receipt, digests of a window — set to the
+        // largest the field holds: the input cannot back it, and the
+        // decoder says so before reserving anything for it.
+        let b = known_batch();
+        for profile in [Profile::Compact, Profile::Precise] {
+            let bytes = WireFrame::encode(&b, profile).unwrap().as_bytes().to_vec();
+            let directory = HEADER_BYTES + 2 + 2 * PATH_ENTRY_BYTES;
+            let first_records = directory + 4;
+            let window =
+                bytes.len() - profile.agg_receipt_bytes(2) + profile.agg_receipt_bytes(0) - 4;
+            for at in [directory, first_records, window] {
+                let mut bad = bytes.clone();
+                bad[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+                assert!(
+                    matches!(WireDecoder::decode(&bad), Err(WireError::Truncated { .. })),
+                    "{profile:?} count at {at}: {:?}",
+                    WireDecoder::decode(&bad)
+                );
+            }
+        }
+        // A product that overflows backs nothing either.
+        let mut r = Reader::new(&[0u8; 64]);
+        assert_eq!(
+            r.run(usize::MAX, 16),
+            Err(WireError::Truncated {
+                at: 0,
+                needed: usize::MAX - 64
+            })
+        );
+        assert_eq!(r.run(4, 16).map(<[u8]>::len), Ok(64));
+        assert_eq!(r.run(0, 16).map(<[u8]>::len), Ok(0));
+    }
+
+    #[test]
+    fn an_oversized_compact_count_is_refused_signed_or_not() {
+        let mut big = known_batch();
+        big.aggregates[0].pkt_cnt = 1 << 48;
+        assert_eq!(
+            WireEncoder::compact().encode_signed(&big, &HopKey::from_seed(1), KeyEpoch(0)),
+            Err(WireError::CountTooLarge(1 << 48))
+        );
+        big.aggregates[0].pkt_cnt = (1 << 48) - 1;
+        let d = WireFrame::encode(&big, Profile::Compact)
+            .unwrap()
+            .decode()
+            .unwrap();
+        assert_eq!(d.batch.aggregates[0].pkt_cnt, (1 << 48) - 1);
     }
 
     #[test]
