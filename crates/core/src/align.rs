@@ -14,6 +14,10 @@
 //! upstream but after it downstream, so the verifier migrates `p4` from
 //! HOP 4's later aggregate to its earlier one.
 
+use std::collections::hash_map::RandomState;
+use std::hash::BuildHasher;
+use std::sync::OnceLock;
+
 use serde::{Deserialize, Serialize};
 use vpm_hash::Digest;
 
@@ -50,31 +54,165 @@ impl Migration {
 /// Each window is split at the boundary's first occurrence. Every
 /// upstream entry (a digest listed twice counts twice) that the
 /// downstream window holds on the other side of the boundary is one
-/// migrated packet; the boundary packet itself never migrates. The two
-/// downstream sides are sorted once and searched, so a boundary costs
-/// `O(w log w)` for `w`-digest windows.
+/// migrated packet; the boundary packet itself never migrates. The
+/// downstream window goes into a keyed hash table once and each
+/// upstream entry probes it once, so a boundary costs `O(w)` for
+/// `w`-digest windows. A verifier re-aligning many boundaries should
+/// reuse one table, as `verify::join_aggregates` does.
 pub fn window_migration(
     up_window: &[Digest],
     down_window: &[Digest],
     boundary: Digest,
 ) -> Option<Migration> {
-    let is_boundary = |d: &Digest| *d == boundary;
-    let (up_before, up_after) = up_window.split_at(up_window.iter().position(is_boundary)?);
-    let mut down = down_window.to_vec();
-    let (down_before, down_after) = down.split_at_mut(down_window.iter().position(is_boundary)?);
-    down_before.sort_unstable();
-    down_after.sort_unstable();
-    let crossed = |side: &[Digest], d: &Digest| !is_boundary(d) && side.binary_search(d).is_ok();
-    Some(Migration {
-        // downstream put it after; upstream before
-        to_earlier: up_before.iter().filter(|d| crossed(down_after, d)).count() as u64,
-        to_later: up_after.iter().filter(|d| crossed(down_before, d)).count() as u64,
-    })
+    WindowTable::new().migration(up_window, down_window, boundary)
 }
 
-/// The nested-scan `window_migration` this module shipped before the
-/// sort-and-search one: quadratic in the window, and the specification
-/// the differential tests here and in `verify` hold the new one to.
+/// A downstream entry sits before the boundary's first occurrence...
+const BEFORE: u8 = 1;
+/// ...or at or after it.
+const AFTER: u8 = 2;
+
+/// Slots per window digest, rounded up to a power of two: a table at
+/// most an eighth full keeps nearly every probe at its home slot, for
+/// 128 bytes of (reused) table per digest of the longest window.
+const SPREAD: usize = 8;
+
+/// The smallest table, in slots.
+const MIN_SLOTS: usize = 16;
+
+/// The multiplier [`WindowTable`] hashes with: odd, drawn once per
+/// process from the standard library's randomly keyed hasher. The
+/// windows are a peer's, who may lie; without the secret it cannot
+/// pick digests that pile into one probe run.
+fn process_key() -> u64 {
+    static KEY: OnceLock<u64> = OnceLock::new();
+    *KEY.get_or_init(|| RandomState::new().hash_one(0x5650_4d2d_414c_4e00_u64) | 1)
+}
+
+/// One slot of a [`WindowTable`]; it belongs to the current window
+/// only if it carries the window's stamp, and is empty otherwise.
+#[derive(Debug, Clone, Copy, Default)]
+struct Slot {
+    digest: Digest,
+    stamp: u32,
+    /// [`BEFORE`] and/or [`AFTER`].
+    sides: u8,
+}
+
+/// One downstream window as an open-addressing table: each distinct
+/// digest with the sides of the boundary the window holds it on.
+/// Multiply-shift hashing under [`process_key`], linear probing. The
+/// slot array is reused from one boundary to the next: each window
+/// takes a new stamp instead of clearing, and uses only the
+/// power-of-two prefix its length needs.
+#[derive(Debug)]
+pub(crate) struct WindowTable {
+    slots: Vec<Slot>,
+    stamp: u32,
+    /// Live slots minus one (the probe wrap mask).
+    mask: usize,
+    /// `64 − log2(live slots)`: a product's top bits pick the home slot.
+    shift: u32,
+    key: u64,
+}
+
+impl WindowTable {
+    pub(crate) fn new() -> Self {
+        WindowTable {
+            slots: Vec::new(),
+            stamp: 0,
+            mask: MIN_SLOTS - 1,
+            shift: 64 - MIN_SLOTS.trailing_zeros(),
+            key: process_key(),
+        }
+    }
+
+    /// [`window_migration`], on this table.
+    pub(crate) fn migration(
+        &mut self,
+        up_window: &[Digest],
+        down_window: &[Digest],
+        boundary: Digest,
+    ) -> Option<Migration> {
+        if !self.load(down_window, boundary) {
+            return None;
+        }
+        let (mut m, mut after) = (Migration::default(), false);
+        for &d in up_window {
+            if d == boundary {
+                // Only the first occurrence splits; none migrates.
+                after = true;
+            } else if after {
+                // downstream put it before; upstream after
+                m.to_later += u64::from(self.sides(d) & BEFORE != 0);
+            } else {
+                // downstream put it after; upstream before
+                m.to_earlier += u64::from(self.sides(d) & AFTER != 0);
+            }
+        }
+        after.then_some(m)
+    }
+
+    /// Refill the table with `window`; false when the window does not
+    /// hold `boundary`. The boundary lands on the [`AFTER`] side only,
+    /// so no upstream entry after the split can match it.
+    fn load(&mut self, window: &[Digest], boundary: Digest) -> bool {
+        let live = (SPREAD * window.len()).next_power_of_two().max(MIN_SLOTS);
+        if self.slots.len() < live {
+            self.slots.resize(live, Slot::default());
+        }
+        // Stamp 0 marks never-used slots; a stamp wrap (after 2³² − 1
+        // windows) clears the table once.
+        self.stamp = self.stamp.wrapping_add(1);
+        if self.stamp == 0 {
+            self.slots.fill(Slot::default());
+            self.stamp = 1;
+        }
+        self.mask = live - 1;
+        self.shift = 64 - live.trailing_zeros();
+        let mut side = BEFORE;
+        for &d in window {
+            if d == boundary {
+                side = AFTER;
+            }
+            let (at, stamp) = (self.find(d), self.stamp);
+            if let Some(slot) = self.slots.get_mut(at) {
+                let sides = if slot.stamp == stamp { slot.sides } else { 0 };
+                *slot = Slot {
+                    digest: d,
+                    stamp,
+                    sides: sides | side,
+                };
+            }
+        }
+        side == AFTER
+    }
+
+    /// The sides `d` was seen on; 0 when the window lacks it.
+    fn sides(&self, d: Digest) -> u8 {
+        match self.slots.get(self.find(d)) {
+            Some(slot) if slot.stamp == self.stamp => slot.sides,
+            _ => 0,
+        }
+    }
+
+    /// The slot holding `d`, or the empty slot it would go in. The
+    /// table is never full, so the probe ends.
+    fn find(&self, d: Digest) -> usize {
+        let mut at = (d.0.wrapping_mul(self.key) >> self.shift) as usize;
+        while let Some(slot) = self.slots.get(at) {
+            if slot.stamp != self.stamp || slot.digest == d {
+                break;
+            }
+            at = (at + 1) & self.mask;
+        }
+        at
+    }
+}
+
+/// `window_migration` as a nested scan: quadratic in the window, and
+/// the one specification the differential tests here and in `verify`
+/// hold the table to.
 #[cfg(test)]
 pub(crate) fn window_migration_reference(
     up_window: &[Digest],
@@ -114,21 +252,59 @@ mod tests {
     }
 
     proptest::proptest! {
-        /// Digests from a 12-value space: windows repeat digests, and
-        /// the boundary is absent, repeated, first or last about as
-        /// often as it is ordinary.
+        /// Windows of up to 700 digests from a space of 1 to 1,024
+        /// values, shifted left by 0 to 47 bits: windows repeat
+        /// digests, the boundary is present, absent, repeated, first or
+        /// last,
+        /// tables grow well past their minimum, and digests differ only
+        /// in high bits. One table serves each case twice, a window and
+        /// then a shorter one, so a slot left over from a longer window
+        /// must not leak into the next.
         #[test]
         fn migration_equals_the_nested_scan(
-            up in proptest::collection::vec(0u64..12, 0..40),
-            down in proptest::collection::vec(0u64..12, 0..40),
-            boundary in 0u64..12
+            up in proptest::collection::vec(proptest::prelude::any::<u64>(), 0..700),
+            down in proptest::collection::vec(proptest::prelude::any::<u64>(), 0..700),
+            boundary in proptest::prelude::any::<u64>(),
+            space in 1u64..=1024,
+            shift in 0u32..48
         ) {
-            let (up, down) = (d(&up), d(&down));
-            proptest::prop_assert_eq!(
-                window_migration(&up, &down, Digest(boundary)),
-                window_migration_reference(&up, &down, Digest(boundary))
-            );
+            let digest = |x: u64| Digest((x % space) << shift);
+            let up: Vec<Digest> = up.into_iter().map(digest).collect();
+            let mut down: Vec<Digest> = down.into_iter().map(digest).collect();
+            // Mostly one of the upstream digests, and in half the cases
+            // spliced into the downstream window as well.
+            let pick = (boundary % (up.len() as u64 + 2)) as usize;
+            let cut_digest = up.get(pick).copied().unwrap_or(digest(boundary));
+            if boundary >> 63 == 0 {
+                down.insert((boundary >> 32) as usize % (down.len() + 1), cut_digest);
+            }
+            let boundary = cut_digest;
+            let mut table = WindowTable::new();
+            for cut in [1, 5] {
+                let (up, down) = (&up[..up.len() / cut], &down[..down.len() / cut]);
+                proptest::prop_assert_eq!(
+                    table.migration(up, down, boundary),
+                    window_migration_reference(up, down, boundary)
+                );
+            }
         }
+    }
+
+    #[test]
+    fn a_stamp_wrap_forgets_the_previous_window() {
+        // 3 sits after the cut in the first downstream window only; a
+        // table that survived the wrap with stale slots would still
+        // count it.
+        let mut table = WindowTable::new();
+        let first = table.migration(&d(&[3, 5]), &d(&[5, 3]), Digest(5));
+        assert_eq!(first.map(|m| m.to_earlier), Some(1));
+        table.stamp = u32::MAX;
+        let (up, down) = (d(&[3, 5]), d(&[5, 6]));
+        assert_eq!(
+            table.migration(&up, &down, Digest(5)),
+            window_migration_reference(&up, &down, Digest(5))
+        );
+        assert_eq!(table.stamp, 1);
     }
 
     #[test]

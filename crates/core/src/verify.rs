@@ -21,7 +21,7 @@ use vpm_hash::Digest;
 use vpm_packet::SimTime;
 use vpm_stats::{estimate_quantile, LossStats, QuantileEstimate};
 
-use crate::align::window_migration;
+use crate::align::WindowTable;
 use crate::consistency::{
     check_aggregate_pair, check_max_diff, check_sample_pair, LinkInconsistency,
 };
@@ -187,11 +187,13 @@ pub fn join_aggregates(up: &[AggReceipt], down: &[AggReceipt]) -> JoinResult {
     }
 
     // Net migration at a boundary, toward the aggregate it closes; zero
-    // where the windows cannot re-align it.
-    let net_to_earlier = |&(ui, di, cut): &(usize, usize, Digest)| -> i64 {
+    // where the windows cannot re-align it. One table serves every
+    // boundary.
+    let mut table = WindowTable::new();
+    let mut net_to_earlier = |&(ui, di, cut): &(usize, usize, Digest)| -> i64 {
         closed_window(up, ui)
             .zip(closed_window(down, di))
-            .and_then(|(up_window, down_window)| window_migration(up_window, down_window, cut))
+            .and_then(|(up_window, down_window)| table.migration(up_window, down_window, cut))
             .map_or(0, |m| m.net_to_earlier())
     };
     let span = |side: &[AggReceipt], from: usize, to: usize| -> u64 {
@@ -709,35 +711,38 @@ mod tests {
         );
     }
 
-    /// 2 × 2,000 aggregates with 512-digest windows, every window
-    /// reordered across its boundary: the nested scan needed ~10⁹
-    /// comparisons here (and each boundary twice).
-    #[test]
-    fn join_scales_with_long_windows() {
-        let stream = |reorder: bool| -> Vec<AggReceipt> {
-            (0..2_000u64)
-                .map(|k| {
-                    let closing = (k + 1) << 20;
-                    let mut window: Vec<Digest> =
-                        (0..512).map(|i| Digest(closing - 256 + i)).collect();
-                    if reorder {
-                        window.swap(255, 256);
-                    }
-                    AggReceipt {
-                        path: test_path(),
-                        agg: AggId {
-                            first: Digest(k << 20),
-                            last: Digest(closing - 1),
-                        },
-                        pkt_cnt: 1_000,
-                        agg_trans: window,
-                    }
-                })
-                .collect()
-        };
-        let (up, down) = (stream(false), stream(true));
-        // Up to three tries: a neighbour test holding the core must not
-        // fail this one.
+    /// 2,000 aggregates of 1,024 packets, packet `i`'s digest being
+    /// `digest(i)`: every receipt's 512-digest window is centred on the
+    /// cut that closed it, and with `reorder` the packet before each
+    /// cut arrives after it.
+    fn long_stream(digest: fn(u64) -> Digest, reorder: bool) -> Vec<AggReceipt> {
+        (0..2_000u64)
+            .map(|k| {
+                let closing = (k + 1) * 1_024;
+                let mut window: Vec<Digest> = (closing - 256..closing + 256).map(digest).collect();
+                if reorder {
+                    window.swap(255, 256);
+                }
+                AggReceipt {
+                    path: test_path(),
+                    agg: AggId {
+                        first: digest(k * 1_024),
+                        last: digest(closing - 1),
+                    },
+                    pkt_cnt: 1_000,
+                    agg_trans: window,
+                }
+            })
+            .collect()
+    }
+
+    /// Join an in-order stream with its reordered twin under a 1 s
+    /// limit (a debug build is fine), and check that one packet
+    /// migrated to the earlier aggregate at every boundary, so the
+    /// interior aggregates gain one and give one. Up to three tries: a
+    /// neighbour test holding the core must not fail this one.
+    fn assert_long_join_is_fast_and_exact(digest: fn(u64) -> Digest) {
+        let (up, down) = (long_stream(digest, false), long_stream(digest, true));
         let limit = std::time::Duration::from_secs(1);
         let timed = || {
             let started = std::time::Instant::now();
@@ -750,9 +755,6 @@ mod tests {
             }
         }
         assert_eq!(res.joined.len(), 1_999);
-        // Each cut's predecessor arrives after it downstream: one packet
-        // migrates to the earlier aggregate at every boundary, so the
-        // interior aggregates gain one and give one.
         assert_eq!(res.alignments_applied, 1_998);
         assert_eq!(res.joined[0].down_cnt_adjusted, 1_001);
         assert!(
@@ -761,6 +763,36 @@ mod tests {
             res.joined[1]
         );
         assert!(took < limit, "join took {took:?}");
+        // The first aggregates against the nested scan, which would
+        // need ~10⁹ comparisons for the whole streams.
+        assert_eq!(
+            join_aggregates(&up[..12], &down[..12]),
+            reference::join_aggregates(&up[..12], &down[..12])
+        );
+    }
+
+    /// The nested scan needed ~10⁹ comparisons here (and each boundary
+    /// twice).
+    #[test]
+    fn join_scales_with_long_windows() {
+        assert_long_join_is_fast_and_exact(Digest);
+    }
+
+    /// Windows a lying peer could pick to defeat an unkeyed table:
+    /// digests spaced `2⁴⁰` apart, every non-cut digest the same value
+    /// (each then sits on both sides of the cut downstream, so each
+    /// upstream occurrence migrates and the net is still one), and
+    /// digests sharing their low 32 bits.
+    #[test]
+    fn join_scales_with_hostile_windows() {
+        let families: [fn(u64) -> Digest; 3] = [
+            |i| Digest(i << 40),
+            |i| Digest(if i % 1_024 == 0 { i + 1 } else { 7 }),
+            |i| Digest(i << 32 | 0x5650_4d00),
+        ];
+        for digest in families {
+            assert_long_join_is_fast_and_exact(digest);
+        }
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! receipts published before a rotation keep verifying; a frame
 //! claiming an epoch the transport never registered is rejected.
 
-use crate::sha256::{hmac_sha256, sha256, SHA256_DIGEST_BYTES};
+use crate::sha256::{sha256, HmacMidstates, SHA256_DIGEST_BYTES};
 
 /// A HOP's 32-byte secret MAC key.
 ///
@@ -19,6 +19,8 @@ use crate::sha256::{hmac_sha256, sha256, SHA256_DIGEST_BYTES};
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct HopKey {
     material: [u8; SHA256_DIGEST_BYTES],
+    /// The material's HMAC pad blocks, compressed when the key is made.
+    midstates: HmacMidstates,
 }
 
 impl core::fmt::Debug for HopKey {
@@ -30,7 +32,10 @@ impl core::fmt::Debug for HopKey {
 impl HopKey {
     /// Wrap explicit 32-byte key material.
     pub fn from_bytes(material: [u8; SHA256_DIGEST_BYTES]) -> Self {
-        HopKey { material }
+        HopKey {
+            material,
+            midstates: HmacMidstates::new(&material),
+        }
     }
 
     /// Derive a key from a 64-bit seed, for the simulator and tests:
@@ -40,9 +45,7 @@ impl HopKey {
         let mut input = [0u8; 21];
         input[..13].copy_from_slice(b"VPM-HOPKEY-V2");
         input[13..].copy_from_slice(&seed.to_le_bytes());
-        HopKey {
-            material: sha256(&input),
-        }
+        HopKey::from_bytes(sha256(&input))
     }
 
     /// The raw key material (e.g. to persist a registration).
@@ -50,9 +53,11 @@ impl HopKey {
         &self.material
     }
 
-    /// HMAC-SHA-256 over `msg` under this key.
+    /// HMAC-SHA-256 over `msg` under this key, equal to
+    /// [`crate::hmac_sha256`]`(self.as_bytes(), msg)` and two
+    /// compressions cheaper.
     pub fn mac(&self, msg: &[u8]) -> [u8; SHA256_DIGEST_BYTES] {
-        hmac_sha256(&self.material, msg)
+        self.midstates.mac(msg)
     }
 }
 

@@ -5,12 +5,12 @@
 //! crates.io access, so the primitive lives here under the same
 //! no-dependency discipline as the rest of `vpm-hash`.
 //!
-//! Every frame is MAC'd two to four times on its way to a verdict
-//! (sign, admit, fetch re-check, remote client), so the compression
-//! function is the receipt plane's inner loop and the §7.1 processing
-//! budget is spent in it. It exists as one block-run kernel — fold
-//! any number of whole 64-byte blocks into the state in one call —
-//! with two implementations:
+//! Every frame is MAC'd twice on its way to a verdict — signed by its
+//! HOP, verified once where it enters the transport's process — so the
+//! compression function is the receipt plane's inner loop and the §7.1
+//! processing budget is spent in it. It exists as one block-run kernel
+//! — fold any number of whole 64-byte blocks into the state in one
+//! call — with two implementations:
 //!
 //! * **SHA-NI** (`x86_64` CPUs that report `sha`, `sse2`, `ssse3` and
 //!   `sse4.1` at run time): the `sha256rnds2` / `sha256msg1` /
@@ -24,7 +24,9 @@
 //! variable or argument selects one; [`backend`] names the choice.
 //! [`Sha256::update`] hands the kernel the whole block-aligned middle
 //! of its input in one call, and [`Sha256::finalize`] writes the
-//! padding straight into the last block.
+//! padding straight into the last block. A `HopKey` keeps its key's two
+//! HMAC pad blocks compressed, so its MAC costs two compressions fewer
+//! than [`hmac_sha256`], which stays the RFC 2104 reference.
 //!
 //! Correctness is pinned, for *each* kernel called directly, against
 //! the NIST FIPS 180-4 example vectors (including the streaming
@@ -92,12 +94,18 @@ impl Sha256 {
     }
 
     fn with_kernel(kernel: Kernel) -> Self {
+        Self::resume(kernel, H0, 0)
+    }
+
+    /// A hasher whose first `total_len` bytes (whole blocks) are
+    /// already folded into `state`.
+    fn resume(kernel: Kernel, state: [u32; 8], total_len: u64) -> Self {
         Sha256 {
             kernel,
-            state: H0,
+            state,
             buf: [0u8; SHA256_BLOCK_BYTES],
             buf_len: 0,
-            total_len: 0,
+            total_len,
         }
     }
 
@@ -258,6 +266,20 @@ pub fn hmac_sha256(key: &[u8], msg: &[u8]) -> [u8; SHA256_DIGEST_BYTES] {
 }
 
 fn hmac_sha256_on(kernel: Kernel, key: &[u8], msg: &[u8]) -> [u8; SHA256_DIGEST_BYTES] {
+    let (ipad, opad) = hmac_pads(kernel, key);
+    let mut inner = Sha256::with_kernel(kernel);
+    inner.update(&ipad);
+    inner.update(msg);
+    let inner_digest = inner.finalize();
+
+    let mut outer = Sha256::with_kernel(kernel);
+    outer.update(&opad);
+    outer.update(&inner_digest);
+    outer.finalize()
+}
+
+/// The RFC 2104 inner and outer pad blocks of `key`.
+fn hmac_pads(kernel: Kernel, key: &[u8]) -> ([u8; SHA256_BLOCK_BYTES], [u8; SHA256_BLOCK_BYTES]) {
     let mut k = [0u8; SHA256_BLOCK_BYTES];
     if key.len() > SHA256_BLOCK_BYTES {
         k[..SHA256_DIGEST_BYTES].copy_from_slice(&sha256_on(kernel, key));
@@ -271,16 +293,47 @@ fn hmac_sha256_on(kernel: Kernel, key: &[u8], msg: &[u8]) -> [u8; SHA256_DIGEST_
         ipad[i] ^= k[i];
         opad[i] ^= k[i];
     }
+    (ipad, opad)
+}
 
-    let mut inner = Sha256::with_kernel(kernel);
-    inner.update(&ipad);
-    inner.update(msg);
-    let inner_digest = inner.finalize();
+/// HMAC-SHA-256 under one fixed key, its two pad blocks compressed
+/// once, up front: each MAC then starts from these states, which saves
+/// two of the five compressions a ~100-byte message costs through
+/// [`hmac_sha256`]. Bit-identical to it, on either kernel. The states
+/// stand in for the key, so whoever holds them must keep them as
+/// secret as the key itself.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) struct HmacMidstates {
+    inner: [u32; 8],
+    outer: [u32; 8],
+}
 
-    let mut outer = Sha256::with_kernel(kernel);
-    outer.update(&opad);
-    outer.update(&inner_digest);
-    outer.finalize()
+impl HmacMidstates {
+    pub(crate) fn new(key: &[u8]) -> Self {
+        Self::new_on(detect().0, key)
+    }
+
+    fn new_on(kernel: Kernel, key: &[u8]) -> Self {
+        let (ipad, opad) = hmac_pads(kernel, key);
+        let (mut inner, mut outer) = (H0, H0);
+        kernel(&mut inner, &ipad);
+        kernel(&mut outer, &opad);
+        HmacMidstates { inner, outer }
+    }
+
+    /// HMAC-SHA-256 of `msg` under the key these states came from.
+    pub(crate) fn mac(&self, msg: &[u8]) -> [u8; SHA256_DIGEST_BYTES] {
+        self.mac_on(detect().0, msg)
+    }
+
+    fn mac_on(&self, kernel: Kernel, msg: &[u8]) -> [u8; SHA256_DIGEST_BYTES] {
+        let block = SHA256_BLOCK_BYTES as u64;
+        let mut inner = Sha256::resume(kernel, self.inner, block);
+        inner.update(msg);
+        let mut outer = Sha256::resume(kernel, self.outer, block);
+        outer.update(&inner.finalize());
+        outer.finalize()
+    }
 }
 
 /// Constant-time 32-byte comparison: MAC checks must not leak how
@@ -473,6 +526,27 @@ mod tests {
                 prop_assert_eq!(hmac_sha256_on(kernel, &key, &msg), want, "{}", name);
             }
             prop_assert_eq!(hmac_sha256(&key, &msg), want, "detected kernel");
+        }
+
+        /// `HopKey::mac` starts from precomputed pad states; it must be
+        /// RFC 2104 to the bit: states made and used on every kernel
+        /// (and across kernels), and through `HopKey` itself, against
+        /// the reference `hmac_sha256`.
+        #[test]
+        fn midstate_macs_equal_the_reference_hmac(
+            material in proptest::collection::vec(any::<u8>(), 32),
+            msg in proptest::collection::vec(any::<u8>(), 0..=1024),
+        ) {
+            let want = hmac_sha256_on(compress_blocks_scalar, &material, &msg);
+            for (made, on) in kernels() {
+                let states = HmacMidstates::new_on(on, &material);
+                for (name, kernel) in kernels() {
+                    prop_assert_eq!(states.mac_on(kernel, &msg), want, "{} states on {}", made, name);
+                }
+            }
+            let key = crate::HopKey::from_bytes(material.try_into().expect("32 bytes"));
+            prop_assert_eq!(key.mac(&msg), want, "HopKey");
+            prop_assert_eq!(key.mac(&msg), hmac_sha256(key.as_bytes(), &msg), "HopKey");
         }
     }
 

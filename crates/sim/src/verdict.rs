@@ -166,12 +166,13 @@ pub fn analyze_path(topology: &Topology, run: &PathRun) -> PathAnalysis {
 ///
 /// This is the receipt collector's real position in the redesigned
 /// pipeline — it never touches a `PathRun`, only what `publish` put on
-/// the wire. Authenticity was already enforced at publish (the
-/// transport rejects frames whose tag fails), so the collector consumes
-/// the decoded batches directly; HOPs that published nothing are simply
-/// absent from the analysis, exactly like non-deployed HOPs in
-/// [`analyze_path`]. Fails with [`TransportError::NotOnPath`] when
-/// `requester` did not observe the traffic.
+/// the wire. Authenticity was enforced once, at publish (the transport
+/// refuses a frame whose MAC does not verify under its HOP's key), so
+/// the collector consumes the decoded batches directly; HOPs that
+/// published nothing are simply absent from the analysis, exactly like
+/// non-deployed HOPs in [`analyze_path`]. Fails with
+/// [`TransportError::NotOnPath`] when `requester` did not observe the
+/// traffic.
 pub fn analyze_from_transport(
     topology: &Topology,
     transport: &dyn ReceiptTransport,
@@ -282,7 +283,7 @@ fn hop_output_from_frames(
         samples,
         aggregates,
         observed: 0, // unknown to a pure receipt collector
-        key: None,   // MAC-checked at publish and re-checked at fetch
+        key: None,   // the frames' MACs were verified once, at publish
         key_epoch,
     }
 }
@@ -517,9 +518,9 @@ mod tests {
     }
 
     /// A HOP whose key rotates mid-stream stays fully analyzable: the
-    /// old-epoch frames keep verifying at fetch, the new key signs at
-    /// the bumped epoch, the retired key is refused, and the rebuilt
-    /// output carries the newest authenticated epoch (never a secret).
+    /// old-epoch frames keep being served, the new key signs at the
+    /// bumped epoch, the retired key is refused, and the rebuilt output
+    /// carries the newest authenticated epoch (never a secret).
     #[test]
     fn rotated_key_hop_still_verifies_and_carries_the_new_epoch() {
         use vpm_wire::{HopKey, KeyEpoch, ReceiptTransport};
@@ -569,8 +570,9 @@ mod tests {
             ),
             Err(vpm_wire::TransportError::BadMac { hop: h4.hop })
         );
-        // Fetch re-verifies both epochs; the rebuilt output carries the
-        // newest authenticated epoch and no secret.
+        // Fetch serves both epochs, each frame verified at publish under
+        // its own; the rebuilt output carries the newest authenticated
+        // epoch and no secret.
         let published = transport.fetch(on_path[0], h4.hop).unwrap();
         assert_eq!(published.len(), 2);
         assert_eq!(published[0].epoch, KeyEpoch(0));

@@ -20,11 +20,11 @@
 //! * [`transport`] — the transport-agnostic dissemination API:
 //!   [`ReceiptTransport`] (`publish`/`fetch`/`subscribe`) enforcing
 //!   the paper's authenticity rule with real receipt binding — an
-//!   epoch-tagged per-HOP key registry with explicit rotation, MAC
-//!   verification at publish and again at fetch — and the on-path
-//!   visibility rule, implemented in process by [`ShardedBus`], which
-//!   spreads frames across `PathID`-hashed shards (`ShardedBus::new(1)`
-//!   is the single-lock store). The frame MAC is the only authenticity
+//!   epoch-tagged per-HOP key registry with explicit rotation, and
+//!   MAC verification once, where a frame enters the process — and the
+//!   on-path visibility rule, implemented in process by
+//!   [`ShardedBus`], which spreads frames across `PathID`-hashed shards
+//!   (`ShardedBus::new(1)` is the single-lock store). The frame MAC is the only authenticity
 //!   mechanism. Continuous operation is bounded-memory: verified entries
 //!   compact into per-HOP [`IntervalSummary`] digests
 //!   ([`ReceiptTransport::compact_before`]) and a subscriber whose

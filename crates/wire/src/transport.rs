@@ -17,9 +17,21 @@
 //!   rejected ([`TransportError::KeyAlreadyRegistered`]) — replacing a
 //!   key requires an explicit [`ReceiptTransport::rotate_key`], which
 //!   bumps the epoch and keeps old epochs verifiable.
-//! * **Authenticity at fetch**: fetched entries re-verify their MAC
-//!   against the key registry before they are returned, so a store
-//!   that silently corrupted a frame cannot serve it.
+//! * **Authenticity at fetch, by construction**: an entry's MAC is
+//!   verified exactly once, when `admit` builds it, under the epoch it
+//!   records in [`Published::epoch`]. The entry is then immutable
+//!   behind its `Arc`, and key rings are append-only — an epoch, once
+//!   issued, names the same key for the life of the transport — so
+//!   verifying again on the way out would recompute the same answer.
+//!   `fetch` / `fetch_path` therefore only confirm, with one registry
+//!   lookup per entry, that the entry's epoch is still registered for
+//!   its HOP (typed [`TransportError::UnknownHop`] /
+//!   [`TransportError::UnknownKeyEpoch`] otherwise), and `poll`, on
+//!   the same argument, checks nothing. The full HMAC runs wherever
+//!   bytes enter a process: at every in-process publish, and
+//!   server-side behind every `TcpServer` publish. A `TcpTransport`
+//!   client does not re-verify what its server returns: it trusts that
+//!   server.
 //! * **Visibility at fetch/poll**: a frame is returned only to
 //!   requesters on the `on_path` list the publisher declared.
 //! * **Shared, immutable frames**: published entries are handed out as
@@ -589,37 +601,11 @@ fn key_epoch_in(keys: &KeyRegistry, hop: HopId) -> Option<KeyEpoch> {
         .map(|ring| KeyEpoch(ring.len() as u32 - 1))
 }
 
-/// Look up the key a frame claims (by HOP + epoch) and verify its MAC
-/// trailer. The shared authenticity kernel of [`admit`] and the fetch
-/// re-check.
-fn verify_frame(
-    keys: &KeyRegistry,
-    hop: HopId,
-    epoch: Option<KeyEpoch>,
-    frame: &WireFrame,
-) -> Result<KeyEpoch, TransportError> {
-    // Copy the key out so the registry guard ends with this block: the
-    // HMAC below walks the whole frame, and `register_key` /
-    // `rotate_key` must not queue behind it.
-    let (epoch, key) = {
-        let keys = keys.read();
-        let ring = keys.get(&hop).ok_or(TransportError::UnknownHop(hop))?;
-        let epoch = epoch.ok_or(TransportError::Unsigned { hop })?;
-        let key = ring
-            .get(epoch.0 as usize)
-            .ok_or(TransportError::UnknownKeyEpoch { hop, epoch })?;
-        (epoch, *key)
-    };
-    if !frame.verify_mac(&key) {
-        return Err(TransportError::BadMac { hop });
-    }
-    Ok(epoch)
-}
-
 /// Decode + verify a frame against the key registry; shared by the
 /// bus and its test model so their admission behaviour cannot drift.
 /// The checks run in trust order: decode, key lookup, signature
-/// presence, epoch validity, HMAC over the whole frame.
+/// presence, epoch validity, HMAC over the whole frame. This is the
+/// only place a stored frame's MAC is computed.
 fn admit(
     keys: &KeyRegistry,
     seq: u64,
@@ -629,7 +615,24 @@ fn admit(
 ) -> Result<Published, TransportError> {
     let decoded = WireDecoder::decode(frame.as_bytes())?;
     let hop = decoded.batch.hop;
-    let epoch = verify_frame(keys, hop, decoded.signature.map(|s| s.epoch), &frame)?;
+    // Copy the key out so the registry guard ends with this block: the
+    // HMAC below walks the whole frame, and `register_key` /
+    // `rotate_key` must not queue behind it.
+    let (epoch, key) = {
+        let keys = keys.read();
+        let ring = keys.get(&hop).ok_or(TransportError::UnknownHop(hop))?;
+        let epoch = decoded
+            .signature
+            .map(|s| s.epoch)
+            .ok_or(TransportError::Unsigned { hop })?;
+        let key = ring
+            .get(epoch.0 as usize)
+            .ok_or(TransportError::UnknownKeyEpoch { hop, epoch })?;
+        (epoch, *key)
+    };
+    if !frame.verify_mac(&key) {
+        return Err(TransportError::BadMac { hop });
+    }
     Ok(Published {
         seq,
         domain,
@@ -642,14 +645,18 @@ fn admit(
     })
 }
 
-/// The fetch-side re-check: every entry about to be returned must
-/// still MAC-verify against the registry. Admission already proved
-/// this once; re-proving it on the way out means a store that
-/// corrupted a frame (or a registry that lost an epoch) serves a typed
-/// error instead of bad bytes.
-fn reverify(keys: &KeyRegistry, entries: &[Arc<Published>]) -> Result<(), TransportError> {
+/// The fetch-side check: every entry about to be returned names an
+/// epoch its HOP still has registered. `admit` verified the entry's MAC
+/// under exactly that epoch, and neither the entry nor the ring has
+/// changed since (see the module doc), so a lookup is the whole check.
+fn check_epochs(keys: &KeyRegistry, entries: &[Arc<Published>]) -> Result<(), TransportError> {
+    let keys = keys.read();
     for p in entries {
-        verify_frame(keys, p.hop, Some(p.epoch), &p.frame)?;
+        let (hop, epoch) = (p.hop, p.epoch);
+        let ring = keys.get(&hop).ok_or(TransportError::UnknownHop(hop))?;
+        if ring.get(epoch.0 as usize).is_none() {
+            return Err(TransportError::UnknownKeyEpoch { hop, epoch });
+        }
     }
     Ok(())
 }
@@ -1063,7 +1070,7 @@ impl ReceiptTransport for ShardedBus {
         hop: HopId,
     ) -> Result<Vec<Arc<Published>>, TransportError> {
         let visible = apply_visibility(requester, self.collect(|p| p.hop == hop))?;
-        reverify(&self.keys, &visible)?;
+        check_epochs(&self.keys, &visible)?;
         Ok(visible)
     }
 
@@ -1084,7 +1091,7 @@ impl ReceiptTransport for ShardedBus {
             .collect();
         matching.sort_by_key(|p| p.seq);
         let visible = apply_visibility(requester, matching)?;
-        reverify(&self.keys, &visible)?;
+        check_epochs(&self.keys, &visible)?;
         Ok(visible)
     }
 
@@ -2334,6 +2341,30 @@ mod tests {
         }
     }
 
+    /// The invariant reads no longer recompute, proven here instead:
+    /// every entry a read returned MAC-verifies under the key its
+    /// HOP's ring holds at the entry's epoch. Returns the `(HOP, epoch)`
+    /// pairs it checked.
+    fn authenticated(keys: &KeyRegistry, read: &Entries) -> Vec<(HopId, KeyEpoch)> {
+        let keys = keys.read();
+        read.iter()
+            .flatten()
+            .map(|p| {
+                let key = keys
+                    .get(&p.hop)
+                    .and_then(|ring| ring.get(p.epoch.0 as usize));
+                assert!(
+                    key.is_some_and(|key| p.frame.verify_mac(key)),
+                    "seq {} from {} at {} does not verify",
+                    p.seq,
+                    p.hop,
+                    p.epoch
+                );
+                (p.hop, p.epoch)
+            })
+            .collect()
+    }
+
     /// A `ShardedBus` and a [`Model`] fed the same steps.
     struct Differential {
         shards: usize,
@@ -2342,6 +2373,9 @@ mod tests {
         steps: u64,
         /// The kinds of typed error compared so far.
         refusals: HashSet<std::mem::Discriminant<TransportError>>,
+        /// Every `(HOP, epoch)` an entry returned by a read was
+        /// MAC-verified under.
+        verified: HashSet<(HopId, KeyEpoch)>,
     }
 
     impl Differential {
@@ -2352,6 +2386,7 @@ mod tests {
                 model: Model::default(),
                 steps: 0,
                 refusals: HashSet::new(),
+                verified: HashSet::new(),
             }
         }
 
@@ -2361,7 +2396,8 @@ mod tests {
 
         /// Apply `op` to both sides and assert they returned the same
         /// entries (sequence number, frame bytes, provenance) or the
-        /// same typed error.
+        /// same typed error, and that every entry the bus returned is
+        /// [`authenticated`].
         fn apply(&mut self, op: Op) {
             let Differential {
                 shards,
@@ -2369,7 +2405,12 @@ mod tests {
                 model,
                 steps,
                 refusals,
+                verified,
             } = self;
+            let mut read = |keys: &KeyRegistry, entries: Entries| -> Entries {
+                verified.extend(authenticated(keys, &entries));
+                entries
+            };
             *steps += 1;
             macro_rules! same {
                 ($bus:expr, $model:expr) => {{
@@ -2411,11 +2452,11 @@ mod tests {
                     );
                 }
                 Kind::Fetch => same!(
-                    bus.fetch(requester, hop),
+                    read(&model.keys, bus.fetch(requester, hop)),
                     model.fetch_where(requester, |p| p.hop == hop)
                 ),
                 Kind::FetchPath => same!(
-                    bus.fetch_path(requester, &watched),
+                    read(&model.keys, bus.fetch_path(requester, &watched)),
                     model.fetch_where(requester, |p| p.paths.contains(&watched))
                 ),
                 Kind::Subscribe => same!(
@@ -2438,7 +2479,7 @@ mod tests {
                         .cursors
                         .get(&sub.0)
                         .map(|c| (c.path, c.next_seq, c.requester));
-                    match (before, model.poll(sub), bus.poll(sub)) {
+                    match (before, model.poll(sub), read(&model.keys, bus.poll(sub))) {
                         // The one place shard count shows: a path
                         // cursor lags only once *its own shard*
                         // reclaimed past it. When everything reclaimed
@@ -2491,7 +2532,9 @@ mod tests {
         /// the retention outcomes, so `LaggedBehind` (at poll and at
         /// resume), a successful resume, `NotOnPath` and
         /// `UnknownSubscription` are compared in every case, not just
-        /// in lucky ones.
+        /// in lucky ones, and a HOP whose key rotates between admission
+        /// and read has both epochs' entries served by every read.
+        /// Every entry any read returns is MAC-checked test-side.
         #[test]
         fn sharded_bus_matches_the_sequential_model(
             words in proptest::collection::vec(proptest::prelude::any::<u64>(), 40..160)
@@ -2527,6 +2570,29 @@ mod tests {
                     run.refused(&TransportError::NotOnPath { requester: DomainId(7) })
                         && run.refused(&TransportError::UnknownSubscription(SubscriptionId(0)))
                 );
+                // Rotation between admission and read, on a HOP the
+                // random steps never touch: publish at epoch 0, rotate,
+                // publish at epoch 1. Every read serves both entries,
+                // and both verify test-side under their own epoch.
+                let fresh = |kind, raw| Op { hop: 4, ..Op::new(kind, raw) };
+                let (global, on_path) = (run.model.next_sub, run.model.next_sub + 1);
+                run.apply(fresh(Kind::Subscribe, 0));
+                run.apply(fresh(Kind::SubscribePath, 0));
+                run.apply(fresh(Kind::Register, 0));
+                run.apply(fresh(Kind::Publish, ADMITTED));
+                run.apply(fresh(Kind::Rotate, 0));
+                run.apply(fresh(Kind::Publish, ADMITTED));
+                let both = [(HopId(4), KeyEpoch(0)), (HopId(4), KeyEpoch(1))];
+                for read in [
+                    fresh(Kind::Fetch, 0),
+                    fresh(Kind::FetchPath, 0),
+                    fresh(Kind::Poll, global),
+                    fresh(Kind::Poll, on_path),
+                ] {
+                    run.verified.clear();
+                    run.apply(read);
+                    proptest::prop_assert!(both.iter().all(|e| run.verified.contains(e)), "{read:?}");
+                }
                 run.apply(Op::new(Kind::Observe, 0));
             }
         }
