@@ -29,10 +29,6 @@ use vpm_packet::{SimDuration, SimTime};
 use crate::receipt::{AggId, SampleRecord};
 
 /// A closed aggregate, ready to become an [`crate::receipt::AggReceipt`].
-///
-/// Carries observation times as *simulation metadata* (used by
-/// experiments for granularity measurements); the on-the-wire receipt
-/// does not include them.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FinishedAggregate {
     /// First/last packet digests.
@@ -43,18 +39,12 @@ pub struct FinishedAggregate {
     pub agg_trans: Vec<Digest>,
     /// Whether a cutting point (vs. an end-of-stream flush) closed it.
     pub closed_by_cut: bool,
-    /// Observation time of the first packet (metadata).
-    pub first_time: SimTime,
-    /// Observation time of the last packet (metadata).
-    pub last_time: SimTime,
 }
 
 #[derive(Debug, Clone)]
 struct OpenAgg {
     first: Digest,
-    first_time: SimTime,
     last: Digest,
-    last_time: SimTime,
     cnt: u64,
 }
 
@@ -218,16 +208,13 @@ impl Aggregator {
             }
             self.open = Some(OpenAgg {
                 first: digest,
-                first_time: time,
                 last: digest,
-                last_time: time,
                 cnt: 1,
             });
         } else {
             match self.open.as_mut() {
                 Some(open) => {
                     open.last = digest;
-                    open.last_time = time;
                     open.cnt += 1;
                 }
                 None => {
@@ -235,9 +222,7 @@ impl Aggregator {
                     // even when it is not a cutting point.
                     self.open = Some(OpenAgg {
                         first: digest,
-                        first_time: time,
                         last: digest,
-                        last_time: time,
                         cnt: 1,
                     });
                 }
@@ -252,8 +237,8 @@ impl Aggregator {
     ///
     /// Produces exactly the finished aggregates and stats of calling
     /// [`Self::observe`] per item, but amortizes the work across runs
-    /// of non-cut packets: the open aggregate's `⟨last, last_time,
-    /// cnt⟩` is written once per run instead of once per packet, the
+    /// of non-cut packets: the open aggregate's `⟨last, cnt⟩` is
+    /// written once per run instead of once per packet, the
     /// pending-finalize check reduces to an emptiness test, and the
     /// per-packet `δ` branch disappears.
     pub fn observe_batch(&mut self, items: &[(Digest, SimTime)], cuts: &[bool]) {
@@ -276,9 +261,7 @@ impl Aggregator {
                 }
                 self.open = Some(OpenAgg {
                     first: digest,
-                    first_time: time,
                     last: digest,
-                    last_time: time,
                     cnt: 1,
                 });
                 i += 1;
@@ -304,23 +287,20 @@ impl Aggregator {
                 if k < run_end {
                     self.recent_extend_evict(&items[k..run_end], two_j_plus); // vpm-lint: allow(R1, run_end is clamped to items.len())
                 }
-                let (last_d, last_t) = items[run_end - 1]; // vpm-lint: allow(R1, the run is non-empty, so run_end > i >= 0)
+                let (last_d, _) = items[run_end - 1]; // vpm-lint: allow(R1, the run is non-empty, so run_end > i >= 0)
                 let run_len = (run_end - i) as u64;
                 match self.open.as_mut() {
                     Some(open) => {
                         open.last = last_d;
-                        open.last_time = last_t;
                         open.cnt += run_len;
                     }
                     None => {
                         // Stream start: the first packet opens an
                         // aggregate even when it is not a cutting point.
-                        let (first_d, first_t) = items[i]; // vpm-lint: allow(R1, i is below items.len())
+                        let (first_d, _) = items[i]; // vpm-lint: allow(R1, i is below items.len())
                         self.open = Some(OpenAgg {
                             first: first_d,
-                            first_time: first_t,
                             last: last_d,
-                            last_time: last_t,
                             cnt: run_len,
                         });
                     }
@@ -361,8 +341,6 @@ impl Aggregator {
             pkt_cnt: agg.cnt,
             agg_trans: window,
             closed_by_cut,
-            first_time: agg.first_time,
-            last_time: agg.last_time,
         });
     }
 

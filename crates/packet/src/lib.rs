@@ -2,12 +2,10 @@
 //!
 //! This crate models the traffic that VPM HOPs observe: IPv4 packets
 //! with TCP or UDP transport headers, the origin prefixes that name HOP
-//! paths (paper §2), and simulation time. It also provides a real wire
-//! codec (serialization + internet checksums) so traces can be exported
-//! and re-parsed, and the canonical *digest input* — the invariant
-//! header bytes that every HOP hashes to obtain the packet's `PktID`
-//! (paper §4, §7: "applies it to each packet's IP and transport
-//! headers").
+//! paths (paper §2), and simulation time. It also provides the
+//! canonical *digest input* — the invariant header bytes that every HOP
+//! hashes to obtain the packet's `PktID` (paper §4, §7: "applies it to
+//! each packet's IP and transport headers").
 //!
 //! Design notes:
 //! * Mutable-in-flight fields (TTL, IP checksum) are excluded from the
@@ -24,7 +22,6 @@ pub mod path;
 pub mod prefix;
 pub mod time;
 pub mod transport;
-pub mod wire;
 
 pub use ipv4::Ipv4Header;
 pub use packet::{digest_packets, Packet, DIGEST_INPUT_WORDS};
@@ -32,4 +29,3 @@ pub use path::{DomainId, HeaderSpec, HopId};
 pub use prefix::Ipv4Prefix;
 pub use time::{SimDuration, SimTime};
 pub use transport::{TcpFlags, TcpHeader, Transport, UdpHeader};
-pub use wire::WireError;

@@ -5,8 +5,8 @@
 //! trace through domains and feed every HOP's pipeline, a receipt
 //! dissemination bus with the paper's visibility rule, adversarial
 //! receipt policies (the threat model of §2.1), path-level verdicts
-//! (who is exposed when someone lies), and the drivers that regenerate
-//! every experiment of §7.
+//! (who is exposed when someone lies), and the §7.2 figures run
+//! through all of it.
 //!
 //! * [`topology`] — domains, HOPs, inter-domain links; the canonical
 //!   Figure 1 topology `S–L–X–N–D`.
@@ -29,8 +29,9 @@
 //!   ([`fleet::analyze_fleet_from_transport`]) with verdicts
 //!   byte-identical for every `--jobs` count — surfaced as
 //!   `vpm fleet`.
-//! * [`experiments`] — Figure 2, Figure 3, the §7.2 verifiability
-//!   sweep and the design-choice ablations.
+//! * [`figures`] — Figure 2, Figure 3 and the §7.2 verifiability
+//!   sweep, each a list of [`run`] scenarios read back through
+//!   [`verdict`].
 //! * [`scenario_matrix`] — the deterministic scenario grid: delay
 //!   model (incl. congestion series), loss process, reorder window,
 //!   sampling rate, clock quality, deployment state and adversary
@@ -53,7 +54,7 @@
 pub mod adversary;
 pub mod audit;
 pub mod baselines;
-pub mod experiments;
+pub mod figures;
 pub mod fleet;
 pub mod partial;
 pub mod run;

@@ -953,12 +953,15 @@ pub fn evaluate_cell(cell: &Cell) -> CellVerdict {
                 .iter()
                 .filter(|r| marker.passes(r.pkt_id.0) && !downstream.contains(&r.pkt_id))
                 .count();
+            // Samples the verifier can match across the 4→6 segment.
             let matched = |run: &PathRun| {
-                vpm_core::verify::match_samples(
-                    &run.hop(HopId(4)).expect("hop 4").samples, // vpm-lint: allow(R1, hop 4 exists in the fixed Figure-1 layout)
-                    &run.hop(HopId(6)).expect("hop 6").samples, // vpm-lint: allow(R1, hop 6 exists in the fixed Figure-1 layout)
-                )
-                .len()
+                let (h4, h6) = (
+                    run.hop(HopId(4)).expect("hop 4"), // vpm-lint: allow(R1, hop 4 exists in the fixed Figure-1 layout)
+                    run.hop(HopId(6)).expect("hop 6"), // vpm-lint: allow(R1, hop 6 exists in the fixed Figure-1 layout)
+                );
+                vpm_core::verify::Verifier::default()
+                    .estimate_domain(&h4.samples, &h4.aggregates, &h6.samples, &h6.aggregates)
+                    .matched_samples
             };
             let m_honest = matched(&honest_run);
             let m_attacked = matched(&attacked);

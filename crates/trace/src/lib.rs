@@ -17,14 +17,13 @@
 //!   Poisson-ish arrivals from many concurrent flows with heavy-tailed
 //!   (bounded-Pareto) sizes.
 //!
-//! See DESIGN.md "Substitutions" for the full justification.
+//! The README's "Reproducing §7.2" section argues why these three are
+//! enough for the figures.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod dist;
 pub mod gen;
-pub mod io;
-pub mod pcap;
 
 pub use gen::{FlowMix, TraceConfig, TraceGenerator, TracePacket, TraceStats};

@@ -59,11 +59,10 @@ use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use parking_lot::Mutex;
 use vpm_core::receipt::PathId;
 use vpm_hash::{HopKey, KeyEpoch, SHA256_DIGEST_BYTES};
 use vpm_packet::{DomainId, HopId};
@@ -726,7 +725,7 @@ impl TcpTransport {
             }),
         };
         {
-            let mut state = t.state.lock();
+            let mut state = t.state.lock().unwrap_or_else(PoisonError::into_inner);
             t.ensure_conn(&mut state)?;
         }
         Ok(t)
@@ -742,7 +741,7 @@ impl TcpTransport {
     /// operation reconnects and resumes.
     #[doc(hidden)]
     pub fn break_connection(&self) {
-        let mut state = self.state.lock();
+        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         Self::drop_conn(&mut state);
     }
 
@@ -933,7 +932,7 @@ impl ReceiptTransport for TcpTransport {
         w.u8(OP_REGISTER_KEY);
         w.u16(hop.0);
         w.bytes(key.as_bytes());
-        let mut state = self.state.lock();
+        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         let resp = self.request_idempotent(&mut state, w.as_slice())?;
         let mut r = Reader::new(&resp);
         Ok(KeyEpoch(r.u32().map_err(|e| {
@@ -946,7 +945,7 @@ impl ReceiptTransport for TcpTransport {
         w.u8(OP_ROTATE_KEY);
         w.u16(hop.0);
         w.bytes(new_key.as_bytes());
-        let mut state = self.state.lock();
+        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         // NOT idempotent: a duplicated rotation burns an extra epoch.
         let resp = self.request_once(&mut state, w.as_slice())?;
         let mut r = Reader::new(&resp);
@@ -959,7 +958,7 @@ impl ReceiptTransport for TcpTransport {
         let mut w = Writer::default();
         w.u8(OP_KEY_EPOCH);
         w.u16(hop.0);
-        let mut state = self.state.lock();
+        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         let resp = self.request_idempotent(&mut state, w.as_slice()).ok()?;
         let mut r = Reader::new(&resp);
         match r.u8().ok()? {
@@ -980,7 +979,7 @@ impl ReceiptTransport for TcpTransport {
         write_domains(&mut w, &on_path);
         w.u32(frame.as_bytes().len() as u32);
         w.bytes(frame.as_bytes());
-        let mut state = self.state.lock();
+        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         // Never retried: the server may have committed the publish
         // before the connection died, and a blind retry would insert
         // the receipt twice.
@@ -999,7 +998,7 @@ impl ReceiptTransport for TcpTransport {
         w.u8(OP_FETCH);
         w.u16(requester.0);
         w.u16(hop.0);
-        let mut state = self.state.lock();
+        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         let resp = self.request_idempotent(&mut state, w.as_slice())?;
         read_entries(&mut Reader::new(&resp))
     }
@@ -1013,13 +1012,13 @@ impl ReceiptTransport for TcpTransport {
         w.u8(OP_FETCH_PATH);
         w.u16(requester.0);
         encode_path(&mut w, path);
-        let mut state = self.state.lock();
+        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         let resp = self.request_idempotent(&mut state, w.as_slice())?;
         read_entries(&mut Reader::new(&resp))
     }
 
     fn subscribe(&self, requester: DomainId) -> SubscriptionId {
-        let mut state = self.state.lock();
+        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         let local = state.next_sub;
         state.next_sub += 1;
         state.subs.insert(
@@ -1038,7 +1037,7 @@ impl ReceiptTransport for TcpTransport {
     }
 
     fn subscribe_path(&self, requester: DomainId, path: &PathId) -> SubscriptionId {
-        let mut state = self.state.lock();
+        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         let local = state.next_sub;
         state.next_sub += 1;
         state.subs.insert(
@@ -1059,7 +1058,7 @@ impl ReceiptTransport for TcpTransport {
         requester: DomainId,
         from_seq: u64,
     ) -> Result<SubscriptionId, TransportError> {
-        let mut state = self.state.lock();
+        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         let local = state.next_sub;
         state.next_sub += 1;
         state.subs.insert(
@@ -1082,7 +1081,7 @@ impl ReceiptTransport for TcpTransport {
     }
 
     fn poll(&self, sub: SubscriptionId) -> Result<Vec<Arc<Published>>, TransportError> {
-        let mut state = self.state.lock();
+        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         let server_sub = self.establish(&mut state, sub.0)?;
         match self.poll_established(&mut state, sub.0, server_sub) {
             // One transparent resume: reconnect, re-subscribe at the
@@ -1097,7 +1096,7 @@ impl ReceiptTransport for TcpTransport {
 
     fn wait(&self, sub: SubscriptionId, timeout: Duration) -> Result<WaitOutcome, TransportError> {
         let deadline = Instant::now() + timeout; // vpm-lint: allow(R2, bounds a blocking-wait timeout; never feeds a verdict)
-        let mut state = self.state.lock();
+        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         loop {
             let server_sub = self.establish(&mut state, sub.0)?;
             let now = Instant::now(); // vpm-lint: allow(R2, bounds a blocking-wait timeout; never feeds a verdict)
@@ -1133,7 +1132,7 @@ impl ReceiptTransport for TcpTransport {
     }
 
     fn unsubscribe(&self, sub: SubscriptionId) -> Result<(), TransportError> {
-        let mut state = self.state.lock();
+        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         let client_sub = state
             .subs
             .remove(&sub.0)
@@ -1150,7 +1149,11 @@ impl ReceiptTransport for TcpTransport {
     }
 
     fn subscriptions(&self) -> usize {
-        self.state.lock().subs.len()
+        self.state
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .subs
+            .len()
     }
 
     /// Total entries on the *server's* bus; `0` when the server is
@@ -1159,7 +1162,7 @@ impl ReceiptTransport for TcpTransport {
     fn len(&self) -> usize {
         let mut w = Writer::default();
         w.u8(OP_LEN);
-        let mut state = self.state.lock();
+        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         let Ok(resp) = self.request_idempotent(&mut state, w.as_slice()) else {
             return 0;
         };
@@ -1172,7 +1175,7 @@ impl ReceiptTransport for TcpTransport {
         let mut w = Writer::default();
         w.u8(OP_COMPACT);
         w.u64(before_seq);
-        let mut state = self.state.lock();
+        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         let resp = self.request_idempotent(&mut state, w.as_slice())?;
         let mut r = Reader::new(&resp);
         let bad = |e: WireError| proto_err(format!("bad compact response: {e}"));
@@ -1185,7 +1188,7 @@ impl ReceiptTransport for TcpTransport {
     fn horizon(&self) -> Result<u64, TransportError> {
         let mut w = Writer::default();
         w.u8(OP_HORIZON);
-        let mut state = self.state.lock();
+        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         let resp = self.request_idempotent(&mut state, w.as_slice())?;
         Reader::new(&resp)
             .u64()
@@ -1195,7 +1198,7 @@ impl ReceiptTransport for TcpTransport {
     fn summaries(&self) -> Result<Vec<IntervalSummary>, TransportError> {
         let mut w = Writer::default();
         w.u8(OP_SUMMARIES);
-        let mut state = self.state.lock();
+        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         let resp = self.request_idempotent(&mut state, w.as_slice())?;
         let mut r = Reader::new(&resp);
         let bad = |e: WireError| proto_err(format!("bad summaries response: {e}"));

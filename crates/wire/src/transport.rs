@@ -56,10 +56,14 @@
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, PoisonError, RwLock};
 use std::time::{Duration, Instant};
+// Every lock in this crate recovers from poisoning
+// (`unwrap_or_else(PoisonError::into_inner)`) instead of propagating the
+// panic: vpm-lint R1 keeps the code under the locks free of panicking
+// calls, and one holder that panicked anyway must not take every later
+// caller of the bus down with it.
 
-use parking_lot::{Mutex, RwLock};
 use vpm_core::processor::ReceiptBatch;
 use vpm_core::receipt::PathId;
 use vpm_hash::{HopKey, KeyEpoch};
@@ -129,14 +133,14 @@ pub enum WaitOutcome {
 /// a sequence number and died never produces a wakeup — the waiter
 /// times out instead of spinning on a stream that cannot advance.
 ///
-/// Built on `std::sync::{Mutex, Condvar}` (the `parking_lot` shim has
-/// no condvar). Lock poisoning is recovered, not propagated: the
-/// protected state is a bare counter whose every intermediate value is
-/// valid, so a panicking bumper cannot leave it corrupt — recovery
-/// converts a would-be poison panic into a spurious (harmless) wakeup.
+/// Built on `std::sync::{Mutex, Condvar}`. Lock poisoning is recovered
+/// here as everywhere in this crate: the protected state is a bare
+/// counter whose every intermediate value is valid, so a panicking
+/// bumper cannot leave it corrupt — recovery converts a would-be poison
+/// panic into a spurious (harmless) wakeup.
 #[derive(Default)]
 struct Notifier {
-    count: std::sync::Mutex<u64>,
+    count: Mutex<u64>,
     cond: Condvar,
 }
 
@@ -564,7 +568,7 @@ fn register_key_in(
     hop: HopId,
     key: HopKey,
 ) -> Result<KeyEpoch, TransportError> {
-    let mut keys = keys.write();
+    let mut keys = keys.write().unwrap_or_else(PoisonError::into_inner);
     match keys.get(&hop) {
         None => {
             keys.insert(hop, vec![key]);
@@ -589,7 +593,7 @@ fn rotate_key_in(
     hop: HopId,
     new_key: HopKey,
 ) -> Result<KeyEpoch, TransportError> {
-    let mut keys = keys.write();
+    let mut keys = keys.write().unwrap_or_else(PoisonError::into_inner);
     let ring = keys.get_mut(&hop).ok_or(TransportError::UnknownHop(hop))?;
     ring.push(new_key);
     Ok(KeyEpoch(ring.len() as u32 - 1))
@@ -597,6 +601,7 @@ fn rotate_key_in(
 
 fn key_epoch_in(keys: &KeyRegistry, hop: HopId) -> Option<KeyEpoch> {
     keys.read()
+        .unwrap_or_else(PoisonError::into_inner)
         .get(&hop)
         .map(|ring| KeyEpoch(ring.len() as u32 - 1))
 }
@@ -619,7 +624,7 @@ fn admit(
     // HMAC below walks the whole frame, and `register_key` /
     // `rotate_key` must not queue behind it.
     let (epoch, key) = {
-        let keys = keys.read();
+        let keys = keys.read().unwrap_or_else(PoisonError::into_inner);
         let ring = keys.get(&hop).ok_or(TransportError::UnknownHop(hop))?;
         let epoch = decoded
             .signature
@@ -650,7 +655,7 @@ fn admit(
 /// under exactly that epoch, and neither the entry nor the ring has
 /// changed since (see the module doc), so a lookup is the whole check.
 fn check_epochs(keys: &KeyRegistry, entries: &[Arc<Published>]) -> Result<(), TransportError> {
-    let keys = keys.read();
+    let keys = keys.read().unwrap_or_else(PoisonError::into_inner);
     for p in entries {
         let (hop, epoch) = (p.hop, p.epoch);
         let ring = keys.get(&hop).ok_or(TransportError::UnknownHop(hop))?;
@@ -825,7 +830,10 @@ impl ShardedBus {
 
     fn add_sub(&self, sub: ShardSub) -> SubscriptionId {
         let id = self.next_sub.fetch_add(1, Ordering::Relaxed);
-        self.subs.lock().insert(id, sub);
+        self.subs
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .insert(id, sub);
         SubscriptionId(id)
     }
 
@@ -912,7 +920,12 @@ impl ShardedBus {
         let mut seen = HashSet::new();
         let mut out: Vec<Arc<Published>> = Vec::new();
         for shard in &self.shards {
-            for p in shard.entries.read().iter() {
+            for p in shard
+                .entries
+                .read()
+                .unwrap_or_else(PoisonError::into_inner)
+                .iter()
+            {
                 if pred(p) && seen.insert(p.seq) {
                     out.push(Arc::clone(p));
                 }
@@ -945,7 +958,7 @@ impl ShardedBus {
             }
             #[cfg(test)]
             self.poll_shard_scans.fetch_add(1, Ordering::Relaxed);
-            let entries = shard.entries.read();
+            let entries = shard.entries.read().unwrap_or_else(PoisonError::into_inner);
             // Physical scan start: the cursor's logical position minus
             // the reclaimed prefix. Entries GC removed below it all had
             // `seq < horizon <= next_seq` (checked above), so skipping
@@ -992,7 +1005,7 @@ impl ShardedBus {
         }
         #[cfg(test)]
         self.poll_shard_scans.fetch_add(1, Ordering::Relaxed);
-        let entries = shard.entries.read();
+        let entries = shard.entries.read().unwrap_or_else(PoisonError::into_inner);
         // Re-check under the lock: a GC pass may have trimmed past the
         // cursor between the lock-free check and the lock.
         let trimmed = shard.trimmed.load(Ordering::Acquire);
@@ -1042,7 +1055,10 @@ impl ReceiptTransport for ShardedBus {
         let touched = self.shard_set(&published);
         for &shard in &touched {
             let shard = &self.shards[shard]; // vpm-lint: allow(R1, shard indices are reduced modulo the shard count)
-            let mut entries = shard.entries.write();
+            let mut entries = shard
+                .entries
+                .write()
+                .unwrap_or_else(PoisonError::into_inner);
             entries.push(Arc::clone(&published));
             // Published under the write lock, so a poller that sees
             // the new high-water mark and then locks sees the entry.
@@ -1085,6 +1101,7 @@ impl ReceiptTransport for ShardedBus {
         let mut matching: Vec<Arc<Published>> = shard
             .entries
             .read()
+            .unwrap_or_else(PoisonError::into_inner)
             .iter()
             .filter(|p| p.paths.contains(path))
             .cloned()
@@ -1114,7 +1131,7 @@ impl ReceiptTransport for ShardedBus {
         // Start at the logical end of the shard: reclaimed prefix + retained.
         let pos = {
             let s = &self.shards[shard]; // vpm-lint: allow(R1, shard indices are reduced modulo the shard count)
-            let entries = s.entries.read();
+            let entries = s.entries.read().unwrap_or_else(PoisonError::into_inner);
             s.trimmed.load(Ordering::Relaxed) + entries.len()
         };
         self.add_sub(ShardSub::Path(PathCursor {
@@ -1144,7 +1161,7 @@ impl ReceiptTransport for ShardedBus {
     }
 
     fn poll(&self, sub: SubscriptionId) -> Result<Vec<Arc<Published>>, TransportError> {
-        let mut subs = self.subs.lock();
+        let mut subs = self.subs.lock().unwrap_or_else(PoisonError::into_inner);
         let cursor = subs
             .get_mut(&sub.0)
             .ok_or(TransportError::UnknownSubscription(sub))?;
@@ -1165,7 +1182,7 @@ impl ReceiptTransport for ShardedBus {
             // waiter the GC overran wakes here and surfaces
             // `LaggedBehind` instead of sleeping on a reclaimed page.
             let (ready, notifier, seen) = {
-                let mut subs = self.subs.lock();
+                let mut subs = self.subs.lock().unwrap_or_else(PoisonError::into_inner);
                 let cursor = subs
                     .get_mut(&sub.0)
                     .ok_or(TransportError::UnknownSubscription(sub))?;
@@ -1203,26 +1220,37 @@ impl ReceiptTransport for ShardedBus {
     fn unsubscribe(&self, sub: SubscriptionId) -> Result<(), TransportError> {
         self.subs
             .lock()
+            .unwrap_or_else(PoisonError::into_inner)
             .remove(&sub.0)
             .map(|_| ())
             .ok_or(TransportError::UnknownSubscription(sub))
     }
 
     fn subscriptions(&self) -> usize {
-        self.subs.lock().len()
+        self.subs
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .len()
     }
 
     fn len(&self) -> usize {
         let mut seen = HashSet::new();
         self.shards
             .iter()
-            .flat_map(|s| s.entries.read().iter().map(|p| p.seq).collect::<Vec<_>>())
+            .flat_map(|s| {
+                s.entries
+                    .read()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .iter()
+                    .map(|p| p.seq)
+                    .collect::<Vec<_>>()
+            })
             .filter(|&s| seen.insert(s))
             .count()
     }
 
     fn compact_before(&self, before_seq: u64) -> Result<CompactionReport, TransportError> {
-        let _pass = self.gc_lock.lock();
+        let _pass = self.gc_lock.lock().unwrap_or_else(PoisonError::into_inner);
         let cut = before_seq.min(self.seq.load(Ordering::Relaxed));
         let old = self.horizon.load(Ordering::Acquire);
         if cut <= old {
@@ -1241,7 +1269,10 @@ impl ReceiptTransport for ShardedBus {
         // once, in global sequence order.
         let mut dropped: BTreeMap<u64, Arc<Published>> = BTreeMap::new();
         for shard in &self.shards {
-            let mut entries = shard.entries.write();
+            let mut entries = shard
+                .entries
+                .write()
+                .unwrap_or_else(PoisonError::into_inner);
             let before = entries.len();
             entries.retain(|e| {
                 if e.seq < cut {
@@ -1256,7 +1287,13 @@ impl ReceiptTransport for ShardedBus {
             // logical count) is deliberately untouched.
             shard.trimmed.fetch_add(removed, Ordering::Release);
         }
-        fold_summaries(&mut self.summaries.write(), dropped.values());
+        fold_summaries(
+            &mut self
+                .summaries
+                .write()
+                .unwrap_or_else(PoisonError::into_inner),
+            dropped.values(),
+        );
         // The horizon, trims, and summaries are all published; release
         // the pass guard before waking waiters so wakeups never
         // serialize behind a concurrent GC pass.
@@ -1278,7 +1315,11 @@ impl ReceiptTransport for ShardedBus {
     }
 
     fn summaries(&self) -> Result<Vec<IntervalSummary>, TransportError> {
-        Ok(self.summaries.read().clone())
+        Ok(self
+            .summaries
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone())
     }
 }
 
@@ -2314,7 +2355,11 @@ mod tests {
         /// issued, 4 = two paths, 5 = pathless, 6 = garbage, 7 = the
         /// current key and epoch.
         fn frame(self, keys: &KeyRegistry, batch_seq: u64) -> WireFrame {
-            let ring = keys.read().get(&HopId(self.hop)).cloned();
+            let ring = keys
+                .read()
+                .unwrap_or_else(PoisonError::into_inner)
+                .get(&HopId(self.hop))
+                .cloned();
             let ring = ring.unwrap_or_else(|| vec![HopKey::from_seed(0)]);
             let (key, epoch) = (ring[ring.len() - 1], ring.len() as u32 - 1);
             let (mut b, _) = batch(HopId(self.hop), batch_seq, self.path);
@@ -2346,7 +2391,7 @@ mod tests {
     /// HOP's ring holds at the entry's epoch. Returns the `(HOP, epoch)`
     /// pairs it checked.
     fn authenticated(keys: &KeyRegistry, read: &Entries) -> Vec<(HopId, KeyEpoch)> {
-        let keys = keys.read();
+        let keys = keys.read().unwrap_or_else(PoisonError::into_inner);
         read.iter()
             .flatten()
             .map(|p| {

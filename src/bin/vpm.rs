@@ -30,7 +30,6 @@
 //! vpm verifiability [secs] [seed]    regenerate the §7.2 sweep
 //! vpm overhead                       regenerate the §7.1 numbers
 //! vpm baselines [seed]               run the §3 comparison
-//! vpm pcap <out.pcap> [ms] [seed]    export a synthetic trace as pcap
 //! ```
 
 use std::process::ExitCode;
@@ -38,8 +37,7 @@ use vpm::packet::SimDuration;
 use vpm::sim::scenario_matrix::{
     evaluate_grid, full_grid, parse_filter, render_matrix_table, MatrixFilter, CANONICAL_BASE_SEED,
 };
-use vpm::sim::{baselines, experiments};
-use vpm::trace::{TraceConfig, TraceGenerator};
+use vpm::sim::{baselines, figures};
 
 fn print_usage() {
     eprintln!(
@@ -87,8 +85,7 @@ fn print_usage() {
            fig3 [secs=20] [seed=1]              Figure 3 (loss granularity)\n\
            verifiability [secs=2] [seed=1]      §7.2 verification sweep\n\
            overhead                             §7.1 memory/bandwidth model\n\
-           baselines [seed=1]                   §3 strawman comparison\n\
-           pcap <out.pcap> [ms=100] [seed=1]    export a synthetic trace"
+           baselines [seed=1]                   §3 strawman comparison"
     );
 }
 
@@ -566,31 +563,28 @@ fn main() -> ExitCode {
         "audit" => return audit(&args),
         "lint" => return lint(&args),
         "fig2" => {
-            let cfg = experiments::fig2::Fig2Config::paper(
+            let cfg = figures::Fig2Config::paper(
                 SimDuration::from_secs(arg(&args, 1, 2u64)),
                 arg(&args, 2, 1u64),
             );
-            let points = experiments::fig2::run_averaged(&cfg, arg(&args, 3, 3u64));
-            println!("{}", experiments::fig2::render_table(&points));
+            let points = figures::fig2_averaged(&cfg, arg(&args, 3, 3u64));
+            println!("{}", figures::render_fig2(&points));
         }
         "fig3" => {
-            let cfg = experiments::fig3::Fig3Config::paper(
+            let cfg = figures::Fig3Config::paper(
                 SimDuration::from_secs(arg(&args, 1, 20u64)),
                 arg(&args, 2, 1u64),
             );
-            println!(
-                "{}",
-                experiments::fig3::render_table(&experiments::fig3::run(&cfg))
-            );
+            println!("{}", figures::render_fig3(&figures::fig3(&cfg)));
         }
         "verifiability" => {
-            let cfg = experiments::verifiability::VerifiabilityConfig::paper(
+            let cfg = figures::VerifiabilityConfig::paper(
                 SimDuration::from_secs(arg(&args, 1, 2u64)),
                 arg(&args, 2, 1u64),
             );
             println!(
                 "{}",
-                experiments::verifiability::render_table(&experiments::verifiability::run(&cfg))
+                figures::render_verifiability(&figures::verifiability(&cfg))
             );
         }
         "overhead" => {
@@ -612,28 +606,6 @@ fn main() -> ExitCode {
         "baselines" => {
             let reports = baselines::compare(arg(&args, 1, 1u64));
             println!("{}", baselines::render_table(&reports));
-        }
-        "pcap" => {
-            let Some(path) = args.get(1) else {
-                return usage();
-            };
-            let trace = TraceGenerator::new(TraceConfig {
-                duration: SimDuration::from_millis(arg(&args, 2, 100u64)),
-                ..TraceConfig::paper_default(1, arg(&args, 3, 1u64))
-            })
-            .generate();
-            let file = match std::fs::File::create(path) {
-                Ok(f) => f,
-                Err(e) => {
-                    eprintln!("cannot create {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            if let Err(e) = vpm::trace::pcap::write_pcap(std::io::BufWriter::new(file), &trace) {
-                eprintln!("pcap write failed: {e}");
-                return ExitCode::FAILURE;
-            }
-            println!("wrote {} packets to {path}", trace.len());
         }
         _ => return usage(),
     }

@@ -22,15 +22,7 @@
 //!
 //! ```bash
 //! cargo run --release --example quickstart
-//! cargo run --release --example sla_audit
 //! cargo run --release --example liar_detection
-//! cargo run --release --example baseline_comparison
-//! cargo run --release --example partial_deployment
-//! cargo run --release --example fig2_table
-//! cargo run --release --example fig3_table
-//! cargo run --release --example verifiability_table
-//! cargo run --release --example tunability_sweep
-//! cargo run --release --example overhead_report
 //! ```
 //!
 //! ## Crate map
@@ -44,7 +36,7 @@
 //! | [`netsim`] | `vpm-netsim` | DES, queues, TCP/UDP, Gilbert-Elliott, clocks |
 //! | [`core`] | `vpm-core` | receipts, Algorithms 1 & 2, joins, verification |
 //! | [`wire`] | `vpm-wire` | v2 binary receipt codec, `ReceiptTransport` dissemination |
-//! | [`sim`] | `vpm-sim` | topologies, adversaries, the paper's experiments, the scenario matrix, the many-path fleet |
+//! | [`sim`] | `vpm-sim` | topologies, adversaries, the §7.2 figures, the scenario matrix, the many-path fleet |
 //! | [`lint`] | `vpm-lint` | in-tree invariant analyzer (`vpm lint`): panic-freedom, determinism, lock discipline, wire-constant drift |
 //!
 //! ## Minimal example

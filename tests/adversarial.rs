@@ -2,14 +2,17 @@
 //! every lying strategy the paper discusses, exercised through the
 //! public API, with the exposure the paper promises.
 
+use vpm::core::sampling::DelaySampler;
+use vpm::core::verify::match_samples;
+use vpm::hash::Threshold;
 use vpm::netsim::channel::{ChannelConfig, DelayModel};
 use vpm::netsim::reorder::ReorderModel;
 use vpm::packet::{HopId, SimDuration};
 use vpm::sim::adversary::{apply_lie, cover_up, LieStrategy};
-use vpm::sim::experiments::ablation::{sampling_bias, AblationConfig};
 use vpm::sim::run::{run_path, PathRun, RunConfig};
 use vpm::sim::topology::{Figure1, Topology};
 use vpm::sim::verdict::analyze_path;
+use vpm::stats::quantile::{empirical_quantile, sort_samples};
 use vpm::trace::{TraceConfig, TraceGenerator};
 
 fn lossy_scenario(seed: u64) -> (Topology, PathRun) {
@@ -242,13 +245,62 @@ fn sugarcoating_delay_cannot_beat_max_diff() {
     assert!(delay_violations > 0);
 }
 
+/// The §5.1 design goal, quantified: a domain fast-paths (0.1 ms) the
+/// packets it predicts will be sampled and congests (10 ms) the rest.
+/// Under a naive scheme a packet is sampled iff its own digest passes σ,
+/// which the domain computes at forwarding time, so the p90 estimate
+/// hides the congestion. Under VPM's future markers it cannot predict
+/// the sample set and must treat every packet alike: the estimate holds.
+///
+/// Returns the p90 delay (ms) the domain hides under each scheme:
+/// `(naive, vpm)`.
+fn sample_bias_ms(seed: u64) -> (f64, f64) {
+    let (congested_ms, fast_ms) = (10.0, 0.1);
+    let trace = TraceGenerator::new(TraceConfig {
+        target_pps: 50_000.0,
+        duration: SimDuration::from_millis(600),
+        ..TraceConfig::paper_default(1, seed)
+    })
+    .generate();
+    let sigma = Threshold::from_rate(0.01);
+    let p90 = |delays: Vec<f64>| empirical_quantile(&sort_samples(delays), 0.9);
+
+    let sampled: Vec<bool> = trace
+        .iter()
+        .map(|tp| sigma.passes(tp.packet.digest().0))
+        .collect();
+    let delay = |s: &bool| if *s { fast_ms } else { congested_ms };
+    let naive_true = p90(sampled.iter().map(delay).collect());
+    let naive_est = p90(sampled.iter().filter(|&&s| s).map(delay).collect());
+
+    let marker = Threshold::from_rate(5e-3);
+    let mut hop_in = DelaySampler::new(marker, sigma);
+    let mut hop_out = DelaySampler::new(marker, sigma);
+    let congested = SimDuration::from_secs_f64(congested_ms / 1e3);
+    for tp in &trace {
+        hop_in.observe(tp.packet.digest(), tp.ts);
+        hop_out.observe(tp.packet.digest(), tp.ts + congested);
+    }
+    let matched = match_samples(&hop_in.drain(), &hop_out.drain());
+    let vpm_est = p90(matched.iter().map(|m| m.delay_ms()).collect());
+    (naive_true - naive_est, (congested_ms - vpm_est).abs())
+}
+
 #[test]
 fn sample_bias_attack_fails_against_vpm() {
-    // The §5.1 design goal, quantified: an adversary that wants to
-    // fast-path will-be-sampled packets gains nothing under VPM.
-    let r = sampling_bias(&AblationConfig::default_scenario(43));
-    assert!(r.vpm_bias_ms < 0.5, "{r:?}");
-    assert!(r.naive_bias_ms > 5.0, "{r:?}");
+    let (naive, vpm) = sample_bias_ms(43);
+    assert!(vpm < 0.5, "VPM hides {vpm} ms");
+    assert!(naive > 5.0, "naive scheme hides only {naive} ms");
+}
+
+#[test]
+fn naive_sampling_is_exploitable_vpm_is_not() {
+    let (naive, vpm) = sample_bias_ms(3);
+    assert!(
+        naive > 5.0,
+        "naive scheme should be badly biased: {naive} ms"
+    );
+    assert!(vpm < 0.5, "VPM must stay unbiased: {vpm} ms");
 }
 
 #[test]

@@ -30,20 +30,22 @@ fn no_command_prints_usage_and_exits_2() {
 
 #[test]
 fn unknown_command_prints_usage_and_exits_2() {
-    // The retired `bench-*` harnesses are unknown commands like any
-    // other; `benchmark/` is the one measuring stick.
+    // The retired `bench-*` harnesses and `pcap` export are unknown
+    // commands like any other; `benchmark/` is the one measuring stick.
     for cmd in [
         "frobnicate",
         "bench-audit",
         "bench-collector",
         "bench-wire",
         "bench-verifier",
+        "pcap",
     ] {
         let out = vpm(&[cmd]);
         assert_eq!(out.status.code(), Some(2), "{cmd}");
         let err = stderr(&out);
         assert!(err.contains("usage: vpm"), "{cmd}: {err}");
         assert!(!err.contains("bench-"), "{cmd}: {err}");
+        assert!(!err.contains("pcap"), "{cmd}: {err}");
     }
 }
 
