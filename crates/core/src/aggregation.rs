@@ -20,6 +20,10 @@
 //! reordering pushed across the boundary, re-aligning receipts from
 //! different HOPs. Finalizing a receipt therefore waits until `J` time
 //! units past the cut.
+//!
+//! [`Aggregator`] is the per-packet specification: the
+//! [`Collector`](crate::Collector) runs the same algorithm over its own
+//! per-path rows and record logs and is tested against this type.
 
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
@@ -129,70 +133,21 @@ impl Aggregator {
         self.delta
     }
 
-    /// Push one record into the recent window and evict history older
-    /// than `2J + 1ns` before it (`two_j_plus` is that offset,
-    /// precomputed by the caller).
-    #[inline]
-    fn recent_push_evict(&mut self, digest: Digest, time: SimTime, two_j_plus: SimDuration) {
-        self.recent.push_back(SampleRecord {
-            pkt_id: digest,
-            time,
-        });
-        let horizon = time - two_j_plus;
-        while let Some(front) = self.recent.front() {
-            if front.time < horizon {
-                self.recent.pop_front();
-            } else {
-                break;
-            }
-        }
-        self.stats.max_window = self.stats.max_window.max(self.recent.len());
-    }
-
-    /// The `2J + 1ns` eviction offset of the recent window.
-    #[inline]
-    fn two_j_plus(&self) -> SimDuration {
-        self.j_window.saturating_mul(2) + SimDuration::from_nanos(1)
-    }
-
-    /// Bulk-append `run` to the recent window, then replay the
-    /// per-packet evictions. This reproduces interleaved
-    /// push-one/evict-loop behaviour exactly: the eviction loop for
-    /// packet `k` can never pop past packet `k` itself (a record's
-    /// time is always ≥ its own horizon), so popping against an
-    /// already-extended deque removes the same records, and the
-    /// per-step window length — `base + k + 1 − evictions so far` —
-    /// recovers the exact `max_window` high-water mark.
-    fn recent_extend_evict(&mut self, run: &[(Digest, SimTime)], two_j_plus: SimDuration) {
-        let base = self.recent.len();
-        self.recent
-            .extend(run.iter().map(|&(digest, time)| SampleRecord {
-                pkt_id: digest,
-                time,
-            }));
-        let mut evicted = 0usize;
-        let mut max_seen = self.stats.max_window;
-        for (k, &(_, time)) in run.iter().enumerate() {
-            let horizon = time - two_j_plus;
-            while let Some(front) = self.recent.front() {
-                if front.time < horizon {
-                    self.recent.pop_front();
-                    evicted += 1;
-                } else {
-                    break;
-                }
-            }
-            max_seen = max_seen.max(base + k + 1 - evicted);
-        }
-        self.stats.max_window = max_seen;
-    }
-
     /// Observe a packet. Returns `true` if it was a cutting point.
     pub fn observe(&mut self, digest: Digest, time: SimTime) -> bool {
         self.stats.observed += 1;
 
-        // Maintain the recent window (≥ 2J of history).
-        self.recent_push_evict(digest, time, self.two_j_plus());
+        // Maintain the recent window (≥ 2J of history): push, then
+        // evict records older than `2J + 1ns` before this one.
+        self.recent.push_back(SampleRecord {
+            pkt_id: digest,
+            time,
+        });
+        let horizon = time - (self.j_window.saturating_mul(2) + SimDuration::from_nanos(1));
+        while self.recent.front().is_some_and(|r| r.time < horizon) {
+            self.recent.pop_front();
+        }
+        self.stats.max_window = self.stats.max_window.max(self.recent.len());
 
         // Finalize pending closes whose +J window has fully arrived.
         self.finalize_ready(time);
@@ -229,85 +184,6 @@ impl Aggregator {
             }
         }
         is_cut
-    }
-
-    /// Observe a batch of packets whose cut decisions are already known
-    /// (`cuts[i]` ⇔ `delta.passes(items[i].0.0)`, precomputed once by
-    /// the caller in a tight vectorizable loop).
-    ///
-    /// Produces exactly the finished aggregates and stats of calling
-    /// [`Self::observe`] per item, but amortizes the work across runs
-    /// of non-cut packets: the open aggregate's `⟨last, cnt⟩` is
-    /// written once per run instead of once per packet, the
-    /// pending-finalize check reduces to an emptiness test, and the
-    /// per-packet `δ` branch disappears.
-    pub fn observe_batch(&mut self, items: &[(Digest, SimTime)], cuts: &[bool]) {
-        debug_assert_eq!(items.len(), cuts.len());
-        self.stats.observed += items.len() as u64;
-        let two_j_plus = self.two_j_plus();
-        let mut i = 0;
-        while i < items.len() {
-            // vpm-lint: allow(R1, cuts is built with one flag per item)
-            if cuts[i] {
-                let (digest, time) = items[i];
-                self.recent_push_evict(digest, time, two_j_plus);
-                self.finalize_ready(time);
-                self.stats.cuts += 1;
-                if let Some(open) = self.open.take() {
-                    self.pending.push_back(PendingClose {
-                        agg: open,
-                        boundary_time: time,
-                    });
-                }
-                self.open = Some(OpenAgg {
-                    first: digest,
-                    last: digest,
-                    cnt: 1,
-                });
-                i += 1;
-            } else {
-                let run_end = cuts[i..] // vpm-lint: allow(R1, i is below items.len(), which cuts matches)
-                    .iter()
-                    .position(|&c| c)
-                    .map_or(items.len(), |off| i + off);
-                // While closes are pending, window maintenance and
-                // finalization stay strictly per-packet: a maturing
-                // boundary reads `recent`, so records must enter it in
-                // exactly the per-packet order. The open-aggregate
-                // update happens once for the whole run either way,
-                // which is unobservable because a cutless run never
-                // moves the open aggregate into `pending`.
-                let mut k = i;
-                while k < run_end && !self.pending.is_empty() {
-                    let (digest, time) = items[k]; // vpm-lint: allow(R1, k ranges within the run found above)
-                    self.recent_push_evict(digest, time, two_j_plus);
-                    self.finalize_ready(time);
-                    k += 1;
-                }
-                if k < run_end {
-                    self.recent_extend_evict(&items[k..run_end], two_j_plus); // vpm-lint: allow(R1, run_end is clamped to items.len())
-                }
-                let (last_d, _) = items[run_end - 1]; // vpm-lint: allow(R1, the run is non-empty, so run_end > i >= 0)
-                let run_len = (run_end - i) as u64;
-                match self.open.as_mut() {
-                    Some(open) => {
-                        open.last = last_d;
-                        open.cnt += run_len;
-                    }
-                    None => {
-                        // Stream start: the first packet opens an
-                        // aggregate even when it is not a cutting point.
-                        let (first_d, _) = items[i]; // vpm-lint: allow(R1, i is below items.len())
-                        self.open = Some(OpenAgg {
-                            first: first_d,
-                            last: last_d,
-                            cnt: run_len,
-                        });
-                    }
-                }
-                i = run_end;
-            }
-        }
     }
 
     fn finalize_ready(&mut self, now: SimTime) {
@@ -515,33 +391,6 @@ mod tests {
         feed(&mut a, &ds, 10);
         feed(&mut b, &ds, 10);
         assert_eq!(a.drain(), b.drain());
-    }
-
-    #[test]
-    fn batch_matches_per_packet() {
-        for batch_size in [1usize, 2, 17, 256, 257] {
-            let delta = Threshold::from_rate(0.01);
-            let mk = || Aggregator::new(delta, SimDuration::from_millis(1));
-            let ds = digests(20_000, 9);
-            let items: Vec<(Digest, SimTime)> = ds
-                .iter()
-                .enumerate()
-                .map(|(i, &d)| (d, SimTime::from_micros(100 * i as u64)))
-                .collect();
-            let mut per_packet = mk();
-            for &(d, t) in &items {
-                per_packet.observe(d, t);
-            }
-            per_packet.flush();
-            let mut batched = mk();
-            for chunk in items.chunks(batch_size) {
-                let mask: Vec<bool> = chunk.iter().map(|&(d, _)| delta.passes(d.0)).collect();
-                batched.observe_batch(chunk, &mask);
-            }
-            batched.flush();
-            assert_eq!(per_packet.drain(), batched.drain(), "bs {batch_size}");
-            assert_eq!(per_packet.stats(), batched.stats(), "bs {batch_size}");
-        }
     }
 
     #[test]

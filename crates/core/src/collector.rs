@@ -7,23 +7,50 @@
 //! * classifies each packet into a registered HOP path
 //!   ([`Collector::classify`]; the driver digests and timestamps it);
 //! * takes the classified, digested packets in batches through
-//!   [`Ingest::ingest`] — its only entry point — and feeds each path's
-//!   [`DelaySampler`] (Algorithm 1) and [`Aggregator`] (Algorithm 2);
+//!   [`Ingest::ingest`] — its only entry point — and runs Algorithm 1
+//!   (delay sampling) and Algorithm 2 (aggregation with §6.3 `AggTrans`
+//!   windows) on each path, with exactly the output of one
+//!   [`DelaySampler`](crate::DelaySampler) and one
+//!   [`Aggregator`](crate::Aggregator) per path fed packet by packet;
 //! * accounts every memory access, hash and timestamp so the §7.1
 //!   processing claims can be measured rather than asserted.
+//!
+//! ## Storage
+//!
+//! The paper sizes a HOP's per-path state at "roughly 20 bytes" for
+//! 100,000 concurrent paths, so the layout is built around paths that
+//! are many and mostly idle:
+//!
+//! * **One row per path.** A 64-byte row holds everything a packet
+//!   touches: the open aggregate's first digest and count, the path's
+//!   log cursors, and the heads of its pending closes, pending samples
+//!   and finished aggregates. `µ`, `σ`, `δ`, `J` and the buffer cap are
+//!   stored once per collector and `PathId`s live in a cold array read
+//!   only at drain. Registering a path allocates nothing but its row.
+//! * **One record log per path.** Each packet's `⟨digest, time⟩` is
+//!   stored once, in a chain of fixed-size chunks carved from
+//!   collector-owned pages. Pages are allocated whole and never moved
+//!   or resized; released chunks go on a free list. Algorithm 1's
+//!   TempBuffer is the log from the *sampler cursor* on (a marker
+//!   sweeps forward from it, a `buffer_cap` eviction advances it) and
+//!   the §6.3 `2J` window is the log from the *window cursor* on
+//!   (expiry advances it). A chunk behind both cursors is released.
+//! * **Shared slabs** hold pending closes, pending samples and finished
+//!   aggregates as per-path FIFO lists, so no path owns a heap
+//!   allocation; the only allocation `ingest` makes in steady state is
+//!   the `AggTrans` digest list of each aggregate it finalizes, which
+//!   its receipt then owns.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 use serde::{Deserialize, Serialize};
-use vpm_hash::Digest;
-use vpm_packet::{HeaderSpec, Packet, SimTime};
+use vpm_hash::{sample_fcn, Digest};
+use vpm_packet::{HeaderSpec, Packet, SimDuration, SimTime};
 
-use crate::aggregation::{Aggregator, FinishedAggregate};
 use crate::hop::HopConfig;
 use crate::ingest::{Ingest, IngestError, IngestReport};
-use crate::receipt::{AggReceipt, PathId, SampleReceipt, SampleRecord};
-use crate::sampling::DelaySampler;
+use crate::receipt::{AggId, AggReceipt, PathId, SampleReceipt, SampleRecord};
 
 /// Per-packet work counters (the §7.1 processing model: "three memory
 /// accesses, one hash function, and one timestamp computation per
@@ -130,38 +157,547 @@ impl ClassifierIndex {
     }
 }
 
-/// Per-path measurement state (one "open receipt" set per path, as the
-/// monitoring cache holds).
+/// Records per log chunk: one chunk is two cache lines.
+const CHUNK: u64 = 8;
+/// Chunks per log page (64 KiB of records per page).
+const PAGE_CHUNKS: usize = 512;
+/// The null chunk / list handle.
+const NIL: u32 = u32::MAX;
+
+type Chunk = [SampleRecord; CHUNK as usize];
+
+const BLANK: SampleRecord = SampleRecord {
+    pkt_id: Digest(0),
+    time: SimTime::ZERO,
+};
+
+/// Slot of log position `pos` within its chunk.
+#[inline]
+fn slot(pos: u64) -> usize {
+    (pos % CHUNK) as usize
+}
+
+/// One page of the record log: chunks and their links, allocated whole
+/// and never moved.
+struct Page {
+    chunks: [Chunk; PAGE_CHUNKS],
+    /// The chunk after each chunk in its path's log (or on the free
+    /// list); [`NIL`] at a log's newest chunk.
+    next: [u32; PAGE_CHUNKS],
+}
+
+const EMPTY_PAGE: Page = Page {
+    chunks: [[BLANK; CHUNK as usize]; PAGE_CHUNKS],
+    next: [NIL; PAGE_CHUNKS],
+};
+
+/// The collector's chunk allocator: every path's record log is a chain
+/// of chunks from here. `u32` handles address 2³² chunks (512 GiB of
+/// records), far beyond any collector's memory.
+struct ChunkPool {
+    pages: Vec<Box<Page>>,
+    /// Head of the free list.
+    free: u32,
+    /// Chunks handed out from fresh pages so far.
+    carved: u32,
+    /// Chunks currently in some path's log.
+    live: usize,
+}
+
+impl std::fmt::Debug for ChunkPool {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ChunkPool")
+            .field("pages", &self.pages.len())
+            .field("live", &self.live)
+            .finish()
+    }
+}
+
+impl ChunkPool {
+    fn new() -> Self {
+        ChunkPool {
+            pages: Vec::new(),
+            free: NIL,
+            carved: 0,
+            live: 0,
+        }
+    }
+
+    #[inline]
+    fn chunk(&self, c: u32) -> Option<&Chunk> {
+        let c = c as usize;
+        self.pages.get(c / PAGE_CHUNKS)?.chunks.get(c % PAGE_CHUNKS)
+    }
+
+    #[inline]
+    fn chunk_mut(&mut self, c: u32) -> Option<&mut Chunk> {
+        let c = c as usize;
+        self.pages
+            .get_mut(c / PAGE_CHUNKS)?
+            .chunks
+            .get_mut(c % PAGE_CHUNKS)
+    }
+
+    #[inline]
+    fn next(&self, c: u32) -> u32 {
+        let c = c as usize;
+        self.pages
+            .get(c / PAGE_CHUNKS)
+            .and_then(|p| p.next.get(c % PAGE_CHUNKS))
+            .copied()
+            .unwrap_or(NIL)
+    }
+
+    #[inline]
+    fn set_next(&mut self, c: u32, to: u32) {
+        let c = c as usize;
+        if let Some(n) = self
+            .pages
+            .get_mut(c / PAGE_CHUNKS)
+            .and_then(|p| p.next.get_mut(c % PAGE_CHUNKS))
+        {
+            *n = to;
+        }
+    }
+
+    /// A chunk with no successor: from the free list, else carved from
+    /// the newest page, else from a new page.
+    fn alloc(&mut self) -> u32 {
+        let c = if self.free != NIL {
+            let c = self.free;
+            self.free = self.next(c);
+            self.set_next(c, NIL);
+            c
+        } else {
+            if self.carved as usize == self.pages.len() * PAGE_CHUNKS {
+                self.pages.push(Box::new(EMPTY_PAGE));
+            }
+            let c = self.carved;
+            self.carved += 1;
+            c
+        };
+        self.live += 1;
+        c
+    }
+
+    fn release(&mut self, c: u32) {
+        self.set_next(c, self.free);
+        self.free = c;
+        self.live -= 1;
+    }
+
+    #[inline]
+    fn record(&self, c: u32, pos: u64) -> Option<&SampleRecord> {
+        self.chunk(c)?.get(slot(pos))
+    }
+
+    /// Visit positions `from..to` of a log in which position `from`
+    /// lies in chunk `c`.
+    #[inline]
+    fn for_each(&self, mut c: u32, mut from: u64, to: u64, mut f: impl FnMut(&SampleRecord)) {
+        while from < to {
+            let start = slot(from);
+            let end = (start as u64 + (to - from)).min(CHUNK) as usize;
+            let Some(run) = self.chunk(c).and_then(|recs| recs.get(start..end)) else {
+                return;
+            };
+            run.iter().for_each(&mut f);
+            from += (end - start) as u64;
+            c = self.next(c);
+        }
+    }
+
+    /// Move a log cursor (`pos` in chunk `c`) forward to `target`,
+    /// releasing every chunk it leaves that the log's other cursor (at
+    /// `other`) has left too.
+    #[inline]
+    fn advance(&mut self, pos: &mut u64, c: &mut u32, target: u64, other: u64) {
+        while *pos < target {
+            let boundary = (*pos / CHUNK + 1) * CHUNK;
+            if boundary > target {
+                *pos = target;
+                return;
+            }
+            *pos = boundary;
+            let left = *c;
+            *c = self.next(left);
+            if other >= boundary {
+                self.release(left);
+            }
+        }
+    }
+}
+
+/// A slab of per-path FIFO lists. A list is named by its newest node
+/// (its tail), whose link points at its oldest, so one `u32` in a row
+/// is a whole queue with O(1) push and pop.
 #[derive(Debug)]
-pub struct PathState {
-    /// The path identifier receipts will carry.
-    pub path: PathId,
-    /// Algorithm 1 state.
-    pub sampler: DelaySampler,
-    /// Algorithm 2 state.
-    pub aggregator: Aggregator,
+struct Lists<T> {
+    nodes: Vec<(T, u32)>,
+    /// Head of the free-node list (popped nodes).
+    free: u32,
+}
+
+impl<T> Lists<T> {
+    fn new() -> Self {
+        Lists {
+            nodes: Vec::new(),
+            free: NIL,
+        }
+    }
+
+    #[inline]
+    fn next(&self, n: u32) -> u32 {
+        self.nodes.get(n as usize).map_or(NIL, |node| node.1)
+    }
+
+    #[inline]
+    fn set_next(&mut self, n: u32, to: u32) {
+        if let Some(node) = self.nodes.get_mut(n as usize) {
+            node.1 = to;
+        }
+    }
+
+    fn push(&mut self, tail: &mut u32, item: T) {
+        let n = match self.nodes.get_mut(self.free as usize) {
+            Some(node) => {
+                let n = self.free;
+                self.free = node.1;
+                *node = (item, n);
+                n
+            }
+            None => {
+                let n = self.nodes.len() as u32;
+                self.nodes.push((item, n));
+                n
+            }
+        };
+        if *tail != NIL {
+            self.set_next(n, self.next(*tail));
+            self.set_next(*tail, n);
+        }
+        *tail = n;
+    }
+
+    #[inline]
+    fn front(&self, tail: u32) -> Option<&T> {
+        if tail == NIL {
+            return None;
+        }
+        self.nodes.get(self.next(tail) as usize).map(|node| &node.0)
+    }
+
+    fn pop(&mut self, tail: &mut u32) -> Option<T>
+    where
+        T: Copy,
+    {
+        if *tail == NIL {
+            return None;
+        }
+        let head = self.next(*tail);
+        let &(item, after) = self.nodes.get(head as usize)?;
+        if head == *tail {
+            *tail = NIL;
+        } else {
+            self.set_next(*tail, after);
+        }
+        self.set_next(head, self.free);
+        self.free = head;
+        Some(item)
+    }
+
+    /// Visit a list oldest first. The nodes stay until [`Self::clear`].
+    fn for_each_mut(&mut self, tail: u32, mut f: impl FnMut(&mut T)) {
+        if tail == NIL {
+            return;
+        }
+        let mut at = self.next(tail);
+        while let Some((item, next)) = self.nodes.get_mut(at as usize) {
+            f(item);
+            if at == tail {
+                return;
+            }
+            at = *next;
+        }
+    }
+
+    /// Drop every list at once (capacity is kept).
+    fn clear(&mut self) {
+        self.nodes.clear();
+        self.free = NIL;
+    }
+}
+
+/// An aggregate closed by a cutting point, waiting until `J` past its
+/// boundary for its `AggTrans` window to fill.
+#[derive(Debug, Clone, Copy)]
+struct Close {
+    agg: AggId,
+    count: u64,
+    boundary: SimTime,
+}
+
+/// A finalized aggregate, waiting for the next drain.
+#[derive(Debug)]
+struct Finished {
+    agg: AggId,
+    count: u64,
+    agg_trans: Vec<Digest>,
+}
+
+/// One path's hot state: everything a packet touches, in one cache
+/// line. Log positions count the path's records from its first packet.
+#[derive(Debug, Clone, Copy)]
+#[repr(align(64))]
+struct Row {
+    /// First digest of the open aggregate.
+    first: Digest,
+    /// Packets in the open aggregate; 0 when none is open.
+    count: u64,
+    /// Records ever appended to the log.
+    end: u64,
+    /// Sampler cursor: the TempBuffer is `sampler..end`.
+    sampler: u64,
+    /// Window cursor: the `2J` window is `window..end`.
+    window: u64,
+    /// Chunk holding position `end - 1`.
+    tail: u32,
+    /// Chunk holding position `sampler` ([`NIL`] while `sampler == end`
+    /// falls on a chunk not yet allocated).
+    sampler_chunk: u32,
+    /// Chunk holding position `window`.
+    window_chunk: u32,
+    /// Pending closes (a [`Lists`] tail).
+    pending: u32,
+    /// Samples since the last drain (a [`Lists`] tail).
+    samples: u32,
+    /// Finalized aggregates since the last drain (a [`Lists`] tail).
+    finished: u32,
+}
+
+const IDLE_ROW: Row = Row {
+    first: Digest(0),
+    count: 0,
+    end: 0,
+    sampler: 0,
+    window: 0,
+    tail: NIL,
+    sampler_chunk: NIL,
+    window_chunk: NIL,
+    pending: NIL,
+    samples: NIL,
+    finished: NIL,
+};
+
+/// Everything rows point into, plus the per-collector constants.
+#[derive(Debug)]
+struct Store {
+    config: HopConfig,
+    /// `2J + 1ns`: a record older than this behind the newest packet
+    /// has left the window.
+    two_j_plus: SimDuration,
+    log: ChunkPool,
+    closes: Lists<Close>,
+    samples: Lists<SampleRecord>,
+    finished: Lists<Finished>,
+    /// Reusable scratch for one `AggTrans` window.
+    window: Vec<Digest>,
+}
+
+impl Store {
+    /// Observe one packet on one path: Algorithm 2 (with the §6.3
+    /// window), then Algorithm 1, in the order of an `Aggregator`
+    /// followed by a `DelaySampler`. Returns the buffered records a
+    /// marker swept.
+    #[inline]
+    fn observe(&mut self, row: &mut Row, digest: Digest, time: SimTime) -> u64 {
+        // A cutting point closes the open aggregate at the path's
+        // previous packet, which is the log's newest record until this
+        // one is appended.
+        let is_cut = self.config.partition.passes(digest.0);
+        let closing = (is_cut && row.count > 0).then(|| Close {
+            agg: AggId {
+                first: row.first,
+                last: self.last_digest(row),
+            },
+            count: row.count,
+            boundary: time,
+        });
+        self.append(
+            row,
+            SampleRecord {
+                pkt_id: digest,
+                time,
+            },
+        );
+        self.expire(row, time);
+        let j = self.config.j_window;
+        while self
+            .closes
+            .front(row.pending)
+            .is_some_and(|c| time > c.boundary + j)
+        {
+            let Some(close) = self.closes.pop(&mut row.pending) else {
+                break;
+            };
+            self.finish(row, close);
+        }
+        if let Some(close) = closing {
+            self.closes.push(&mut row.pending, close);
+        }
+        if is_cut || row.count == 0 {
+            row.first = digest;
+            row.count = 1;
+        } else {
+            row.count += 1;
+        }
+
+        if self.config.marker.passes(digest.0) {
+            return self.sweep(row, digest, time);
+        }
+        if let Some(cap) = self.config.buffer_cap {
+            // The TempBuffer before this packet joined it; a cap of 0
+            // evicts nothing from an empty buffer, as in the sampler.
+            let buffered = row.end - 1 - row.sampler;
+            if buffered > 0 && buffered >= cap as u64 {
+                let to = row.sampler + 1;
+                self.log
+                    .advance(&mut row.sampler, &mut row.sampler_chunk, to, row.window);
+            }
+        }
+        0
+    }
+
+    fn last_digest(&self, row: &Row) -> Digest {
+        let pos = row.end.saturating_sub(1);
+        self.log
+            .record(row.tail, pos)
+            .map_or(Digest(0), |r| r.pkt_id)
+    }
+
+    #[inline]
+    fn append(&mut self, row: &mut Row, rec: SampleRecord) {
+        let at = slot(row.end);
+        if at == 0 {
+            let fresh = self.log.alloc();
+            if row.tail != NIL {
+                self.log.set_next(row.tail, fresh);
+            }
+            row.tail = fresh;
+            if row.sampler_chunk == NIL {
+                row.sampler_chunk = fresh;
+            }
+            if row.window_chunk == NIL {
+                row.window_chunk = fresh;
+            }
+        }
+        if let Some(r) = self.log.chunk_mut(row.tail).and_then(|c| c.get_mut(at)) {
+            *r = rec;
+        }
+        row.end += 1;
+    }
+
+    /// Advance the window cursor past records older than `2J + 1ns`
+    /// before `now` (never past the newest record).
+    #[inline]
+    fn expire(&mut self, row: &mut Row, now: SimTime) {
+        let horizon = now - self.two_j_plus;
+        while row.window < row.end
+            && self
+                .log
+                .record(row.window_chunk, row.window)
+                .is_some_and(|r| r.time < horizon)
+        {
+            let to = row.window + 1;
+            self.log
+                .advance(&mut row.window, &mut row.window_chunk, to, row.sampler);
+        }
+    }
+
+    /// Finalize a closed aggregate with the window records within `J`
+    /// of its boundary.
+    fn finish(&mut self, row: &mut Row, close: Close) {
+        let j = self.config.j_window;
+        let (lo, hi) = (close.boundary - j, close.boundary + j);
+        let window = &mut self.window;
+        window.clear();
+        self.log
+            .for_each(row.window_chunk, row.window, row.end, |r| {
+                if r.time >= lo && r.time <= hi {
+                    window.push(r.pkt_id);
+                }
+            });
+        self.finished.push(
+            &mut row.finished,
+            Finished {
+                agg: close.agg,
+                count: close.count,
+                agg_trans: window.to_vec(),
+            },
+        );
+    }
+
+    /// A marker: sample the TempBuffer's records that pass `σ` against
+    /// it, then the marker itself, and empty the buffer.
+    fn sweep(&mut self, row: &mut Row, marker: Digest, time: SimTime) -> u64 {
+        let stop = row.end - 1;
+        let sigma = self.config.sampling;
+        let samples = &mut self.samples;
+        let list = &mut row.samples;
+        self.log
+            .for_each(row.sampler_chunk, row.sampler, stop, |q| {
+                if sigma.passes(sample_fcn(q.pkt_id, marker)) {
+                    samples.push(list, *q);
+                }
+            });
+        samples.push(
+            list,
+            SampleRecord {
+                pkt_id: marker,
+                time,
+            },
+        );
+        let swept = stop - row.sampler;
+        let to = row.end;
+        self.log
+            .advance(&mut row.sampler, &mut row.sampler_chunk, to, row.window);
+        swept
+    }
+
+    /// End of stream: finalize every pending close with the window as
+    /// it stands, then close the open aggregate with no window.
+    fn flush(&mut self, row: &mut Row) {
+        while let Some(close) = self.closes.pop(&mut row.pending) {
+            self.finish(row, close);
+        }
+        if row.count > 0 {
+            let agg = AggId {
+                first: row.first,
+                last: self.last_digest(row),
+            };
+            let count = row.count;
+            self.finished.push(
+                &mut row.finished,
+                Finished {
+                    agg,
+                    count,
+                    agg_trans: Vec::new(),
+                },
+            );
+            row.count = 0;
+        }
+    }
 }
 
 /// The data-plane collector.
 #[derive(Debug)]
 pub struct Collector {
-    config: HopConfig,
-    paths: Vec<PathState>,
+    rows: Vec<Row>,
+    /// Each row's `PathId`, read only at drain.
+    paths: Vec<PathId>,
+    store: Store,
     index: ClassifierIndex,
     counters: CostCounters,
-    /// Reusable per-batch scratch: `(digest, time)` pairs plus the
-    /// precomputed marker (`µ`) and cut (`δ`) pass masks for one run.
-    scratch_items: Vec<(Digest, SimTime)>,
-    scratch_markers: Vec<bool>,
-    scratch_cuts: Vec<bool>,
-    /// Per-path partition pool for mixed-path batches (`(path index,
-    /// items)`; Vec capacities persist across batches).
-    scratch_groups: Vec<(usize, Vec<(Digest, SimTime)>)>,
-    /// Epoch-stamped slot map: `slot[path] = (epoch, group)` claims a
-    /// group for the current batch iff `epoch` matches
-    /// `scratch_epoch`. O(1) per packet, nothing to clear per batch.
-    scratch_slot: Vec<(u32, u32)>,
-    scratch_epoch: u32,
     /// `PathId -> index` of every registered path, making
     /// [`Collector::register_path`] idempotent: re-registering an
     /// identical `PathId` returns the existing index instead of
@@ -173,16 +709,19 @@ impl Collector {
     /// New collector for a HOP.
     pub fn new(config: HopConfig) -> Self {
         Collector {
-            config,
+            rows: Vec::new(),
             paths: Vec::new(),
+            store: Store {
+                config,
+                two_j_plus: config.j_window.saturating_mul(2) + SimDuration::from_nanos(1),
+                log: ChunkPool::new(),
+                closes: Lists::new(),
+                samples: Lists::new(),
+                finished: Lists::new(),
+                window: Vec::new(),
+            },
             index: ClassifierIndex::default(),
             counters: CostCounters::default(),
-            scratch_items: Vec::new(),
-            scratch_markers: Vec::new(),
-            scratch_cuts: Vec::new(),
-            scratch_groups: Vec::new(),
-            scratch_slot: Vec::new(),
-            scratch_epoch: 0,
             registered: HashMap::new(),
         }
     }
@@ -198,19 +737,11 @@ impl Collector {
         if let Some(&idx) = self.registered.get(&path) {
             return idx;
         }
-        let mut sampler = DelaySampler::new(self.config.marker, self.config.sampling);
-        if let Some(cap) = self.config.buffer_cap {
-            sampler = sampler.with_buffer_cap(cap);
-        }
-        let idx = self.paths.len();
+        let idx = self.rows.len();
         self.index.insert(path.spec, idx);
-        self.scratch_slot.push((0, 0));
         self.registered.insert(path, idx);
-        self.paths.push(PathState {
-            path,
-            sampler,
-            aggregator: Aggregator::new(self.config.partition, self.config.j_window),
-        });
+        self.rows.push(IDLE_ROW);
+        self.paths.push(path);
         idx
     }
 
@@ -224,154 +755,52 @@ impl Collector {
 
     /// Number of registered paths.
     pub fn path_count(&self) -> usize {
-        self.paths.len()
+        self.rows.len()
     }
 
-    /// Access a path's state by index.
-    pub fn path(&self, idx: usize) -> Option<&PathState> {
-        self.paths.get(idx)
-    }
-
-    /// The batch-observation engine behind [`Ingest::ingest`]: the
-    /// batch is partitioned per path (per-path observation order is
-    /// preserved; cross-path order is unobservable because paths share
-    /// no state and the counters are sums), counter updates become one
-    /// add per partition, the marker (`µ`) and cut (`δ`) threshold
-    /// checks are precomputed into pass masks in tight loops, and the
-    /// per-path sampler/aggregator take their own batch fast paths.
-    fn ingest_batch(&mut self, batch: &[(usize, Digest, SimTime)]) {
-        let Some(&(first_idx, _, _)) = batch.first() else {
-            return;
-        };
-        // Fast path: the whole batch is one path (the common shape
-        // when an upstream stage already separates flows).
-        if batch.iter().all(|&(i, _, _)| i == first_idx) {
-            self.scratch_items.clear();
-            self.scratch_items
-                .extend(batch.iter().map(|&(_, d, t)| (d, t)));
-            let mut items = std::mem::take(&mut self.scratch_items);
-            self.observe_path_batch(first_idx, &items);
-            items.clear();
-            self.scratch_items = items;
-            return;
-        }
-
-        // General shape: bucket items per path in one pass, reusing
-        // the group pool and its Vec capacities across calls. A new
-        // epoch invalidates every slot claim at once.
-        self.scratch_epoch = self.scratch_epoch.wrapping_add(1);
-        if self.scratch_epoch == 0 {
-            self.scratch_slot.fill((0, 0));
-            self.scratch_epoch = 1;
-        }
-        let epoch = self.scratch_epoch;
-        let mut groups = std::mem::take(&mut self.scratch_groups);
-        let mut used = 0usize;
-        for &(idx, d, t) in batch {
-            let Some(slot) = self.scratch_slot.get_mut(idx) else {
-                // Out-of-range index: unclassified, no hash charged.
-                self.counters.unclassified += 1;
-                continue;
-            };
-            let g = if slot.0 == epoch {
-                slot.1 as usize
-            } else {
-                if used == groups.len() {
-                    groups.push((idx, Vec::new()));
-                } else {
-                    groups[used].0 = idx; // vpm-lint: allow(R1, used < groups.len() in this branch)
-                    groups[used].1.clear(); // vpm-lint: allow(R1, used < groups.len() in this branch)
-                }
-                used += 1;
-                *slot = (epoch, (used - 1) as u32);
-                used - 1
-            };
-            groups[g].1.push((d, t)); // vpm-lint: allow(R1, g is always below used, which is at most groups.len())
-        }
-        for (idx, items) in groups.iter().take(used) {
-            self.observe_path_batch(*idx, items);
-        }
-        self.scratch_groups = groups;
-    }
-
-    /// Process one path's slice of a batch (all `items` belong to path
-    /// `idx`, in observation order).
-    fn observe_path_batch(&mut self, idx: usize, items: &[(Digest, SimTime)]) {
-        let run_len = items.len() as u64;
-        let Some(ps) = self.paths.get_mut(idx) else {
-            self.counters.unclassified += run_len;
-            return;
-        };
-        self.counters.packets += run_len;
-        self.counters.hash_ops += run_len;
-        self.counters.timestamp_ops += run_len;
-        // §7.1: lookup PathID + update PktCnt + store to temp buffer —
-        // three accesses per packet.
-        self.counters.memory_accesses += 3 * run_len;
-
-        let marker = self.config.marker;
-        let partition = self.config.partition;
-        self.scratch_markers.clear();
-        self.scratch_markers.reserve(items.len());
-        self.scratch_cuts.clear();
-        self.scratch_cuts.reserve(items.len());
-        for &(d, _) in items {
-            self.scratch_markers.push(marker.passes(d.0));
-            self.scratch_cuts.push(partition.passes(d.0));
-        }
-
-        ps.aggregator.observe_batch(items, &self.scratch_cuts);
-        // One extra access per buffered packet examined at marker
-        // sweeps (§7.1).
-        self.counters.marker_sweep_accesses +=
-            ps.sampler.observe_batch(items, &self.scratch_markers);
+    /// The `PathId` registered at `idx`.
+    pub(crate) fn path_id(&self, idx: usize) -> Option<PathId> {
+        self.paths.get(idx).copied()
     }
 
     /// Flush end-of-stream state on every path.
     pub fn flush(&mut self) {
-        for ps in &mut self.paths {
-            ps.aggregator.flush();
+        for row in &mut self.rows {
+            self.store.flush(row);
         }
     }
 
-    /// Drain accumulated samples and finished aggregates for one path.
-    pub fn drain_path(&mut self, idx: usize) -> (Vec<SampleRecord>, Vec<FinishedAggregate>) {
-        let ps = &mut self.paths[idx]; // vpm-lint: allow(R1, idx is a registered path index - collector invariant)
-        (ps.sampler.drain(), ps.aggregator.drain())
-    }
-
-    /// Drain every path's samples and finished aggregates directly into
-    /// receipt form, in one pass over the path table (the batched
-    /// control-plane read used by `Processor::report`). Equivalent to
-    /// calling [`Self::drain_path`] per index and wrapping the results,
-    /// without the per-index lookups and intermediate moves.
+    /// Drain every path's samples and finished aggregates into receipt
+    /// form, in one pass over the row table in registration order (the
+    /// batched control-plane read used by `Processor::report`).
     pub fn drain_receipts(
         &mut self,
         samples: &mut Vec<SampleReceipt>,
         aggregates: &mut Vec<AggReceipt>,
     ) {
-        for ps in &mut self.paths {
-            let recs = ps.sampler.drain();
-            if !recs.is_empty() {
+        let store = &mut self.store;
+        for (row, &path) in self.rows.iter_mut().zip(&self.paths) {
+            if row.samples != NIL {
+                let mut recs = Vec::new();
+                store.samples.for_each_mut(row.samples, |r| recs.push(*r));
                 samples.push(SampleReceipt {
-                    path: ps.path,
+                    path,
                     samples: recs,
                 });
+                row.samples = NIL;
             }
-            for f in ps.aggregator.drain() {
+            store.finished.for_each_mut(row.finished, |f| {
                 aggregates.push(AggReceipt {
-                    path: ps.path,
+                    path,
                     agg: f.agg,
-                    pkt_cnt: f.pkt_cnt,
-                    agg_trans: f.agg_trans,
+                    pkt_cnt: f.count,
+                    agg_trans: std::mem::take(&mut f.agg_trans),
                 });
-            }
+            });
+            row.finished = NIL;
         }
-    }
-
-    /// Iterate path indices.
-    pub fn path_indices(&self) -> std::ops::Range<usize> {
-        0..self.paths.len()
+        store.samples.clear();
+        store.finished.clear();
     }
 
     /// Work counters.
@@ -379,24 +808,23 @@ impl Collector {
         self.counters
     }
 
-    /// Bytes of monitoring-cache state currently held: ~20 B of open
-    /// aggregate state per active path (§7.1).
+    /// Bytes of monitoring-cache state held: the row table, one 64-B
+    /// row per registered path (the paper's model is ~20 B, §7.1).
     pub fn monitoring_cache_bytes(&self) -> usize {
-        self.paths.len() * crate::overhead::PER_PATH_STATE_BYTES
+        self.rows.len() * std::mem::size_of::<Row>()
     }
 
-    /// Bytes of temporary per-packet buffer currently held across all
-    /// paths (7 B per buffered record, §7.1).
+    /// Bytes of record-log chunks currently held across all paths:
+    /// every TempBuffer and every `2J` `AggTrans` window (a path's two
+    /// share one log).
     pub fn temp_buffer_bytes(&self) -> usize {
-        self.paths
-            .iter()
-            .map(|ps| ps.sampler.buffered() * crate::receipt::compact::SAMPLE_RECORD_BYTES)
-            .sum()
+        self.store.log.live * std::mem::size_of::<Chunk>()
     }
 }
 
 impl Ingest for Collector {
-    /// Observe one batch of pre-classified, pre-digested packets.
+    /// Observe one batch of pre-classified, pre-digested packets, in
+    /// batch order.
     ///
     /// State and [`CostCounters`] end up byte-identical to the
     /// per-packet fold (pinned by `batch_observe_matches_per_packet`);
@@ -404,19 +832,30 @@ impl Ingest for Collector {
     /// comes back as a typed [`IngestError::PathOutOfRange`] — the
     /// entry itself is counted as unclassified and charged no hash.
     fn ingest(&mut self, batch: &[(usize, Digest, SimTime)]) -> IngestReport {
-        let paths = self.paths.len();
+        let paths = self.rows.len();
         let mut errors = Vec::new();
-        for (entry, &(index, _, _)) in batch.iter().enumerate() {
-            if index >= paths {
-                errors.push(IngestError::PathOutOfRange {
+        let mut swept = 0u64;
+        for (entry, &(index, digest, time)) in batch.iter().enumerate() {
+            match self.rows.get_mut(index) {
+                Some(row) => swept += self.store.observe(row, digest, time),
+                None => errors.push(IngestError::PathOutOfRange {
                     entry,
                     index,
                     paths,
-                });
+                }),
             }
         }
         let accepted = (batch.len() - errors.len()) as u64;
-        self.ingest_batch(batch);
+        let c = &mut self.counters;
+        c.packets += accepted;
+        c.hash_ops += accepted;
+        c.timestamp_ops += accepted;
+        // §7.1: lookup PathID + update PktCnt + store to temp buffer —
+        // three accesses per packet; one more per buffered packet
+        // examined at a marker sweep.
+        c.memory_accesses += 3 * accepted;
+        c.marker_sweep_accesses += swept;
+        c.unclassified += errors.len() as u64;
         IngestReport { accepted, errors }
     }
 
@@ -441,6 +880,8 @@ impl Ingest for Collector {
 mod tests {
     use super::*;
     use crate::sampling::ObserveOutcome;
+    use crate::{Aggregator, DelaySampler};
+    use vpm_hash::Threshold;
     use vpm_packet::{DomainId, HeaderSpec, HopId, SimDuration};
 
     fn config() -> HopConfig {
@@ -486,11 +927,25 @@ mod tests {
         report.accepted
     }
 
+    /// Drain everything, then keep path `idx`'s receipts.
+    fn drain_path(c: &mut Collector, idx: usize) -> (Vec<SampleRecord>, Vec<AggReceipt>) {
+        let path = c.path_id(idx).unwrap();
+        let (mut samples, mut aggs) = (Vec::new(), Vec::new());
+        c.drain_receipts(&mut samples, &mut aggs);
+        let recs = samples
+            .into_iter()
+            .filter(|s| s.path == path)
+            .flat_map(|s| s.samples)
+            .collect();
+        aggs.retain(|a| a.path == path);
+        (recs, aggs)
+    }
+
     /// The per-packet specification `ingest` is checked against: one
     /// `Aggregator::observe` + `DelaySampler::observe` per entry and
-    /// the §7.1 counter rule, with none of the collector's batching.
+    /// the §7.1 counter rule, with none of the collector's storage.
     struct PerPacketFold {
-        paths: Vec<PathState>,
+        paths: Vec<(PathId, DelaySampler, Aggregator)>,
         counters: CostCounters,
     }
 
@@ -500,14 +955,11 @@ mod tests {
                 .iter()
                 .map(|&path| {
                     let sampler = DelaySampler::new(cfg.marker, cfg.sampling);
-                    PathState {
-                        path,
-                        sampler: match cfg.buffer_cap {
-                            Some(cap) => sampler.with_buffer_cap(cap),
-                            None => sampler,
-                        },
-                        aggregator: Aggregator::new(cfg.partition, cfg.j_window),
-                    }
+                    let sampler = match cfg.buffer_cap {
+                        Some(cap) => sampler.with_buffer_cap(cap),
+                        None => sampler,
+                    };
+                    (path, sampler, Aggregator::new(cfg.partition, cfg.j_window))
                 })
                 .collect();
             PerPacketFold {
@@ -517,7 +969,7 @@ mod tests {
         }
 
         fn observe(&mut self, idx: usize, digest: Digest, t: SimTime) {
-            let Some(ps) = self.paths.get_mut(idx) else {
+            let Some((_, sampler, aggregator)) = self.paths.get_mut(idx) else {
                 // Out of range: unclassified, no hash charged.
                 self.counters.unclassified += 1;
                 return;
@@ -527,8 +979,8 @@ mod tests {
             self.counters.timestamp_ops += 1;
             // §7.1: lookup PathID + update PktCnt + store to temp buffer.
             self.counters.memory_accesses += 3;
-            ps.aggregator.observe(digest, t);
-            if let ObserveOutcome::Marker { swept, .. } = ps.sampler.observe(digest, t) {
+            aggregator.observe(digest, t);
+            if let ObserveOutcome::Marker { swept, .. } = sampler.observe(digest, t) {
                 // One extra access per buffered packet examined (§7.1).
                 self.counters.marker_sweep_accesses += swept as u64;
             }
@@ -538,17 +990,17 @@ mod tests {
         fn finish(mut self) -> (CostCounters, Vec<SampleReceipt>, Vec<AggReceipt>) {
             let mut samples = Vec::new();
             let mut aggregates = Vec::new();
-            for ps in &mut self.paths {
-                ps.aggregator.flush();
-                let recs = ps.sampler.drain();
+            for (path, sampler, aggregator) in &mut self.paths {
+                aggregator.flush();
+                let recs = sampler.drain();
                 if !recs.is_empty() {
                     samples.push(SampleReceipt {
-                        path: ps.path,
+                        path: *path,
                         samples: recs,
                     });
                 }
-                aggregates.extend(ps.aggregator.drain().into_iter().map(|f| AggReceipt {
-                    path: ps.path,
+                aggregates.extend(aggregator.drain().into_iter().map(|f| AggReceipt {
+                    path: *path,
                     agg: f.agg,
                     pkt_cnt: f.pkt_cnt,
                     agg_trans: f.agg_trans,
@@ -571,7 +1023,7 @@ mod tests {
         assert_eq!(counters.hash_ops, trace.len() as u64);
         assert_eq!(counters.timestamp_ops, trace.len() as u64);
         assert_eq!(counters.memory_accesses, 3 * trace.len() as u64);
-        let (samples, aggs) = c.drain_path(0);
+        let (samples, aggs) = drain_path(&mut c, 0);
         assert!(!samples.is_empty());
         let total: u64 = aggs.iter().map(|a| a.pkt_cnt).sum();
         assert_eq!(total, trace.len() as u64);
@@ -622,17 +1074,20 @@ mod tests {
         let real_spec = vpm_trace::TraceConfig::paper_default(1, 0).spec;
         let decoy = HeaderSpec::new("1.0.0.0/8".parse().unwrap(), "2.0.0.0/8".parse().unwrap());
         let mut c = Collector::new(config());
-        let decoy_idx = c.register_path(path_id(decoy));
+        c.register_path(path_id(decoy));
         let real_idx = c.register_path(path_id(real_spec));
         for tp in &trace {
             assert_eq!(c.classify(&tp.packet), Some(real_idx));
         }
         ingest_trace(&mut c, &trace);
         c.flush();
-        let (s_decoy, a_decoy) = c.drain_path(decoy_idx);
-        assert!(s_decoy.is_empty() && a_decoy.is_empty());
-        let (s_real, a_real) = c.drain_path(real_idx);
-        assert!(!s_real.is_empty() && !a_real.is_empty());
+        let (mut samples, mut aggs) = (Vec::new(), Vec::new());
+        c.drain_receipts(&mut samples, &mut aggs);
+        // Every receipt is the real path's: the decoy has none.
+        let real = c.path_id(real_idx).unwrap();
+        assert!(!samples.is_empty() && !aggs.is_empty());
+        assert!(samples.iter().all(|s| s.path == real));
+        assert!(aggs.iter().all(|a| a.path == real));
     }
 
     #[test]
@@ -640,18 +1095,20 @@ mod tests {
         let mut c = Collector::new(config());
         let spec = vpm_trace::TraceConfig::paper_default(1, 0).spec;
         c.register_path(path_id(spec));
-        assert_eq!(
-            c.monitoring_cache_bytes(),
-            crate::overhead::PER_PATH_STATE_BYTES
-        );
+        assert_eq!(c.monitoring_cache_bytes(), std::mem::size_of::<Row>());
+        assert_eq!(std::mem::size_of::<Row>(), 64, "a row is one cache line");
+        assert_eq!(c.temp_buffer_bytes(), 0, "registration takes no log");
         ingest_trace(&mut c, &mk_trace(300));
-        // Some packets should be buffered awaiting a marker.
-        assert!(c.temp_buffer_bytes() > 0);
+        // Some packets should be buffered awaiting a marker, in whole
+        // chunks.
+        let held = c.temp_buffer_bytes();
+        assert!(held > 0);
+        assert_eq!(held % std::mem::size_of::<Chunk>(), 0);
     }
 
     /// A HOP observes many concurrent paths; state stays isolated and
     /// the monitoring cache grows linearly (the §7.1 "100,000 paths ⇒
-    /// 2 MB" model).
+    /// 2 MB" model, at this implementation's row size).
     #[test]
     fn many_paths_isolated_state() {
         use std::net::Ipv4Addr;
@@ -669,7 +1126,7 @@ mod tests {
         }
         assert_eq!(
             c.monitoring_cache_bytes(),
-            n_paths as usize * crate::overhead::PER_PATH_STATE_BYTES
+            n_paths as usize * std::mem::size_of::<Row>()
         );
         // Send 50 packets down each of three scattered paths.
         let mut batch = Vec::new();
@@ -701,14 +1158,20 @@ mod tests {
         }
         assert!(c.ingest(&batch).is_clean());
         c.flush();
+        let (mut samples, mut aggs) = (Vec::new(), Vec::new());
+        c.drain_receipts(&mut samples, &mut aggs);
         for i in 0..n_paths as usize {
-            let (samples, aggs) = c.drain_path(i);
-            let total: u64 = aggs.iter().map(|a| a.pkt_cnt).sum();
+            let path = c.path_id(i).unwrap();
+            let total: u64 = aggs
+                .iter()
+                .filter(|a| a.path == path)
+                .map(|a| a.pkt_cnt)
+                .sum();
             if [0usize, 57, 199].contains(&i) {
                 assert_eq!(total, 50, "path {i}");
             } else {
                 assert_eq!(total, 0, "path {i} must be untouched");
-                assert!(samples.is_empty());
+                assert!(samples.iter().all(|s| s.path != path));
             }
         }
     }
@@ -857,7 +1320,7 @@ mod tests {
         }
         ingest_trace(&mut c, &trace);
         c.flush();
-        let (_, aggs) = c.drain_path(a);
+        let (_, aggs) = drain_path(&mut c, a);
         let total: u64 = aggs.iter().map(|x| x.pkt_cnt).sum();
         assert_eq!(total, trace.len() as u64);
     }
@@ -938,10 +1401,35 @@ mod tests {
         ingest_trace(&mut c, &trace);
         let counters = c.counters();
         // Every non-marker packet is swept exactly once (when the next
-        // marker arrives), so sweep accesses ≈ packets − markers −
+        // marker arrives), so sweep accesses = packets − markers −
         // still-buffered.
-        let ps = c.path(0).unwrap();
-        let expected = counters.packets - ps.sampler.stats().markers - ps.sampler.buffered() as u64;
+        let mut sampler = DelaySampler::new(config().marker, config().sampling);
+        for tp in &trace {
+            sampler.observe(tp.packet.digest(), tp.ts);
+        }
+        let expected = counters.packets - sampler.stats().markers - sampler.buffered() as u64;
         assert_eq!(counters.marker_sweep_accesses, expected);
+    }
+
+    /// Chunks behind both cursors go back to the free list: a path
+    /// whose markers keep sweeping its buffer holds a bounded log no
+    /// matter how long it runs, on one page.
+    #[test]
+    fn log_chunks_are_recycled() {
+        let mut cfg = config();
+        cfg.marker = Threshold::from_rate(0.05);
+        let mut c = Collector::new(cfg);
+        let spec = vpm_trace::TraceConfig::paper_default(1, 0).spec;
+        let idx = c.register_path(path_id(spec));
+        let mut peak = 0;
+        for k in 0..200_000u64 {
+            let d = Digest(vpm_hash::lookup3::hash64(&k.to_le_bytes(), 7));
+            assert!(c.ingest(&[(idx, d, SimTime::from_micros(k))]).is_clean());
+            peak = peak.max(c.temp_buffer_bytes());
+        }
+        // 2J = 2 ms at 1 packet/µs is ~2,000 records ⇒ ~250 chunks; the
+        // buffer between markers adds a few more.
+        assert!(peak < 400 * std::mem::size_of::<Chunk>(), "{peak} B");
+        assert_eq!(c.store.log.pages.len(), 1, "one page, reused");
     }
 }

@@ -5,7 +5,10 @@
 //! "well within the capabilities of modern networks" with
 //! back-of-the-envelope arithmetic; this module reproduces every one of
 //! those numbers from first principles so the claims can be regenerated
-//! (see `examples/overhead_report.rs` and EXPERIMENTS.md §E4–E6).
+//! (`vpm overhead` prints them). These are the paper's model constants;
+//! the bytes a running collector actually holds are
+//! `Collector::monitoring_cache_bytes` and
+//! `Collector::temp_buffer_bytes`.
 
 use crate::receipt::compact::SAMPLE_RECORD_BYTES;
 use serde::{Deserialize, Serialize};

@@ -22,6 +22,10 @@
 //! ordered threshold, a HOP with a lower `σ` samples a **superset** of
 //! any HOP with a higher `σ` (§5.2) — tunability without partial
 //! overlap.
+//!
+//! [`DelaySampler`] is the per-packet specification: the
+//! [`Collector`](crate::Collector) runs the same algorithm over its own
+//! per-path rows and record logs and is tested against this type.
 
 use crate::receipt::SampleRecord;
 use serde::{Deserialize, Serialize};
@@ -167,76 +171,6 @@ impl DelaySampler {
             self.stats.max_buffer = self.stats.max_buffer.max(self.buffer.len());
             ObserveOutcome::Buffered
         }
-    }
-
-    /// Observe a batch of packets whose marker decisions are already
-    /// known (`markers[i]` ⇔ `marker.passes(items[i].0)`, precomputed
-    /// once by the caller for all paths sharing the system-wide `µ`).
-    ///
-    /// Produces exactly the samples and stats of calling
-    /// [`Self::observe`] per item, but amortizes the work: runs of
-    /// non-markers are bulk-appended to the buffer with a single
-    /// high-water update, and the per-packet marker branch disappears.
-    /// Returns the total number of buffered packets swept (the §7.1
-    /// marker-sweep access count for this batch).
-    pub fn observe_batch(&mut self, items: &[(Digest, SimTime)], markers: &[bool]) -> u64 {
-        debug_assert_eq!(items.len(), markers.len());
-        self.stats.observed += items.len() as u64;
-        let mut swept_total = 0u64;
-        let mut i = 0;
-        while i < items.len() {
-            // vpm-lint: allow(R1, markers is built with one flag per item)
-            if markers[i] {
-                let (digest, time) = items[i];
-                self.stats.markers += 1;
-                swept_total += self.buffer.len() as u64;
-                let mut sampled = 0u64;
-                for q in self.buffer.drain(..) {
-                    if self.sigma.passes(sample_fcn(q.pkt_id, digest)) {
-                        self.samples.push(q);
-                        sampled += 1;
-                    }
-                }
-                self.samples.push(SampleRecord {
-                    pkt_id: digest,
-                    time,
-                });
-                self.stats.sampled += sampled + 1;
-                i += 1;
-            } else {
-                let run_end = markers[i..] // vpm-lint: allow(R1, i is below items.len(), which markers matches)
-                    .iter()
-                    .position(|&m| m)
-                    .map_or(items.len(), |off| i + off);
-                let run = &items[i..run_end]; // vpm-lint: allow(R1, run_end is clamped to items.len())
-                match self.buffer_cap {
-                    Some(cap) => {
-                        for &(digest, time) in run {
-                            if self.buffer.len() >= cap {
-                                self.buffer.pop_front();
-                                self.stats.cap_evictions += 1;
-                            }
-                            self.buffer.push_back(SampleRecord {
-                                pkt_id: digest,
-                                time,
-                            });
-                        }
-                    }
-                    None => {
-                        self.buffer
-                            .extend(run.iter().map(|&(digest, time)| SampleRecord {
-                                pkt_id: digest,
-                                time,
-                            }));
-                    }
-                }
-                // The buffer only grows within a markerless run, so the
-                // end-of-run length is the run's high-water mark.
-                self.stats.max_buffer = self.stats.max_buffer.max(self.buffer.len());
-                i = run_end;
-            }
-        }
-        swept_total
     }
 
     /// Take all accumulated samples (e.g. at a reporting interval).
@@ -419,53 +353,6 @@ mod tests {
             .filter(|&d| d != u64::MAX)
             .collect();
         assert_eq!(swept, (91..=100).collect::<Vec<u64>>());
-    }
-
-    #[test]
-    fn batch_matches_per_packet_with_and_without_cap() {
-        for cap in [None, Some(7), Some(64)] {
-            for batch_size in [1usize, 3, 64, 257] {
-                let marker = Threshold::from_rate(0.02);
-                let mk = || {
-                    let s = DelaySampler::new(marker, Threshold::from_rate(0.3));
-                    match cap {
-                        Some(c) => s.with_buffer_cap(c),
-                        None => s,
-                    }
-                };
-                let ds = digests(5_000, 11);
-                let items: Vec<(Digest, SimTime)> = ds
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &d)| (d, SimTime::from_micros(10 * i as u64)))
-                    .collect();
-                let mut per_packet = mk();
-                for &(d, t) in &items {
-                    per_packet.observe(d, t);
-                }
-                let mut batched = mk();
-                let mut swept_total = 0u64;
-                for chunk in items.chunks(batch_size) {
-                    let mask: Vec<bool> = chunk.iter().map(|&(d, _)| marker.passes(d.0)).collect();
-                    swept_total += batched.observe_batch(chunk, &mask);
-                }
-                assert_eq!(
-                    per_packet.drain(),
-                    batched.drain(),
-                    "cap {cap:?} bs {batch_size}"
-                );
-                assert_eq!(
-                    per_packet.stats(),
-                    batched.stats(),
-                    "cap {cap:?} bs {batch_size}"
-                );
-                let expected_swept = per_packet.stats().observed
-                    - per_packet.stats().markers
-                    - per_packet.stats().cap_evictions
-                    - per_packet.buffered() as u64;
-                assert_eq!(swept_total, expected_swept);
-            }
-        }
     }
 
     #[test]

@@ -186,7 +186,8 @@ impl Ingest for ShardedCollector {
         }
     }
 
-    /// Merge in **global registration order**, not shard order:
+    /// Drain every shard (each in its own registration order), then
+    /// merge in **global registration order**, not shard order:
     /// walking `routes` yields exactly the path sequence a single
     /// collector with the same registrations would drain, which is
     /// what makes the output byte-identical at any shard count.
@@ -195,27 +196,25 @@ impl Ingest for ShardedCollector {
         samples: &mut Vec<SampleReceipt>,
         aggregates: &mut Vec<AggReceipt>,
     ) {
+        let mut drained: Vec<_> = self
+            .shards
+            .iter_mut()
+            .map(|col| {
+                let (mut s, mut a) = (Vec::new(), Vec::new());
+                col.drain_receipts(&mut s, &mut a);
+                (s.into_iter().peekable(), a.into_iter().peekable())
+            })
+            .collect();
         for &(shard, local) in &self.routes {
-            let Some(col) = self.shards.get_mut(shard) else {
+            let (Some(path), Some((s, a))) = (
+                self.shards.get(shard).and_then(|col| col.path_id(local)),
+                drained.get_mut(shard),
+            ) else {
                 continue;
             };
-            let Some(path) = col.path(local).map(|ps| ps.path) else {
-                continue;
-            };
-            let (recs, aggs) = col.drain_path(local);
-            if !recs.is_empty() {
-                samples.push(SampleReceipt {
-                    path,
-                    samples: recs,
-                });
-            }
-            for f in aggs {
-                aggregates.push(AggReceipt {
-                    path,
-                    agg: f.agg,
-                    pkt_cnt: f.pkt_cnt,
-                    agg_trans: f.agg_trans,
-                });
+            samples.extend(s.next_if(|r| r.path == path));
+            while let Some(r) = a.next_if(|r| r.path == path) {
+                aggregates.push(r);
             }
         }
     }

@@ -1,20 +1,22 @@
-//! Equivalence of the batched collector data plane with the
-//! per-packet specification, through the public API.
+//! Equivalence of the collector data plane with the per-packet
+//! specification, through the public API.
 //!
 //! `Ingest::ingest` is the collector's only entry point. Its oracle
 //! here is [`PerPacketFold`]: one public `DelaySampler::observe` +
 //! `Aggregator::observe` per entry and the §7.1 counter rule, with
-//! none of the collector's partitioning or pass masks. For any batch
-//! size and any interleaving of paths, the samples, aggregates, cost
-//! counters and ingest reports must match. (The sharded drain-merge
-//! identity is pinned in `vpm_core::sharded`'s own tests.)
+//! none of the collector's rows, chunked record logs or shared lists.
+//! For any batch size and any interleaving of paths, the samples,
+//! aggregates, cost counters and ingest reports must match — for the
+//! single-core `Collector` and for `ShardedCollector` at 1, 2 and 4
+//! shards.
 
 use proptest::prelude::*;
 use vpm::core::collector::CostCounters;
 use vpm::core::receipt::{AggReceipt, PathId, SampleReceipt};
 use vpm::core::sampling::ObserveOutcome;
 use vpm::core::{
-    Aggregator, Collector, DelaySampler, HopConfig, Ingest, IngestError, IngestReport,
+    Aggregator, Collector, DelaySampler, HopConfig, Ingest, IngestError, IngestReport, Processor,
+    ReceiptBatch, ShardedCollector,
 };
 use vpm::hash::Digest;
 use vpm::packet::{DomainId, HeaderSpec, HopId, Ipv4Prefix, SimDuration, SimTime};
@@ -43,12 +45,15 @@ fn spec32(tag: u8) -> HeaderSpec {
     )
 }
 
-fn mk_collector(n_paths: u8, buffer_cap: Option<usize>) -> Collector {
-    let mut cfg = hop_config();
-    if let Some(cap) = buffer_cap {
-        cfg = cfg.with_buffer_cap(cap);
+fn capped(buffer_cap: Option<usize>) -> HopConfig {
+    match buffer_cap {
+        Some(cap) => hop_config().with_buffer_cap(cap),
+        None => hop_config(),
     }
-    let mut c = Collector::new(cfg);
+}
+
+fn mk_collector(n_paths: u8, buffer_cap: Option<usize>) -> Collector {
+    let mut c = Collector::new(capped(buffer_cap));
     for tag in 0..n_paths {
         c.register_path(path_id(spec32(tag)));
     }
@@ -58,29 +63,27 @@ fn mk_collector(n_paths: u8, buffer_cap: Option<usize>) -> Collector {
 /// The per-packet specification of the collector, behind the same
 /// [`Ingest`] surface so both sides take identical calls.
 struct PerPacketFold {
+    cfg: HopConfig,
     paths: Vec<(PathId, DelaySampler, Aggregator)>,
     counters: CostCounters,
 }
 
-fn mk_fold(n_paths: u8, buffer_cap: Option<usize>) -> PerPacketFold {
-    let cfg = hop_config();
-    let paths = (0..n_paths)
-        .map(|tag| {
-            let sampler = DelaySampler::new(cfg.marker, cfg.sampling);
-            (
-                path_id(spec32(tag)),
-                match buffer_cap {
-                    Some(cap) => sampler.with_buffer_cap(cap),
-                    None => sampler,
-                },
-                Aggregator::new(cfg.partition, cfg.j_window),
-            )
-        })
-        .collect();
-    PerPacketFold {
-        paths,
-        counters: CostCounters::default(),
+impl PerPacketFold {
+    fn new(cfg: HopConfig) -> Self {
+        PerPacketFold {
+            cfg,
+            paths: Vec::new(),
+            counters: CostCounters::default(),
+        }
     }
+}
+
+fn mk_fold(n_paths: u8, buffer_cap: Option<usize>) -> PerPacketFold {
+    let mut fold = PerPacketFold::new(capped(buffer_cap));
+    for tag in 0..n_paths {
+        fold.register(path_id(spec32(tag)));
+    }
+    fold
 }
 
 impl Ingest for PerPacketFold {
@@ -268,5 +271,178 @@ fn observe_batch_commutes_with_reporting() {
         let batched = run(&mut mk_collector(3, None), bs);
         assert_eq!(per_packet.0, batched.0, "bs={bs}");
         assert_eq!(per_packet.1, batched.1, "bs={bs}");
+    }
+}
+
+/// A collector plane a [`Step`] script drives.
+trait Plane: Ingest {
+    fn register(&mut self, path: PathId) -> usize;
+}
+
+impl Plane for PerPacketFold {
+    fn register(&mut self, path: PathId) -> usize {
+        let cfg = self.cfg;
+        let sampler = DelaySampler::new(cfg.marker, cfg.sampling);
+        let sampler = match cfg.buffer_cap {
+            Some(cap) => sampler.with_buffer_cap(cap),
+            None => sampler,
+        };
+        self.paths
+            .push((path, sampler, Aggregator::new(cfg.partition, cfg.j_window)));
+        self.paths.len() - 1
+    }
+}
+
+impl Plane for Collector {
+    fn register(&mut self, path: PathId) -> usize {
+        self.register_path(path)
+    }
+}
+
+impl Plane for ShardedCollector {
+    fn register(&mut self, path: PathId) -> usize {
+        self.register_path(path)
+    }
+}
+
+enum Step {
+    Register(PathId),
+    Ingest(Vec<(usize, Digest, SimTime)>),
+    Report,
+}
+
+/// Path `i` of the storage-edge scripts (up to 2¹⁶ of them).
+fn wide_path(i: usize) -> PathId {
+    let host = |net: u32| {
+        Ipv4Prefix::new(std::net::Ipv4Addr::from(net | (i as u32 & 0xffff)), 32).unwrap()
+    };
+    path_id(HeaderSpec::new(host(0x0a00_0000), host(0x1400_0000)))
+}
+
+/// A script aimed at the edges of the collector's storage: `n_paths`
+/// paths under Zipf-like skew (the last registered only once traffic
+/// has started), time gaps longer than `2J` that empty every window,
+/// markerless runs long enough to span several log chunks, reports at
+/// random points, and the odd out-of-range entry.
+fn edge_script(seed: u64, n_paths: usize, batch_size: usize) -> Vec<Step> {
+    use rand::{rngs::SmallRng, Rng, SeedableRng};
+    const PACKETS: usize = 4_000;
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let cfg = hop_config();
+    // 2J is 2 ms; a 2.5 ms gap leaves no record in any window.
+    let gap = SimDuration::from_micros(2_500);
+    let late_at = rng.gen_range(PACKETS / 4..3 * PACKETS / 4);
+    let mut registered = n_paths - 1;
+    let mut steps: Vec<Step> = (0..registered)
+        .map(|i| Step::Register(wide_path(i)))
+        .collect();
+    let (mut t, mut markerless, mut batch) = (SimTime::ZERO, 0usize, Vec::new());
+    for k in 0..PACKETS {
+        if k == late_at && batch.is_empty() {
+            steps.push(Step::Register(wide_path(registered)));
+            registered += 1;
+        }
+        t += if rng.gen_range(0..400) == 0 {
+            gap
+        } else {
+            SimDuration::from_micros(10)
+        };
+        if markerless == 0 && rng.gen_range(0..300) == 0 {
+            markerless = rng.gen_range(40..200);
+        }
+        let digest = if markerless > 0 {
+            markerless -= 1;
+            // At or below µ: neither a marker nor (δ is above µ) a cut.
+            Digest(rng.gen_range(0..=cfg.marker.0))
+        } else {
+            Digest(rng.gen())
+        };
+        let index = if rng.gen_range(0..97) == 0 {
+            registered + 3
+        } else if registered == n_paths && rng.gen_range(0..20) == 0 {
+            registered - 1
+        } else {
+            // P(i) falls off roughly as 1/(i+1).
+            let u: f64 = rng.gen();
+            let i = ((registered + 1) as f64).powf(u) as usize;
+            i.clamp(1, registered) - 1
+        };
+        batch.push((index, digest, t));
+        if batch.len() == batch_size {
+            steps.push(Step::Ingest(std::mem::take(&mut batch)));
+            if rng.gen_range(0..8) == 0 {
+                steps.push(Step::Report);
+            }
+        }
+    }
+    steps.push(Step::Ingest(batch));
+    if registered < n_paths {
+        steps.push(Step::Register(wide_path(registered)));
+    }
+    steps
+}
+
+/// Everything a plane shows the outside while it runs a script: every
+/// ingest report, every receipt batch (the last after a flush), and
+/// the final counters.
+fn run_script(
+    plane: &mut dyn Plane,
+    steps: &[Step],
+) -> (Vec<IngestReport>, Vec<ReceiptBatch>, CostCounters) {
+    let mut processor = Processor::new(HopId(4));
+    let (mut reports, mut batches) = (Vec::new(), Vec::new());
+    for step in steps {
+        match step {
+            Step::Register(path) => {
+                plane.register(*path);
+            }
+            Step::Ingest(batch) => reports.push(plane.ingest(batch)),
+            Step::Report => batches.push(processor.report(plane)),
+        }
+    }
+    plane.flush();
+    batches.push(processor.report(plane));
+    (reports, batches, plane.counters())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The storage's edges: `buffer_cap` at 1 and either side of the
+    /// log's 8-record chunk, or none; many skewed paths; windows that
+    /// empty and refill; markerless runs across chunks; reports at any
+    /// point; a path registered mid-stream. The fold, the collector
+    /// and the sharded plane at 1, 2 and 4 shards must agree.
+    #[test]
+    fn ingest_equals_per_packet_at_storage_edges(
+        seed in any::<u64>(),
+        n_paths in 1usize..=300,
+        batch_size in 1usize..=300,
+        cap_sel in 0usize..5,
+    ) {
+        let cap = [Some(1usize), Some(7), Some(8), Some(9), None][cap_sel];
+        let cfg = capped(cap);
+        let steps = edge_script(seed, n_paths, batch_size);
+        let expected = run_script(&mut PerPacketFold::new(cfg), &steps);
+        let context = format!("paths={n_paths} bs={batch_size} cap={cap:?}");
+        prop_assert!(
+            expected.1.iter().any(|b| !b.aggregates.is_empty()),
+            "the script must produce receipts: {context}"
+        );
+        prop_assert_eq!(
+            &run_script(&mut Collector::new(cfg), &steps),
+            &expected,
+            "collector: {}",
+            context
+        );
+        for shards in [1usize, 2, 4] {
+            prop_assert_eq!(
+                &run_script(&mut ShardedCollector::new(cfg, shards), &steps),
+                &expected,
+                "{} shards: {}",
+                shards,
+                context
+            );
+        }
     }
 }
