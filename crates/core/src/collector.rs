@@ -40,6 +40,19 @@
 //!   allocation; the only allocation `ingest` makes in steady state is
 //!   the `AggTrans` digest list of each aggregate it finalizes, which
 //!   its receipt then owns.
+//! * **A batch-ahead prefetch.** On traffic spread over many paths a
+//!   batch holds few packets per path, so each packet's row and then
+//!   its log chunk are a cache miss, one after the other. `ingest`
+//!   therefore walks the batch once, in order, and while it observes
+//!   entry `i` it prefetches the row of entry `i + 16` and, for entry
+//!   `i + 8` (whose row is cached by then), the log record its append
+//!   and `2J` expiry will touch and its pending-close node. The hints
+//!   change no state, so output is the same with or without them.
+//!
+//! Registration is derived from the classifier: the exact-pair table
+//! (or, for prefix specs, the prefix list) names the earliest path with
+//! a spec, so an idempotent [`Collector::register_path`] needs no map
+//! of its own.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -50,6 +63,7 @@ use vpm_packet::{HeaderSpec, Packet, SimDuration, SimTime};
 
 use crate::hop::HopConfig;
 use crate::ingest::{Ingest, IngestError, IngestReport};
+use crate::prefetch::prefetch;
 use crate::receipt::{AggId, AggReceipt, PathId, SampleReceipt, SampleRecord};
 
 /// Per-packet work counters (the §7.1 processing model: "three memory
@@ -138,6 +152,18 @@ impl ClassifierIndex {
                 self.exact.entry(key).or_insert(idx);
             }
             None => self.prefixes.push((idx, spec)),
+        }
+    }
+
+    /// The earliest index registered with exactly `spec`.
+    fn first(&self, spec: &HeaderSpec) -> Option<usize> {
+        match spec.host_pair() {
+            Some(key) => self.exact.get(&key).copied(),
+            None => self
+                .prefixes
+                .iter()
+                .find(|(_, s)| s == spec)
+                .map(|&(i, _)| i),
         }
     }
 
@@ -568,6 +594,23 @@ impl Store {
         0
     }
 
+    /// Start loading what [`Self::observe`] reads for `row`'s next
+    /// packet beyond the row itself: the log slot its append writes,
+    /// the record its `2J` expiry checks first, and its pending-close
+    /// tail.
+    #[inline]
+    fn prefetch_lines(&self, row: &Row) {
+        if let Some(r) = self.log.record(row.tail, row.end) {
+            prefetch(r);
+        }
+        if let Some(r) = self.log.record(row.window_chunk, row.window) {
+            prefetch(r);
+        }
+        if let Some(node) = self.closes.nodes.get(row.pending as usize) {
+            prefetch(node);
+        }
+    }
+
     fn last_digest(&self, row: &Row) -> Digest {
         let pos = row.end.saturating_sub(1);
         self.log
@@ -698,12 +741,12 @@ pub struct Collector {
     store: Store,
     index: ClassifierIndex,
     counters: CostCounters,
-    /// `PathId -> index` of every registered path, making
-    /// [`Collector::register_path`] idempotent: re-registering an
-    /// identical `PathId` returns the existing index instead of
-    /// silently growing a duplicate state slot.
-    registered: HashMap<PathId, usize>,
 }
+
+/// Batch entries the row prefetch in [`Collector::ingest`] runs ahead
+/// of the walk; the log and pending-close lines are prefetched half as
+/// far ahead, once the row is cached.
+const LOOKAHEAD: usize = 16;
 
 impl Collector {
     /// New collector for a HOP.
@@ -722,7 +765,6 @@ impl Collector {
             },
             index: ClassifierIndex::default(),
             counters: CostCounters::default(),
-            registered: HashMap::new(),
         }
     }
 
@@ -734,15 +776,23 @@ impl Collector {
     /// that could never be classified into (the classifier keeps the
     /// earliest index per spec), splitting drains from observations.
     pub fn register_path(&mut self, path: PathId) -> usize {
-        if let Some(&idx) = self.registered.get(&path) {
+        if let Some(idx) = self.position(&path) {
             return idx;
         }
         let idx = self.rows.len();
         self.index.insert(path.spec, idx);
-        self.registered.insert(path, idx);
         self.rows.push(IDLE_ROW);
         self.paths.push(path);
         idx
+    }
+
+    /// Where `path` is registered, if it is. The classifier names the
+    /// earliest path with its spec; only a spec registered again with
+    /// other hops or `MaxDiff` needs the scan past it.
+    fn position(&self, path: &PathId) -> Option<usize> {
+        let first = self.index.first(&path.spec)?;
+        let from = self.paths.get(first..)?;
+        from.iter().position(|p| p == path).map(|i| first + i)
     }
 
     /// Classify a packet into its registered path index without
@@ -831,11 +881,27 @@ impl Ingest for Collector {
     /// on top of that, every entry naming an unregistered path index
     /// comes back as a typed [`IngestError::PathOutOfRange`] — the
     /// entry itself is counted as unclassified and charged no hash.
+    ///
+    /// The walk prefetches a few entries ahead (see the module
+    /// docs); an out-of-range entry ahead is skipped there and rejected
+    /// when the walk reaches it.
     fn ingest(&mut self, batch: &[(usize, Digest, SimTime)]) -> IngestReport {
         let paths = self.rows.len();
         let mut errors = Vec::new();
         let mut swept = 0u64;
         for (entry, &(index, digest, time)) in batch.iter().enumerate() {
+            if let Some(row) = batch
+                .get(entry + LOOKAHEAD)
+                .and_then(|ahead| self.rows.get(ahead.0))
+            {
+                prefetch(row);
+            }
+            if let Some(row) = batch
+                .get(entry + LOOKAHEAD / 2)
+                .and_then(|ahead| self.rows.get(ahead.0))
+            {
+                self.store.prefetch_lines(row);
+            }
             match self.rows.get_mut(index) {
                 Some(row) => swept += self.store.observe(row, digest, time),
                 None => errors.push(IngestError::PathOutOfRange {

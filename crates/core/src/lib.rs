@@ -33,8 +33,15 @@
 //! * [`parallel`] — the deterministic fork-join helper behind every
 //!   `--jobs N` surface (scenario matrix, fleet verifier): parallel
 //!   results are byte-identical to sequential ones.
+//!
+//! `unsafe` is denied crate-wide, with one audited exception: the
+//! private `prefetch` module, a module-scoped allow around the single
+//! `_mm_prefetch` hint `Collector::ingest` issues ahead of its walk,
+//! with a `SAFETY` argument at its `unsafe` block. CI fails unless the
+//! audited files are exactly that module and `vpm-hash`'s SHA-NI
+//! kernel.
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 // Mirror vpm-lint's R1 (panic-freedom) in the compiler's own
 // diagnostics for non-test code; sites vpm-lint allows carry a
@@ -51,6 +58,7 @@ pub mod ingest;
 pub mod overhead;
 pub mod parallel;
 pub mod partition;
+mod prefetch;
 pub mod processor;
 pub mod receipt;
 pub mod sampling;

@@ -32,8 +32,6 @@
 //! measurement state, and the drain walks global registration order —
 //! not shard order — when merging.
 
-use std::collections::HashMap;
-
 use vpm_hash::Digest;
 use vpm_packet::SimTime;
 
@@ -51,9 +49,10 @@ pub struct ShardedCollector {
     /// Global path index → `(shard, shard-local index)`, in
     /// registration order — the merge order of `drain_receipts`.
     routes: Vec<(usize, usize)>,
-    /// `PathId` → global index, making registration idempotent on
-    /// exact duplicates (mirrors [`Collector::register_path`]).
-    registered: HashMap<PathId, usize>,
+    /// Per shard, shard-local index → global index. A shard's
+    /// [`Collector::register_path`] is idempotent, so a local index it
+    /// already handed out names a duplicate registration.
+    globals: Vec<Vec<usize>>,
     /// Entries rejected at the router (global index out of range).
     /// Folded into the `unclassified` counter so the sharded plane's
     /// accounting matches the single-core fold entry for entry.
@@ -72,7 +71,7 @@ impl ShardedCollector {
         ShardedCollector {
             shards: (0..n).map(|_| Collector::new(config)).collect(),
             routes: Vec::new(),
-            registered: HashMap::new(),
+            globals: (0..n).map(|_| Vec::new()).collect(),
             router_unclassified: 0,
             scratch: (0..n).map(|_| Vec::new()).collect(),
         }
@@ -85,15 +84,17 @@ impl ShardedCollector {
     /// already-registered `PathId` returns its existing global index
     /// and changes nothing.
     pub fn register_path(&mut self, path: PathId) -> usize {
-        if let Some(&idx) = self.registered.get(&path) {
-            return idx;
-        }
         let shard = (path.shard_key() % self.shards.len() as u64) as usize;
         let global = self.routes.len();
-        if let Some(col) = self.shards.get_mut(shard) {
+        if let (Some(col), Some(globals)) =
+            (self.shards.get_mut(shard), self.globals.get_mut(shard))
+        {
             let local = col.register_path(path);
+            if let Some(&known) = globals.get(local) {
+                return known;
+            }
             self.routes.push((shard, local));
-            self.registered.insert(path, global);
+            globals.push(global);
         }
         global
     }

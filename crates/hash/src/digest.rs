@@ -68,42 +68,11 @@ pub fn digest_words(words: &[u32], seed: DigestSeed) -> Digest {
 /// `out.len() == blocks.len()`, regardless of what the (reusable)
 /// scratch Vec held before.
 ///
-/// This is the slice-digesting hot path for batched collectors: full
-/// quads of blocks go through the multi-lane lookup3 kernel
-/// ([`crate::lanes::hash64_words_x4`] — 4 digests per invocation, SSE2
-/// where statically available), the ≤3-block remainder through the
-/// scalar path. Byte-identical to calling [`digest_words`] on each
-/// block (pinned by proptests below), so callers see only the
-/// throughput difference.
+/// This is the slice-digesting path of batched collectors: one
+/// [`digest_words`] call per block.
 pub fn digest_batch<const W: usize>(blocks: &[[u32; W]], seed: DigestSeed, out: &mut Vec<Digest>) {
     out.clear();
-    out.reserve(blocks.len());
-    let mut rest = blocks;
-    while let [q0, q1, q2, q3, tail @ ..] = rest {
-        let hashes = crate::lanes::hash64_words_x4(q0, q1, q2, q3, seed.0);
-        out.extend(hashes.into_iter().map(Digest));
-        rest = tail;
-    }
-    for block in rest {
-        out.push(digest_words(block, seed));
-    }
-}
-
-/// The scalar reference implementation of [`digest_batch`]: one
-/// [`digest_words`] call per block, no multi-lane kernel. Same
-/// clear-and-fill contract. Kept public so benches can measure the
-/// lane win and tests can pin byte-identity without reimplementing
-/// the loop.
-pub fn digest_batch_scalar<const W: usize>(
-    blocks: &[[u32; W]],
-    seed: DigestSeed,
-    out: &mut Vec<Digest>,
-) {
-    out.clear();
-    out.reserve(blocks.len());
-    for block in blocks {
-        out.push(digest_words(block, seed));
-    }
+    out.extend(blocks.iter().map(|block| digest_words(block, seed)));
 }
 
 #[cfg(test)]
@@ -176,12 +145,10 @@ mod tests {
     }
 
     proptest! {
-        /// Multi-lane vs scalar byte-identity over the whole length
-        /// range that matters (0..=257 covers empty, sub-quad, exact
-        /// quads, and every remainder class well past one batch), at
-        /// the collector's digest width W=6.
+        /// `digest_batch` is `digest_words` block by block, over
+        /// lengths 0..=257 at the collector's digest width W=6.
         #[test]
-        fn digest_batch_lanes_match_scalar_w6(
+        fn digest_batch_equals_digest_words_per_block(
             words in proptest::collection::vec(any::<u32>(), 0..=257 * 6),
             seed in any::<u64>(),
         ) {
@@ -190,67 +157,10 @@ mod tests {
                 .chunks_exact(6)
                 .map(|c| [c[0], c[1], c[2], c[3], c[4], c[5]])
                 .collect();
-            let mut lanes = Vec::new();
-            let mut scalar = Vec::new();
-            digest_batch(&blocks, s, &mut lanes);
-            digest_batch_scalar(&blocks, s, &mut scalar);
-            prop_assert_eq!(lanes, scalar);
-        }
-
-        /// Same identity at a width with no mix loop (W=3, pure tail)
-        /// and a multi-mix-block width (W=8): the kernel must track
-        /// scalar control flow at every width class, not just the
-        /// packet digest's W=6.
-        #[test]
-        fn digest_batch_lanes_match_scalar_other_widths(
-            words in proptest::collection::vec(any::<u32>(), 0..=24 * 24),
-            seed in any::<u64>(),
-        ) {
-            let s = DigestSeed(seed);
-            let b3: Vec<[u32; 3]> = words.chunks_exact(3).map(|c| [c[0], c[1], c[2]]).collect();
-            let b8: Vec<[u32; 8]> = words
-                .chunks_exact(8)
-                .map(|c| [c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7]])
-                .collect();
-            let (mut lanes, mut scalar) = (Vec::new(), Vec::new());
-            digest_batch(&b3, s, &mut lanes);
-            digest_batch_scalar(&b3, s, &mut scalar);
-            prop_assert_eq!(&lanes, &scalar);
-            digest_batch(&b8, s, &mut lanes);
-            digest_batch_scalar(&b8, s, &mut scalar);
-            prop_assert_eq!(&lanes, &scalar);
-        }
-
-        /// Misaligned inputs: digesting a sub-slice starting at an
-        /// arbitrary offset (so quad boundaries — and the underlying
-        /// addresses — shift relative to the allocation) must equal
-        /// digesting those blocks alone. The lane kernel may not care
-        /// where a block sits in memory or within a batch.
-        #[test]
-        fn digest_batch_is_offset_invariant(
-            words in proptest::collection::vec(any::<u32>(), 6..=130 * 6),
-            raw_offset in any::<u16>(),
-            seed in any::<u64>(),
-        ) {
-            let s = DigestSeed(seed);
-            let blocks: Vec<[u32; 6]> = words
-                .chunks_exact(6)
-                .map(|c| [c[0], c[1], c[2], c[3], c[4], c[5]])
-                .collect();
-            let off = raw_offset as usize % blocks.len();
-            let sub = &blocks[off..];
-            let mut from_sub = Vec::new();
-            digest_batch(sub, s, &mut from_sub);
-            let mut whole = Vec::new();
-            digest_batch(&blocks, s, &mut whole);
-            prop_assert_eq!(from_sub.len(), sub.len());
-            for (i, block) in sub.iter().enumerate() {
-                prop_assert_eq!(from_sub[i], digest_words(block, s));
-            }
-            // And the tail of the whole-batch run sees the same blocks
-            // but at different quad phase — digests must still agree
-            // element-wise with the scalar truth.
-            prop_assert_eq!(&whole[off..], &from_sub[..]);
+            let mut out = Vec::new();
+            digest_batch(&blocks, s, &mut out);
+            let expected: Vec<Digest> = blocks.iter().map(|b| digest_words(b, s)).collect();
+            prop_assert_eq!(out, expected);
         }
 
         /// The word path must agree with the byte path on word-aligned

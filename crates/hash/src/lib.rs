@@ -28,31 +28,28 @@
 //! always produce the same digest on every HOP, which is the foundation
 //! of receipt consistency checking.
 //!
-//! `unsafe` is denied crate-wide, with two audited exceptions, each a
-//! module-scoped allow around `#[target_feature]` kernels with a
-//! `SAFETY` argument at every `unsafe` block: the SSE2 dispatch call
-//! in [`lanes`] (the feature gate is compile-time) and the SHA-NI
-//! kernel under [`mod@sha256`] (`sha256/shani.rs`; the gate is run-time
-//! detection, and the kernel is unreachable without it). CI fails if
-//! a third file lifts the `unsafe_code` lint.
+//! `unsafe` is denied crate-wide, with one audited exception: the
+//! SHA-NI kernel under [`mod@sha256`] (`sha256/shani.rs`), a
+//! module-scoped allow around `#[target_feature]` code with a `SAFETY`
+//! argument at every `unsafe` block (the gate is run-time detection,
+//! and the kernel is unreachable without it). CI fails unless the
+//! audited files are exactly that module and `vpm-core`'s prefetch
+//! hint.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod digest;
 pub mod hopkey;
-pub mod lanes;
 pub mod lookup3;
 pub mod sample;
 pub mod sha256;
 pub mod threshold;
 
 pub use digest::{
-    digest_batch, digest_batch_scalar, digest_bytes, digest_words, Digest, DigestSeed,
-    DEFAULT_DIGEST_SEED,
+    digest_batch, digest_bytes, digest_words, Digest, DigestSeed, DEFAULT_DIGEST_SEED,
 };
 pub use hopkey::{HopKey, KeyEpoch};
-pub use lanes::{hash64_words_x4, DIGEST_LANES};
 pub use sample::{sample_fcn, sample_fcn_keyed, SampleKey};
 pub use sha256::{hmac_sha256, mac_eq, sha256, Sha256, SHA256_BLOCK_BYTES, SHA256_DIGEST_BYTES};
 pub use threshold::Threshold;

@@ -490,9 +490,9 @@ mod tests {
     }
 
     proptest! {
-        /// The kernels pinned to each other, as `lanes` is pinned to
-        /// scalar lookup3: any message, cut into any `update` chunks,
-        /// hashes the same on every kernel, chunked or one-shot.
+        /// The kernels pinned to each other: any message, cut into any
+        /// `update` chunks, hashes the same on every kernel, chunked or
+        /// one-shot.
         #[test]
         fn kernels_agree_on_arbitrary_messages_and_chunkings(
             msg in proptest::collection::vec(any::<u8>(), 0..=4096),

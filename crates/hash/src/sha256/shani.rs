@@ -9,8 +9,8 @@
 //! there pin it on arbitrary messages, the NIST and RFC 4231 vectors
 //! and every padding boundary.
 //!
-//! With [`crate::lanes`], one of the two modules in `vpm-hash` allowed
-//! to use `unsafe` — for the unaligned 16-byte message loads and for
+//! The one module in `vpm-hash` allowed to use `unsafe` — for the
+//! unaligned 16-byte message loads and for
 //! the single call across the `#[target_feature]` boundary, which
 //! [`kernel`] puts behind runtime detection (see the `SAFETY`
 //! comments). The rest of the crate remains `deny(unsafe_code)`.

@@ -405,6 +405,134 @@ fn run_script(
     (reports, batches, plane.counters())
 }
 
+/// How far ahead `Collector::ingest` prefetches: the row of the entry
+/// this many places ahead, and the log and pending-close lines of the
+/// entry half as far ahead. The tests below sit at those edges.
+const AHEAD: usize = 16;
+
+/// Register `n_paths` paths, run `batches`, and check that the fold,
+/// the collector and the sharded plane at 1, 2 and 4 shards agree.
+fn assert_planes_agree(n_paths: usize, batches: Vec<Vec<(usize, Digest, SimTime)>>, context: &str) {
+    let mut steps: Vec<Step> = (0..n_paths).map(|i| Step::Register(wide_path(i))).collect();
+    steps.extend(batches.into_iter().map(Step::Ingest));
+    let cfg = hop_config();
+    let expected = run_script(&mut PerPacketFold::new(cfg), &steps);
+    assert!(
+        expected.1.iter().any(|b| !b.aggregates.is_empty()),
+        "the batches must produce receipts: {context}"
+    );
+    assert_eq!(
+        run_script(&mut Collector::new(cfg), &steps),
+        expected,
+        "collector: {context}"
+    );
+    for shards in [1usize, 2, 4] {
+        assert_eq!(
+            run_script(&mut ShardedCollector::new(cfg, shards), &steps),
+            expected,
+            "{shards} shards: {context}"
+        );
+    }
+}
+
+/// Entry `k` of a lookahead test stream: 10 µs apart, random digests.
+fn entry(rng: &mut rand::rngs::SmallRng, path: usize, k: usize) -> (usize, Digest, SimTime) {
+    use rand::Rng;
+    (path, Digest(rng.gen()), SimTime::from_micros(10 * k as u64))
+}
+
+/// Batches shorter than the lookahead, of exactly it, and one longer,
+/// at both distances: no entry ahead exists, or only the near one.
+#[test]
+fn lookahead_at_batch_lengths_around_its_distance() {
+    use rand::{rngs::SmallRng, Rng, SeedableRng};
+    let mut rng = SmallRng::seed_from_u64(31);
+    let stream: Vec<_> = (0..3_000)
+        .map(|k| {
+            let path = rng.gen_range(0..5);
+            entry(&mut rng, path, k)
+        })
+        .collect();
+    let near = AHEAD / 2;
+    for len in [1, near - 1, near, near + 1, AHEAD - 1, AHEAD, AHEAD + 1] {
+        let batches = stream.chunks(len).map(<[_]>::to_vec).collect();
+        assert_planes_agree(5, batches, &format!("batch length {len}"));
+    }
+}
+
+/// Out-of-range entries exactly as far ahead as each prefetch looks
+/// (and at the batch's end), with indices just past the table and at
+/// `usize::MAX`: the lookahead must skip them, never index with them.
+#[test]
+fn lookahead_skips_out_of_range_entries_ahead() {
+    use rand::{rngs::SmallRng, Rng, SeedableRng};
+    const PATHS: usize = 4;
+    let mut rng = SmallRng::seed_from_u64(32);
+    let mut k = 0;
+    let batches = (0..200)
+        .map(|b| {
+            let len = [AHEAD / 2 + 1, AHEAD + 1, 2 * AHEAD + 1][b % 3];
+            (0..len)
+                .map(|i| {
+                    let bad = if b % 2 == 0 { PATHS } else { usize::MAX };
+                    let path = if i == AHEAD / 2 || i == AHEAD || i == len - 1 {
+                        bad
+                    } else {
+                        rng.gen_range(0..PATHS)
+                    };
+                    k += 1;
+                    entry(&mut rng, path, k)
+                })
+                .collect()
+        })
+        .collect();
+    assert_planes_agree(PATHS, batches, "out-of-range entries ahead");
+}
+
+/// One path throughout the window: every prefetch names the row being
+/// observed, and every eighth append opens a fresh chunk.
+#[test]
+fn lookahead_on_one_path_repeated() {
+    use rand::{rngs::SmallRng, SeedableRng};
+    let mut rng = SmallRng::seed_from_u64(33);
+    let stream: Vec<_> = (0..4_000).map(|k| entry(&mut rng, 0, k)).collect();
+    for len in [AHEAD + 1, 4096] {
+        let batches = stream.chunks(len).map(<[_]>::to_vec).collect();
+        assert_planes_agree(3, batches, &format!("one path, batch length {len}"));
+    }
+}
+
+/// A prefetched entry whose append opens a fresh chunk: path 0 holds a
+/// whole number of chunks at each batch start and next appears exactly
+/// `AHEAD / 2` entries in, with its row prefetched at `AHEAD`. Gaps
+/// longer than `2J` release its chunks now and then, so the fresh chunk
+/// comes both from a new page and from the free list.
+#[test]
+fn lookahead_onto_an_append_that_opens_a_fresh_chunk() {
+    use rand::{rngs::SmallRng, Rng, SeedableRng};
+    let mut rng = SmallRng::seed_from_u64(34);
+    let mut k = 0;
+    let batches = (0..300)
+        .map(|b| {
+            if b % 7 == 6 {
+                k += 300; // 3 ms: past 2J, every window empties
+            }
+            (0..2 * AHEAD + 1)
+                .map(|i| {
+                    let path = if i == AHEAD / 2 || (AHEAD..AHEAD + 7).contains(&i) {
+                        0
+                    } else {
+                        rng.gen_range(1..4)
+                    };
+                    k += 1;
+                    entry(&mut rng, path, k)
+                })
+                .collect()
+        })
+        .collect();
+    assert_planes_agree(4, batches, "fresh chunk ahead");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
