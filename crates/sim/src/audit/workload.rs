@@ -77,8 +77,8 @@ impl Churn {
 
     /// Test constructor: a fixed membership/liar assignment (never
     /// stepped by the tests that use it).
-    #[doc(hidden)]
-    pub fn fixed(paths: usize, active: &[bool], liar: &[bool]) -> Churn {
+    #[cfg(test)]
+    pub(crate) fn fixed(paths: usize, active: &[bool], liar: &[bool]) -> Churn {
         let mut c = Churn::new(paths, 0);
         for (dst, src) in c.active.iter_mut().zip(active) {
             *dst = *src;
@@ -214,8 +214,8 @@ pub fn publish_interval(
 
 /// Test hook: publish a single HOP report so the auditor's unit tests
 /// can leave an interval deliberately partial.
-#[doc(hidden)]
-pub fn publish_one_hop_for_tests(
+#[cfg(test)]
+pub(crate) fn publish_one_hop_for_tests(
     transport: &dyn ReceiptTransport,
     slot: usize,
     idx: u16,

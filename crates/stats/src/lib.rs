@@ -28,11 +28,9 @@ pub mod accuracy;
 pub mod loss;
 pub mod normal;
 pub mod quantile;
-pub mod sla;
 pub mod summary;
 
 pub use accuracy::{quantile_error, QuantileErrorReport};
 pub use loss::{wilson_interval, LossStats};
 pub use quantile::{empirical_quantile, estimate_quantile, QuantileEstimate};
-pub use sla::{combined_verdict, SlaSpec, Verdict};
 pub use summary::Summary;
