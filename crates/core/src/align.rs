@@ -14,12 +14,10 @@
 //! upstream but after it downstream, so the verifier migrates `p4` from
 //! HOP 4's later aggregate to its earlier one.
 
-use std::collections::hash_map::RandomState;
-use std::hash::BuildHasher;
-use std::sync::OnceLock;
-
 use serde::{Deserialize, Serialize};
 use vpm_hash::Digest;
+
+use crate::digest_table::DigestTable;
 
 /// Net migration to apply to a downstream aggregate pair at one
 /// boundary so it matches the upstream packet assignment.
@@ -72,59 +70,15 @@ const BEFORE: u8 = 1;
 /// ...or at or after it.
 const AFTER: u8 = 2;
 
-/// Slots per window digest, rounded up to a power of two: a table at
-/// most an eighth full keeps nearly every probe at its home slot, for
-/// 128 bytes of (reused) table per digest of the longest window.
-const SPREAD: usize = 8;
-
-/// The smallest table, in slots.
-const MIN_SLOTS: usize = 16;
-
-/// The multiplier [`WindowTable`] hashes with: odd, drawn once per
-/// process from the standard library's randomly keyed hasher. The
-/// windows are a peer's, who may lie; without the secret it cannot
-/// pick digests that pile into one probe run.
-fn process_key() -> u64 {
-    static KEY: OnceLock<u64> = OnceLock::new();
-    *KEY.get_or_init(|| RandomState::new().hash_one(0x5650_4d2d_414c_4e00_u64) | 1)
-}
-
-/// One slot of a [`WindowTable`]; it belongs to the current window
-/// only if it carries the window's stamp, and is empty otherwise.
-#[derive(Debug, Clone, Copy, Default)]
-struct Slot {
-    digest: Digest,
-    stamp: u32,
-    /// [`BEFORE`] and/or [`AFTER`].
-    sides: u8,
-}
-
-/// One downstream window as an open-addressing table: each distinct
-/// digest with the sides of the boundary the window holds it on.
-/// Multiply-shift hashing under [`process_key`], linear probing. The
-/// slot array is reused from one boundary to the next: each window
-/// takes a new stamp instead of clearing, and uses only the
-/// power-of-two prefix its length needs.
+/// One downstream window as a [`DigestTable`]: each distinct digest
+/// with the sides of the boundary the window holds it on ([`BEFORE`]
+/// and/or [`AFTER`]). One table serves boundary after boundary.
 #[derive(Debug)]
-pub(crate) struct WindowTable {
-    slots: Vec<Slot>,
-    stamp: u32,
-    /// Live slots minus one (the probe wrap mask).
-    mask: usize,
-    /// `64 − log2(live slots)`: a product's top bits pick the home slot.
-    shift: u32,
-    key: u64,
-}
+pub(crate) struct WindowTable(DigestTable<u8>);
 
 impl WindowTable {
     pub(crate) fn new() -> Self {
-        WindowTable {
-            slots: Vec::new(),
-            stamp: 0,
-            mask: MIN_SLOTS - 1,
-            shift: 64 - MIN_SLOTS.trailing_zeros(),
-            key: process_key(),
-        }
+        WindowTable(DigestTable::with_len(0))
     }
 
     /// [`window_migration`], on this table.
@@ -134,8 +88,13 @@ impl WindowTable {
         down_window: &[Digest],
         boundary: Digest,
     ) -> Option<Migration> {
-        if !self.load(down_window, boundary) {
-            return None;
+        let straddles = self.load(down_window, boundary)?;
+        // In identical windows every entry sits on the same side of the
+        // split in both, so none migrates unless some digest sits on
+        // both sides. Two honest HOPs with no reordering or loss near
+        // the cut report identical windows, so most boundaries end here.
+        if !straddles && up_window == down_window {
+            return Some(Migration::default());
         }
         let (mut m, mut after) = (Migration::default(), false);
         for &d in up_window {
@@ -153,60 +112,28 @@ impl WindowTable {
         after.then_some(m)
     }
 
-    /// Refill the table with `window`; false when the window does not
-    /// hold `boundary`. The boundary lands on the [`AFTER`] side only,
-    /// so no upstream entry after the split can match it.
-    fn load(&mut self, window: &[Digest], boundary: Digest) -> bool {
-        let live = (SPREAD * window.len()).next_power_of_two().max(MIN_SLOTS);
-        if self.slots.len() < live {
-            self.slots.resize(live, Slot::default());
-        }
-        // Stamp 0 marks never-used slots; a stamp wrap (after 2³² − 1
-        // windows) clears the table once.
-        self.stamp = self.stamp.wrapping_add(1);
-        if self.stamp == 0 {
-            self.slots.fill(Slot::default());
-            self.stamp = 1;
-        }
-        self.mask = live - 1;
-        self.shift = 64 - live.trailing_zeros();
-        let mut side = BEFORE;
+    /// Refill the table with `window`: whether some digest sits on both
+    /// sides of the split, or `None` when the window does not hold
+    /// `boundary`. The boundary lands on the [`AFTER`] side only, so no
+    /// upstream entry after the split can match it.
+    fn load(&mut self, window: &[Digest], boundary: Digest) -> Option<bool> {
+        self.0.clear_for(window.len());
+        let (mut side, mut straddles) = (BEFORE, false);
         for &d in window {
             if d == boundary {
                 side = AFTER;
             }
-            let (at, stamp) = (self.find(d), self.stamp);
-            if let Some(slot) = self.slots.get_mut(at) {
-                let sides = if slot.stamp == stamp { slot.sides } else { 0 };
-                *slot = Slot {
-                    digest: d,
-                    stamp,
-                    sides: sides | side,
-                };
+            if let Some(sides) = self.0.entry(d) {
+                *sides |= side;
+                straddles |= *sides == BEFORE | AFTER;
             }
         }
-        side == AFTER
+        (side == AFTER).then_some(straddles)
     }
 
     /// The sides `d` was seen on; 0 when the window lacks it.
     fn sides(&self, d: Digest) -> u8 {
-        match self.slots.get(self.find(d)) {
-            Some(slot) if slot.stamp == self.stamp => slot.sides,
-            _ => 0,
-        }
-    }
-
-    /// The slot holding `d`, or the empty slot it would go in. The
-    /// table is never full, so the probe ends.
-    fn find(&self, d: Digest) -> usize {
-        let mut at = (d.0.wrapping_mul(self.key) >> self.shift) as usize;
-        while let Some(slot) = self.slots.get(at) {
-            if slot.stamp != self.stamp || slot.digest == d {
-                break;
-            }
-            at = (at + 1) & self.mask;
-        }
-        at
+        self.0.get(d).copied().unwrap_or(0)
     }
 }
 
@@ -257,9 +184,10 @@ mod tests {
         /// digests, the boundary is present, absent, repeated, first or
         /// last,
         /// tables grow well past their minimum, and digests differ only
-        /// in high bits. One table serves each case twice, a window and
-        /// then a shorter one, so a slot left over from a longer window
-        /// must not leak into the next.
+        /// in high bits. One table serves each case three times, a
+        /// window, a shorter one and the upstream window against itself,
+        /// so a slot left over from a longer window must not leak into
+        /// the next.
         #[test]
         fn migration_equals_the_nested_scan(
             up in proptest::collection::vec(proptest::prelude::any::<u64>(), 0..700),
@@ -287,6 +215,12 @@ mod tests {
                     window_migration_reference(up, down, boundary)
                 );
             }
+            // And identical windows, with and without a digest on both
+            // sides of the cut.
+            proptest::prop_assert_eq!(
+                table.migration(&up, &up, boundary),
+                window_migration_reference(&up, &up, boundary)
+            );
         }
     }
 
@@ -298,13 +232,13 @@ mod tests {
         let mut table = WindowTable::new();
         let first = table.migration(&d(&[3, 5]), &d(&[5, 3]), Digest(5));
         assert_eq!(first.map(|m| m.to_earlier), Some(1));
-        table.stamp = u32::MAX;
+        table.0.stamp = u32::MAX;
         let (up, down) = (d(&[3, 5]), d(&[5, 6]));
         assert_eq!(
             table.migration(&up, &down, Digest(5)),
             window_migration_reference(&up, &down, Digest(5))
         );
-        assert_eq!(table.stamp, 1);
+        assert_eq!(table.0.stamp, 1);
     }
 
     #[test]
@@ -320,6 +254,16 @@ mod tests {
         // Boundary first upstream and last downstream.
         let m = window_migration(&d(&[5, 1, 2]), &d(&[1, 2, 5]), Digest(5)).unwrap();
         assert_eq!((m.to_earlier, m.to_later), (0, 2));
+    }
+
+    #[test]
+    fn identical_windows_migrate_only_digests_on_both_sides() {
+        let same = |xs: &[u64]| window_migration(&d(xs), &d(xs), Digest(5)).unwrap();
+        assert_eq!(same(&[3, 4, 5, 6]), Migration::default());
+        // 3 sits before and after the cut in both windows: each
+        // occurrence crosses, and the net is the difference.
+        let m = same(&[3, 3, 5, 3]);
+        assert_eq!((m.to_earlier, m.to_later, m.net_to_earlier()), (2, 1, 1));
     }
 
     #[test]

@@ -53,6 +53,7 @@ pub mod align;
 pub mod collector;
 pub mod combine;
 pub mod consistency;
+mod digest_table;
 pub mod hop;
 pub mod ingest;
 pub mod overhead;

@@ -16,7 +16,6 @@
 //!   collect the evidence that exposes liars (§3.1).
 
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use vpm_hash::Digest;
 use vpm_packet::SimTime;
 use vpm_stats::{estimate_quantile, LossStats, QuantileEstimate};
@@ -25,6 +24,7 @@ use crate::align::WindowTable;
 use crate::consistency::{
     check_aggregate_pair, check_max_diff, check_sample_pair, LinkInconsistency,
 };
+use crate::digest_table::DigestTable;
 use crate::receipt::{AggId, AggReceipt, PathId, SampleRecord};
 
 /// A packet sampled by both HOPs, with both observation times.
@@ -64,35 +64,40 @@ impl MatchedSample {
 ///
 /// One table, keyed by the egress digests, counts each digest's
 /// occurrences on both sides; a pair is emitted, in ingress order, for
-/// every digest seen exactly once on each. The table keeps the standard
-/// library's keyed hasher: the digests are a peer's, who may lie.
+/// every digest seen exactly once on each. The digests are a peer's,
+/// who may lie, so the table is the verifier's keyed one (the same as
+/// the §6.3 join's): multiply-shift under a per-process secret
+/// multiplier, linear probing, at most an eighth full. A peer that does
+/// not know the secret cannot pick digests that pile into one probe
+/// run.
 pub fn match_samples(ingress: &[SampleRecord], egress: &[SampleRecord]) -> Vec<MatchedSample> {
+    #[derive(Debug, Clone, Copy, Default)]
     struct Seen {
-        ingress: u32,
-        egress: u32,
         t_out: SimTime,
+        ingress: u8,
+        egress: u8,
     }
-    let mut seen: HashMap<Digest, Seen> = HashMap::with_capacity(egress.len());
+    let mut seen: DigestTable<Seen> = DigestTable::with_len(egress.len());
     for r in egress {
-        let s = seen.entry(r.pkt_id).or_insert(Seen {
-            ingress: 0,
-            egress: 0,
-            t_out: r.time,
-        });
-        s.egress = s.egress.saturating_add(1);
+        if let Some(s) = seen.entry(r.pkt_id) {
+            if s.egress == 0 {
+                s.t_out = r.time;
+            }
+            s.egress = s.egress.saturating_add(1);
+        }
     }
     for r in ingress {
-        if let Some(s) = seen.get_mut(&r.pkt_id) {
+        if let Some(s) = seen.get_mut(r.pkt_id) {
             s.ingress = s.ingress.saturating_add(1);
         }
     }
     let mut out = Vec::with_capacity(ingress.len().min(egress.len()));
     for r in ingress {
         if let Some(&Seen {
+            t_out,
             ingress: 1,
             egress: 1,
-            t_out,
-        }) = seen.get(&r.pkt_id)
+        }) = seen.get(r.pkt_id)
         {
             out.push(MatchedSample {
                 pkt_id: r.pkt_id,
@@ -170,16 +175,19 @@ fn closed_window(side: &[AggReceipt], i: usize) -> Option<&[Digest]> {
 /// boundary's migration is computed once: it closes one joined
 /// aggregate and opens the next.
 pub fn join_aggregates(up: &[AggReceipt], down: &[AggReceipt]) -> JoinResult {
-    // Map upstream cut digests (aggregate first packets) to indices.
-    let mut up_starts: HashMap<Digest, usize> = HashMap::with_capacity(up.len());
+    // Map upstream cut digests (aggregate first packets) to the index
+    // of their first occurrence.
+    let mut up_starts: DigestTable<Option<usize>> = DigestTable::with_len(up.len());
     for (i, r) in up.iter().enumerate() {
-        up_starts.entry(r.agg.first).or_insert(i);
+        if let Some(first @ None) = up_starts.entry(r.agg.first) {
+            *first = Some(i);
+        }
     }
     // Common boundaries (upstream index, downstream index, cut digest),
     // strictly increasing on both sides.
     let mut bounds: Vec<(usize, usize, Digest)> = Vec::new();
     for (di, r) in down.iter().enumerate() {
-        if let Some(&ui) = up_starts.get(&r.agg.first) {
+        if let Some(&Some(ui)) = up_starts.get(r.agg.first) {
             if bounds.last().is_none_or(|&(prev, ..)| ui > prev) {
                 bounds.push((ui, di, r.agg.first));
             }
@@ -451,7 +459,7 @@ mod tests {
     mod reference {
         use super::super::*;
         use crate::align::window_migration_reference as window_migration;
-        use std::collections::HashSet;
+        use std::collections::{HashMap, HashSet};
 
         pub fn match_samples(
             ingress: &[SampleRecord],
@@ -589,11 +597,15 @@ mod tests {
     }
 
     /// Records over a 24-digest space, so either side, or both, hold a
-    /// digest more than once.
-    fn arb_records(ids: &[u64]) -> Vec<SampleRecord> {
+    /// digest more than once; each digest is shifted left by `shift`
+    /// bits, so with a large shift digests differ only in high bits.
+    fn arb_records(ids: &[u64], shift: u32) -> Vec<SampleRecord> {
         ids.iter()
             .enumerate()
-            .map(|(i, &id)| rec(id, 10 * i as u64 + id))
+            .map(|(i, &id)| SampleRecord {
+                pkt_id: Digest(id << shift),
+                time: SimTime::from_micros(10 * i as u64 + id),
+            })
             .collect()
     }
 
@@ -650,9 +662,10 @@ mod tests {
         #[test]
         fn match_equals_the_five_table_match(
             ingress in proptest::collection::vec(0u64..24, 0..60),
-            egress in proptest::collection::vec(0u64..24, 0..60)
+            egress in proptest::collection::vec(0u64..24, 0..60),
+            shift in 0u32..48
         ) {
-            let (ingress, egress) = (arb_records(&ingress), arb_records(&egress));
+            let (ingress, egress) = (arb_records(&ingress, shift), arb_records(&egress, shift));
             proptest::prop_assert_eq!(
                 match_samples(&ingress, &egress),
                 reference::match_samples(&ingress, &egress)
@@ -674,7 +687,7 @@ mod tests {
             down in proptest::collection::vec(0u64..24, 0..60),
             seed in proptest::prelude::any::<u64>()
         ) {
-            let (up, down) = (arb_records(&up), arb_records(&down));
+            let (up, down) = (arb_records(&up, 0), arb_records(&down, 0));
             let (up_aggs, down_aggs) = arb_stream_pair(seed);
             let path = test_path();
             let report =
@@ -792,6 +805,55 @@ mod tests {
         ];
         for digest in families {
             assert_long_join_is_fast_and_exact(digest);
+        }
+    }
+
+    /// Match 100,000 records a side under a 1 s limit (a debug build is
+    /// fine) for digests a lying peer could pick to defeat an unkeyed
+    /// table: spaced `2⁴⁰` apart, one value repeated (every record but
+    /// one in 1,024, all then skipped as duplicates), and sharing their
+    /// low 32 bits. The egress side lists the packets in reverse, 3 ms
+    /// later. Up to three tries, as for the join.
+    #[test]
+    fn match_scales_with_hostile_digests() {
+        let families: [fn(u64) -> Digest; 3] = [
+            |i| Digest(i << 40),
+            |i| Digest(if i % 1_024 == 0 { i + 1 } else { 7 }),
+            |i| Digest(i << 32 | 0x5650_4d00),
+        ];
+        for digest in families {
+            let side = |delay_us: u64| -> Vec<SampleRecord> {
+                (0..100_000u64)
+                    .map(|i| SampleRecord {
+                        pkt_id: digest(i),
+                        time: SimTime::from_micros(10 * i + delay_us),
+                    })
+                    .collect()
+            };
+            let ingress = side(0);
+            let mut egress = side(3_000);
+            egress.reverse();
+            let limit = std::time::Duration::from_secs(1);
+            let timed = || {
+                let started = std::time::Instant::now();
+                (match_samples(&ingress, &egress), started.elapsed())
+            };
+            let (mut matched, mut took) = timed();
+            for _ in 0..2 {
+                if took >= limit {
+                    (matched, took) = timed();
+                }
+            }
+            assert!(took < limit, "match took {took:?}");
+            let distinct = ingress.iter().filter(|r| r.pkt_id != Digest(7)).count();
+            assert_eq!(matched.len(), distinct);
+            assert!(matched.iter().all(|m| (m.delay_ms() - 3.0).abs() < 1e-9));
+            // A prefix against the five-table specification.
+            let (ingress, egress) = (&ingress[..5_000], &egress[95_000..]);
+            assert_eq!(
+                match_samples(ingress, egress),
+                reference::match_samples(ingress, egress)
+            );
         }
     }
 

@@ -153,10 +153,7 @@ pub struct HopOutput {
     pub domain: DomainId,
     /// The `PathID` its receipts carry.
     pub path: PathId,
-    /// The receipt batch, decoded from its published signed frame. On
-    /// an output a receipt collector rebuilt from fetched frames
-    /// (`verdict::analyze_from_transport*`) it is the first frame's
-    /// header alone: the receipts are in `samples` and `aggregates`.
+    /// The receipt batch, decoded from its published signed frame.
     pub batch: ReceiptBatch,
     /// Flattened sample records (observation order).
     pub samples: Vec<SampleRecord>,
@@ -164,21 +161,17 @@ pub struct HopOutput {
     pub aggregates: Vec<AggReceipt>,
     /// Packets this HOP observed.
     pub observed: usize,
-    /// The HOP's signing key. `None` when the output was rebuilt by a
-    /// pure receipt collector, which never learns HOP secrets —
-    /// authenticity was enforced by the transport's MAC checks.
-    pub key: Option<HopKey>,
+    /// The HOP's signing key.
+    pub key: HopKey,
     /// The key epoch the HOP's frames were published (and verified)
     /// under.
     pub key_epoch: KeyEpoch,
 }
 
 impl HopOutput {
-    /// The full signing key; panics on collector-rebuilt outputs,
-    /// which don't carry secrets.
-    #[allow(clippy::expect_used)] // audited: every expect below carries a vpm-lint allow
+    /// The full signing key.
     pub fn hop_key(&self) -> HopKey {
-        self.key.expect("output carries its signing key") // vpm-lint: allow(R1, the builder sets the key before any output is produced)
+        self.key
     }
 }
 
@@ -462,7 +455,7 @@ pub fn run_path_with_transport(
             samples,
             aggregates,
             observed: observed_count.get(&hop).copied().unwrap_or(0),
-            key: Some(key),
+            key,
             key_epoch: epoch,
         });
     }

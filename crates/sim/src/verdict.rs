@@ -7,10 +7,14 @@
 //! each such link implicates its two adjacent domains, and the
 //! implicated honest domain knows exactly who lied.
 
+use std::borrow::Cow;
+use std::sync::Arc;
+
 use serde::{Deserialize, Serialize};
+use vpm_core::receipt::{AggReceipt, PathId, SampleRecord};
 use vpm_core::verify::{DomainEstimate, LinkReport, Verifier};
 use vpm_packet::{DomainId, HopId};
-use vpm_wire::{ReceiptTransport, TransportError};
+use vpm_wire::{KeyEpoch, Published, ReceiptTransport, TransportError};
 
 use crate::run::{HopOutput, PathRun};
 use crate::topology::{DomainRole, Topology};
@@ -72,7 +76,9 @@ impl PathAnalysis {
     }
 }
 
-/// Summary suitable for printing (used by examples).
+/// One transit domain's estimate condensed to the numbers a verdict
+/// reports: what [`crate::fleet::FleetPathVerdict`] carries per domain,
+/// and so what `vpm fleet --json` prints.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DomainSummary {
     /// Domain name.
@@ -108,59 +114,84 @@ impl DomainReport {
     }
 }
 
-/// Analyze a completed path run (possibly doctored by adversaries).
-#[allow(clippy::expect_used)] // audited: every expect below carries a vpm-lint allow
-pub fn analyze_path(topology: &Topology, run: &PathRun) -> PathAnalysis {
-    let verifier = Verifier::default();
+/// One HOP's receipts as the verifier reads them, where they already
+/// are: borrowed from a [`PathRun`]'s [`HopOutput`], or from the frames
+/// a transport served. A HOP whose receipts fill one frame (with one
+/// sample receipt) is read straight from it; only receipts spread over
+/// several frames (a key rotation mid-stream) or several sample
+/// receipts are concatenated into one owned copy, in publish order.
+#[derive(Debug, Clone)]
+pub struct HopReceipts<'a> {
+    /// The HOP.
+    pub hop: HopId,
+    /// Its domain.
+    pub domain: DomainId,
+    /// The `PathID` its receipts carry.
+    pub path: PathId,
+    /// Its sample records, in observation order.
+    pub samples: Cow<'a, [SampleRecord]>,
+    /// Its aggregate receipts, in stream order.
+    pub aggregates: Cow<'a, [AggReceipt]>,
+    /// The key epoch its receipts were authenticated under: the newest
+    /// one when a rotation happened mid-stream. A verifier never holds
+    /// a HOP's key.
+    pub key_epoch: KeyEpoch,
+}
 
-    let mut domains = Vec::new();
-    for dom in &topology.domains {
-        if dom.role != DomainRole::Transit {
-            continue;
+impl<'a> HopReceipts<'a> {
+    fn of_output(h: &'a HopOutput) -> Self {
+        HopReceipts {
+            hop: h.hop,
+            domain: h.domain,
+            path: h.path,
+            samples: Cow::Borrowed(&h.samples),
+            aggregates: Cow::Borrowed(&h.aggregates),
+            key_epoch: h.key_epoch,
         }
-        let (ing, eg) = (
-            dom.ingress.expect("transit has ingress"), // vpm-lint: allow(R1, verdicts only visit transit domains, which carry both HOPs)
-            dom.egress.expect("transit has egress"), // vpm-lint: allow(R1, verdicts only visit transit domains, which carry both HOPs)
-        );
-        let (Some(hi), Some(he)) = (run.hop(ing), run.hop(eg)) else {
-            continue;
-        };
-        let estimate =
-            verifier.estimate_domain(&hi.samples, &hi.aggregates, &he.samples, &he.aggregates);
-        domains.push(DomainReport {
-            domain: dom.id,
-            name: dom.name.clone(),
-            hops: (ing, eg),
-            estimate,
-        });
     }
 
-    let mut links = Vec::new();
-    for link in &topology.links {
-        let (Some(up), Some(down)) = (run.hop(link.up), run.hop(link.down)) else {
-            continue;
-        };
-        let report = verifier.check_link(
-            &up.path,
-            &up.samples,
-            &up.aggregates,
-            &down.path,
-            &down.samples,
-            &down.aggregates,
-        );
-        links.push(LinkVerdict {
-            up: link.up,
-            down: link.down,
-            implicates: (up.domain, down.domain),
-            report,
-        });
+    /// `hop`'s receipts from its fetched `frames`, in publish order;
+    /// `None` for a HOP outside `topology` or without frames.
+    fn from_frames(
+        topology: &Topology,
+        hop: HopId,
+        path: PathId,
+        frames: &'a [Arc<Published>],
+    ) -> Option<Self> {
+        let samples = frames.iter().flat_map(|p| &p.batch.samples);
+        Some(HopReceipts {
+            hop,
+            domain: topology.domain_of(hop)?.id,
+            path,
+            samples: concat(samples.map(|r| r.samples.as_slice())),
+            aggregates: concat(frames.iter().map(|p| p.batch.aggregates.as_slice())),
+            key_epoch: frames.iter().map(|p| p.epoch).max()?,
+        })
     }
+}
 
-    PathAnalysis { domains, links }
+/// `parts` in order as one slice: borrowed when at most one part is
+/// non-empty, else copied once.
+fn concat<'a, T: Clone>(parts: impl Iterator<Item = &'a [T]>) -> Cow<'a, [T]> {
+    let mut parts = parts.filter(|p| !p.is_empty());
+    match (parts.next(), parts.next()) {
+        (None, _) => Cow::Borrowed(&[]),
+        (Some(only), None) => Cow::Borrowed(only),
+        (Some(first), Some(second)) => {
+            let all: Vec<&[T]> = [first, second].into_iter().chain(parts).collect();
+            Cow::Owned(all.concat())
+        }
+    }
+}
+
+/// Analyze a completed path run (possibly doctored by adversaries).
+pub fn analyze_path(topology: &Topology, run: &PathRun) -> PathAnalysis {
+    let hops: Vec<HopReceipts> = run.hops.iter().map(HopReceipts::of_output).collect();
+    analyze(topology, &hops)
 }
 
 /// Analyze a path from disseminated receipts alone: fetch every HOP's
-/// frames from the transport as `requester`, merge the decoded batches
+/// frames from the transport as `requester`, read the decoded batches
 /// per HOP in publish order, and run the same verifier logic as
 /// [`analyze_path`].
 ///
@@ -168,9 +199,9 @@ pub fn analyze_path(topology: &Topology, run: &PathRun) -> PathAnalysis {
 /// pipeline — it never touches a `PathRun`, only what `publish` put on
 /// the wire. Authenticity was enforced once, at publish (the transport
 /// refuses a frame whose MAC does not verify under its HOP's key), so
-/// the collector consumes the decoded batches directly; HOPs that
-/// published nothing are simply absent from the analysis, exactly like
-/// non-deployed HOPs in [`analyze_path`]. Fails with
+/// the collector reads the decoded batches in place ([`HopReceipts`]);
+/// HOPs that published nothing are simply absent from the analysis,
+/// exactly like non-deployed HOPs in [`analyze_path`]. Fails with
 /// [`TransportError::NotOnPath`] when `requester` did not observe the
 /// traffic.
 pub fn analyze_from_transport(
@@ -178,23 +209,18 @@ pub fn analyze_from_transport(
     transport: &dyn ReceiptTransport,
     requester: DomainId,
 ) -> Result<PathAnalysis, TransportError> {
-    let mut hops = Vec::new();
+    let mut fetched = Vec::new();
     for hop in topology.hops() {
-        let published = transport.fetch(requester, hop)?;
+        let frames = transport.fetch(requester, hop)?;
         // An empty batch (e.g. a quiet first reporting interval) has no
         // path table; take the path from the first frame that names one
         // and skip the hop only if *no* frame does.
-        let Some(&path) = published.iter().find_map(|p| p.paths.first()) else {
+        let Some(&path) = frames.iter().find_map(|p| p.paths.first()) else {
             continue;
         };
-        hops.push(hop_output_from_frames(topology, hop, path, &published));
+        fetched.push((hop, path, frames));
     }
-    let run = PathRun {
-        hops,
-        truths: Vec::new(),
-        trace_len: 0,
-    };
-    Ok(analyze_path(topology, &run))
+    Ok(analyze_frames(topology, &fetched))
 }
 
 /// [`analyze_from_transport`], but **path-scoped**: every HOP's frames
@@ -214,78 +240,81 @@ pub fn analyze_from_transport_scoped(
     transport: &dyn ReceiptTransport,
     requester: DomainId,
 ) -> Result<PathAnalysis, TransportError> {
-    let mut hops = Vec::new();
+    let mut fetched = Vec::new();
     for (hop, path) in topology.hop_path_ids() {
-        let mut published = transport.fetch_path(requester, &path)?;
+        let mut frames = transport.fetch_path(requester, &path)?;
         // Defensive: a frame in this path's shard that some *other* HOP
-        // published must not pollute this HOP's batch.
-        published.retain(|p| p.hop == hop);
-        if published.iter().all(|p| p.paths.is_empty()) {
+        // published must not pollute this HOP's receipts.
+        frames.retain(|p| p.hop == hop);
+        if frames.iter().all(|p| p.paths.is_empty()) {
             continue; // nothing but (impossible via fetch_path) empties
         }
-        hops.push(hop_output_from_frames(topology, hop, path, &published));
+        fetched.push((hop, path, frames));
     }
-    let run = PathRun {
-        hops,
-        truths: Vec::new(),
-        trace_len: 0,
-    };
-    Ok(analyze_path(topology, &run))
+    Ok(analyze_frames(topology, &fetched))
 }
 
-/// Rebuild one HOP's output from its fetched frames: the sample records
-/// and aggregate receipts of every frame, in publish order, each copied
-/// once (shared by the by-HOP and path-scoped collectors so they cannot
-/// drift apart). `batch` keeps the first frame's header only — the
-/// verdict reads `samples` and `aggregates`, and a collector has no use
-/// for a second copy of them.
-#[allow(clippy::expect_used)] // audited: every expect below carries a vpm-lint allow
-fn hop_output_from_frames(
+/// The analysis over each fetched HOP's frames, read in place.
+fn analyze_frames(
     topology: &Topology,
-    hop: HopId,
-    path: vpm_core::receipt::PathId,
-    published: &[std::sync::Arc<vpm_wire::Published>],
-) -> HopOutput {
-    let first = &published
-        .first()
-        .expect("caller checked non-empty") // vpm-lint: allow(R1, the caller checked the window is non-empty)
-        .batch;
-    let batch = vpm_core::ReceiptBatch {
-        hop: first.hop,
-        batch_seq: first.batch_seq,
-        samples: Vec::new(),
-        aggregates: Vec::new(),
-    };
-    let receipts = published.iter().flat_map(|p| &p.batch.samples);
-    let mut samples = Vec::with_capacity(receipts.clone().map(|r| r.samples.len()).sum());
-    for r in receipts {
-        samples.extend_from_slice(&r.samples);
-    }
-    let aggregates = published
+    fetched: &[(HopId, PathId, Vec<Arc<Published>>)],
+) -> PathAnalysis {
+    let hops: Vec<HopReceipts> = fetched
         .iter()
-        .flat_map(|p| &p.batch.aggregates)
-        .cloned()
+        .filter_map(|(hop, path, frames)| HopReceipts::from_frames(topology, *hop, *path, frames))
         .collect();
-    // The collector never learns HOP secrets, so the rebuilt output
-    // carries no key — but it does carry the authenticated key epoch
-    // the transport MAC-verified the frames under (the newest one, if
-    // a rotation happened mid-stream).
-    let key_epoch = published
-        .iter()
-        .map(|p| p.epoch)
-        .max()
-        .expect("caller checked non-empty"); // vpm-lint: allow(R1, the caller checked the window is non-empty)
-    HopOutput {
-        hop,
-        domain: topology.domain_of(hop).expect("hop has a domain").id, // vpm-lint: allow(R1, every hop in a built topology belongs to a domain)
-        path,
-        batch,
-        samples,
-        aggregates,
-        observed: 0, // unknown to a pure receipt collector
-        key: None,   // the frames' MACs were verified once, at publish
-        key_epoch,
+    analyze(topology, &hops)
+}
+
+/// The one analysis body: every transit domain's estimate, then every
+/// link's consistency verdict, from whichever HOPs have receipts.
+fn analyze(topology: &Topology, hops: &[HopReceipts]) -> PathAnalysis {
+    let verifier = Verifier::default();
+    let hop = |id: HopId| hops.iter().find(|h| h.hop == id);
+
+    let mut domains = Vec::new();
+    for dom in &topology.domains {
+        if dom.role != DomainRole::Transit {
+            continue;
+        }
+        let (Some(ing), Some(eg)) = (dom.ingress, dom.egress) else {
+            continue;
+        };
+        let (Some(hi), Some(he)) = (hop(ing), hop(eg)) else {
+            continue;
+        };
+        let estimate =
+            verifier.estimate_domain(&hi.samples, &hi.aggregates, &he.samples, &he.aggregates);
+        domains.push(DomainReport {
+            domain: dom.id,
+            name: dom.name.clone(),
+            hops: (ing, eg),
+            estimate,
+        });
     }
+
+    let mut links = Vec::new();
+    for link in &topology.links {
+        let (Some(up), Some(down)) = (hop(link.up), hop(link.down)) else {
+            continue;
+        };
+        let report = verifier.check_link(
+            &up.path,
+            &up.samples,
+            &up.aggregates,
+            &down.path,
+            &down.samples,
+            &down.aggregates,
+        );
+        links.push(LinkVerdict {
+            up: link.up,
+            down: link.down,
+            implicates: (up.domain, down.domain),
+            report,
+        });
+    }
+
+    PathAnalysis { domains, links }
 }
 
 #[cfg(test)]
@@ -342,6 +371,62 @@ mod tests {
         }
     }
 
+    /// Field by field: every domain's estimate and every link's report.
+    fn assert_same_analysis(a: &PathAnalysis, b: &PathAnalysis) {
+        assert_eq!(a.domains.len(), b.domains.len());
+        for (a, b) in a.domains.iter().zip(&b.domains) {
+            assert_eq!((a.domain, &a.name, a.hops), (b.domain, &b.name, b.hops));
+            assert_eq!(a.estimate, b.estimate, "{}", a.name);
+        }
+        assert_eq!(a.links.len(), b.links.len());
+        for (a, b) in a.links.iter().zip(&b.links) {
+            assert_eq!((a.up, a.down, a.implicates), (b.up, b.down, b.implicates));
+            assert_eq!(a.report, b.report, "{}→{}", a.up, a.down);
+        }
+    }
+
+    /// Publish `batch` for `h`'s HOP, signed with `key`.
+    fn publish(
+        transport: &vpm_wire::ShardedBus,
+        h: &HopOutput,
+        batch: &vpm_core::ReceiptBatch,
+        key: &vpm_wire::HopKey,
+        on_path: &[DomainId],
+    ) {
+        transport
+            .publish_batch(
+                h.domain,
+                batch,
+                vpm_wire::Profile::Precise,
+                on_path.to_vec(),
+                key,
+            )
+            .unwrap();
+    }
+
+    /// `h`'s batch split in two at the middle of its sample records and
+    /// of its aggregate receipts, both halves non-empty.
+    fn split_batch(h: &HopOutput) -> [vpm_core::ReceiptBatch; 2] {
+        let (s, a) = (h.samples.len() / 2, h.aggregates.len() / 2);
+        assert!(s > 0 && a > 0, "too few receipts to split");
+        let half = |samples: &[SampleRecord], aggregates: &[AggReceipt], seq: u64| {
+            vpm_core::ReceiptBatch {
+                hop: h.hop,
+                batch_seq: seq,
+                samples: vec![vpm_core::SampleReceipt {
+                    path: h.path,
+                    samples: samples.to_vec(),
+                }],
+                aggregates: aggregates.to_vec(),
+            }
+        };
+        let seq = h.batch.batch_seq;
+        [
+            half(&h.samples[..s], &h.aggregates[..a], seq),
+            half(&h.samples[s..], &h.aggregates[a..], seq + 1),
+        ]
+    }
+
     /// A collector working purely from disseminated frames reaches the
     /// same verdicts as one reading the runner's outputs directly.
     #[test]
@@ -372,16 +457,7 @@ mod tests {
         let from_run = analyze_path(&topo, &run);
         let requester = topo.domain_ids()[0];
         let from_wire = super::analyze_from_transport(&topo, &transport, requester).unwrap();
-        assert_eq!(from_run.domains.len(), from_wire.domains.len());
-        for (a, b) in from_run.domains.iter().zip(&from_wire.domains) {
-            assert_eq!(a.name, b.name);
-            assert_eq!(a.estimate, b.estimate, "{}", a.name);
-        }
-        assert_eq!(from_run.links.len(), from_wire.links.len());
-        for (a, b) in from_run.links.iter().zip(&from_wire.links) {
-            assert_eq!((a.up, a.down), (b.up, b.down));
-            assert_eq!(a.report, b.report, "{}→{}", a.up, a.down);
-        }
+        assert_same_analysis(&from_run, &from_wire);
         // And an off-path collector is refused outright.
         assert!(matches!(
             super::analyze_from_transport(&topo, &transport, DomainId(99)),
@@ -391,7 +467,8 @@ mod tests {
 
     /// A quiet first reporting interval publishes an empty batch (no
     /// path table); the collector must still use the populated batches
-    /// that follow rather than dropping the HOP.
+    /// that follow rather than dropping the HOP. Those batches are the
+    /// HOP's only receipts, so both collectors read them in place.
     #[test]
     fn empty_first_batch_does_not_hide_a_hop_from_the_collector() {
         let t = TraceGenerator::new(TraceConfig {
@@ -421,33 +498,27 @@ mod tests {
                 samples: vec![],
                 aggregates: vec![],
             };
-            transport
-                .publish_batch(
-                    h.domain,
-                    &empty,
-                    vpm_wire::Profile::Precise,
-                    on_path.clone(),
-                    &key,
-                )
-                .unwrap();
+            publish(&transport, h, &empty, &key, &on_path);
             // Interval 1: the real receipts.
-            transport
-                .publish_batch(
-                    h.domain,
-                    &h.batch,
-                    vpm_wire::Profile::Precise,
-                    on_path.clone(),
-                    &key,
-                )
-                .unwrap();
+            publish(&transport, h, &h.batch, &key, &on_path);
         }
-        let analysis = super::analyze_from_transport(&topo, &transport, on_path[0]).unwrap();
+        for h in &run.hops {
+            let frames = transport.fetch(on_path[0], h.hop).unwrap();
+            assert_eq!(frames.len(), 2);
+            assert!(frames[0].batch.samples.is_empty() && frames[0].batch.aggregates.is_empty());
+            let view = HopReceipts::from_frames(&topo, h.hop, h.path, &frames).unwrap();
+            assert!(matches!(view.samples, Cow::Borrowed(_)), "{}", h.hop);
+            assert!(matches!(view.aggregates, Cow::Borrowed(_)), "{}", h.hop);
+            assert_eq!(
+                (&*view.samples, &*view.aggregates),
+                (&*h.samples, &*h.aggregates)
+            );
+        }
         let baseline = analyze_path(&topo, &run);
-        assert_eq!(analysis.domains.len(), baseline.domains.len());
-        for (a, b) in baseline.domains.iter().zip(&analysis.domains) {
-            assert_eq!(a.name, b.name);
-            assert_eq!(a.estimate, b.estimate, "{}", a.name);
-        }
+        let by_hop = super::analyze_from_transport(&topo, &transport, on_path[0]).unwrap();
+        assert_same_analysis(&baseline, &by_hop);
+        let scoped = super::analyze_from_transport_scoped(&topo, &transport, on_path[0]).unwrap();
+        assert_same_analysis(&baseline, &scoped);
     }
 
     /// The path-scoped collector (one shard per HOP fetch) reaches the
@@ -501,26 +572,19 @@ mod tests {
                 )
                 .unwrap();
         }
-        crate::run::run_path_with_transport(&t, &topo, &cfg, &transport).unwrap();
+        let run = crate::run::run_path_with_transport(&t, &topo, &cfg, &transport).unwrap();
         let requester = on_path[0];
         let by_hop = super::analyze_from_transport(&topo, &transport, requester).unwrap();
         let scoped = super::analyze_from_transport_scoped(&topo, &transport, requester).unwrap();
-        assert_eq!(by_hop.domains.len(), scoped.domains.len());
-        for (a, b) in by_hop.domains.iter().zip(&scoped.domains) {
-            assert_eq!(a.name, b.name);
-            assert_eq!(a.estimate, b.estimate, "{}", a.name);
-        }
-        assert_eq!(by_hop.links.len(), scoped.links.len());
-        for (a, b) in by_hop.links.iter().zip(&scoped.links) {
-            assert_eq!((a.up, a.down), (b.up, b.down));
-            assert_eq!(a.report, b.report, "{}→{}", a.up, a.down);
-        }
+        assert_same_analysis(&by_hop, &scoped);
+        assert_same_analysis(&analyze_path(&topo, &run), &scoped);
     }
 
     /// A HOP whose key rotates mid-stream stays fully analyzable: the
     /// old-epoch frames keep being served, the new key signs at the
-    /// bumped epoch, the retired key is refused, and the rebuilt output
-    /// carries the newest authenticated epoch (never a secret).
+    /// bumped epoch, the retired key is refused, and the collector's
+    /// view of the HOP carries the newest authenticated epoch (never a
+    /// secret).
     #[test]
     fn rotated_key_hop_still_verifies_and_carries_the_new_epoch() {
         use vpm_wire::{HopKey, KeyEpoch, ReceiptTransport};
@@ -530,15 +594,7 @@ mod tests {
         for h in &run.hops {
             let key = h.hop_key();
             transport.register_key(h.hop, key).unwrap();
-            transport
-                .publish_batch(
-                    h.domain,
-                    &h.batch,
-                    vpm_wire::Profile::Precise,
-                    on_path.clone(),
-                    &key,
-                )
-                .unwrap();
+            publish(&transport, h, &h.batch, &key, &on_path);
         }
         // Rotate HOP 4 and publish a second interval under the new key.
         let h4 = run.hop(vpm_packet::HopId(4)).unwrap();
@@ -550,15 +606,7 @@ mod tests {
             samples: vec![],
             aggregates: vec![],
         };
-        transport
-            .publish_batch(
-                h4.domain,
-                &next,
-                vpm_wire::Profile::Precise,
-                on_path.clone(),
-                &rotated,
-            )
-            .unwrap();
+        publish(&transport, h4, &next, &rotated, &on_path);
         // The retired key no longer signs at the current epoch.
         assert_eq!(
             transport.publish_batch(
@@ -571,29 +619,101 @@ mod tests {
             Err(vpm_wire::TransportError::BadMac { hop: h4.hop })
         );
         // Fetch serves both epochs, each frame verified at publish under
-        // its own; the rebuilt output carries the newest authenticated
-        // epoch and no secret.
+        // its own, in publish order; the collector's view carries the
+        // newest authenticated epoch, and no secret: `HopReceipts` has
+        // no key field at all.
         let published = transport.fetch(on_path[0], h4.hop).unwrap();
         assert_eq!(published.len(), 2);
         assert_eq!(published[0].epoch, KeyEpoch(0));
         assert_eq!(published[1].epoch, KeyEpoch(1));
-        let rebuilt = super::hop_output_from_frames(&topo, h4.hop, h4.path, &published);
-        assert_eq!(rebuilt.key_epoch, KeyEpoch(1));
-        assert!(rebuilt.key.is_none());
-        // Both frames' receipts, in publish order, each once; `batch` is
-        // the first frame's header and nothing else.
-        assert_eq!(rebuilt.samples, h4.samples);
-        assert_eq!(rebuilt.aggregates, h4.aggregates);
-        assert_eq!(rebuilt.batch.batch_seq, h4.batch.batch_seq);
-        assert!(rebuilt.batch.samples.is_empty() && rebuilt.batch.aggregates.is_empty());
+        assert_eq!(published[0].batch.batch_seq, h4.batch.batch_seq);
+        assert_eq!(published[1].batch.batch_seq, h4.batch.batch_seq + 1);
+        let view = HopReceipts::from_frames(&topo, h4.hop, h4.path, &published).unwrap();
+        assert_eq!(view.key_epoch, KeyEpoch(1));
+        // Both frames' receipts, in publish order, each once; the
+        // second frame holds none, so they are read in place.
+        assert_eq!(&*view.samples, &*h4.samples);
+        assert_eq!(&*view.aggregates, &*h4.aggregates);
+        assert!(matches!(view.samples, Cow::Borrowed(_)));
+        assert!(matches!(view.aggregates, Cow::Borrowed(_)));
         // And the collector's verdicts are unchanged by the rotation.
         let analysis = super::analyze_from_transport(&topo, &transport, on_path[0]).unwrap();
         assert!(analysis.all_consistent());
         let baseline = analyze_path(&topo, &run);
-        for (a, b) in baseline.domains.iter().zip(&analysis.domains) {
-            assert_eq!(a.name, b.name);
-            assert_eq!(a.estimate, b.estimate, "{}", a.name);
+        assert_same_analysis(&baseline, &analysis);
+        let scoped = super::analyze_from_transport_scoped(&topo, &transport, on_path[0]).unwrap();
+        assert_same_analysis(&baseline, &scoped);
+    }
+
+    /// A HOP whose key rotates between two frames that both hold
+    /// receipts is read from one owned copy of them, in publish order,
+    /// and verifies as the run does.
+    #[test]
+    fn receipts_across_a_rotation_are_copied_once_in_publish_order() {
+        use vpm_wire::{HopKey, KeyEpoch, ReceiptTransport};
+        let (topo, run) = scenario(0.1);
+        let transport = vpm_wire::ShardedBus::new(1);
+        let on_path = topo.domain_ids();
+        let h4 = run.hop(vpm_packet::HopId(4)).unwrap();
+        for h in &run.hops {
+            let key = h.hop_key();
+            transport.register_key(h.hop, key).unwrap();
+            if h.hop != h4.hop {
+                publish(&transport, h, &h.batch, &key, &on_path);
+            }
         }
+        let [first, second] = split_batch(h4);
+        publish(&transport, h4, &first, &h4.hop_key(), &on_path);
+        let rotated = HopKey::from_seed(0x5070_a7ed ^ h4.hop.0 as u64);
+        assert_eq!(transport.rotate_key(h4.hop, rotated), Ok(KeyEpoch(1)));
+        publish(&transport, h4, &second, &rotated, &on_path);
+
+        let frames = transport.fetch_path(on_path[0], &h4.path).unwrap();
+        assert_eq!(frames.len(), 2);
+        let view = HopReceipts::from_frames(&topo, h4.hop, h4.path, &frames).unwrap();
+        assert!(matches!(view.samples, Cow::Owned(_)));
+        assert!(matches!(view.aggregates, Cow::Owned(_)));
+        assert_eq!(&*view.samples, &*h4.samples);
+        assert_eq!(&*view.aggregates, &*h4.aggregates);
+        assert_eq!(view.key_epoch, KeyEpoch(1));
+        let scoped = super::analyze_from_transport_scoped(&topo, &transport, on_path[0]).unwrap();
+        assert_same_analysis(&analyze_path(&topo, &run), &scoped);
+    }
+
+    /// A frame holding more than one sample receipt for the HOP's path
+    /// has its sample records copied into one run, in order, while its
+    /// aggregate receipts are still read in place.
+    #[test]
+    fn several_sample_receipts_in_one_frame_are_copied_in_order() {
+        let (topo, run) = scenario(0.1);
+        let transport = vpm_wire::ShardedBus::new(1);
+        let on_path = topo.domain_ids();
+        let h5 = run.hop(vpm_packet::HopId(5)).unwrap();
+        for h in &run.hops {
+            let key = h.hop_key();
+            transport.register_key(h.hop, key).unwrap();
+            if h.hop == h5.hop {
+                let [first, second] = split_batch(h5);
+                let two_receipts = vpm_core::ReceiptBatch {
+                    samples: [first.samples, second.samples].concat(),
+                    ..h5.batch.clone()
+                };
+                assert_eq!(two_receipts.samples.len(), 2);
+                publish(&transport, h, &two_receipts, &key, &on_path);
+            } else {
+                publish(&transport, h, &h.batch, &key, &on_path);
+            }
+        }
+
+        let frames = transport.fetch_path(on_path[0], &h5.path).unwrap();
+        assert_eq!(frames.len(), 1);
+        let view = HopReceipts::from_frames(&topo, h5.hop, h5.path, &frames).unwrap();
+        assert!(matches!(view.samples, Cow::Owned(_)));
+        assert!(matches!(view.aggregates, Cow::Borrowed(_)));
+        assert_eq!(&*view.samples, &*h5.samples);
+        assert_eq!(&*view.aggregates, &*h5.aggregates);
+        let scoped = super::analyze_from_transport_scoped(&topo, &transport, on_path[0]).unwrap();
+        assert_same_analysis(&analyze_path(&topo, &run), &scoped);
     }
 
     #[test]

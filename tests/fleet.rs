@@ -99,6 +99,30 @@ fn fleet_verdicts_are_byte_identical_across_jobs_and_transports() {
     );
 }
 
+/// The 16-path default-seed fleet's verdicts, byte for byte as `vpm
+/// fleet --paths 16 --json` prints them, against
+/// `tests/golden/fleet_16.json`: a verifier change that moves a single
+/// verdict byte fails here, not only against itself. Regenerate (after
+/// a change that is meant to move verdicts) with `UPDATE_GOLDEN=1 cargo
+/// test --test fleet fleet_16`.
+#[test]
+fn fleet_16_verdicts_match_the_golden() {
+    let fleet = build_fleet(&FleetConfig {
+        paths: 16,
+        liars: 2,
+        ..FleetConfig::default()
+    });
+    let bus = ShardedBus::new(32);
+    run_fleet(&fleet, &bus);
+    let printed = bytes(&analyze_fleet_from_transport(&fleet, &bus, 2)) + "\n";
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/fleet_16.json");
+    if std::env::var_os("UPDATE_GOLDEN").is_some() {
+        std::fs::write(path, &printed).expect("write golden");
+    }
+    let golden = std::fs::read_to_string(path).expect("read golden");
+    assert_eq!(printed, golden, "fleet_16 verdicts drifted from the golden");
+}
+
 /// The acceptance gate for the authenticity plane, at fleet scale: a
 /// running fleet's bus refuses key replacement, forged-key frames,
 /// and unsigned frames — and the attack leaves no trace in either the
