@@ -90,7 +90,10 @@ pub fn combine_aggregates(receipts: &[AggReceipt]) -> Result<AggReceipt, Combine
         return Err(CombineError::PathMismatch);
     }
     for (i, pair) in receipts.windows(2).enumerate() {
-        // vpm-lint: allow(R1, windows(2) yields exactly two elements)
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "windows(2) yields exactly two elements"
+        )]
         if !pair[0].agg_trans.is_empty() && !pair[0].trans_contains(pair[1].agg.first) {
             return Err(CombineError::NotConsecutive { at: i });
         }

@@ -21,7 +21,10 @@ use std::sync::{Mutex, PoisonError};
 /// and the sequential fold runs inline. Workers claim indices from a
 /// shared atomic counter and write each result into its own slot, so
 /// scheduling order never leaks into the result.
-#[allow(clippy::expect_used)] // audited: every expect below carries a vpm-lint allow
+#[expect(
+    clippy::expect_used,
+    reason = "scope join proves every claimed slot was written"
+)]
 pub fn par_map_indexed<T, R, F>(items: &[T], jobs: usize, f: F) -> Vec<R>
 where
     T: Sync,
@@ -58,7 +61,7 @@ where
         .into_iter()
         // Every index below `items.len()` was claimed by exactly one
         // worker before the scope joined, so every slot is `Some`.
-        .map(|v| v.expect("every index was computed")) // vpm-lint: allow(R1, scope join proves every claimed slot was written)
+        .map(|v| v.expect("every index was computed"))
         .collect()
 }
 

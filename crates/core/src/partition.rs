@@ -92,8 +92,12 @@ impl<T: Eq + Clone> Partition<T> {
     }
 
     /// Cutting points: the first item of each aggregate.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "every aggregate is created with at least one item"
+    )]
     pub fn cutting_points(&self) -> Vec<&T> {
-        self.aggs.iter().map(|a| &a[0]).collect() // vpm-lint: allow(R1, every aggregate is created with at least one item)
+        self.aggs.iter().map(|a| &a[0]).collect()
     }
 
     /// Start indices of the aggregates within the flattened sequence.
@@ -135,7 +139,11 @@ impl<T: Eq + Clone> Partition<T> {
         let mut aggs = Vec::with_capacity(common.len());
         for (k, &start) in common.iter().enumerate() {
             let end = common.get(k + 1).copied().unwrap_or(items.len());
-            aggs.push(items[start..end].to_vec()); // vpm-lint: allow(R1, start and end come from in-range cut positions)
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "start and end come from in-range cut positions"
+            )]
+            aggs.push(items[start..end].to_vec());
         }
         Some(Partition { aggs })
     }

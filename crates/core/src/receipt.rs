@@ -52,20 +52,20 @@ impl PathId {
     /// hash it replaces.
     pub fn shard_key(&self) -> u64 {
         let mut b = [0u8; 24];
-        b[0..4].copy_from_slice(&u32::from(self.spec.src_prefix.network()).to_le_bytes()); // vpm-lint: allow(R1, b is a fixed 24-byte array with constant offsets)
-        b[4] = self.spec.src_prefix.len(); // vpm-lint: allow(R1, b is a fixed 24-byte array with constant offsets)
-        b[5..9].copy_from_slice(&u32::from(self.spec.dst_prefix.network()).to_le_bytes()); // vpm-lint: allow(R1, b is a fixed 24-byte array with constant offsets)
-        b[9] = self.spec.dst_prefix.len(); // vpm-lint: allow(R1, b is a fixed 24-byte array with constant offsets)
+        b[0..4].copy_from_slice(&u32::from(self.spec.src_prefix.network()).to_le_bytes());
+        b[4] = self.spec.src_prefix.len();
+        b[5..9].copy_from_slice(&u32::from(self.spec.dst_prefix.network()).to_le_bytes());
+        b[9] = self.spec.dst_prefix.len();
         let hop_bytes = |h: Option<HopId>| match h {
             None => [0u8, 0, 0],
             Some(h) => {
                 let le = h.0.to_le_bytes();
-                [1, le[0], le[1]] // vpm-lint: allow(R1, le is the fixed 2-byte LE encoding)
+                [1, le[0], le[1]]
             }
         };
-        b[10..13].copy_from_slice(&hop_bytes(self.prev_hop)); // vpm-lint: allow(R1, b is a fixed 24-byte array with constant offsets)
-        b[13..16].copy_from_slice(&hop_bytes(self.next_hop)); // vpm-lint: allow(R1, b is a fixed 24-byte array with constant offsets)
-        b[16..24].copy_from_slice(&self.max_diff.as_nanos().to_le_bytes()); // vpm-lint: allow(R1, b is a fixed 24-byte array with constant offsets)
+        b[10..13].copy_from_slice(&hop_bytes(self.prev_hop));
+        b[13..16].copy_from_slice(&hop_bytes(self.next_hop));
+        b[16..24].copy_from_slice(&self.max_diff.as_nanos().to_le_bytes());
         vpm_hash::lookup3::hash64(&b, SHARD_SEED)
     }
 }

@@ -38,6 +38,12 @@
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
+// Determinism for non-test code: no wall-clock reads or hash-order
+// iteration (`clippy.toml` lists the disallowed methods).
+#![cfg_attr(
+    not(test),
+    warn(clippy::disallowed_methods, clippy::iter_over_hash_type)
+)]
 
 pub mod digest;
 pub mod hopkey;

@@ -12,10 +12,8 @@
 //! Guarantees the rules rely on:
 //!
 //! * String/char/byte-string contents (including raw strings) never
-//!   produce tokens, so `"panic!"` in a message cannot trip R1.
-//! * Comments never produce tokens, but `// vpm-lint: allow(...)`
-//!   directives are collected with their line and placement
-//!   (trailing-after-code vs standalone).
+//!   produce tokens, so `"wait("` in a message cannot trip R3.
+//! * Comments never produce tokens.
 //! * Every token carries `in_test` (lexically inside a `#[cfg(test)]`
 //!   item, a `#[test]` item, or a `mod tests`/`mod test` block) and
 //!   `in_attr` (inside a `#[...]` attribute), so rules can skip both.
@@ -64,63 +62,14 @@ impl Token<'_> {
     }
 }
 
-/// How far an `allow` directive reaches.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AllowScope {
-    /// Trailing comment: suppresses its own line only.
-    Line,
-    /// Standalone comment: suppresses the next statement or item
-    /// (through the end of its brace block).
-    NextItem,
-    /// `allow-file`: suppresses the whole file.
-    File,
-}
-
-/// One `// vpm-lint: allow(RULE, reason)` directive.
-#[derive(Debug, Clone)]
-pub struct Directive {
-    /// 1-based line the comment sits on.
-    pub line: u32,
-    /// Rule ID named by the directive (e.g. `"R1"`).
-    pub rule: String,
-    /// The free-text justification. Mandatory: a reasonless allow is
-    /// reported as a malformed directive, and suppresses nothing.
-    pub reason: String,
-    /// Line vs next-item vs whole-file reach.
-    pub scope: AllowScope,
-}
-
-/// A malformed `vpm-lint:` comment (bad syntax or missing reason).
-/// These are surfaced as diagnostics so a typo cannot silently
-/// suppress nothing (or worse, look like it suppressed something).
-#[derive(Debug, Clone)]
-pub struct BadDirective {
-    /// 1-based line of the comment.
-    pub line: u32,
-    /// What was wrong.
-    pub problem: String,
-}
-
-/// The result of lexing one file.
-#[derive(Debug, Default)]
-pub struct Lexed<'a> {
-    /// The token stream, comments and literal contents stripped.
-    pub tokens: Vec<Token<'a>>,
-    /// Well-formed suppression directives.
-    pub directives: Vec<Directive>,
-    /// Malformed `vpm-lint:` comments.
-    pub bad_directives: Vec<BadDirective>,
-}
-
 /// Lex `src`. Never fails: unterminated literals are consumed to end
 /// of input (the analyzer lints real, compiling Rust; on garbage the
 /// worst case is missed diagnostics, never a panic).
-pub fn lex(src: &str) -> Lexed<'_> {
+pub fn lex(src: &str) -> Vec<Token<'_>> {
     let b = src.as_bytes();
-    let mut out = Lexed::default();
+    let mut tokens = Vec::new();
     let mut i = 0usize;
     let mut line = 1u32;
-    let mut last_tok_line = 0u32;
 
     while i < b.len() {
         let c = b[i];
@@ -131,12 +80,9 @@ pub fn lex(src: &str) -> Lexed<'_> {
             }
             b' ' | b'\t' | b'\r' => i += 1,
             b'/' if i + 1 < b.len() && b[i + 1] == b'/' => {
-                let start = i;
                 while i < b.len() && b[i] != b'\n' {
                     i += 1;
                 }
-                let text = &src[start..i];
-                parse_directive(text, line, last_tok_line == line, &mut out);
             }
             b'/' if i + 1 < b.len() && b[i + 1] == b'*' => {
                 // Nested block comments, as in real Rust.
@@ -159,8 +105,7 @@ pub fn lex(src: &str) -> Lexed<'_> {
             }
             b'"' => {
                 let (end, nl) = scan_string(b, i);
-                out.tokens.push(tok(TokKind::Str, &src[i..end], line));
-                last_tok_line = line;
+                tokens.push(tok(TokKind::Str, &src[i..end], line));
                 line += nl;
                 i = end;
             }
@@ -168,8 +113,7 @@ pub fn lex(src: &str) -> Lexed<'_> {
                 // Lifetime or char literal. A lifetime is `'` + ident
                 // not followed by a closing `'`.
                 let (token, end, nl) = scan_quote(src, b, i, line);
-                last_tok_line = line;
-                out.tokens.push(token);
+                tokens.push(token);
                 line += nl;
                 i = end;
             }
@@ -186,8 +130,7 @@ pub fn lex(src: &str) -> Lexed<'_> {
                         i += 1;
                     }
                 }
-                out.tokens.push(tok(TokKind::Num, &src[start..i], line));
-                last_tok_line = line;
+                tokens.push(tok(TokKind::Num, &src[start..i], line));
             }
             _ if c == b'_' || c.is_ascii_alphabetic() => {
                 let start = i;
@@ -211,36 +154,32 @@ pub fn lex(src: &str) -> Lexed<'_> {
                         } else {
                             scan_string(b, j)
                         };
-                        out.tokens.push(tok(TokKind::Str, &src[start..end], line));
-                        last_tok_line = line;
+                        tokens.push(tok(TokKind::Str, &src[start..end], line));
                         line += nl;
                         i = end;
                         continue;
                     }
                     if ident == "b" && i < b.len() && b[i] == b'\'' {
                         let (token, end, nl) = scan_quote(src, b, i, line);
-                        out.tokens.push(token);
-                        last_tok_line = line;
+                        tokens.push(token);
                         line += nl;
                         i = end;
                         continue;
                     }
                 }
-                out.tokens.push(tok(TokKind::Ident, ident, line));
-                last_tok_line = line;
+                tokens.push(tok(TokKind::Ident, ident, line));
             }
             _ => {
                 let end = next_char_boundary(src, i);
-                out.tokens.push(tok(TokKind::Punct, &src[i..end], line));
-                last_tok_line = line;
+                tokens.push(tok(TokKind::Punct, &src[i..end], line));
                 i = end;
             }
         }
     }
 
-    mark_attrs(&mut out.tokens);
-    mark_test_scopes(&mut out.tokens);
-    out
+    mark_attrs(&mut tokens);
+    mark_test_scopes(&mut tokens);
+    tokens
 }
 
 fn tok(kind: TokKind, text: &str, line: u32) -> Token<'_> {
@@ -338,65 +277,6 @@ fn scan_quote<'a>(src: &'a str, b: &[u8], start: usize, line: u32) -> (Token<'a>
         }
     }
     (tok(TokKind::Char, &src[start..], line), b.len(), nl)
-}
-
-/// Parse a line comment that may carry a `vpm-lint:` directive.
-fn parse_directive(comment: &str, line: u32, trailing: bool, out: &mut Lexed<'_>) {
-    // A directive must *start* the comment (`// vpm-lint: …`); prose
-    // that merely mentions `vpm-lint:` mid-sentence (docs, this file)
-    // is not a directive.
-    let body = comment.trim_start_matches(['/', '!']).trim_start();
-    let Some(rest) = body.strip_prefix("vpm-lint:") else {
-        return;
-    };
-    let rest = rest.trim();
-    let (scope, body) = if let Some(r) = rest.strip_prefix("allow-file") {
-        (AllowScope::File, r)
-    } else if let Some(r) = rest.strip_prefix("allow") {
-        let scope = if trailing {
-            AllowScope::Line
-        } else {
-            AllowScope::NextItem
-        };
-        (scope, r)
-    } else {
-        out.bad_directives.push(BadDirective {
-            line,
-            problem: format!("unknown vpm-lint directive '{rest}'"),
-        });
-        return;
-    };
-    let body = body.trim();
-    let inner = body.strip_prefix('(').and_then(|s| s.strip_suffix(')'));
-    let Some(inner) = inner else {
-        out.bad_directives.push(BadDirective {
-            line,
-            problem: "allow directive must be 'allow(RULE, reason)'".to_string(),
-        });
-        return;
-    };
-    let Some((rule, reason)) = inner.split_once(',') else {
-        out.bad_directives.push(BadDirective {
-            line,
-            problem: "allow directive has no reason: 'allow(RULE, reason)' — every suppression is audited".to_string(),
-        });
-        return;
-    };
-    let rule = rule.trim().to_string();
-    let reason = reason.trim().to_string();
-    if rule.is_empty() || reason.is_empty() {
-        out.bad_directives.push(BadDirective {
-            line,
-            problem: "allow directive needs a rule ID and a non-empty reason".to_string(),
-        });
-        return;
-    }
-    out.directives.push(Directive {
-        line,
-        rule,
-        reason,
-        scope,
-    });
 }
 
 /// Mark tokens inside `#[...]` attributes (including nested brackets).
@@ -535,7 +415,6 @@ mod tests {
 
     fn idents(src: &str) -> Vec<String> {
         lex(src)
-            .tokens
             .iter()
             .filter(|t| t.kind == TokKind::Ident)
             .map(|t| t.text.to_string())
@@ -561,7 +440,6 @@ mod tests {
         assert!(!ids.contains(&"todo".to_string()), "{ids:?}");
         assert!(!ids.contains(&"unreachable".to_string()), "{ids:?}");
         assert!(lex(src)
-            .tokens
             .iter()
             .any(|t| t.kind == TokKind::Lifetime && t.text == "'static"));
     }
@@ -576,9 +454,7 @@ mod tests {
             }
             fn product2() { z.unwrap(); }
         "#;
-        let lexed = lex(src);
-        let unwraps: Vec<bool> = lexed
-            .tokens
+        let unwraps: Vec<bool> = lex(src)
             .iter()
             .filter(|t| t.is_ident("unwrap"))
             .map(|t| t.in_test)
@@ -607,9 +483,7 @@ mod tests {
                 fn probe(&self, a: u8, b: u8) { y.unwrap(); }
             }
         "#;
-        let lexed = lex(src);
-        let unwraps: Vec<bool> = lexed
-            .tokens
+        let unwraps: Vec<bool> = lex(src)
             .iter()
             .filter(|t| t.is_ident("unwrap"))
             .map(|t| t.in_test)
@@ -623,8 +497,8 @@ mod tests {
             #[cfg(not(test))]
             fn product() { x.unwrap(); }
         "#;
-        let lexed = lex(src);
-        let t = lexed.tokens.iter().find(|t| t.is_ident("unwrap")).unwrap();
+        let tokens = lex(src);
+        let t = tokens.iter().find(|t| t.is_ident("unwrap")).unwrap();
         assert!(!t.in_test);
     }
 
@@ -635,9 +509,7 @@ mod tests {
             fn a_test() { x.unwrap(); }
             fn product() { y.unwrap(); }
         "#;
-        let lexed = lex(src);
-        let unwraps: Vec<bool> = lexed
-            .tokens
+        let unwraps: Vec<bool> = lex(src)
             .iter()
             .filter(|t| t.is_ident("unwrap"))
             .map(|t| t.in_test)
@@ -646,30 +518,8 @@ mod tests {
     }
 
     #[test]
-    fn directives_parse_with_scope_and_reason() {
-        let src = "let x = y.unwrap(); // vpm-lint: allow(R1, y is checked above)\n\
-                   // vpm-lint: allow(R2, whole next item)\n\
-                   fn f() {}\n\
-                   // vpm-lint: allow-file(R3, the whole file)\n\
-                   // vpm-lint: allow(R1)\n";
-        let lexed = lex(src);
-        assert_eq!(lexed.directives.len(), 3);
-        assert_eq!(lexed.directives[0].scope, AllowScope::Line);
-        assert_eq!(lexed.directives[0].rule, "R1");
-        assert_eq!(lexed.directives[1].scope, AllowScope::NextItem);
-        assert_eq!(lexed.directives[2].scope, AllowScope::File);
-        assert_eq!(
-            lexed.bad_directives.len(),
-            1,
-            "reasonless allow is malformed"
-        );
-    }
-
-    #[test]
     fn numbers_and_ranges_lex_apart() {
-        let lexed = lex("a[0..n]; 1.5f64; x.0;");
-        let nums: Vec<&str> = lexed
-            .tokens
+        let nums: Vec<&str> = lex("a[0..n]; 1.5f64; x.0;")
             .iter()
             .filter(|t| t.kind == TokKind::Num)
             .map(|t| t.text)

@@ -1,205 +1,56 @@
 //! `vpm-lint` — the workspace's in-tree invariant analyzer.
 //!
-//! Four rule families guard invariants the type system cannot:
+//! Two rule families guard invariants neither the type system nor
+//! clippy can:
 //!
-//! * **R1 — panic-freedom.** No `unwrap`/`expect`/abort-macros/
-//!   unchecked indexing in non-test code of the hardened crates
-//!   (`vpm-wire`, `vpm-sim`, `vpm-core`). The codec is total on
-//!   attacker-controlled bytes; a panic is a remote DoS.
-//! * **R2 — determinism.** No wall-clock reads or `HashMap`/`HashSet`
-//!   iteration on verdict/wire/golden paths. Hash order is seeded
-//!   per-process; anything it feeds can differ run to run.
 //! * **R3 — lock discipline.** No `Mutex`/`RwLock` guard live across a
 //!   notify, blocking wait, or stream I/O in the same scope (the
 //!   busy-wait-removal PR's hazard class).
-//! * **R4 — wire-constant drift.** The v1 constants declared in source,
-//!   the pinned golden fixture, and the README's frame tables must
-//!   agree, checked by structurally walking both golden frames and
-//!   cross-validating the compact frame against the precise one.
-//! * **R5 — error-variant reachability.** Every variant of the audited
-//!   error enums must be constructed or matched by at least one test.
 //! * **R6 — shim-surface drift.** The public API of every offline shim
 //!   under `shims/` must match the audited manifest
 //!   (`shims/MANIFEST.txt`) exactly, both directions — widening a shim
 //!   is a reviewed change, not a drive-by edit.
 //!
-//! False positives are suppressed inline with
-//! `// vpm-lint: allow(RULE, reason)` — the reason is mandatory and
-//! every suppression lands in the audited allowlist (`--audit`,
-//! JSON output). Malformed directives are themselves diagnostics
-//! (`A0`), so a typo cannot silently suppress nothing.
+//! The other invariants live where the compiler checks them:
+//! panic-freedom and determinism are clippy lints enabled in the crate
+//! roots (with the root `clippy.toml` listing the disallowed clock and
+//! hash-iteration methods), and the wire constants and the audited
+//! error enums are pinned by tier-1 tests (`tests/wire.rs`,
+//! `tests/error_variants.rs`). Neither rule here has a suppression
+//! mechanism: a violation is fixed, not excused.
 //!
 //! Dependency-free by design: the lexer in [`lexer`] is a minimal Rust
 //! tokenizer, not a parser, which is exactly enough for token-sequence
 //! rules and keeps the analyzer inside the repo's offline shim policy.
 
-pub mod errcheck;
 pub mod lexer;
 pub mod report;
 pub mod rules;
 pub mod shimcheck;
 pub mod walk;
-pub mod wirecheck;
 
-pub use report::{Allow, Report, Violation};
-pub use walk::WalkError;
+pub use report::{Report, Violation};
 
-use lexer::AllowScope;
-use std::collections::HashSet;
 use std::path::Path;
 
-/// The rule IDs a directive may name.
-pub const RULE_IDS: [&str; 6] = ["R1", "R2", "R3", "R4", "R5", "R6"];
-
-/// Run the analyzer over the workspace rooted at `root`. `rule`
-/// restricts the run to a single rule ID (malformed-directive `A0`
-/// diagnostics are always reported).
-pub fn run(root: &Path, rule: Option<&str>) -> Result<Report, WalkError> {
-    let want = |r: &str| rule.is_none_or(|only| only == r);
-    let files = walk::collect(root)?;
+/// Run both rules over the workspace rooted at `root`.
+pub fn run(root: &Path) -> std::io::Result<Report> {
+    let files = walk::collect(root, &rules::SCOPE)?;
     let mut report = Report {
         files_scanned: files.len(),
         ..Report::default()
     };
-    let mut constructed: HashSet<(String, String)> = HashSet::new();
-
     for f in &files {
-        let src = std::fs::read_to_string(&f.abs)
-            .map_err(|e| WalkError::Io(format!("{}: {e}", f.rel)))?;
-        let lexed = lexer::lex(&src);
-        errcheck::test_scope_paths(&lexed, f.test_only, &mut constructed);
-
-        for bd in &lexed.bad_directives {
-            report.violations.push(Violation {
-                rule: "A0",
-                check: "bad-directive".to_string(),
-                file: f.rel.clone(),
-                line: bd.line,
-                message: bd.problem.clone(),
-            });
-        }
-        if f.test_only {
-            continue;
-        }
-
-        let mut file_viols = Vec::new();
-        if want("R1") && rules::in_scope(&f.rel, &rules::R1_SCOPE) {
-            file_viols.extend(rules::r1(&f.rel, &lexed.tokens));
-        }
-        if want("R2") && rules::in_scope(&f.rel, &rules::R2_SCOPE) {
-            file_viols.extend(rules::r2(&f.rel, &lexed.tokens));
-        }
-        if want("R3") && rules::in_scope(&f.rel, &rules::R3_SCOPE) {
-            file_viols.extend(rules::r3(&f.rel, &lexed.tokens));
-        }
-
-        let mut allows = resolve_allows(&f.rel, &lexed, &mut report.violations);
-        for v in file_viols {
-            let hit = allows
-                .iter_mut()
-                .find(|a| a.rule == v.rule && a.covers.0 <= v.line && v.line <= a.covers.1);
-            match hit {
-                Some(a) => {
-                    a.used = true;
-                    report.suppressed.push(v);
-                }
-                None => report.violations.push(v),
-            }
-        }
-        // Under `--rule`, allows for inactive rules never get a chance
-        // to match; keep them out of the audit so they don't read as
-        // unused.
+        let src = std::fs::read_to_string(&f.abs).map_err(|e| walk::in_path(&f.abs, e))?;
         report
-            .allows
-            .extend(allows.into_iter().filter(|a| want(&a.rule)));
+            .violations
+            .extend(rules::r3(&f.rel, &lexer::lex(&src)));
     }
-
-    if want("R4") {
-        report.violations.extend(wirecheck::r4(root));
-    }
-    if want("R5") {
-        report.violations.extend(errcheck::r5(root, &constructed));
-    }
-    if want("R6") {
-        report.violations.extend(shimcheck::r6(root));
-    }
-
+    report.violations.extend(shimcheck::r6(root));
     report
         .violations
         .sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
     Ok(report)
-}
-
-/// Resolve the file's directives into allowlist entries with concrete
-/// line coverage. Directives naming an unknown rule become `A0`
-/// diagnostics instead of silently suppressing nothing.
-fn resolve_allows(
-    rel: &str,
-    lexed: &lexer::Lexed<'_>,
-    violations: &mut Vec<Violation>,
-) -> Vec<Allow> {
-    let mut allows = Vec::new();
-    for d in &lexed.directives {
-        if !RULE_IDS.contains(&d.rule.as_str()) {
-            violations.push(Violation {
-                rule: "A0",
-                check: "bad-directive".to_string(),
-                file: rel.to_string(),
-                line: d.line,
-                message: format!(
-                    "allow names unknown rule '{}' (known: {})",
-                    d.rule,
-                    RULE_IDS.join(", ")
-                ),
-            });
-            continue;
-        }
-        let (scope, covers) = match d.scope {
-            AllowScope::Line => ("line", (d.line, d.line)),
-            AllowScope::File => ("file", (1, u32::MAX)),
-            AllowScope::NextItem => (
-                "item",
-                next_item_range(&lexed.tokens, d.line).unwrap_or((d.line + 1, d.line + 1)),
-            ),
-        };
-        allows.push(Allow {
-            rule: d.rule.clone(),
-            file: rel.to_string(),
-            line: d.line,
-            scope,
-            reason: d.reason.clone(),
-            covers,
-            used: false,
-        });
-    }
-    allows
-}
-
-/// The line span of the first statement or item starting after
-/// `after_line`: through the `;` that ends it or the `}` that closes
-/// its top-level brace block.
-fn next_item_range(tokens: &[lexer::Token<'_>], after_line: u32) -> Option<(u32, u32)> {
-    let start = tokens.iter().position(|t| t.line > after_line)?;
-    let first_line = tokens[start].line;
-    let mut depth = 0i64;
-    for t in &tokens[start..] {
-        if t.is_punct('{') || t.is_punct('(') || t.is_punct('[') {
-            depth += 1;
-        } else if t.is_punct('}') || t.is_punct(')') || t.is_punct(']') {
-            depth -= 1;
-            if depth == 0 && t.is_punct('}') {
-                return Some((first_line, t.line));
-            }
-            if depth < 0 {
-                // The enclosing block closed first: the "item" was the
-                // tail of this block.
-                return Some((first_line, t.line));
-            }
-        } else if t.is_punct(';') && depth == 0 {
-            return Some((first_line, t.line));
-        }
-    }
-    Some((first_line, tokens.last()?.line))
 }
 
 #[cfg(test)]
@@ -211,89 +62,43 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("vpm_lint_lib_{tag}_{}", std::process::id()));
         fs::remove_dir_all(&dir).ok();
         fs::create_dir_all(dir.join("crates/wire/src")).unwrap();
-        fs::write(
-            dir.join("Cargo.toml"),
-            "[workspace]\nmembers = [\"crates/wire\"]\n",
-        )
-        .unwrap();
         fs::write(dir.join("crates/wire/src/lib.rs"), lib_src).unwrap();
         dir
     }
 
+    fn r3_lines(r: &Report) -> Vec<u32> {
+        r.violations
+            .iter()
+            .filter(|v| v.rule == "R3")
+            .map(|v| v.line)
+            .collect()
+    }
+
     #[test]
-    fn violations_report_and_line_allows_suppress() {
+    fn violations_report_with_file_and_line() {
         let dir = mini_tree(
             "line",
-            "fn f(x: Option<u32>) -> u32 {\n\
-             \tx.unwrap() // vpm-lint: allow(R1, demo of a line allow)\n\
-             }\n\
-             fn g(y: Option<u32>) -> u32 { y.unwrap() }\n",
-        );
-        let r = run(&dir, Some("R1")).unwrap();
-        assert_eq!(r.violations.len(), 1, "{:?}", r.violations);
-        assert_eq!(r.violations[0].line, 4);
-        assert_eq!(r.suppressed.len(), 1);
-        assert_eq!(r.allows.len(), 1);
-        assert!(r.allows[0].used);
-        fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn item_allow_covers_the_whole_next_fn() {
-        let dir = mini_tree(
-            "item",
-            "// vpm-lint: allow(R1, demo: whole fn is allowed)\n\
-             fn f(x: Option<u32>) -> u32 {\n\
-             \tlet a = x.unwrap();\n\
-             \ta + [1u32, 2][1]\n\
-             }\n\
-             fn g(y: Option<u32>) -> u32 { y.unwrap() }\n",
-        );
-        let r = run(&dir, Some("R1")).unwrap();
-        assert_eq!(r.violations.len(), 1, "{:?}", r.violations);
-        assert_eq!(r.violations[0].line, 6);
-        assert_eq!(r.suppressed.len(), 2, "{:?}", r.suppressed);
-        fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn file_allow_covers_everything_and_unknown_rules_are_a0() {
-        let dir = mini_tree(
-            "file",
-            "// vpm-lint: allow-file(R1, demo file-wide allow)\n\
-             // vpm-lint: allow(R9, no such rule)\n\
-             fn f(x: Option<u32>) -> u32 { x.unwrap() }\n",
-        );
-        let r = run(&dir, Some("R1")).unwrap();
-        assert_eq!(r.violations.len(), 1, "{:?}", r.violations);
-        assert_eq!(r.violations[0].rule, "A0");
-        assert_eq!(r.suppressed.len(), 1);
-        fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn reasonless_allow_is_a_diagnostic_and_suppresses_nothing() {
-        let dir = mini_tree(
-            "noreason",
-            "fn f(x: Option<u32>) -> u32 {\n\
-             \tx.unwrap() // vpm-lint: allow(R1)\n\
+            "fn ok(&self) { let g = self.m.lock(); drop(g); self.n.notify_all(); }\n\
+             fn bad(&self) {\n\
+             \tlet g = self.m.lock();\n\
+             \tself.n.notify_all();\n\
              }\n",
         );
-        let r = run(&dir, Some("R1")).unwrap();
-        let rules: Vec<&str> = r.violations.iter().map(|v| v.rule).collect();
-        assert!(rules.contains(&"A0"), "{:?}", r.violations);
-        assert!(rules.contains(&"R1"), "{:?}", r.violations);
+        let r = run(&dir).unwrap();
+        assert_eq!(r3_lines(&r), vec![4], "{:?}", r.violations);
+        assert_eq!(r.violations[0].file, "crates/wire/src/lib.rs");
+        assert!(!r.ok());
         fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
-    fn test_scope_is_exempt_from_r1() {
+    fn test_scope_is_exempt_from_r3() {
         let dir = mini_tree(
             "testscope",
-            "#[cfg(test)]\nmod tests {\n\tfn t() { None::<u32>.unwrap(); }\n}\n",
+            "#[cfg(test)]\nmod tests {\n\tfn t(&self) { let g = self.m.lock(); self.n.notify_all(); }\n}\n",
         );
-        let r = run(&dir, Some("R1")).unwrap();
-        assert!(r.violations.is_empty(), "{:?}", r.violations);
+        let r = run(&dir).unwrap();
+        assert!(r3_lines(&r).is_empty(), "{:?}", r.violations);
         fs::remove_dir_all(&dir).ok();
     }
 }

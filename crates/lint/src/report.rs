@@ -1,13 +1,11 @@
-//! Diagnostics, suppression accounting, and output rendering.
-
-use std::collections::BTreeMap;
+//! Diagnostics and output rendering.
 
 /// One rule violation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Violation {
-    /// Stable rule ID (`R1`…`R6`, or `A0` for a malformed directive).
+    /// Stable rule ID (`R3` or `R6`).
     pub rule: &'static str,
-    /// Sub-check within the rule (e.g. `unwrap`, `index`, `clock`).
+    /// Sub-check within the rule (e.g. `wait`, `unaudited-addition`).
     pub check: String,
     /// Workspace-relative file.
     pub file: String,
@@ -17,34 +15,11 @@ pub struct Violation {
     pub message: String,
 }
 
-/// One audited suppression, as resolved against the tree.
-#[derive(Debug, Clone)]
-pub struct Allow {
-    /// Rule the suppression targets.
-    pub rule: String,
-    /// File it lives in.
-    pub file: String,
-    /// Line of the directive comment.
-    pub line: u32,
-    /// `line`, `item`, or `file`.
-    pub scope: &'static str,
-    /// The mandatory justification.
-    pub reason: String,
-    /// Lines the directive reaches (inclusive).
-    pub covers: (u32, u32),
-    /// Whether it suppressed at least one violation this run.
-    pub used: bool,
-}
-
 /// The result of a full lint run.
 #[derive(Debug, Default)]
 pub struct Report {
-    /// Unsuppressed violations — any entry fails the gate.
+    /// Violations — any entry fails the gate.
     pub violations: Vec<Violation>,
-    /// Every allow directive in the tree (the audited allowlist).
-    pub allows: Vec<Allow>,
-    /// Violations that an allow suppressed (kept for `--audit`).
-    pub suppressed: Vec<Violation>,
     /// Number of files scanned.
     pub files_scanned: usize,
 }
@@ -55,17 +30,8 @@ impl Report {
         self.violations.is_empty()
     }
 
-    /// Violation counts per rule ID.
-    pub fn counts(&self) -> BTreeMap<&'static str, usize> {
-        let mut m = BTreeMap::new();
-        for v in &self.violations {
-            *m.entry(v.rule).or_insert(0) += 1;
-        }
-        m
-    }
-
     /// Render the human-readable report.
-    pub fn render_human(&self, audit: bool) -> String {
+    pub fn render_human(&self) -> String {
         let mut out = String::new();
         for v in &self.violations {
             out.push_str(&format!(
@@ -73,39 +39,11 @@ impl Report {
                 v.file, v.line, v.message, v.rule, v.check
             ));
         }
-        if audit {
-            out.push_str(&format!(
-                "\naudited allowlist ({} entries):\n",
-                self.allows.len()
-            ));
-            for a in &self.allows {
-                out.push_str(&format!(
-                    "  {}:{} allow({}, {}) [{}{}]\n",
-                    a.file,
-                    a.line,
-                    a.rule,
-                    a.reason,
-                    a.scope,
-                    if a.used { "" } else { ", UNUSED" },
-                ));
-            }
-        }
-        let unused = self.allows.iter().filter(|a| !a.used).count();
         out.push_str(&format!(
-            "vpm-lint: {} file(s), {} violation(s), {} allow(s) ({} unused)\n",
+            "vpm-lint: {} file(s), {} violation(s)\n",
             self.files_scanned,
             self.violations.len(),
-            self.allows.len(),
-            unused,
         ));
-        if !self.violations.is_empty() {
-            let counts: Vec<String> = self
-                .counts()
-                .into_iter()
-                .map(|(r, n)| format!("{r}: {n}"))
-                .collect();
-            out.push_str(&format!("by rule: {}\n", counts.join(", ")));
-        }
         out
     }
 
@@ -126,25 +64,9 @@ impl Report {
                 esc(&v.message)
             ));
         }
-        out.push_str("],\"allows\":[");
-        for (i, a) in self.allows.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"rule\":\"{}\",\"file\":\"{}\",\"line\":{},\"scope\":\"{}\",\"reason\":\"{}\",\"used\":{}}}",
-                esc(&a.rule),
-                esc(&a.file),
-                a.line,
-                a.scope,
-                esc(&a.reason),
-                a.used
-            ));
-        }
         out.push_str(&format!(
-            "],\"files_scanned\":{},\"suppressed\":{},\"ok\":{}}}",
+            "],\"files_scanned\":{},\"ok\":{}}}",
             self.files_scanned,
-            self.suppressed.len(),
             self.ok()
         ));
         out
@@ -175,8 +97,8 @@ mod tests {
         let mut r = Report::default();
         assert!(r.ok());
         r.violations.push(Violation {
-            rule: "R1",
-            check: "unwrap".into(),
+            rule: "R3",
+            check: "wait".into(),
             file: "a\"b.rs".into(),
             line: 3,
             message: "bad \\ thing".into(),

@@ -62,8 +62,7 @@ impl SurfaceItem {
 
 /// Extract the public surface of one shim's source.
 fn surface_of(shim: &str, src: &str) -> Vec<SurfaceItem> {
-    let lexed = lexer::lex(src);
-    let toks = &lexed.tokens;
+    let toks = &lexer::lex(src);
     let mut out = Vec::new();
     let mut push = |kind: &str, name: &str, line: u32| {
         out.push(SurfaceItem {

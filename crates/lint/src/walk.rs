@@ -1,15 +1,7 @@
-//! Workspace-aware `.rs` file discovery.
-//!
-//! The walker reads the root `Cargo.toml` `members` list (a line-based
-//! parse is enough for this repo's literal array) and collects every
-//! `.rs` file under each member's `src/` and `tests/` directories plus
-//! the facade package's `src/`, `tests/`, and `examples/`. Files under
-//! a `tests/`, `examples/`, or `benches/` directory are *test scope*
-//! in their entirety; everything else is product scope until the lexer
-//! says otherwise (`#[cfg(test)]` / `mod tests`).
+//! `.rs` file discovery under the source directories a rule scans.
 
-use std::fs;
 use std::path::{Path, PathBuf};
+use std::{fs, io};
 
 /// One discovered source file.
 #[derive(Debug, Clone)]
@@ -18,122 +10,47 @@ pub struct SourceFile {
     pub rel: String,
     /// Absolute path on disk.
     pub abs: PathBuf,
-    /// The whole file is test/bench scope (integration tests,
-    /// examples, benches).
-    pub test_only: bool,
 }
 
-/// Errors the walker can hit. The lint gate treats any of these as a
-/// failed run — a tree it cannot enumerate is not a verified tree.
-#[derive(Debug)]
-pub enum WalkError {
-    /// The root `Cargo.toml` is missing or unreadable.
-    NoManifest(String),
-    /// A directory listed in `members` could not be read.
-    Io(String),
-}
-
-impl std::fmt::Display for WalkError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            WalkError::NoManifest(e) => write!(f, "cannot read workspace manifest: {e}"),
-            WalkError::Io(e) => write!(f, "cannot walk workspace: {e}"),
-        }
-    }
-}
-
-/// Parse the `members = [ … ]` array out of the root manifest.
-pub fn workspace_members(root: &Path) -> Result<Vec<String>, WalkError> {
-    let manifest = fs::read_to_string(root.join("Cargo.toml"))
-        .map_err(|e| WalkError::NoManifest(e.to_string()))?;
-    let mut members = Vec::new();
-    let mut in_members = false;
-    for line in manifest.lines() {
-        let line = line.trim();
-        if line.starts_with("members") && line.contains('[') {
-            in_members = true;
-        }
-        if in_members {
-            for part in line.split(',') {
-                let part = part.trim();
-                if let Some(stripped) = part.split('"').nth(1) {
-                    members.push(stripped.to_string());
-                }
-            }
-            if line.contains(']') {
-                break;
-            }
-        }
-    }
-    Ok(members)
-}
-
-/// Collect every workspace `.rs` file.
-pub fn collect(root: &Path) -> Result<Vec<SourceFile>, WalkError> {
+/// Collect every `.rs` file under `root`'s `dirs` (workspace-relative;
+/// a missing directory contributes nothing), sorted by path. The lint
+/// gate treats an error as a failed run — a tree it cannot enumerate
+/// is not a verified tree.
+pub fn collect(root: &Path, dirs: &[&str]) -> io::Result<Vec<SourceFile>> {
     let mut files = Vec::new();
-    let mut dirs: Vec<(PathBuf, bool)> = vec![
-        (root.join("src"), false),
-        (root.join("tests"), true),
-        (root.join("examples"), true),
-        (root.join("benches"), true),
-    ];
-    for member in workspace_members(root)? {
-        let base = root.join(&member);
-        dirs.push((base.join("src"), false));
-        dirs.push((base.join("tests"), true));
-        dirs.push((base.join("benches"), true));
-        let p = base.join("build.rs");
-        if p.is_file() {
-            push_file(root, &p, false, &mut files);
-        }
-    }
-    for (dir, test_only) in dirs {
+    for dir in dirs {
+        let dir = root.join(dir);
         if dir.is_dir() {
-            walk_dir(root, &dir, test_only, &mut files)?;
+            walk_dir(root, &dir, &mut files)?;
         }
     }
     files.sort_by(|a, b| a.rel.cmp(&b.rel));
-    files.dedup_by(|a, b| a.rel == b.rel);
     Ok(files)
 }
 
-fn walk_dir(
-    root: &Path,
-    dir: &Path,
-    test_only: bool,
-    out: &mut Vec<SourceFile>,
-) -> Result<(), WalkError> {
-    let entries =
-        fs::read_dir(dir).map_err(|e| WalkError::Io(format!("{}: {e}", dir.display())))?;
+fn walk_dir(root: &Path, dir: &Path, out: &mut Vec<SourceFile>) -> io::Result<()> {
+    let entries = fs::read_dir(dir).map_err(|e| in_path(dir, e))?;
     for entry in entries {
-        let entry = entry.map_err(|e| WalkError::Io(e.to_string()))?;
-        let path = entry.path();
+        let path = entry.map_err(|e| in_path(dir, e))?.path();
         if path.is_dir() {
-            // `target/` never appears under src/tests, but guard anyway.
-            if path.file_name().is_some_and(|n| n == "target") {
-                continue;
-            }
-            walk_dir(root, &path, test_only, out)?;
+            walk_dir(root, &path, out)?;
         } else if path.extension().is_some_and(|e| e == "rs") {
-            push_file(root, &path, test_only, out);
+            let rel = path
+                .strip_prefix(root)
+                .unwrap_or(&path)
+                .components()
+                .map(|c| c.as_os_str().to_string_lossy())
+                .collect::<Vec<_>>()
+                .join("/");
+            out.push(SourceFile { rel, abs: path });
         }
     }
     Ok(())
 }
 
-fn push_file(root: &Path, abs: &Path, test_only: bool, out: &mut Vec<SourceFile>) {
-    let rel = abs
-        .strip_prefix(root)
-        .unwrap_or(abs)
-        .components()
-        .map(|c| c.as_os_str().to_string_lossy())
-        .collect::<Vec<_>>()
-        .join("/");
-    out.push(SourceFile {
-        rel,
-        abs: abs.to_path_buf(),
-        test_only,
-    });
+/// `e`, naming the path it happened at.
+pub fn in_path(path: &Path, e: io::Error) -> io::Error {
+    io::Error::new(e.kind(), format!("{}: {e}", path.display()))
 }
 
 #[cfg(test)]
@@ -141,16 +58,24 @@ mod tests {
     use super::*;
 
     #[test]
-    fn members_parse_from_a_literal_array() {
+    fn collects_rs_files_under_the_given_dirs_only() {
         let dir = std::env::temp_dir().join(format!("vpm_lint_walk_{}", std::process::id()));
-        fs::create_dir_all(&dir).unwrap();
-        fs::write(
-            dir.join("Cargo.toml"),
-            "[workspace]\nmembers = [\n    \"crates/a\",\n    \"crates/b\",\n]\n",
-        )
-        .unwrap();
-        let m = workspace_members(&dir).unwrap();
-        assert_eq!(m, vec!["crates/a".to_string(), "crates/b".to_string()]);
+        fs::create_dir_all(dir.join("a/src/m")).unwrap();
+        fs::create_dir_all(dir.join("b/src")).unwrap();
+        for f in [
+            "a/src/lib.rs",
+            "a/src/m/x.rs",
+            "a/src/notes.md",
+            "b/src/lib.rs",
+        ] {
+            fs::write(dir.join(f), "").unwrap();
+        }
+        let rels: Vec<String> = collect(&dir, &["a/src", "missing"])
+            .unwrap()
+            .into_iter()
+            .map(|f| f.rel)
+            .collect();
+        assert_eq!(rels, ["a/src/lib.rs", "a/src/m/x.rs"]);
         fs::remove_dir_all(&dir).ok();
     }
 }

@@ -15,6 +15,12 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Determinism for non-test code: no wall-clock reads or hash-order
+// iteration (`clippy.toml` lists the disallowed methods).
+#![cfg_attr(
+    not(test),
+    warn(clippy::disallowed_methods, clippy::iter_over_hash_type)
+)]
 
 pub mod ipv4;
 pub mod packet;

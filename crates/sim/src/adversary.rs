@@ -84,14 +84,21 @@ pub struct LieSite {
 /// ingress observations, without coordination between liars. §3.1's
 /// localization argument applies to each liar separately: every lie
 /// still surfaces on an inter-domain link adjacent to *that* liar.
-#[allow(clippy::expect_used)] // audited: every expect below carries a vpm-lint allow
 pub fn apply_lies(run: &mut PathRun, sites: &[LieSite]) {
     for site in sites {
+        #[expect(
+            clippy::expect_used,
+            reason = "the lie site was resolved on this run's path just above"
+        )]
         let ingress = run
             .hop(site.ingress)
-            .expect("lie site ingress exists") // vpm-lint: allow(R1, the lie site was resolved on this run's path just above)
+            .expect("lie site ingress exists")
             .clone();
-        let egress = run.hop_mut(site.egress).expect("lie site egress exists"); // vpm-lint: allow(R1, the lie site was resolved on this run's path just above)
+        #[expect(
+            clippy::expect_used,
+            reason = "the lie site was resolved on this run's path just above"
+        )]
+        let egress = run.hop_mut(site.egress).expect("lie site egress exists");
         apply_lie(&ingress, egress, site.strategy);
     }
 }

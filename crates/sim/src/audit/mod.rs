@@ -166,7 +166,7 @@ pub struct Auditor {
     /// [`Auditor::finish_interval`]).
     intervals: u64,
     /// Partial per-(path, interval) accumulators. `BTreeMap` so every
-    /// iteration order is deterministic (R2).
+    /// iteration order is deterministic.
     pending: BTreeMap<(u32, u64), IntervalCell>,
     /// Per-path incremental verdict state.
     paths: BTreeMap<u32, PathAuditState>,

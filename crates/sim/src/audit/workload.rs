@@ -129,15 +129,15 @@ fn slot_key(hop: HopId) -> HopKey {
 
 /// A distinct synthetic `PathID` per slot, so frames spread across the
 /// bus's path-hashed shards exactly like real per-path traffic.
-#[allow(clippy::expect_used)] // audited: every expect below carries a vpm-lint allow
+#[expect(clippy::expect_used, reason = "a /32 literal prefix is always valid")]
 fn slot_path(slot: usize) -> PathId {
     let (hi, lo) = ((slot >> 8) as u8, slot as u8);
     PathId {
         spec: HeaderSpec::new(
             Ipv4Prefix::new(std::net::Ipv4Addr::new(10, hi, lo, 1), 32)
-                .expect("a /32 literal prefix is always valid"), // vpm-lint: allow(R1, a /32 literal prefix is always valid)
+                .expect("a /32 literal prefix is always valid"),
             Ipv4Prefix::new(std::net::Ipv4Addr::new(20, hi, lo, 1), 32)
-                .expect("a /32 literal prefix is always valid"), // vpm-lint: allow(R1, a /32 literal prefix is always valid)
+                .expect("a /32 literal prefix is always valid"),
         ),
         prev_hop: Some(slot_hop(slot, 0)),
         next_hop: Some(slot_hop(slot, HOPS_PER_PATH - 1)),

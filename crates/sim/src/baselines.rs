@@ -14,7 +14,11 @@
 //! workload as VPM, so the table above becomes measured numbers
 //! (`examples/baseline_comparison.rs`).
 
-// vpm-lint: allow-file(R1, baseline kernels index fixed-shape parallel arrays sized by the same trace; every subscript is bounded by construction)
+#![expect(
+    clippy::indexing_slicing,
+    clippy::expect_used,
+    reason = "baseline kernels index fixed-shape parallel arrays sized by the same trace; every subscript is bounded by construction, and the static prefixes parse"
+)]
 
 use serde::{Deserialize, Serialize};
 use vpm_core::aggregation::Aggregator;
@@ -200,7 +204,6 @@ pub fn trajectory_sampling(w: &Workload, rate: f64, biased: bool) -> SchemeRepor
 /// Returns `(report, phantom_loss_under_reordering)` — the second value
 /// quantifies the §3.3 reordering failure: |loss error| in packets on a
 /// *lossless* reordered copy of the stream.
-#[allow(clippy::expect_used)] // audited: every expect below carries a vpm-lint allow
 pub fn difference_aggregator(w: &Workload, agg_size: u64) -> (SchemeReport, u64) {
     // Loss from counts: exact when no reordering (same cut digests).
     let delta = Aggregator::delta_for_aggregate_size(agg_size);
@@ -300,7 +303,6 @@ pub fn difference_aggregator(w: &Workload, agg_size: u64) -> (SchemeReport, u64)
 
 /// VPM on the same workload: marker-keyed sampling + aggregation with
 /// AggTrans windows.
-#[allow(clippy::expect_used)] // audited: every expect below carries a vpm-lint allow
 pub fn vpm_scheme(w: &Workload, rate: f64, agg_size: u64) -> SchemeReport {
     let marker = Threshold::from_rate(5e-3);
     let sigma = Threshold::from_rate(rate);

@@ -133,37 +133,47 @@ impl FleetPath {
     /// The lying domain's HOP pair: `X`'s ingress (the observations
     /// the lie is constructed from) and egress (whose receipts are
     /// doctored), read from the path's own topology.
-    #[allow(clippy::expect_used)] // audited: every expect below carries a vpm-lint allow
+    #[expect(
+        clippy::expect_used,
+        reason = "fleet topologies are Figure-1 chains by construction, and Figure-1 transit domains always carry both HOPs"
+    )]
     pub fn liar_hops(&self) -> (HopId, HopId) {
         let x = self
             .topology
             .domain_by_name("X")
-            .expect("fleet paths are Figure-1 chains"); // vpm-lint: allow(R1, fleet topologies are Figure-1 chains by construction)
+            .expect("fleet paths are Figure-1 chains");
         (
-            x.ingress.expect("transit has ingress"), // vpm-lint: allow(R1, Figure-1 transit domains always carry both HOPs)
-            x.egress.expect("transit has egress"), // vpm-lint: allow(R1, Figure-1 transit domains always carry both HOPs)
+            x.ingress.expect("transit has ingress"),
+            x.egress.expect("transit has egress"),
         )
     }
 
     /// The inter-domain link a lie by this path's `X` must surface on:
     /// `X` egress → `N` ingress, read from the path's own topology so
     /// it can never drift from the instance's HOP numbering.
-    #[allow(clippy::expect_used)] // audited: every expect below carries a vpm-lint allow
     pub fn expected_liar_link(&self) -> (u16, u16) {
         let (_, egress) = self.liar_hops();
+        #[expect(
+            clippy::expect_used,
+            reason = "the Figure-1 builder places X's egress on an inter-domain link"
+        )]
         let link = self
             .topology
             .links
             .iter()
             .find(|l| l.up == egress)
-            .expect("X egress sits on an inter-domain link"); // vpm-lint: allow(R1, the Figure-1 builder places X's egress on an inter-domain link)
+            .expect("X egress sits on an inter-domain link");
         (link.up.0, link.down.0)
     }
 
     /// The domain the fleet verifier analyzes this path as (the
     /// path's source domain — always on-path).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "built topologies always have at least one domain"
+    )]
     pub fn collector_domain(&self) -> DomainId {
-        self.topology.domain_ids()[0] // vpm-lint: allow(R1, built topologies always have at least one domain)
+        self.topology.domain_ids()[0]
     }
 }
 
@@ -279,7 +289,6 @@ pub fn build_fleet(config: &FleetConfig) -> Fleet {
 /// Run one path end to end and publish its receipts (doctored by its
 /// lie, if any) through `transport`. Returns the number of frames
 /// published.
-#[allow(clippy::expect_used)] // audited: every expect below carries a vpm-lint allow
 fn publish_path(path: &FleetPath, transport: &dyn ReceiptTransport) -> usize {
     let trace = TraceGenerator::new(TraceConfig {
         target_pps: path.target_pps,
@@ -304,9 +313,13 @@ fn publish_path(path: &FleetPath, transport: &dyn ReceiptTransport) -> usize {
     let mut frames = 0usize;
     for h in &run.hops {
         let key = h.hop_key();
+        #[expect(
+            clippy::expect_used,
+            reason = "every fleet HOP key was registered in the loop above"
+        )]
         transport
             .register_key(h.hop, key)
-            .expect("fleet HOP keys are consistent"); // vpm-lint: allow(R1, every fleet HOP key was registered in the loop above)
+            .expect("fleet HOP keys are consistent");
         if path.quiet_first_interval {
             // Interval 0: nothing matured yet — an empty, signed batch
             // (the PR 4 quiet-first-interval edge, now a standing part
@@ -317,14 +330,22 @@ fn publish_path(path: &FleetPath, transport: &dyn ReceiptTransport) -> usize {
                 samples: vec![],
                 aggregates: vec![],
             };
+            #[expect(
+                clippy::expect_used,
+                reason = "encoding a batch this code just built cannot exceed wire limits"
+            )]
             transport
                 .publish_batch(h.domain, &empty, Profile::Precise, on_path.clone(), &key)
-                .expect("signed empty batches publish"); // vpm-lint: allow(R1, encoding a batch this code just built cannot exceed wire limits)
+                .expect("signed empty batches publish");
             frames += 1;
         }
+        #[expect(
+            clippy::expect_used,
+            reason = "encoding a batch this code just built cannot exceed wire limits"
+        )]
         transport
             .publish_batch(h.domain, &h.batch, Profile::Precise, on_path.clone(), &key)
-            .expect("signed batches publish"); // vpm-lint: allow(R1, encoding a batch this code just built cannot exceed wire limits)
+            .expect("signed batches publish");
         frames += 1;
     }
     frames
@@ -346,7 +367,8 @@ pub fn run_fleet(fleet: &Fleet, transport: &dyn ReceiptTransport) -> usize {
                 if i >= fleet.paths.len() {
                     break;
                 }
-                let frames = publish_path(&fleet.paths[i], transport); // vpm-lint: allow(R1, i ranges over fleet.paths indices)
+                #[expect(clippy::indexing_slicing, reason = "i ranges over fleet.paths indices")]
+                let frames = publish_path(&fleet.paths[i], transport);
                 total.fetch_add(frames, Ordering::Relaxed);
             });
         }
@@ -443,16 +465,19 @@ impl FleetPathVerdict {
 /// [`vpm_core::par_map_indexed`], so the result (and its serialized
 /// form) is byte-identical for every `jobs >= 1` and equal to the
 /// sequential per-path fold.
-#[allow(clippy::expect_used)] // audited: every expect below carries a vpm-lint allow
 pub fn analyze_fleet_from_transport(
     fleet: &Fleet,
     transport: &dyn ReceiptTransport,
     jobs: usize,
 ) -> Vec<FleetPathVerdict> {
     vpm_core::par_map_indexed(&fleet.paths, jobs, |_, path| {
+        #[expect(
+            clippy::expect_used,
+            reason = "the collector domain is taken from the path being verified"
+        )]
         let analysis =
             analyze_from_transport_scoped(&path.topology, transport, path.collector_domain())
-                .expect("the fleet collector is on-path"); // vpm-lint: allow(R1, the collector domain is taken from the path being verified)
+                .expect("the fleet collector is on-path");
         FleetPathVerdict::from_analysis(path, &analysis)
     })
 }

@@ -46,10 +46,26 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-// Mirror vpm-lint's R1 (panic-freedom) in the compiler's own
-// diagnostics for non-test code; sites vpm-lint allows carry a
-// matching narrow `#[allow]`.
-#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
+// Panic-freedom and determinism for non-test code: the codec is total
+// on attacker bytes, and verdict bytes never depend on the wall clock
+// or hash order (`clippy.toml` lists the disallowed methods). A site
+// that is safe by construction carries the smallest statement-level
+// `expect` attribute with its reason; a stale one fails clippy.
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing,
+        clippy::string_slice,
+        clippy::disallowed_methods,
+        clippy::iter_over_hash_type
+    )
+)]
 
 pub mod adversary;
 pub mod audit;

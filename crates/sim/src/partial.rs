@@ -128,7 +128,11 @@ pub fn analyze_partial(
 
     // The deployment set arrives as a `HashSet`; the report must not
     // inherit its per-process iteration order.
-    let mut deployed_sorted: Vec<DomainId> = deployed.iter().copied().collect(); // vpm-lint: allow(R2, hash order erased by the sort below)
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "hash order erased by the sort below"
+    )]
+    let mut deployed_sorted: Vec<DomainId> = deployed.iter().copied().collect();
     deployed_sorted.sort_unstable();
     PartialAnalysis {
         domains,

@@ -228,19 +228,31 @@ fn transform(stream: &Stream, channel: &ChannelConfig) -> (Stream, Vec<f64>) {
     let deliveries = arrivals(&out);
     let mut delays = Vec::with_capacity(deliveries.len());
     for d in &deliveries {
-        delays.push(d.ts_out.signed_delta(times[d.idx]) as f64 / 1e6); // vpm-lint: allow(R1, d.idx indexes the trace the deliveries came from)
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "d.idx indexes the trace the deliveries came from"
+        )]
+        delays.push(d.ts_out.signed_delta(times[d.idx]) as f64 / 1e6);
     }
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "d.idx indexes the trace the deliveries came from"
+    )]
     let next: Stream = deliveries
         .iter()
-        .map(|d| (stream[d.idx].0, d.ts_out)) // vpm-lint: allow(R1, d.idx indexes the trace the deliveries came from)
+        .map(|d| (stream[d.idx].0, d.ts_out))
         .collect();
     (next, delays)
 }
 
+#[expect(
+    clippy::indexing_slicing,
+    reason = "idx indexes the trace the samples came from"
+)]
 fn drop_markers(stream: &Stream, digests: &[Digest], marker: Threshold) -> Stream {
     stream
         .iter()
-        .filter(|&&(idx, _)| !marker.passes(digests[idx].0)) // vpm-lint: allow(R1, idx indexes the trace the samples came from)
+        .filter(|&&(idx, _)| !marker.passes(digests[idx].0))
         .copied()
         .collect()
 }
@@ -248,10 +260,13 @@ fn drop_markers(stream: &Stream, digests: &[Digest], marker: Threshold) -> Strea
 /// Run a trace through a topology, disseminating receipts over a
 /// private [`ShardedBus`] (see [`run_path_with_transport`] to supply a
 /// transport and observe the published frames).
-#[allow(clippy::expect_used)] // audited: every expect below carries a vpm-lint allow
+#[expect(
+    clippy::expect_used,
+    reason = "a private in-process bus cannot fail or stall"
+)]
 pub fn run_path(trace: &[TracePacket], topology: &Topology, cfg: &RunConfig) -> PathRun {
     run_path_with_transport(trace, topology, cfg, &ShardedBus::new(RUN_TRANSPORT_SHARDS))
-        .expect("a private in-process bus cannot fail or stall") // vpm-lint: allow(R1, a private in-process bus cannot fail or stall)
+        .expect("a private in-process bus cannot fail or stall")
 }
 
 /// Run a trace through a topology, publishing every HOP's receipt
@@ -272,7 +287,6 @@ pub fn run_path(trace: &[TracePacket], topology: &Topology, cfg: &RunConfig) -> 
 /// lands, and gives up with [`RunError::DrainTimeout`] after
 /// [`RunConfig::drain_timeout`] if it never does. The run's
 /// subscription is dropped before returning, success or not.
-#[allow(clippy::expect_used)] // audited: every expect below carries a vpm-lint allow
 pub fn run_path_with_transport(
     trace: &[TracePacket],
     topology: &Topology,
@@ -293,7 +307,11 @@ pub fn run_path_with_transport(
     let hop_order = topology.hops();
     let mut pipelines: HashMap<HopId, (HopPipeline, HopClock, PathId)> = HashMap::new();
     for (hop, path) in topology.hop_path_ids() {
-        let dom = topology.domain_of(hop).expect("hop has a domain"); // vpm-lint: allow(R1, every hop in a built topology belongs to a domain)
+        #[expect(
+            clippy::expect_used,
+            reason = "every hop in a built topology belongs to a domain"
+        )]
+        let dom = topology.domain_of(hop).expect("hop has a domain");
         let tuning = cfg.overrides.get(&hop).copied().unwrap_or(HopTuning {
             sampling_rate: cfg.sampling_rate,
             aggregate_size: cfg.aggregate_size,
@@ -322,12 +340,20 @@ pub fn run_path_with_transport(
     let mut observe = |pipelines: &mut HashMap<HopId, (HopPipeline, HopClock, PathId)>,
                        hop: HopId,
                        stream: &Stream| {
-        let (pipe, clock, _) = pipelines.get_mut(&hop).expect("registered hop"); // vpm-lint: allow(R1, every on-path hop was registered in the loop above)
+        #[expect(
+            clippy::expect_used,
+            reason = "every on-path hop was registered in the loop above"
+        )]
+        let (pipe, clock, _) = pipelines.get_mut(&hop).expect("registered hop");
         for part in stream.chunks(OBSERVE_BATCH) {
             batch.clear();
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "idx indexes the trace the samples came from"
+            )]
             batch.extend(
                 part.iter()
-                    .map(|&(idx, t)| (0, digests[idx], clock.read(t))), // vpm-lint: allow(R1, idx indexes the trace the samples came from)
+                    .map(|&(idx, t)| (0, digests[idx], clock.read(t))),
             );
             let report = pipe.collector.ingest(&batch);
             debug_assert!(report.is_clean(), "path index 0 is always registered");
@@ -369,7 +395,8 @@ pub fn run_path_with_transport(
         }
         // Inter-domain link to the next domain.
         if d_idx < topology.links.len() {
-            let (next, _) = transform(&stream, &topology.links[d_idx].channel); // vpm-lint: allow(R1, d_idx ranges over topology.links)
+            #[expect(clippy::indexing_slicing, reason = "d_idx ranges over topology.links")]
+            let (next, _) = transform(&stream, &topology.links[d_idx].channel);
             stream = next;
         }
     }
@@ -380,7 +407,11 @@ pub fn run_path_with_transport(
     // subscription and rebuild the outputs from the *decoded* batches —
     // the codec round trip is on the pipeline's critical path.
     let on_path = topology.domain_ids();
-    let collector_domain = *on_path.first().expect("topology has domains"); // vpm-lint: allow(R1, built topologies always have at least one domain)
+    #[expect(
+        clippy::expect_used,
+        reason = "built topologies always have at least one domain"
+    )]
+    let collector_domain = *on_path.first().expect("topology has domains");
     let sub = transport.subscribe(collector_domain);
     let encoder = WireEncoder::new(Profile::Precise);
     let mut hop_meta: HashMap<HopId, (DomainId, PathId, HopKey, KeyEpoch)> = HashMap::new();
@@ -390,14 +421,26 @@ pub fn run_path_with_transport(
     // failed run must not leak a cursor on a shared transport.
     let published_and_drained = (|| -> Result<(), RunError> {
         for &hop in &hop_order {
-            let (mut pipe, _, path) = pipelines.remove(&hop).expect("still present"); // vpm-lint: allow(R1, hop_order and pipelines are populated from the same path)
-            let dom = topology.domain_of(hop).expect("hop has a domain").id; // vpm-lint: allow(R1, every hop in a built topology belongs to a domain)
+            #[expect(
+                clippy::expect_used,
+                reason = "hop_order and pipelines are populated from the same path"
+            )]
+            let (mut pipe, _, path) = pipelines.remove(&hop).expect("still present");
+            #[expect(
+                clippy::expect_used,
+                reason = "every hop in a built topology belongs to a domain"
+            )]
+            let dom = topology.domain_of(hop).expect("hop has a domain").id;
             let key = pipe.processor.hop_key();
             let batch = pipe.final_report();
             let epoch = transport.register_key(hop, key)?;
+            #[expect(
+                clippy::expect_used,
+                reason = "encoding a batch this code just built cannot exceed wire limits"
+            )]
             let frame = encoder
                 .encode_signed(&batch, &key, epoch)
-                .expect("receipt batches encode"); // vpm-lint: allow(R1, encoding a batch this code just built cannot exceed wire limits)
+                .expect("receipt batches encode");
             transport.publish(dom, frame, on_path.clone())?;
             hop_meta.insert(hop, (dom, path, key, epoch));
         }
@@ -412,7 +455,11 @@ pub fn run_path_with_transport(
         // claimed a number and died would otherwise hang this loop
         // forever. Frames from other paths are invisible to this
         // collector (disjoint `on_path` sets) and skipped by the poll.
-        let deadline = Instant::now() + cfg.drain_timeout; // vpm-lint: allow(R2, bounds a blocking-wait timeout; never feeds a verdict)
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "bounds a blocking-wait timeout; never feeds a verdict"
+        )]
+        let deadline = Instant::now() + cfg.drain_timeout;
         loop {
             for p in transport.poll(sub)? {
                 if hop_meta.contains_key(&p.hop) {
@@ -422,7 +469,11 @@ pub fn run_path_with_transport(
             if decoded.len() >= hop_order.len() {
                 return Ok(());
             }
-            let now = Instant::now(); // vpm-lint: allow(R2, bounds a blocking-wait timeout; never feeds a verdict)
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "bounds a blocking-wait timeout; never feeds a verdict"
+            )]
+            let now = Instant::now();
             let timed_out =
                 now >= deadline || transport.wait(sub, deadline - now)? == WaitOutcome::TimedOut;
             if timed_out {
@@ -439,8 +490,16 @@ pub fn run_path_with_transport(
 
     let mut hops = Vec::new();
     for &hop in &hop_order {
-        let (dom, path, key, epoch) = hop_meta.remove(&hop).expect("published above"); // vpm-lint: allow(R1, hop_meta was populated for every published hop above)
-        let batch = decoded.remove(&hop).expect("published frame came back"); // vpm-lint: allow(R1, the drain loop returns only once every hop's frame arrived)
+        #[expect(
+            clippy::expect_used,
+            reason = "hop_meta was populated for every published hop above"
+        )]
+        let (dom, path, key, epoch) = hop_meta.remove(&hop).expect("published above");
+        #[expect(
+            clippy::expect_used,
+            reason = "the drain loop returns only once every hop's frame arrived"
+        )]
+        let batch = decoded.remove(&hop).expect("published frame came back");
         let samples: Vec<SampleRecord> = batch
             .samples
             .iter()
@@ -599,6 +658,7 @@ mod tests {
     }
 
     /// What a [`FaultyTransport`] does to the run driving it.
+    #[derive(Debug, Clone, Copy, PartialEq)]
     enum Fault {
         /// Publishes land but never come back: `poll` is empty and
         /// `wait` times out — what a global stream looks like behind a
@@ -739,6 +799,25 @@ mod tests {
             0,
             "a failed run must not leak its subscription"
         );
+    }
+
+    /// One row per [`RunError`] variant: the fault that provokes it
+    /// through `run_path_with_transport`. The `match` has no `_` arm,
+    /// so a new variant does not compile until it gets a row.
+    #[test]
+    fn every_run_error_variant_is_reachable() {
+        let (t, topo) = (trace(20, 11), Figure1::ideal().build());
+        let mut cfg = quick_cfg();
+        cfg.drain_timeout = Duration::from_millis(50);
+        for fault in [Fault::NeverDelivers, Fault::RefusesAll] {
+            let transport = FaultyTransport::new(fault);
+            let err = run_path_with_transport(&t, &topo, &cfg, &transport).unwrap_err();
+            let row = match err {
+                RunError::DrainTimeout { .. } => Fault::NeverDelivers,
+                RunError::Transport(_) => Fault::RefusesAll,
+            };
+            assert_eq!(row, fault, "{err:?}");
+        }
     }
 
     /// A transport that refuses the very first operation surfaces as a

@@ -506,7 +506,11 @@ pub fn full_grid(base_seed: u64) -> Vec<Cell> {
         clock: ClockAxis,
     ) -> AdversaryAxis {
         loop {
-            let cand = all[*cursor % all.len()]; // vpm-lint: allow(R1, all is the fixed, non-empty axis table)
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "all is the fixed, non-empty axis table"
+            )]
+            let cand = all[*cursor % all.len()];
             *cursor += 1;
             if cand.legal(delay, loss, clock) {
                 return cand;
@@ -737,7 +741,6 @@ const LINK_DELAY_MS: f64 = 0.05;
 
 /// Evaluate one cell. Pure: the same cell always produces the same
 /// verdict, byte for byte.
-#[allow(clippy::expect_used)] // audited: every expect below carries a vpm-lint allow
 pub fn evaluate_cell(cell: &Cell) -> CellVerdict {
     let t = trace(cell);
     let topo = topology(cell, &t);
@@ -759,7 +762,11 @@ pub fn evaluate_cell(cell: &Cell) -> CellVerdict {
     }
 
     // --- Invariant 2: estimates track retained ground truth. ---
-    let x_truth = honest_run.truth("X").expect("X is on the path"); // vpm-lint: allow(R1, X is a fixed transit domain of the Figure-1 topology)
+    #[expect(
+        clippy::expect_used,
+        reason = "X is a fixed transit domain of the Figure-1 topology"
+    )]
+    let x_truth = honest_run.truth("X").expect("X is on the path");
     let x_loss_truth = 1.0 - x_truth.delivered as f64 / x_truth.sent as f64;
     let x_delay_truth_ms = median(&x_truth.delays_ms);
 
@@ -770,7 +777,11 @@ pub fn evaluate_cell(cell: &Cell) -> CellVerdict {
     // must localize its behaviour instead (§8).
     let (x_loss_est, x_delay_est_ms, matched_samples, delay_offset_ms) = match cell.deploy {
         DeployAxis::Full => {
-            let x_report = honest.domain("X").expect("X is a transit domain"); // vpm-lint: allow(R1, X is a fixed transit domain of the Figure-1 topology)
+            #[expect(
+                clippy::expect_used,
+                reason = "X is a fixed transit domain of the Figure-1 topology"
+            )]
+            let x_report = honest.domain("X").expect("X is a transit domain");
             (
                 x_report.estimate.loss.rate().unwrap_or(f64::NAN),
                 est_median(&x_report.estimate),
@@ -779,7 +790,11 @@ pub fn evaluate_cell(cell: &Cell) -> CellVerdict {
             )
         }
         DeployAxis::Partial => {
-            let x_id = topo.domain_by_name("X").expect("X exists").id; // vpm-lint: allow(R1, X is a fixed transit domain of the Figure-1 topology)
+            #[expect(
+                clippy::expect_used,
+                reason = "X is a fixed transit domain of the Figure-1 topology"
+            )]
+            let x_id = topo.domain_by_name("X").expect("X exists").id;
             let deployed: HashSet<DomainId> = topo
                 .domains
                 .iter()
@@ -839,10 +854,18 @@ pub fn evaluate_cell(cell: &Cell) -> CellVerdict {
     // where L and N carry loss of their own and must instead be
     // *measured* accurately before they start lying.
     for name in ["L", "N"] {
-        let report = honest.domain(name).expect("transit domain"); // vpm-lint: allow(R1, the name iterates over known Figure-1 transit domains)
+        #[expect(
+            clippy::expect_used,
+            reason = "the name iterates over known Figure-1 transit domains"
+        )]
+        let report = honest.domain(name).expect("transit domain");
         let loss = report.estimate.loss.rate().unwrap_or(f64::NAN);
         if cell.adversary == AdversaryAxis::TwoLiars {
-            let truth = honest_run.truth(name).expect("truth retained"); // vpm-lint: allow(R1, truth is retained for every transit domain of the run)
+            #[expect(
+                clippy::expect_used,
+                reason = "truth is retained for every transit domain of the run"
+            )]
+            let truth = honest_run.truth(name).expect("truth retained");
             let truth_rate = 1.0 - truth.delivered as f64 / truth.sent as f64;
             // NaN-safe: an unavailable estimate must count as out of
             // tolerance.
@@ -882,9 +905,13 @@ pub fn evaluate_cell(cell: &Cell) -> CellVerdict {
             );
             let analysis = analyze_path(&topo, &run);
             let fl = flagged(&analysis);
+            #[expect(
+                clippy::expect_used,
+                reason = "X is a fixed transit domain of the Figure-1 topology"
+            )]
             let x_est = analysis
                 .domain("X")
-                .expect("X") // vpm-lint: allow(R1, X is a fixed transit domain of the Figure-1 topology)
+                .expect("X")
                 .estimate
                 .loss
                 .rate()
@@ -929,9 +956,13 @@ pub fn evaluate_cell(cell: &Cell) -> CellVerdict {
             let detail = format!("X shaved 5 ms; link 5→6 flagged: {}", fl.contains(&XN_LINK));
             (fl, detail)
         }
+        #[expect(
+            clippy::expect_used,
+            reason = "X is a fixed transit domain of the Figure-1 topology"
+        )]
         AdversaryAxis::MarkerDrop => {
             let mut attack_cfg = cfg.clone();
-            attack_cfg.marker_dropper = Some(topo.domain_by_name("X").expect("X exists").id); // vpm-lint: allow(R1, X is a fixed transit domain of the Figure-1 topology)
+            attack_cfg.marker_dropper = Some(topo.domain_by_name("X").expect("X exists").id);
             let attacked = run_path(&t, &topo, &attack_cfg);
             let analysis = analyze_path(&topo, &attacked);
             let fl = flagged(&analysis);
@@ -939,25 +970,37 @@ pub fn evaluate_cell(cell: &Cell) -> CellVerdict {
             // markers that no HOP downstream of X ever acknowledges —
             // standing evidence pinned between HOPs 4 and 6.
             let marker = Threshold::from_rate(attack_cfg.marker_rate);
+            #[expect(
+                clippy::expect_used,
+                reason = "hop 6 is N's ingress in the fixed Figure-1 layout"
+            )]
             let downstream: HashSet<_> = attacked
                 .hop(HopId(6))
-                .expect("N ingress") // vpm-lint: allow(R1, hop 6 is N's ingress in the fixed Figure-1 layout)
+                .expect("N ingress")
                 .samples
                 .iter()
                 .map(|r| r.pkt_id)
                 .collect();
+            #[expect(
+                clippy::expect_used,
+                reason = "hop 4 is X's ingress in the fixed Figure-1 layout"
+            )]
             let vanished = attacked
                 .hop(HopId(4))
-                .expect("X ingress") // vpm-lint: allow(R1, hop 4 is X's ingress in the fixed Figure-1 layout)
+                .expect("X ingress")
                 .samples
                 .iter()
                 .filter(|r| marker.passes(r.pkt_id.0) && !downstream.contains(&r.pkt_id))
                 .count();
             // Samples the verifier can match across the 4→6 segment.
             let matched = |run: &PathRun| {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "hops 4 and 6 exist in the fixed Figure-1 layout"
+                )]
                 let (h4, h6) = (
-                    run.hop(HopId(4)).expect("hop 4"), // vpm-lint: allow(R1, hop 4 exists in the fixed Figure-1 layout)
-                    run.hop(HopId(6)).expect("hop 6"), // vpm-lint: allow(R1, hop 6 exists in the fixed Figure-1 layout)
+                    run.hop(HopId(4)).expect("hop 4"),
+                    run.hop(HopId(6)).expect("hop 6"),
                 );
                 vpm_core::verify::Verifier::default()
                     .estimate_domain(&h4.samples, &h4.aggregates, &h6.samples, &h6.aggregates)
@@ -990,8 +1033,16 @@ pub fn evaluate_cell(cell: &Cell) -> CellVerdict {
                     },
                 }],
             );
-            let liar_egress = run.hop(HopId(5)).expect("X egress").clone(); // vpm-lint: allow(R1, hop 5 is X's egress in the fixed Figure-1 layout)
-            cover_up(&liar_egress, run.hop_mut(HopId(6)).expect("N ingress")); // vpm-lint: allow(R1, hop 6 is N's ingress in the fixed Figure-1 layout)
+            #[expect(
+                clippy::expect_used,
+                reason = "hop 5 is X's egress in the fixed Figure-1 layout"
+            )]
+            let liar_egress = run.hop(HopId(5)).expect("X egress").clone();
+            #[expect(
+                clippy::expect_used,
+                reason = "hop 6 is N's ingress in the fixed Figure-1 layout"
+            )]
+            cover_up(&liar_egress, run.hop_mut(HopId(6)).expect("N ingress"));
             let analysis = analyze_path(&topo, &run);
             let fl = flagged(&analysis);
             // The coalition hides the X→N mismatch…
@@ -1000,9 +1051,13 @@ pub fn evaluate_cell(cell: &Cell) -> CellVerdict {
             }
             // …but §3.1: the loss does not vanish — the accomplice's own
             // books inherit it.
+            #[expect(
+                clippy::expect_used,
+                reason = "N is a fixed transit domain of the Figure-1 topology"
+            )]
             let n_est = analysis
                 .domain("N")
-                .expect("N") // vpm-lint: allow(R1, N is a fixed transit domain of the Figure-1 topology)
+                .expect("N")
                 .estimate
                 .loss
                 .rate()
@@ -1058,9 +1113,17 @@ pub fn evaluate_cell(cell: &Cell) -> CellVerdict {
             let biased_run = run_path(&t, &biased_topo, &cfg);
             let analysis = analyze_path(&biased_topo, &biased_run);
             let fl = flagged(&analysis);
-            let truth = biased_run.truth("X").expect("X"); // vpm-lint: allow(R1, X is a fixed transit domain of the Figure-1 topology)
+            #[expect(
+                clippy::expect_used,
+                reason = "X is a fixed transit domain of the Figure-1 topology"
+            )]
+            let truth = biased_run.truth("X").expect("X");
             let truth_med = median(&truth.delays_ms);
-            let est_med = est_median(&analysis.domain("X").expect("X").estimate); // vpm-lint: allow(R1, X is a fixed transit domain of the Figure-1 topology)
+            #[expect(
+                clippy::expect_used,
+                reason = "X is a fixed transit domain of the Figure-1 topology"
+            )]
+            let est_med = est_median(&analysis.domain("X").expect("X").estimate);
             let fast_ms = cell.delay.fast_path().as_nanos() as f64 / 1e6;
             let tol = delay_tolerance(cell, truth_med);
             // NaN-safe: a NaN estimate must count as a failure.
@@ -1109,9 +1172,13 @@ pub fn evaluate_cell(cell: &Cell) -> CellVerdict {
             let fl = flagged(&analysis);
             // Both liars now look lossless from their own receipts…
             for name in ["L", "N"] {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "the liar domain is a fixed transit of the Figure-1 topology"
+                )]
                 let est = analysis
                     .domain(name)
-                    .expect("liar domain") // vpm-lint: allow(R1, the liar domain is a fixed transit of the Figure-1 topology)
+                    .expect("liar domain")
                     .estimate
                     .loss
                     .rate()

@@ -120,9 +120,10 @@ impl Topology {
                 let max_diff = self
                     .link_max_diff(hop)
                     .unwrap_or(SimDuration::from_millis(2));
+                #[expect(clippy::indexing_slicing, reason = "guarded by pos > 0")]
                 let path = PathId {
                     spec: self.spec,
-                    prev_hop: (pos > 0).then(|| hops[pos - 1]), // vpm-lint: allow(R1, guarded by pos > 0)
+                    prev_hop: (pos > 0).then(|| hops[pos - 1]),
                     next_hop: hops.get(pos + 1).copied(),
                     max_diff,
                 };
@@ -185,7 +186,10 @@ impl Figure1 {
     /// # Panics
     /// When `idx` would overflow the 16-bit HOP id space
     /// (`idx > 8190`).
-    #[allow(clippy::expect_used)] // audited: every expect below carries a vpm-lint allow
+    #[expect(
+        clippy::expect_used,
+        reason = "a /24 prefix is valid for any octet values"
+    )]
     pub fn numbered(idx: usize) -> Self {
         assert!(
             (idx as u64 + 1) * FIGURE1_HOPS as u64 <= u16::MAX as u64,
@@ -194,8 +198,8 @@ impl Figure1 {
         let (hi, lo) = ((idx >> 8) as u8, idx as u8);
         Figure1 {
             spec: HeaderSpec::new(
-                Ipv4Prefix::new(Ipv4Addr::new(10, hi, lo, 0), 24).expect("/24 is valid"), // vpm-lint: allow(R1, a /24 prefix is valid for any octet values)
-                Ipv4Prefix::new(Ipv4Addr::new(20, hi, lo, 0), 24).expect("/24 is valid"), // vpm-lint: allow(R1, a /24 prefix is valid for any octet values)
+                Ipv4Prefix::new(Ipv4Addr::new(10, hi, lo, 0), 24).expect("/24 is valid"),
+                Ipv4Prefix::new(Ipv4Addr::new(20, hi, lo, 0), 24).expect("/24 is valid"),
             ),
             hop_base: 1 + idx as u16 * FIGURE1_HOPS,
             domain_base: idx as u16 * FIGURE1_DOMAINS,

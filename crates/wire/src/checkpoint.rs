@@ -89,7 +89,10 @@ impl AuditCheckpoint {
         if self.paths.len() > u32::MAX as usize {
             return Err(WireError::TooManyItems(self.paths.len()));
         }
-        // vpm-lint: allow(R1, windows(2) panics only for size 0, and 2 is a literal)
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "windows(2) panics only for size 0, and 2 is a literal"
+        )]
         if self.paths.windows(2).any(|w| w[0].path >= w[1].path) {
             return Err(WireError::TooManyItems(self.paths.len()));
         }

@@ -300,15 +300,21 @@ impl WireFrame {
     /// The MAC covers every byte before the 32-byte MAC itself
     /// (header, body, and the epoch field), so any single-bit change
     /// anywhere in the frame invalidates it.
-    #[allow(clippy::expect_used)] // audited: every expect below carries a vpm-lint allow
     pub fn verify_mac(&self, key: &HopKey) -> bool {
         let n = self.bytes.len();
-        // vpm-lint: allow(R1, bytes[5] is covered by the length check on the same line)
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "bytes[5] is covered by the length check on the same line"
+        )]
         if n < HEADER_BYTES + MAC_TRAILER_BYTES || self.bytes[5] & FLAG_SIGNED == 0 {
             return false;
         }
         let (msg, mac) = self.bytes.split_at(n - SHA256_DIGEST_BYTES);
-        let mac: [u8; SHA256_DIGEST_BYTES] = mac.try_into().expect("32-byte split"); // vpm-lint: allow(R1, split_at(n - 32) yields an exactly 32-byte tail)
+        #[expect(
+            clippy::expect_used,
+            reason = "split_at(n - 32) yields an exactly 32-byte tail"
+        )]
+        let mac: [u8; SHA256_DIGEST_BYTES] = mac.try_into().expect("32-byte split");
         mac_eq(&key.mac(msg), &mac)
     }
 
@@ -785,7 +791,7 @@ impl Writer {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
     pub(crate) fn u48(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes()[..6]); // vpm-lint: allow(R1, to_le_bytes() yields 8 bytes and 6 are taken)
+        self.buf.extend_from_slice(&v.to_le_bytes()[..6]);
     }
     pub(crate) fn u64(&mut self, v: u64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
@@ -836,18 +842,23 @@ impl<'a> Reader<'a> {
                 needed: n - self.remaining(),
             });
         }
-        let s = &self.buf[self.at..self.at + n]; // vpm-lint: allow(R1, take() checked at + n <= buf.len() above)
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "take() checked at + n <= buf.len() above"
+        )]
+        let s = &self.buf[self.at..self.at + n];
         self.at += n;
         Ok(s)
     }
 
-    #[allow(clippy::expect_used)] // audited: every expect below carries a vpm-lint allow
+    #[expect(clippy::expect_used, reason = "take(N) returned exactly N bytes")]
     pub(crate) fn array<const N: usize>(&mut self) -> Result<[u8; N], WireError> {
-        Ok(self.take(N)?.try_into().expect("take returned N bytes")) // vpm-lint: allow(R1, take(N) returned exactly N bytes)
+        Ok(self.take(N)?.try_into().expect("take returned N bytes"))
     }
 
+    #[expect(clippy::indexing_slicing, reason = "take(1) returned exactly one byte")]
     pub(crate) fn u8(&mut self) -> Result<u8, WireError> {
-        Ok(self.take(1)?[0]) // vpm-lint: allow(R1, take(1) returned exactly one byte)
+        Ok(self.take(1)?[0])
     }
 
     pub(crate) fn u16(&mut self) -> Result<u16, WireError> {
@@ -858,10 +869,13 @@ impl<'a> Reader<'a> {
         Ok(u32::from_le_bytes(self.array()?))
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "take(6) returned exactly six bytes"
+    )]
     pub(crate) fn u48(&mut self) -> Result<u64, WireError> {
         let b = self.take(6)?;
         Ok(u64::from_le_bytes([
-            // vpm-lint: allow(R1, take(6) returned exactly six bytes)
             b[0], b[1], b[2], b[3], b[4], b[5], 0, 0,
         ]))
     }

@@ -18,12 +18,15 @@ use vpm_packet::{HeaderSpec, HopId, SimDuration, SimTime};
 
 use crate::codec::WireEncoder;
 
-#[allow(clippy::expect_used)] // audited: every expect below carries a vpm-lint allow
+#[expect(
+    clippy::expect_used,
+    reason = "formats a valid /16 and /24 from a u8 octet"
+)]
 fn canonical_path(n: u8) -> PathId {
     PathId {
         spec: HeaderSpec::new(
-            format!("10.{n}.0.0/16").parse().expect("valid prefix"), // vpm-lint: allow(R1, formats a valid /16 from a u8 octet)
-            format!("172.16.{n}.0/24").parse().expect("valid prefix"), // vpm-lint: allow(R1, formats a valid /24 from a u8 octet)
+            format!("10.{n}.0.0/16").parse().expect("valid prefix"),
+            format!("172.16.{n}.0/24").parse().expect("valid prefix"),
         ),
         prev_hop: Some(HopId(3)),
         next_hop: Some(HopId(5)),
@@ -63,11 +66,14 @@ fn batch(samples: &[usize], aggs: &[usize]) -> ReceiptBatch {
     }
 }
 
-#[allow(clippy::expect_used)] // audited: every expect below carries a vpm-lint allow
+#[expect(
+    clippy::expect_used,
+    reason = "encoding a batch this code just built cannot exceed wire limits"
+)]
 fn encoded_len(b: &ReceiptBatch) -> usize {
     WireEncoder::compact()
         .encode(b)
-        .expect("canonical batches encode") // vpm-lint: allow(R1, encoding a batch this code just built cannot exceed wire limits)
+        .expect("canonical batches encode")
         .len()
 }
 

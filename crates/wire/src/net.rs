@@ -220,7 +220,11 @@ fn write_string(w: &mut Writer, s: &str) {
     let bytes = s.as_bytes();
     let n = bytes.len().min(u16::MAX as usize);
     w.u16(n as u16);
-    w.bytes(&bytes[..n]); // vpm-lint: allow(R1, n <= bytes.len() from the read above)
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "n <= bytes.len() from the read above"
+    )]
+    w.bytes(&bytes[..n]);
 }
 
 fn read_string(r: &mut Reader<'_>) -> Result<String, WireError> {
@@ -349,7 +353,7 @@ fn read_full(stream: &mut TcpStream, buf: &mut [u8], stop: &AtomicBool) -> io::R
         if stop.load(Ordering::Relaxed) {
             return Ok(false);
         }
-        // vpm-lint: allow(R1, filled < buf.len() in this loop)
+        #[expect(clippy::indexing_slicing, reason = "filled < buf.len() in this loop")]
         match stream.read(&mut buf[filled..]) {
             Ok(0) => {
                 return Err(io::Error::new(
@@ -400,7 +404,11 @@ struct Session {
 
 impl Session {
     fn close(&mut self, bus: &ShardedBus) {
-        // vpm-lint: allow(R2, unsubscribes every queue - the side effect is order-insensitive)
+        #[expect(
+            clippy::disallowed_methods,
+            clippy::iter_over_hash_type,
+            reason = "unsubscribes every queue - the side effect is order-insensitive"
+        )]
         for (&sub, _) in self.queues.iter() {
             let _ = bus.unsubscribe(SubscriptionId(sub));
         }
@@ -530,9 +538,17 @@ fn handle_request_inner(
                 .ok_or(TransportError::UnknownSubscription(sub))?;
             let outcome = if queue.is_empty() {
                 // Slice the blocking wait so shutdown stays prompt.
-                let deadline = Instant::now() + timeout; // vpm-lint: allow(R2, bounds a blocking-wait timeout; never feeds a verdict)
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "bounds a blocking-wait timeout; never feeds a verdict"
+                )]
+                let deadline = Instant::now() + timeout;
                 loop {
-                    let now = Instant::now(); // vpm-lint: allow(R2, bounds a blocking-wait timeout; never feeds a verdict)
+                    #[expect(
+                        clippy::disallowed_methods,
+                        reason = "bounds a blocking-wait timeout; never feeds a verdict"
+                    )]
+                    let now = Instant::now();
                     if now >= deadline || stop.load(Ordering::Relaxed) {
                         break WaitOutcome::TimedOut;
                     }
@@ -593,8 +609,8 @@ fn serve_connection(bus: Arc<ShardedBus>, mut stream: TcpStream, stop: Arc<Atomi
     if ok {
         let mut hello = [0u8; 5];
         ok = matches!(read_full(&mut stream, &mut hello, &stop), Ok(true))
-            && &hello[..4] == NET_MAGIC // vpm-lint: allow(R1, hello is a fixed 5-byte array)
-            && hello[4] == NET_VERSION; // vpm-lint: allow(R1, hello is a fixed 5-byte array)
+            && &hello[..4] == NET_MAGIC
+            && hello[4] == NET_VERSION;
     }
     if ok {
         while let ReadOutcome::Message(body) = read_message(&mut stream, &stop) {
@@ -747,7 +763,11 @@ impl TcpTransport {
 
     fn drop_conn(state: &mut ClientState) {
         state.conn = None;
-        // vpm-lint: allow(R2, invalidates every cursor - the side effect is order-insensitive)
+        #[expect(
+            clippy::disallowed_methods,
+            clippy::iter_over_hash_type,
+            reason = "invalidates every cursor - the side effect is order-insensitive"
+        )]
         for sub in state.subs.values_mut() {
             sub.server_sub = None;
         }
@@ -766,11 +786,9 @@ impl TcpTransport {
             write_message_hello(&mut stream).map_err(|e| conn_err(&e))?;
             let mut hello = [0u8; 5];
             stream.read_exact(&mut hello).map_err(|e| conn_err(&e))?;
-            // vpm-lint: allow(R1, hello is a fixed 5-byte array)
             if &hello[..4] != NET_MAGIC {
                 return Err(proto_err("server hello: bad magic"));
             }
-            // vpm-lint: allow(R1, hello is a fixed 5-byte array)
             if hello[4] != NET_VERSION {
                 return Err(proto_err(format!(
                     "server speaks protocol v{}, client v{NET_VERSION}",
@@ -821,7 +839,11 @@ impl TcpTransport {
             .u8()
             .map_err(|_| proto_err("empty response from server"))?;
         match status {
-            0 => Ok(resp[1..].to_vec()), // vpm-lint: allow(R1, the u8() read above proved resp has a first byte)
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "the u8() read above proved resp has a first byte"
+            )]
+            0 => Ok(resp[1..].to_vec()),
             1 => Err(decode_error(&mut r)
                 .unwrap_or_else(|e| proto_err(format!("undecodable error response: {e}")))),
             other => Err(proto_err(format!("unknown response status {other}"))),
@@ -1095,11 +1117,19 @@ impl ReceiptTransport for TcpTransport {
     }
 
     fn wait(&self, sub: SubscriptionId, timeout: Duration) -> Result<WaitOutcome, TransportError> {
-        let deadline = Instant::now() + timeout; // vpm-lint: allow(R2, bounds a blocking-wait timeout; never feeds a verdict)
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "bounds a blocking-wait timeout; never feeds a verdict"
+        )]
+        let deadline = Instant::now() + timeout;
         let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         loop {
             let server_sub = self.establish(&mut state, sub.0)?;
-            let now = Instant::now(); // vpm-lint: allow(R2, bounds a blocking-wait timeout; never feeds a verdict)
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "bounds a blocking-wait timeout; never feeds a verdict"
+            )]
+            let now = Instant::now();
             if now >= deadline {
                 return Ok(WaitOutcome::TimedOut);
             }
@@ -1119,7 +1149,10 @@ impl ReceiptTransport for TcpTransport {
                     if outcome == 0 {
                         return Ok(WaitOutcome::Ready);
                     }
-                    // vpm-lint: allow(R2, bounds a blocking-wait timeout; never feeds a verdict)
+                    #[expect(
+                        clippy::disallowed_methods,
+                        reason = "bounds a blocking-wait timeout; never feeds a verdict"
+                    )]
                     if Instant::now() >= deadline {
                         return Ok(WaitOutcome::TimedOut);
                     }

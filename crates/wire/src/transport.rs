@@ -60,9 +60,9 @@ use std::sync::{Arc, Condvar, Mutex, PoisonError, RwLock};
 use std::time::{Duration, Instant};
 // Every lock in this crate recovers from poisoning
 // (`unwrap_or_else(PoisonError::into_inner)`) instead of propagating the
-// panic: vpm-lint R1 keeps the code under the locks free of panicking
-// calls, and one holder that panicked anyway must not take every later
-// caller of the bus down with it.
+// panic: clippy's panic-freedom lints keep the code under the locks
+// free of panicking calls, and one holder that panicked anyway must not
+// take every later caller of the bus down with it.
 
 use vpm_core::processor::ReceiptBatch;
 use vpm_core::receipt::PathId;
@@ -165,7 +165,11 @@ impl Notifier {
     fn wait_past(&self, seen: u64, deadline: Instant) -> bool {
         let mut count = self.count.lock().unwrap_or_else(PoisonError::into_inner);
         while *count <= seen {
-            let now = Instant::now(); // vpm-lint: allow(R2, bounds a blocking-wait timeout; never feeds a verdict)
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "bounds a blocking-wait timeout; never feeds a verdict"
+            )]
+            let now = Instant::now();
             if now >= deadline {
                 return false;
             }
@@ -563,6 +567,10 @@ pub trait ReceiptTransport: Send + Sync {
 /// [`ReceiptTransport::register_key`] semantics over the shared
 /// registry: first registration lands at epoch 0, the same key is
 /// idempotent, a different key is refused.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "key rings are created non-empty and never shrink"
+)]
 fn register_key_in(
     keys: &KeyRegistry,
     hop: HopId,
@@ -576,7 +584,6 @@ fn register_key_in(
         }
         Some(ring) => {
             let current = KeyEpoch(ring.len() as u32 - 1);
-            // vpm-lint: allow(R1, key rings are created non-empty and never shrink)
             if ring[current.0 as usize] == key {
                 Ok(current)
             } else {
@@ -868,7 +875,11 @@ impl ShardedBus {
         }
         let shard = self.shard_of_path(path);
         // Logical position of the shard's oldest retained entry.
-        let pos = self.shards[shard].trimmed.load(Ordering::Acquire); // vpm-lint: allow(R1, shard indices are reduced modulo the shard count)
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "shard indices are reduced modulo the shard count"
+        )]
+        let pos = self.shards[shard].trimmed.load(Ordering::Acquire);
         Ok(self.add_sub(ShardSub::Path(PathCursor {
             requester,
             path: *path,
@@ -951,8 +962,11 @@ impl ShardedBus {
         if c.pending.is_empty() && self.seq.load(Ordering::Relaxed) <= c.next_seq {
             return Ok(Vec::new());
         }
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "shard_pos has one entry per shard, and the start index is clamped to the entry count"
+        )]
         for (i, shard) in self.shards.iter().enumerate() {
-            // vpm-lint: allow(R1, shard_pos has one entry per shard)
             if shard.high_water.load(Ordering::Acquire) <= c.shard_pos[i] {
                 continue; // shard idle since the last poll: skip lock-free
             }
@@ -964,10 +978,7 @@ impl ShardedBus {
             // `seq < horizon <= next_seq` (checked above), so skipping
             // them drops nothing the stream still owes.
             let trimmed = shard.trimmed.load(Ordering::Acquire);
-            let start = c.shard_pos[i] // vpm-lint: allow(R1, shard_pos has one entry per shard)
-                .saturating_sub(trimmed)
-                .min(entries.len());
-            // vpm-lint: allow(R1, the start index is clamped to the entry count)
+            let start = c.shard_pos[i].saturating_sub(trimmed).min(entries.len());
             for e in &entries[start..] {
                 // `>= next_seq` drops the second copy of a multi-shard
                 // entry whose first copy was already released.
@@ -975,7 +986,7 @@ impl ShardedBus {
                     c.pending.entry(e.seq).or_insert_with(|| Arc::clone(e));
                 }
             }
-            c.shard_pos[i] = trimmed + entries.len(); // vpm-lint: allow(R1, shard_pos has one entry per shard)
+            c.shard_pos[i] = trimmed + entries.len();
         }
         let mut fresh = Vec::new();
         while let Some(e) = c.pending.remove(&c.next_seq) {
@@ -994,7 +1005,11 @@ impl ShardedBus {
     /// (the reclaimed entries *may* have referenced the watched path;
     /// the transport refuses to guess).
     fn poll_path(&self, c: &mut PathCursor) -> Result<Vec<Arc<Published>>, TransportError> {
-        let shard = &self.shards[c.shard]; // vpm-lint: allow(R1, shard indices are reduced modulo the shard count)
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "shard indices are reduced modulo the shard count"
+        )]
+        let shard = &self.shards[c.shard];
         if c.pos < shard.trimmed.load(Ordering::Acquire) {
             return Err(TransportError::LaggedBehind {
                 horizon: self.horizon.load(Ordering::Acquire),
@@ -1015,7 +1030,11 @@ impl ShardedBus {
             });
         }
         let start = (c.pos - trimmed).min(entries.len());
-        let mut fresh: Vec<Arc<Published>> = entries[start..] // vpm-lint: allow(R1, the start index is clamped to the entry count)
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "the start index is clamped to the entry count"
+        )]
+        let mut fresh: Vec<Arc<Published>> = entries[start..]
             .iter()
             .filter(|e| {
                 e.seq >= c.min_seq && e.paths.contains(&c.path) && e.visible_to(c.requester)
@@ -1054,7 +1073,11 @@ impl ReceiptTransport for ShardedBus {
         let published = Arc::new(Published { seq, ..published });
         let touched = self.shard_set(&published);
         for &shard in &touched {
-            let shard = &self.shards[shard]; // vpm-lint: allow(R1, shard indices are reduced modulo the shard count)
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "shard indices are reduced modulo the shard count"
+            )]
+            let shard = &self.shards[shard];
             let mut entries = shard
                 .entries
                 .write()
@@ -1074,7 +1097,11 @@ impl ReceiptTransport for ShardedBus {
         // on the bus-wide notifier. Bumping outside the write locks
         // keeps publishers from serializing on waiter wakeup.
         for &shard in &touched {
-            self.shards[shard].notify.bump(); // vpm-lint: allow(R1, shard indices are reduced modulo the shard count)
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "shard indices are reduced modulo the shard count"
+            )]
+            self.shards[shard].notify.bump();
         }
         self.notify.bump();
         Ok(seq)
@@ -1097,7 +1124,11 @@ impl ReceiptTransport for ShardedBus {
     ) -> Result<Vec<Arc<Published>>, TransportError> {
         // The whole point of path sharding: one shard holds every frame
         // referencing this path.
-        let shard = &self.shards[self.shard_of_path(path)]; // vpm-lint: allow(R1, shard indices are reduced modulo the shard count)
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "shard indices are reduced modulo the shard count"
+        )]
+        let shard = &self.shards[self.shard_of_path(path)];
         let mut matching: Vec<Arc<Published>> = shard
             .entries
             .read()
@@ -1130,7 +1161,11 @@ impl ReceiptTransport for ShardedBus {
         let shard = self.shard_of_path(path);
         // Start at the logical end of the shard: reclaimed prefix + retained.
         let pos = {
-            let s = &self.shards[shard]; // vpm-lint: allow(R1, shard indices are reduced modulo the shard count)
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "shard indices are reduced modulo the shard count"
+            )]
+            let s = &self.shards[shard];
             let entries = s.entries.read().unwrap_or_else(PoisonError::into_inner);
             s.trimmed.load(Ordering::Relaxed) + entries.len()
         };
@@ -1172,7 +1207,11 @@ impl ReceiptTransport for ShardedBus {
     }
 
     fn wait(&self, sub: SubscriptionId, timeout: Duration) -> Result<WaitOutcome, TransportError> {
-        let deadline = Instant::now() + timeout; // vpm-lint: allow(R2, bounds a blocking-wait timeout; never feeds a verdict)
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "bounds a blocking-wait timeout; never feeds a verdict"
+        )]
+        let deadline = Instant::now() + timeout;
         loop {
             // Snapshot the relevant notifier *before* judging
             // readiness: a publish that lands between the check and
@@ -1196,7 +1235,11 @@ impl ReceiptTransport for ShardedBus {
                         (self.global_ready(c), &self.notify, seen)
                     }
                     ShardSub::Path(c) => {
-                        let shard = &self.shards[c.shard]; // vpm-lint: allow(R1, shard indices are reduced modulo the shard count)
+                        #[expect(
+                            clippy::indexing_slicing,
+                            reason = "shard indices are reduced modulo the shard count"
+                        )]
+                        let shard = &self.shards[c.shard];
                         let seen = shard.notify.current();
                         if c.pos < shard.trimmed.load(Ordering::Acquire) {
                             return Err(TransportError::LaggedBehind {

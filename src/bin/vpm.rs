@@ -18,12 +18,11 @@
 //!                                    under churn with epoch GC and
 //!                                    checkpointable verification; --json
 //!                                    prints the restart-invariant verdict
-//! vpm lint [--json] [--rule ID] [--root PATH] [--audit]
-//!                                    run the in-tree invariant analyzer
-//!                                    (R1 panic-freedom, R2 determinism,
-//!                                    R3 lock discipline, R4 wire-constant
-//!                                    drift, R5 error-variant reachability,
-//!                                    R6 shim-surface drift);
+//! vpm lint [--json] [--root PATH]    run the in-tree invariant analyzer
+//!                                    (R3 lock discipline, R6 shim-surface
+//!                                    drift; panic-freedom and determinism
+//!                                    are clippy lints, the wire constants
+//!                                    and error variants tier-1 tests);
 //!                                    exit 1 on any violation
 //! vpm fig2 [secs] [seed] [n_seeds]   regenerate Figure 2
 //! vpm fig3 [secs] [seed]             regenerate Figure 3
@@ -31,6 +30,13 @@
 //! vpm overhead                       regenerate the §7.1 numbers
 //! vpm baselines [seed]               run the §3 comparison
 //! ```
+
+// Determinism for non-test code: no wall-clock reads or hash-order
+// iteration (`clippy.toml` lists the disallowed methods).
+#![cfg_attr(
+    not(test),
+    warn(clippy::disallowed_methods, clippy::iter_over_hash_type)
+)]
 
 use std::process::ExitCode;
 use vpm::packet::SimDuration;
@@ -74,13 +80,10 @@ fn print_usage() {
                                                 prints the restart-invariant verdict,\n\
                                                 --assert-flat fails (exit 1) if bus\n\
                                                 entries or RSS grow\n\
-           lint [--json] [--rule ID] [--root PATH] [--audit]\n\
-                                                run the workspace invariant analyzer\n\
-                                                (R1 panic-freedom, R2 determinism, R3\n\
-                                                lock discipline, R4 wire-constant\n\
-                                                drift, R5 error-variant reachability,\n\
-                                                R6 shim-surface drift); exit 1 on\n\
-                                                violations, 2 on bad usage\n\
+           lint [--json] [--root PATH]          run the workspace invariant analyzer\n\
+                                                (R3 lock discipline, R6 shim-surface\n\
+                                                drift); exit 1 on violations, 2 on\n\
+                                                bad usage\n\
            fig2 [secs=2] [seed=1] [n_seeds=3]   Figure 2 (delay accuracy)\n\
            fig3 [secs=20] [seed=1]              Figure 3 (loss granularity)\n\
            verifiability [secs=2] [seed=1]      §7.2 verification sweep\n\
@@ -106,6 +109,18 @@ fn arg<T: std::str::FromStr>(args: &[String], i: usize, default: T) -> T {
             std::process::exit(2);
         }),
     }
+}
+
+/// A duration or seed count at `i` (see [`arg`]). Zero is refused the
+/// same way: no experiment runs for zero seconds or over zero seeds.
+fn positive_arg(args: &[String], i: usize, default: u64) -> u64 {
+    let v = arg(args, i, default);
+    if v == 0 {
+        eprintln!("vpm: argument {i} must be positive, got 0");
+        print_usage();
+        std::process::exit(2);
+    }
+    v
 }
 
 /// Parse and run `vpm matrix [--filter axis=value]... [--json]
@@ -416,6 +431,16 @@ fn audit(args: &[String]) -> ExitCode {
             }
         }
     }
+    // Checked once every flag is in: `--intervals` may come later.
+    if let Some(k) = cfg.restart_at {
+        if !(1..=cfg.intervals).contains(&k) {
+            eprintln!(
+                "vpm: --restart-at must be 1..={} (an audited interval)",
+                cfg.intervals
+            );
+            return usage();
+        }
+    }
 
     let outcome = match vpm::sim::audit::run_audit(&cfg) {
         Ok(o) => o,
@@ -463,12 +488,10 @@ fn audit(args: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Parse and run `vpm lint [--json] [--rule ID] [--root PATH]
-/// [--audit]`: the in-tree invariant analyzer (see `vpm-lint`).
+/// Parse and run `vpm lint [--json] [--root PATH]`: the in-tree
+/// invariant analyzer (see `vpm-lint`).
 fn lint(args: &[String]) -> ExitCode {
     let mut json = false;
-    let mut audit = false;
-    let mut rule: Option<String> = None;
     let mut root: Option<String> = None;
     let mut i = 1;
     while i < args.len() {
@@ -477,25 +500,6 @@ fn lint(args: &[String]) -> ExitCode {
             "--json" => {
                 json = true;
                 i += 1;
-            }
-            "--audit" => {
-                audit = true;
-                i += 1;
-            }
-            "--rule" => {
-                let Some(v) = args.get(i + 1) else {
-                    eprintln!("vpm: --rule needs a rule ID (R1..R6)");
-                    return usage();
-                };
-                if !vpm::lint::RULE_IDS.contains(&v.as_str()) {
-                    eprintln!(
-                        "vpm: unknown rule '{v}' (known: {})",
-                        vpm::lint::RULE_IDS.join(", ")
-                    );
-                    return usage();
-                }
-                rule = Some(v.clone());
-                i += 2;
             }
             "--root" => {
                 let Some(v) = args.get(i + 1) else {
@@ -521,7 +525,7 @@ fn lint(args: &[String]) -> ExitCode {
             env!("CARGO_MANIFEST_DIR").to_string()
         }
     });
-    let report = match vpm::lint::run(std::path::Path::new(&root), rule.as_deref()) {
+    let report = match vpm::lint::run(std::path::Path::new(&root)) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("vpm: lint cannot analyze {root}: {e}");
@@ -531,7 +535,7 @@ fn lint(args: &[String]) -> ExitCode {
     if json {
         println!("{}", report.render_json());
     } else {
-        print!("{}", report.render_human(audit));
+        print!("{}", report.render_human());
     }
     if report.ok() {
         ExitCode::SUCCESS
@@ -564,22 +568,22 @@ fn main() -> ExitCode {
         "lint" => return lint(&args),
         "fig2" => {
             let cfg = figures::Fig2Config::paper(
-                SimDuration::from_secs(arg(&args, 1, 2u64)),
+                SimDuration::from_secs(positive_arg(&args, 1, 2)),
                 arg(&args, 2, 1u64),
             );
-            let points = figures::fig2_averaged(&cfg, arg(&args, 3, 3u64));
+            let points = figures::fig2_averaged(&cfg, positive_arg(&args, 3, 3));
             println!("{}", figures::render_fig2(&points));
         }
         "fig3" => {
             let cfg = figures::Fig3Config::paper(
-                SimDuration::from_secs(arg(&args, 1, 20u64)),
+                SimDuration::from_secs(positive_arg(&args, 1, 20)),
                 arg(&args, 2, 1u64),
             );
             println!("{}", figures::render_fig3(&figures::fig3(&cfg)));
         }
         "verifiability" => {
             let cfg = figures::VerifiabilityConfig::paper(
-                SimDuration::from_secs(arg(&args, 1, 2u64)),
+                SimDuration::from_secs(positive_arg(&args, 1, 2)),
                 arg(&args, 2, 1u64),
             );
             println!(

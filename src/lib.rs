@@ -37,7 +37,7 @@
 //! | [`core`] | `vpm-core` | receipts, Algorithms 1 & 2, joins, verification |
 //! | [`wire`] | `vpm-wire` | v2 binary receipt codec, `ReceiptTransport` dissemination |
 //! | [`sim`] | `vpm-sim` | topologies, adversaries, the §7.2 figures, the scenario matrix, the many-path fleet |
-//! | [`lint`] | `vpm-lint` | in-tree invariant analyzer (`vpm lint`): panic-freedom, determinism, lock discipline, wire-constant drift |
+//! | [`lint`] | `vpm-lint` | in-tree invariant analyzer (`vpm lint`): lock discipline, shim-surface drift |
 //!
 //! ## Minimal example
 //!
@@ -70,6 +70,12 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Determinism for non-test code: no wall-clock reads or hash-order
+// iteration (`clippy.toml` lists the disallowed methods).
+#![cfg_attr(
+    not(test),
+    warn(clippy::disallowed_methods, clippy::iter_over_hash_type)
+)]
 
 pub use vpm_core as core;
 pub use vpm_hash as hash;

@@ -1,5 +1,6 @@
 //! The receipt plane end to end through the public facade: the v2
-//! binary codec's golden byte layout, the measured §7.1 sizes, the
+//! binary codec's golden byte layout, the wire constants against that
+//! golden and the README's frame diagram, the measured §7.1 sizes, the
 //! compact profile's truncation semantics feeding the verifier, and the
 //! transport's Arc-sharing contract.
 
@@ -8,9 +9,10 @@ use vpm::core::receipt::{compact, AggId, AggReceipt, PathId, SampleReceipt, Samp
 use vpm::core::verify::{match_samples, Verifier};
 use vpm::hash::Digest;
 use vpm::packet::{DomainId, HeaderSpec, HopId, SimDuration, SimTime};
+use vpm::wire::codec::{HEADER_BYTES, PATH_ENTRY_BYTES};
 use vpm::wire::{
     measured_sizes, HopKey, Profile, ReceiptTransport, ShardedBus, WireDecoder, WireEncoder,
-    WireFrame,
+    WireFrame, MAC_TRAILER_BYTES, MAGIC, VERSION,
 };
 
 fn fixture_path(n: u8) -> PathId {
@@ -63,8 +65,11 @@ fn fixture_batch() -> ReceiptBatch {
     }
 }
 
-fn parse_golden(line_tag: &str) -> Vec<u8> {
-    let golden = include_str!("golden/wire_v2.hex");
+const GOLDEN: &str = include_str!("golden/wire_v2.hex");
+const README: &str = include_str!("../README.md");
+
+/// The bytes of `golden`'s frame tagged `line_tag`.
+fn golden_frame(golden: &str, line_tag: &str) -> Vec<u8> {
     let hex = golden
         .lines()
         .find_map(|l| l.strip_prefix(line_tag))
@@ -100,8 +105,8 @@ fn wire_v2_layout_matches_the_golden_fixture() {
         .expect("write golden");
     }
 
-    let golden_compact = parse_golden("compact ");
-    let golden_precise = parse_golden("precise ");
+    let golden_compact = golden_frame(GOLDEN, "compact ");
+    let golden_precise = golden_frame(GOLDEN, "precise ");
     assert_eq!(
         compact_frame.as_bytes(),
         &golden_compact[..],
@@ -133,6 +138,196 @@ fn wire_v2_layout_matches_the_golden_fixture() {
     assert_eq!(golden_compact[4], 2);
     assert_eq!(golden_compact[5], 0, "compact profile flag");
     assert_eq!(golden_precise[5], 1, "precise profile flag");
+}
+
+/// How a frame field of the compact profile derives from its precise
+/// counterpart: unchanged, a digest's low 32 bits, or ns → µs mod 2²⁴.
+#[derive(Clone, Copy, Debug)]
+enum Field {
+    Exact,
+    Digest,
+    Time,
+}
+
+/// A golden frame walked field by field with the compiled constants.
+struct Walk<'a> {
+    bytes: &'a [u8],
+    off: usize,
+    fields: Vec<(Field, u64)>,
+}
+
+impl Walk<'_> {
+    fn take(&mut self, n: usize, field: Field) -> Result<u64, String> {
+        let off = self.off;
+        let s = self
+            .bytes
+            .get(off..off + n)
+            .ok_or(format!("frame truncated at byte {off} (needed {n} more)"))?;
+        self.off += n;
+        let v = s.iter().rev().fold(0u64, |v, &b| v << 8 | u64::from(b));
+        self.fields.push((field, v));
+        Ok(v)
+    }
+
+    fn path_ref(&mut self, paths: u64) -> Result<(), String> {
+        match self.take(compact::PATH_REF_BYTES, Field::Exact)? {
+            r if r < paths => Ok(()),
+            r => Err(format!("path ref {r} outside the table of {paths}")),
+        }
+    }
+}
+
+/// Walk `bytes` with the compiled layout constants; every byte must be
+/// accounted for. Yields every field but the profile flags.
+fn walk_frame(bytes: &[u8], precise: bool) -> Result<Vec<(Field, u64)>, String> {
+    use Field::{Digest, Exact, Time};
+    let mut w = Walk {
+        bytes,
+        off: 0,
+        fields: Vec::new(),
+    };
+    if w.take(4, Exact)? != u64::from(u32::from_le_bytes(MAGIC)) {
+        return Err(format!("magic does not match MAGIC {MAGIC:02x?}"));
+    }
+    if w.take(1, Exact)? != u64::from(VERSION) {
+        return Err(format!("version byte does not match VERSION {VERSION}"));
+    }
+    let flags = w.take(1, Exact)?;
+    w.fields.pop();
+    if flags & 1 != u64::from(precise) || flags & !0b11 != 0 {
+        return Err(format!("flags {flags:#010b} do not match the profile"));
+    }
+    w.take(2, Exact)?; // hop
+    w.take(8, Exact)?; // batch_seq
+    if w.off != HEADER_BYTES {
+        return Err(format!(
+            "header fields end at byte {}, not HEADER_BYTES",
+            w.off
+        ));
+    }
+    let (id, time, cnt) = match precise {
+        true => (8, 8, 8),
+        false => (
+            compact::PKT_ID_BYTES,
+            compact::TIME_BYTES,
+            compact::PKT_CNT_BYTES,
+        ),
+    };
+    let paths = w.take(2, Exact)?;
+    for _ in 0..paths * PATH_ENTRY_BYTES as u64 {
+        w.take(1, Exact)?;
+    }
+    let samples = w.take(4, Exact)?;
+    let dir = (0..samples)
+        .map(|_| w.take(4, Exact))
+        .collect::<Result<Vec<_>, _>>()?;
+    for records in dir {
+        w.path_ref(paths)?;
+        for _ in 0..records {
+            w.take(id, Digest)?;
+            w.take(time, Time)?;
+        }
+    }
+    for _ in 0..w.take(4, Exact)? {
+        w.path_ref(paths)?;
+        w.take(id, Digest)?;
+        w.take(id, Digest)?;
+        w.take(cnt, Exact)?;
+        for _ in 0..w.take(4, Exact)? {
+            w.take(id, Digest)?;
+        }
+    }
+    match bytes.len() - w.off {
+        0 => Ok(w.fields),
+        n => Err(format!(
+            "{n} trailing byte(s) the layout does not account for"
+        )),
+    }
+}
+
+/// Where the compiled wire constants, the pinned golden frames
+/// (`golden`, as in `tests/golden/wire_v2.hex`) and the README's frame
+/// diagram (`readme`) disagree; empty when they agree. Both frames
+/// encode one batch, so the compact one must be the documented
+/// truncation of the precise one: lo-32 digests, µs mod 2²⁴ times.
+fn wire_constant_drift(golden: &str, readme: &str) -> Vec<String> {
+    let mut errs = Vec::new();
+    if compact::SAMPLE_RECORD_BYTES != compact::PKT_ID_BYTES + compact::TIME_BYTES {
+        errs.push("SAMPLE_RECORD_BYTES is not PKT_ID_BYTES + TIME_BYTES".to_string());
+    }
+    let frame = |tag, precise| {
+        walk_frame(&golden_frame(golden, tag), precise).map_err(|e| format!("{tag}frame: {e}"))
+    };
+    match (frame("compact ", false), frame("precise ", true)) {
+        (Ok(c), Ok(p)) => {
+            let truncated = p.iter().map(|&(field, v)| match field {
+                Field::Exact => v,
+                Field::Digest => v & 0xFFFF_FFFF,
+                Field::Time => v / compact::TIME_UNIT_NS % compact::TIME_MOD,
+            });
+            if c.len() != p.len() || !c.iter().map(|f| f.1).eq(truncated) {
+                errs.push(
+                    "compact frame is not the documented truncation of the precise one".into(),
+                );
+            }
+        }
+        (c, p) => errs.extend([c.err(), p.err()].into_iter().flatten()),
+    }
+    let documented = [
+        format!("{HEADER_BYTES}-B header"),
+        format!("{PATH_ENTRY_BYTES} B per distinct path"),
+        format!("= {} B", compact::SAMPLE_RECORD_BYTES),
+        format!(
+            "{} B + {} B per window digest",
+            compact::PATH_REF_BYTES + 2 * compact::PKT_ID_BYTES + compact::PKT_CNT_BYTES + 4,
+            compact::PKT_ID_BYTES
+        ),
+        format!("{MAC_TRAILER_BYTES} B:"),
+    ];
+    for needle in documented {
+        if !readme.contains(&needle) {
+            errs.push(format!("README no longer documents '{needle}'"));
+        }
+    }
+    errs
+}
+
+/// The v2 layout is declared three times — the compiled constants, the
+/// golden frames, the README's frame diagram — and §7.1's byte
+/// accounting needs all three to agree.
+#[test]
+fn wire_constants_agree_with_the_golden_frames_and_the_readme() {
+    assert_eq!(wire_constant_drift(GOLDEN, README), Vec::<String>::new());
+}
+
+#[test]
+fn wire_constant_drift_catches_a_seeded_golden_or_readme_mismatch() {
+    // Flip one batch_seq byte of the compact frame (hex chars 16..18
+    // encode frame byte 8): the two frames now disagree.
+    let seeded_golden: String = GOLDEN
+        .lines()
+        .map(|line| match line.strip_prefix("compact ") {
+            Some(hex) => {
+                let flipped = if hex.as_bytes()[16] == b'0' { "1" } else { "0" };
+                format!("compact {}{flipped}{}\n", &hex[..16], &hex[17..])
+            }
+            None => format!("{line}\n"),
+        })
+        .collect();
+    let errs = wire_constant_drift(&seeded_golden, README);
+    assert!(
+        errs.iter()
+            .any(|e| e.contains("not the documented truncation")),
+        "{errs:?}"
+    );
+    // One trailing byte the layout does not account for.
+    let padded = GOLDEN.replace("\nprecise", "00\nprecise");
+    let errs = wire_constant_drift(&padded, README);
+    assert!(errs.iter().any(|e| e.contains("trailing byte")), "{errs:?}");
+    // A README size that drifted from HEADER_BYTES.
+    let readme = README.replace("16-B header", "17-B header");
+    let errs = wire_constant_drift(GOLDEN, &readme);
+    assert_eq!(errs, vec!["README no longer documents '16-B header'"]);
 }
 
 /// Acceptance gate: encoded record sizes equal the `receipt::compact`
