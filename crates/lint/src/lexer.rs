@@ -1,22 +1,21 @@
 //! A minimal Rust lexer for `vpm-lint`.
 //!
-//! This is deliberately *not* a full Rust front end: the analyzer only
-//! needs a token stream with comments and string contents stripped,
-//! line numbers, brace-depth scopes, and enough item tracking to tell
-//! test code (`#[cfg(test)]` items, `#[test]` functions, `mod tests`)
-//! from product code. No crates.io dependency (proc-macro2/syn) could
-//! be vendored under the repo's offline shim policy, and none is
-//! needed for the rule set: every rule matches short token sequences,
-//! not types.
+//! This is deliberately *not* a full Rust front end: R3 only needs a
+//! token stream with comments and string contents stripped, line
+//! numbers, brace-depth scopes, and enough item tracking to tell test
+//! code (`#[cfg(test)]` items, `#[test]` functions, `mod tests`) from
+//! product code. No crates.io dependency (proc-macro2/syn) could be
+//! vendored under the repo's offline shim policy, and none is needed:
+//! R3 matches short token sequences, not types.
 //!
-//! Guarantees the rules rely on:
+//! Guarantees R3 relies on:
 //!
 //! * String/char/byte-string contents (including raw strings) never
 //!   produce tokens, so `"wait("` in a message cannot trip R3.
 //! * Comments never produce tokens.
 //! * Every token carries `in_test` (lexically inside a `#[cfg(test)]`
 //!   item, a `#[test]` item, or a `mod tests`/`mod test` block) and
-//!   `in_attr` (inside a `#[...]` attribute), so rules can skip both.
+//!   `in_attr` (inside a `#[...]` attribute), so R3 can skip both.
 
 /// Kinds of tokens the analyzer distinguishes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

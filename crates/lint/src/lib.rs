@@ -1,104 +1,87 @@
-//! `vpm-lint` — the workspace's in-tree invariant analyzer.
+//! `vpm-lint` — R3, the lock-discipline check, and the shim content pin,
+//! run as tier-1 tests.
 //!
-//! Two rule families guard invariants neither the type system nor
-//! clippy can:
+//! No `Mutex`/`RwLock` guard may be live across a notify, a blocking
+//! wait, or stream I/O in the same scope (the busy-wait-removal PR's
+//! hazard class). Clippy has no equivalent, so this crate keeps a
+//! minimal Rust lexer ([`lexer`]) and the token-sequence rule
+//! ([`rules`]); the test below runs the rule over every product source
+//! file in [`rules::SCOPE`] on each `cargo test`. Nothing in the
+//! product depends on this crate. A violation has no suppression: it is
+//! fixed.
 //!
-//! * **R3 — lock discipline.** No `Mutex`/`RwLock` guard live across a
-//!   notify, blocking wait, or stream I/O in the same scope (the
-//!   busy-wait-removal PR's hazard class).
-//! * **R6 — shim-surface drift.** The public API of every offline shim
-//!   under `shims/` must match the audited manifest
-//!   (`shims/MANIFEST.txt`) exactly, both directions — widening a shim
-//!   is a reviewed change, not a drive-by edit.
+//! Dependency-free by design: the lexer is a tokenizer, not a parser,
+//! which is exactly enough for a token-sequence rule and keeps the
+//! check inside the repo's offline shim policy.
 //!
-//! The other invariants live where the compiler checks them:
-//! panic-freedom and determinism are clippy lints enabled in the crate
-//! roots (with the root `clippy.toml` listing the disallowed clock and
-//! hash-iteration methods), and the wire constants and the audited
-//! error enums are pinned by tier-1 tests (`tests/wire.rs`,
-//! `tests/error_variants.rs`). Neither rule here has a suppression
-//! mechanism: a violation is fixed, not excused.
-//!
-//! Dependency-free by design: the lexer in [`lexer`] is a minimal Rust
-//! tokenizer, not a parser, which is exactly enough for token-sequence
-//! rules and keeps the analyzer inside the repo's offline shim policy.
+//! [`shimcheck`] (test builds only) pins every file under `shims/` to
+//! its line in `shims/MANIFEST.txt`, hashed with the in-tree SHA-256
+//! (`vpm-hash`, this crate's one dev-dependency).
 
 pub mod lexer;
-pub mod report;
 pub mod rules;
-pub mod shimcheck;
-pub mod walk;
-
-pub use report::{Report, Violation};
-
-use std::path::Path;
-
-/// Run both rules over the workspace rooted at `root`.
-pub fn run(root: &Path) -> std::io::Result<Report> {
-    let files = walk::collect(root, &rules::SCOPE)?;
-    let mut report = Report {
-        files_scanned: files.len(),
-        ..Report::default()
-    };
-    for f in &files {
-        let src = std::fs::read_to_string(&f.abs).map_err(|e| walk::in_path(&f.abs, e))?;
-        report
-            .violations
-            .extend(rules::r3(&f.rel, &lexer::lex(&src)));
-    }
-    report.violations.extend(shimcheck::r6(root));
-    report
-        .violations
-        .sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
-    Ok(report)
-}
+#[cfg(test)]
+mod shimcheck;
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::fs;
+    use std::path::{Path, PathBuf};
 
-    fn mini_tree(tag: &str, lib_src: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!("vpm_lint_lib_{tag}_{}", std::process::id()));
-        fs::remove_dir_all(&dir).ok();
-        fs::create_dir_all(dir.join("crates/wire/src")).unwrap();
-        fs::write(dir.join("crates/wire/src/lib.rs"), lib_src).unwrap();
-        dir
+    fn r3(src: &str) -> Vec<rules::Violation> {
+        rules::r3("crates/wire/src/lib.rs", &lexer::lex(src))
     }
 
-    fn r3_lines(r: &Report) -> Vec<u32> {
-        r.violations
+    fn rs_files(dir: &Path, out: &mut Vec<PathBuf>) {
+        let entries = fs::read_dir(dir).unwrap_or_else(|e| panic!("{}: {e}", dir.display()));
+        for entry in entries {
+            let path = entry.unwrap().path();
+            if path.is_dir() {
+                rs_files(&path, out);
+            } else if path.extension().is_some_and(|e| e == "rs") {
+                out.push(path);
+            }
+        }
+    }
+
+    /// The gate: R3 holds over every product source file. A scope with
+    /// no `.rs` file under it is a stale scope list, not a clean tree.
+    #[test]
+    fn r3_holds_over_the_product_tree() {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let mut violations = Vec::new();
+        for scope in rules::SCOPE {
+            let mut files = Vec::new();
+            rs_files(&root.join(scope), &mut files);
+            assert!(!files.is_empty(), "{scope}: no .rs files to check");
+            for file in files {
+                let src = fs::read_to_string(&file).unwrap();
+                let rel = file.strip_prefix(&root).unwrap().to_string_lossy();
+                violations.extend(rules::r3(&rel, &lexer::lex(&src)));
+            }
+        }
+        let report: Vec<String> = violations
             .iter()
-            .filter(|v| v.rule == "R3")
-            .map(|v| v.line)
-            .collect()
+            .map(|v| format!("{}:{}: {} [R3/{}]", v.file, v.line, v.message, v.check))
+            .collect();
+        assert!(report.is_empty(), "\n{}", report.join("\n"));
     }
 
     #[test]
     fn violations_report_with_file_and_line() {
-        let dir = mini_tree(
-            "line",
-            "fn ok(&self) { let g = self.m.lock(); drop(g); self.n.notify_all(); }\n\
-             fn bad(&self) {\n\
-             \tlet g = self.m.lock();\n\
-             \tself.n.notify_all();\n\
-             }\n",
-        );
-        let r = run(&dir).unwrap();
-        assert_eq!(r3_lines(&r), vec![4], "{:?}", r.violations);
-        assert_eq!(r.violations[0].file, "crates/wire/src/lib.rs");
-        assert!(!r.ok());
-        fs::remove_dir_all(&dir).ok();
+        let src = "fn ok(&self) { let g = self.m.lock(); drop(g); self.n.notify_all(); }\n\
+                   fn bad(&self) {\n\
+                   \tlet g = self.m.lock();\n\
+                   \tself.n.notify_all();\n\
+                   }\n";
+        let at: Vec<(String, u32)> = r3(src).into_iter().map(|v| (v.file, v.line)).collect();
+        assert_eq!(at, [("crates/wire/src/lib.rs".to_string(), 4)]);
     }
 
     #[test]
     fn test_scope_is_exempt_from_r3() {
-        let dir = mini_tree(
-            "testscope",
-            "#[cfg(test)]\nmod tests {\n\tfn t(&self) { let g = self.m.lock(); self.n.notify_all(); }\n}\n",
-        );
-        let r = run(&dir).unwrap();
-        assert!(r3_lines(&r).is_empty(), "{:?}", r.violations);
-        fs::remove_dir_all(&dir).ok();
+        let src = "#[cfg(test)]\nmod tests {\n\tfn t(&self) { let g = self.m.lock(); self.n.notify_all(); }\n}\n";
+        assert!(r3(src).is_empty());
     }
 }

@@ -3,7 +3,19 @@
 //! side of flagging: a guard it cannot prove dead is assumed live.
 
 use crate::lexer::{TokKind, Token};
-use crate::report::Violation;
+
+/// One R3 finding: a hazard call made while a lock guard is live.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Violation {
+    /// Hazard called (`notify_all`, `write_all`, …).
+    pub check: String,
+    /// Workspace-relative file.
+    pub file: String,
+    /// 1-based line of the hazard call.
+    pub line: u32,
+    /// Human-readable description.
+    pub message: String,
+}
 
 /// R3 runs wherever locks and blocking calls coexist.
 pub const SCOPE: [&str; 4] = [
@@ -233,7 +245,6 @@ pub fn r3(rel: &str, tokens: &[Token<'_>]) -> Vec<Violation> {
                     .map(|g| format!("`{}` (line {})", g.name, g.line))
                     .collect();
                 out.push(Violation {
-                    rule: "R3",
                     check: t.text.to_string(),
                     file: rel.to_string(),
                     line: t.line,
@@ -275,6 +286,15 @@ mod tests {
         );
         assert_eq!(v.len(), 1, "{v:?}");
         assert_eq!(v[0].check, "write_all");
+    }
+
+    #[test]
+    fn r3_flags_notify_under_a_live_lock_guard() {
+        let v = run(
+            "pub fn f(&self) {\n    let g = self.state.lock();\n    self.cond.notify_all();\n}\n",
+        );
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert_eq!((v[0].check.as_str(), v[0].line), ("notify_all", 3));
     }
 
     #[test]

@@ -1,35 +1,11 @@
 //! `vpm` — unified command-line entry point for the reproduction.
 //!
-//! ```text
-//! vpm matrix [--filter k=v] [--json] [--jobs N]   run the scenario matrix
-//! vpm fleet [--paths N] [--jobs J] [--liars K] [--shards S] [--json]
-//!           [--transport tcp:ADDR]
-//!                                    run the many-path fleet and verify every
-//!                                    path in parallel (exit 1 on any false
-//!                                    accusation or missed liar), over the
-//!                                    in-process bus or a `vpm serve` endpoint
-//! vpm serve [--listen ADDR] [--shards S]
-//!                                    serve a sharded receipt bus over TCP
-//!                                    (the out-of-process dissemination plane)
-//! vpm audit [--paths N] [--intervals N] [--shards S] [--gc-every N]
-//!           [--checkpoint-every N] [--restart-at K] [--seed S]
-//!           [--assert-flat] [--json]
-//!                                    run the long-horizon streaming audit
-//!                                    under churn with epoch GC and
-//!                                    checkpointable verification; --json
-//!                                    prints the restart-invariant verdict
-//! vpm lint [--json] [--root PATH]    run the in-tree invariant analyzer
-//!                                    (R3 lock discipline, R6 shim-surface
-//!                                    drift; panic-freedom and determinism
-//!                                    are clippy lints, the wire constants
-//!                                    and error variants tier-1 tests);
-//!                                    exit 1 on any violation
-//! vpm fig2 [secs] [seed] [n_seeds]   regenerate Figure 2
-//! vpm fig3 [secs] [seed]             regenerate Figure 3
-//! vpm verifiability [secs] [seed]    regenerate the §7.2 sweep
-//! vpm overhead                       regenerate the §7.1 numbers
-//! vpm baselines [seed]               run the §3 comparison
-//! ```
+//! `vpm --help` (or `-h`) prints `USAGE` below, the one list of the
+//! commands and their arguments, to stdout and exits 0.
+//!
+//! An unknown command or flag, an unparsable or zero value, or a
+//! positional argument past the last one `USAGE` shows exits 2 with
+//! usage.
 
 // Determinism for non-test code: no wall-clock reads or hash-order
 // iteration (`clippy.toml` lists the disallowed methods).
@@ -45,9 +21,7 @@ use vpm::sim::scenario_matrix::{
 };
 use vpm::sim::{baselines, figures};
 
-fn print_usage() {
-    eprintln!(
-        "usage: vpm <command> [args]\n\
+const USAGE: &str = "usage: vpm <command> [args]\n\
          commands:\n\
            matrix [--filter axis=value] [--json] [--jobs N]\n\
                                                 evaluate the scenario matrix and print\n\
@@ -80,16 +54,16 @@ fn print_usage() {
                                                 prints the restart-invariant verdict,\n\
                                                 --assert-flat fails (exit 1) if bus\n\
                                                 entries or RSS grow\n\
-           lint [--json] [--root PATH]          run the workspace invariant analyzer\n\
-                                                (R3 lock discipline, R6 shim-surface\n\
-                                                drift); exit 1 on violations, 2 on\n\
-                                                bad usage\n\
            fig2 [secs=2] [seed=1] [n_seeds=3]   Figure 2 (delay accuracy)\n\
            fig3 [secs=20] [seed=1]              Figure 3 (loss granularity)\n\
            verifiability [secs=2] [seed=1]      §7.2 verification sweep\n\
            overhead                             §7.1 memory/bandwidth model\n\
-           baselines [seed=1]                   §3 strawman comparison"
-    );
+           baselines [seed=1]                   §3 strawman comparison\n\
+         a positional command takes at most the arguments shown; one more\n\
+         is a usage error (exit 2); --help or -h prints this text (exit 0)";
+
+fn print_usage() {
+    eprintln!("{USAGE}");
 }
 
 fn usage() -> ExitCode {
@@ -488,62 +462,6 @@ fn audit(args: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Parse and run `vpm lint [--json] [--root PATH]`: the in-tree
-/// invariant analyzer (see `vpm-lint`).
-fn lint(args: &[String]) -> ExitCode {
-    let mut json = false;
-    let mut root: Option<String> = None;
-    let mut i = 1;
-    while i < args.len() {
-        let flag = args[i].as_str();
-        match flag {
-            "--json" => {
-                json = true;
-                i += 1;
-            }
-            "--root" => {
-                let Some(v) = args.get(i + 1) else {
-                    eprintln!("vpm: --root needs a directory");
-                    return usage();
-                };
-                root = Some(v.clone());
-                i += 2;
-            }
-            other => {
-                eprintln!("vpm: unknown lint option '{other}'");
-                return usage();
-            }
-        }
-    }
-    // Default to the working directory when it is a workspace root
-    // (the CI invocation), falling back to the source tree this binary
-    // was built from (`cargo run -- lint` from anywhere).
-    let root = root.unwrap_or_else(|| {
-        if std::path::Path::new("Cargo.toml").is_file() {
-            ".".to_string()
-        } else {
-            env!("CARGO_MANIFEST_DIR").to_string()
-        }
-    });
-    let report = match vpm::lint::run(std::path::Path::new(&root)) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("vpm: lint cannot analyze {root}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if json {
-        println!("{}", report.render_json());
-    } else {
-        print!("{}", report.render_human());
-    }
-    if report.ok() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
-}
-
 fn print_overhead_rows(rows: &[(String, f64, f64)]) {
     for (label, paper, ours) in rows {
         let p = if paper.is_nan() {
@@ -560,12 +478,28 @@ fn main() -> ExitCode {
     let Some(cmd) = args.first() else {
         return usage();
     };
+    if cmd == "--help" || cmd == "-h" {
+        println!("{USAGE}");
+        return ExitCode::SUCCESS;
+    }
+    // The positional commands take at most this many arguments; one
+    // more would otherwise be silently dropped.
+    let max_args = match cmd.as_str() {
+        "fig2" => Some(3),
+        "fig3" | "verifiability" => Some(2),
+        "baselines" => Some(1),
+        "overhead" => Some(0),
+        _ => None,
+    };
+    if let Some(extra) = max_args.and_then(|n| args.get(n + 1)) {
+        eprintln!("vpm: unexpected argument '{extra}'");
+        return usage();
+    }
     match cmd.as_str() {
         "matrix" => return matrix(&args),
         "fleet" => return fleet(&args),
         "serve" => return serve(&args),
         "audit" => return audit(&args),
-        "lint" => return lint(&args),
         "fig2" => {
             let cfg = figures::Fig2Config::paper(
                 SimDuration::from_secs(positive_arg(&args, 1, 2)),

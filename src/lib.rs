@@ -37,7 +37,10 @@
 //! | [`core`] | `vpm-core` | receipts, Algorithms 1 & 2, joins, verification |
 //! | [`wire`] | `vpm-wire` | v2 binary receipt codec, `ReceiptTransport` dissemination |
 //! | [`sim`] | `vpm-sim` | topologies, adversaries, the §7.2 figures, the scenario matrix, the many-path fleet |
-//! | [`lint`] | `vpm-lint` | in-tree invariant analyzer (`vpm lint`): lock discipline, shim-surface drift |
+//!
+//! `vpm-lint` (`crates/lint`) is not re-exported and nothing here
+//! depends on it: it holds R3, the lock-discipline check, which runs
+//! only as a tier-1 test.
 //!
 //! ## Minimal example
 //!
@@ -79,7 +82,6 @@
 
 pub use vpm_core as core;
 pub use vpm_hash as hash;
-pub use vpm_lint as lint;
 pub use vpm_netsim as netsim;
 pub use vpm_packet as packet;
 pub use vpm_sim as sim;

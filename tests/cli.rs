@@ -30,8 +30,10 @@ fn no_command_prints_usage_and_exits_2() {
 
 #[test]
 fn unknown_command_prints_usage_and_exits_2() {
-    // The retired `bench-*` harnesses and `pcap` export are unknown
-    // commands like any other; `benchmark/` is the one measuring stick.
+    // The retired `bench-*` harnesses, `pcap` export and `lint`
+    // analyzer are unknown commands like any other: `benchmark/` is the
+    // one measuring stick, and the lock-discipline check and the shim
+    // content pin are tier-1 tests.
     for cmd in [
         "frobnicate",
         "bench-audit",
@@ -39,6 +41,7 @@ fn unknown_command_prints_usage_and_exits_2() {
         "bench-wire",
         "bench-verifier",
         "pcap",
+        "lint",
     ] {
         let out = vpm(&[cmd]);
         assert_eq!(out.status.code(), Some(2), "{cmd}");
@@ -46,22 +49,43 @@ fn unknown_command_prints_usage_and_exits_2() {
         assert!(err.contains("usage: vpm"), "{cmd}: {err}");
         assert!(!err.contains("bench-"), "{cmd}: {err}");
         assert!(!err.contains("pcap"), "{cmd}: {err}");
+        assert!(!err.contains("lint"), "{cmd}: {err}");
+    }
+}
+
+#[test]
+fn help_prints_usage_to_stdout_and_exits_0() {
+    for flag in ["--help", "-h"] {
+        let out = vpm(&[flag]);
+        assert_eq!(out.status.code(), Some(0), "{flag}: {}", stderr(&out));
+        assert!(stdout(&out).contains("usage: vpm"), "{flag}");
+        assert!(stderr(&out).is_empty(), "{flag}: {}", stderr(&out));
     }
 }
 
 #[test]
 fn unparsable_positional_argument_is_an_error_not_a_default() {
-    // Regression: `vpm fig2 junk` used to run the full experiment with
-    // the silently substituted default `secs=2`.
-    let out = vpm(&["fig2", "junk"]);
-    assert_eq!(out.status.code(), Some(2));
-    let err = stderr(&out);
-    assert!(err.contains("unparsable argument 'junk'"), "{err}");
-    assert!(err.contains("usage: vpm"), "{err}");
-    assert!(
-        stdout(&out).is_empty(),
-        "no experiment output on a usage error"
-    );
+    // Regressions: `vpm fig2 junk` used to run the full experiment with
+    // the silently substituted default `secs=2`, and an argument past
+    // the last positional one was silently dropped.
+    for (args, needle) in [
+        (&["fig2", "junk"][..], "unparsable argument 'junk'"),
+        (&["overhead", "junk"], "unexpected argument 'junk'"),
+        (&["baselines", "1", "2"], "unexpected argument '2'"),
+        (&["fig3", "1", "1", "extra"], "unexpected argument 'extra'"),
+        (&["verifiability", "1", "1", "9"], "unexpected argument '9'"),
+        (&["fig2", "1", "1", "1", "1"], "unexpected argument '1'"),
+    ] {
+        let out = vpm(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let err = stderr(&out);
+        assert!(err.contains(needle), "{args:?}: {err}");
+        assert!(err.contains("usage: vpm"), "{args:?}: {err}");
+        assert!(
+            stdout(&out).is_empty(),
+            "{args:?}: no experiment output on a usage error"
+        );
+    }
 }
 
 #[test]
@@ -285,71 +309,4 @@ fn matrix_table_matches_golden_file() {
         golden,
         "vpm matrix rendering drifted from tests/golden/matrix_slice.txt"
     );
-}
-
-// ------------------------------------------------------------------ lint
-
-#[test]
-fn lint_runs_clean_on_this_tree() {
-    let out = vpm(&["lint", "--root", env!("CARGO_MANIFEST_DIR")]);
-    assert_eq!(
-        out.status.code(),
-        Some(0),
-        "vpm lint found violations:\n{}{}",
-        stdout(&out),
-        stderr(&out)
-    );
-    assert!(stdout(&out).contains("0 violation(s)"), "{}", stdout(&out));
-}
-
-#[test]
-fn lint_json_output_carries_the_report_fields() {
-    let out = vpm(&["lint", "--json", "--root", env!("CARGO_MANIFEST_DIR")]);
-    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
-    let s = stdout(&out);
-    for field in ["\"violations\":", "\"files_scanned\":", "\"ok\":true"] {
-        assert!(s.contains(field), "missing {field} in {s}");
-    }
-}
-
-#[test]
-fn lint_exits_nonzero_on_an_injected_violation() {
-    let dir = std::env::temp_dir().join(format!("vpm_lint_cli_inject_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(dir.join("crates/wire/src")).unwrap();
-    std::fs::write(
-        dir.join("crates/wire/src/lib.rs"),
-        "pub fn f(&self) {\n    let g = self.state.lock();\n    self.cond.notify_all();\n}\n",
-    )
-    .unwrap();
-    let out = vpm(&["lint", "--root", dir.to_str().unwrap()]);
-    assert_eq!(
-        out.status.code(),
-        Some(1),
-        "expected the notify under a live guard to fail the gate:\n{}{}",
-        stdout(&out),
-        stderr(&out)
-    );
-    assert!(
-        stdout(&out).contains("crates/wire/src/lib.rs:3:"),
-        "{}",
-        stdout(&out)
-    );
-    assert!(stdout(&out).contains("[R3/notify_all]"), "{}", stdout(&out));
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn lint_rejects_the_retired_audit_and_rule_options() {
-    // R3 and R6 always run together, and neither can be suppressed, so
-    // there is no rule filter and no allowlist to audit.
-    for args in [&["lint", "--audit"][..], &["lint", "--rule", "R1"]] {
-        let out = vpm(args);
-        assert_eq!(out.status.code(), Some(2), "{args:?}: {}", stderr(&out));
-        assert!(
-            stderr(&out).contains("unknown lint option"),
-            "{args:?}: {}",
-            stderr(&out)
-        );
-    }
 }
