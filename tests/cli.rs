@@ -310,3 +310,52 @@ fn matrix_table_matches_golden_file() {
         "vpm matrix rendering drifted from tests/golden/matrix_slice.txt"
     );
 }
+
+#[test]
+fn matrix_constant_ideal_json_matches_golden_file() {
+    // Pin every verdict number of an 18-cell slice that covers all
+    // seven adversary levels and a partial-deployment cell. If a
+    // legitimate change alters the cells' verdicts, regenerate with:
+    //   cargo run --release --bin vpm -- matrix --filter delay=constant \
+    //     --filter clock=ideal --filter rate=0.05 --json \
+    //     > tests/golden/matrix_constant_ideal.json
+    let out = vpm(&[
+        "matrix",
+        "--filter",
+        "delay=constant",
+        "--filter",
+        "clock=ideal",
+        "--filter",
+        "rate=0.05",
+        "--json",
+    ]);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+    let golden = include_str!("golden/matrix_constant_ideal.json");
+    assert_eq!(
+        stdout(&out),
+        golden,
+        "vpm matrix verdicts drifted from tests/golden/matrix_constant_ideal.json"
+    );
+}
+
+#[test]
+fn audit_rejects_bad_flags() {
+    let too_many = (vpm::sim::audit::workload::MAX_AUDIT_PATHS + 1).to_string();
+    for (args, needle) in [
+        (vec!["audit", "--paths", "0"], "--paths must be 1..="),
+        (vec!["audit", "--paths", &too_many], "--paths must be 1..="),
+        (vec!["audit", "--shards", "0"], "--shards must be positive"),
+        (vec!["audit", "--seed"], "--seed needs a number"),
+        (
+            vec!["audit", "--gc-every", "junk"],
+            "--gc-every value 'junk' is not a non-negative integer",
+        ),
+        (vec!["audit", "--frobnicate"], "unknown audit option"),
+    ] {
+        let out = vpm(&args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let err = stderr(&out);
+        assert!(err.contains(needle), "{args:?}: {err}");
+        assert!(err.contains("usage: vpm"), "{args:?}: {err}");
+    }
+}
