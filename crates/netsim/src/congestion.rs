@@ -6,14 +6,13 @@
 //! generate the sequence of delay values that our packet sequence would
 //! encounter". The foreground sequence (the traffic whose receipts VPM
 //! generates) shares a drop-tail bottleneck with cross traffic —
-//! either a bursty high-rate UDP flow (the scenario Figure 2 reports,
-//! chosen because it "introduced the highest delay variance in the
-//! shortest time scale") or long-lived TCP Reno flows, or both.
+//! a bursty high-rate UDP flow (the scenario Figure 2 reports, chosen
+//! because it "introduced the highest delay variance in the shortest
+//! time scale").
 
 use crate::event::EventQueue;
 use crate::queue::{DropTail, QueueOutcome};
 use crate::sources::{Arrival, OnOffUdp};
-use crate::tcp::{AckReaction, RenoReceiver, RenoSender};
 use serde::{Deserialize, Serialize};
 use vpm_packet::{SimDuration, SimTime};
 use vpm_trace::TracePacket;
@@ -59,24 +58,6 @@ pub enum CrossTraffic {
         /// UDP packet size in bytes.
         pkt_bytes: usize,
     },
-    /// Long-lived TCP Reno flows saturating the bottleneck.
-    LongLivedTcp {
-        /// Number of concurrent flows.
-        flows: usize,
-        /// Segment size in bytes.
-        seg_bytes: usize,
-    },
-    /// Both of the above.
-    Mixed {
-        /// UDP burst rate, bits per second.
-        udp_rate_bps: f64,
-        /// Mean burst duration.
-        mean_on: SimDuration,
-        /// Mean silence duration.
-        mean_off: SimDuration,
-        /// Number of TCP flows.
-        tcp_flows: usize,
-    },
 }
 
 impl CrossTraffic {
@@ -115,24 +96,12 @@ impl PacketFate {
     }
 }
 
+/// A fixed-schedule arrival at the bottleneck: a foreground packet
+/// (`fg_idx`) or a cross-traffic one.
 #[derive(Debug)]
-enum Ev {
-    /// A fixed-schedule arrival (foreground or UDP cross traffic).
-    Fixed { fg_idx: Option<usize>, bytes: usize },
-    /// TCP sender wants to (re)transmit `seq`.
-    TcpSend { flow: usize, seq: u64 },
-    /// TCP segment reached the receiver.
-    TcpDeliver { flow: usize, seq: u64 },
-    /// Cumulative ACK reached the sender.
-    TcpAck { flow: usize, cum: u64 },
-    /// Retransmission timer fired (stale if `armed` ≠ current arm time).
-    TcpRto { flow: usize, armed: SimTime },
-}
-
-struct TcpFlowState {
-    sender: RenoSender,
-    receiver: RenoReceiver,
-    rto_armed_at: SimTime,
+struct Arrive {
+    fg_idx: Option<usize>,
+    bytes: usize,
 }
 
 /// Run the bottleneck simulation and return the fate of every
@@ -150,186 +119,55 @@ pub fn run_bottleneck(
         .map_or(SimTime::ZERO, |&(t, _)| t + SimDuration::from_millis(1));
 
     let mut queue = DropTail::new(cfg.rate_bps, cfg.queue_limit);
-    let mut events: EventQueue<Ev> = EventQueue::new();
+    let mut events: EventQueue<Arrive> = EventQueue::new();
     let mut fates = vec![PacketFate::Dropped; foreground.len()];
 
     for (i, &(t, bytes)) in foreground.iter().enumerate() {
         events.push(
             t,
-            Ev::Fixed {
+            Arrive {
                 fg_idx: Some(i),
                 bytes,
             },
         );
     }
-
-    // Cross traffic setup.
-    let mut tcp_flows: Vec<TcpFlowState> = Vec::new();
-    let horizon_d = horizon.saturating_since(SimTime::ZERO);
-    match *cross {
-        CrossTraffic::None => {}
-        CrossTraffic::BurstyUdp {
+    if let CrossTraffic::BurstyUdp {
+        rate_bps,
+        mean_on,
+        mean_off,
+        pkt_bytes,
+    } = *cross
+    {
+        let src = OnOffUdp {
             rate_bps,
             mean_on,
             mean_off,
             pkt_bytes,
-        } => {
-            let src = OnOffUdp {
-                rate_bps,
-                mean_on,
-                mean_off,
-                pkt_bytes,
-            };
-            for (t, bytes) in src.generate(horizon_d, seed ^ 0xfeed) {
-                events.push(
-                    t,
-                    Ev::Fixed {
-                        fg_idx: None,
-                        bytes,
-                    },
-                );
-            }
-        }
-        CrossTraffic::LongLivedTcp { flows, seg_bytes } => {
-            spawn_tcp(&mut tcp_flows, &mut events, flows, seg_bytes);
-        }
-        CrossTraffic::Mixed {
-            udp_rate_bps,
-            mean_on,
-            mean_off,
-            tcp_flows: n,
-        } => {
-            let src = OnOffUdp {
-                rate_bps: udp_rate_bps,
-                mean_on,
-                mean_off,
-                pkt_bytes: 1250,
-            };
-            for (t, bytes) in src.generate(horizon_d, seed ^ 0xfeed) {
-                events.push(
-                    t,
-                    Ev::Fixed {
-                        fg_idx: None,
-                        bytes,
-                    },
-                );
-            }
-            spawn_tcp(&mut tcp_flows, &mut events, n, 1500);
-        }
-    }
-
-    // Main event loop.
-    while let Some((now, ev)) = events.pop() {
-        match ev {
-            Ev::Fixed { fg_idx, bytes } => match queue.offer(now, bytes) {
-                QueueOutcome::Departs(depart) => {
-                    if let Some(i) = fg_idx {
-                        let delay = depart.saturating_since(now) + cfg.prop_delay;
-                        fates[i] = PacketFate::Delivered(delay);
-                    }
-                }
-                QueueOutcome::Dropped => {
-                    if let Some(i) = fg_idx {
-                        fates[i] = PacketFate::Dropped;
-                    }
-                }
-            },
-            Ev::TcpSend { flow, seq } => {
-                if now > horizon {
-                    continue;
-                }
-                let seg = tcp_flows[flow].sender.seg_bytes;
-                match queue.offer(now, seg) {
-                    QueueOutcome::Departs(depart) => {
-                        events.push(depart + cfg.prop_delay, Ev::TcpDeliver { flow, seq });
-                    }
-                    QueueOutcome::Dropped => { /* loss signals via dup-ACK/RTO */ }
-                }
-            }
-            Ev::TcpDeliver { flow, seq } => {
-                let cum = tcp_flows[flow].receiver.on_data(seq);
-                // Reverse path: uncongested, pure propagation.
-                events.push(now + cfg.prop_delay, Ev::TcpAck { flow, cum });
-            }
-            Ev::TcpAck { flow, cum } => {
-                let st = &mut tcp_flows[flow];
-                match st.sender.on_ack(cum) {
-                    AckReaction::NewData => {
-                        arm_rto(st, flow, now, &mut events);
-                        pump(st, flow, now, horizon, &mut events);
-                    }
-                    AckReaction::DupAck => {}
-                    AckReaction::FastRetransmit(seq) => {
-                        arm_rto(st, flow, now, &mut events);
-                        events.push(now, Ev::TcpSend { flow, seq });
-                    }
-                }
-            }
-            Ev::TcpRto { flow, armed } => {
-                let st = &mut tcp_flows[flow];
-                if armed != st.rto_armed_at || now > horizon {
-                    continue; // stale timer
-                }
-                let seq = st.sender.on_timeout();
-                arm_rto(st, flow, now, &mut events);
-                events.push(now, Ev::TcpSend { flow, seq });
-                pump(st, flow, now, horizon, &mut events);
-            }
-        }
-    }
-
-    fates
-}
-
-fn spawn_tcp(
-    flows: &mut Vec<TcpFlowState>,
-    events: &mut EventQueue<Ev>,
-    n: usize,
-    seg_bytes: usize,
-) {
-    for i in 0..n {
-        let mut st = TcpFlowState {
-            sender: RenoSender::new(seg_bytes, SimDuration::from_millis(200)),
-            receiver: RenoReceiver::new(),
-            rto_armed_at: SimTime::ZERO,
         };
-        // Stagger flow starts by 1 ms to avoid phase lock.
-        let start = SimTime::from_millis(i as u64);
-        let seq = st.sender.take_next();
-        events.push(start, Ev::TcpSend { flow: i, seq });
-        let seq2 = st.sender.take_next();
-        events.push(start, Ev::TcpSend { flow: i, seq: seq2 });
-        st.rto_armed_at = start;
-        events.push(
-            start + st.sender.rto,
-            Ev::TcpRto {
-                flow: i,
-                armed: start,
-            },
-        );
-        flows.push(st);
+        let horizon = horizon.saturating_since(SimTime::ZERO);
+        for (t, bytes) in src.generate(horizon, seed ^ 0xfeed) {
+            events.push(
+                t,
+                Arrive {
+                    fg_idx: None,
+                    bytes,
+                },
+            );
+        }
     }
-}
 
-fn arm_rto(st: &mut TcpFlowState, flow: usize, now: SimTime, events: &mut EventQueue<Ev>) {
-    st.rto_armed_at = now;
-    events.push(now + st.sender.rto, Ev::TcpRto { flow, armed: now });
-}
-
-fn pump(
-    st: &mut TcpFlowState,
-    flow: usize,
-    now: SimTime,
-    horizon: SimTime,
-    events: &mut EventQueue<Ev>,
-) {
-    if now > horizon {
-        return;
+    while let Some((now, Arrive { fg_idx, bytes })) = events.pop() {
+        let fate = match queue.offer(now, bytes) {
+            QueueOutcome::Departs(depart) => {
+                PacketFate::Delivered(depart.saturating_since(now) + cfg.prop_delay)
+            }
+            QueueOutcome::Dropped => PacketFate::Dropped,
+        };
+        if let Some(i) = fg_idx {
+            fates[i] = fate;
+        }
     }
-    while st.sender.can_send() {
-        let seq = st.sender.take_next();
-        events.push(now, Ev::TcpSend { flow, seq });
-    }
+    fates
 }
 
 /// Convenience: run the bottleneck over a generated trace and return
@@ -407,29 +245,6 @@ mod tests {
     }
 
     #[test]
-    fn tcp_cross_traffic_fills_pipe() {
-        let trace = small_trace(2_000.0, 1_000, 4);
-        let cfg = BottleneckConfig {
-            rate_bps: 50e6,
-            queue_limit: SimDuration::from_millis(40),
-            prop_delay: SimDuration::from_millis(1),
-        };
-        let cross = CrossTraffic::LongLivedTcp {
-            flows: 4,
-            seg_bytes: 1500,
-        };
-        let fates = foreground_delays(&trace, &cfg, &cross, 5);
-        let delays: Vec<f64> = fates
-            .iter()
-            .filter_map(|f| f.delay().map(|d| d.as_millis_f64()))
-            .collect();
-        assert!(!delays.is_empty());
-        // TCP should push queueing delay well above the base.
-        let mean: f64 = delays.iter().sum::<f64>() / delays.len() as f64;
-        assert!(mean > 2.0, "TCP never congested the link: mean {mean} ms");
-    }
-
-    #[test]
     fn overload_drops_at_bounded_delay() {
         let trace = small_trace(20_000.0, 500, 6);
         let cfg = BottleneckConfig {
@@ -456,33 +271,5 @@ mod tests {
         let a = foreground_delays(&trace, &cfg, &cross, 9);
         let b = foreground_delays(&trace, &cfg, &cross, 9);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn mixed_cross_traffic_combines_both_sources() {
-        let trace = small_trace(5_000.0, 1_000, 10);
-        let cfg = BottleneckConfig {
-            rate_bps: 60e6,
-            queue_limit: SimDuration::from_millis(40),
-            prop_delay: SimDuration::from_micros(500),
-        };
-        let cross = CrossTraffic::Mixed {
-            udp_rate_bps: 30e6,
-            mean_on: SimDuration::from_millis(30),
-            mean_off: SimDuration::from_millis(60),
-            tcp_flows: 3,
-        };
-        let fates = foreground_delays(&trace, &cfg, &cross, 11);
-        let delays: Vec<f64> = fates
-            .iter()
-            .filter_map(|f| f.delay().map(|d| d.as_millis_f64()))
-            .collect();
-        assert!(!delays.is_empty());
-        let mean: f64 = delays.iter().sum::<f64>() / delays.len() as f64;
-        // TCP fills residual capacity and UDP bursts spike it: delays
-        // must show real congestion but stay within the queue bound.
-        assert!(mean > 1.0, "mixed traffic too gentle: mean {mean} ms");
-        let max = delays.iter().copied().fold(0.0, f64::max);
-        assert!(max <= 42.0, "max {max} ms exceeds queue bound");
     }
 }

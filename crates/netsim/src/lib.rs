@@ -4,7 +4,8 @@
 //! packet *loss* is injected with the Gilbert-Elliott model, and packet
 //! *delay* comes from NS simulations of congestion scenarios ("long-
 //! lived TCP or UDP flows compete for/saturate the bandwidth of a
-//! bottleneck link"). This crate rebuilds that machinery from scratch:
+//! bottleneck link"). This crate rebuilds that machinery from scratch,
+//! with the bursty UDP flow Figure 2 reports as the only cross traffic:
 //!
 //! * [`event`] — a deterministic discrete-event queue;
 //! * [`queue`] — an analytic drop-tail FIFO bottleneck (rate +
@@ -15,10 +16,7 @@
 //!   than the safety threshold `J` never reorder, per ref \[10\]);
 //! * [`clock`] — per-HOP clocks with offset/drift/jitter (NTP-grade
 //!   synchronization is *not* assumed by VPM, only encouraged);
-//! * [`sources`] — non-adaptive traffic sources (CBR, bursty on/off
-//!   UDP);
-//! * [`tcp`] — a window-based TCP Reno flow model (slow start,
-//!   congestion avoidance, fast retransmit, RTO);
+//! * [`sources`] — the non-adaptive bursty on/off UDP source;
 //! * [`congestion`] — the end-to-end scenario runner that pushes a
 //!   foreground trace plus cross traffic through a bottleneck and
 //!   extracts the per-packet delay series the VPM experiments consume;
@@ -42,7 +40,6 @@ pub mod gilbert;
 pub mod queue;
 pub mod reorder;
 pub mod sources;
-pub mod tcp;
 
 pub use channel::{ChannelConfig, DelayModel, Delivery};
 pub use clock::HopClock;

@@ -12,25 +12,9 @@ use vpm_packet::{SimDuration, SimTime};
 /// A timed packet arrival: `(arrival time, wire bytes)`.
 pub type Arrival = (SimTime, usize);
 
-/// Constant-bit-rate source.
-///
-/// Emits `pkt_bytes`-sized packets evenly spaced to sustain `rate_bps`
-/// over `[0, horizon)`.
-pub fn cbr(rate_bps: f64, pkt_bytes: usize, horizon: SimDuration) -> Vec<Arrival> {
-    assert!(rate_bps > 0.0 && pkt_bytes > 0);
-    let gap = SimDuration::from_secs_f64(pkt_bytes as f64 * 8.0 / rate_bps);
-    let mut out = Vec::new();
-    let mut t = SimTime::ZERO;
-    while t < SimTime::ZERO + horizon {
-        out.push((t, pkt_bytes));
-        t += gap;
-    }
-    out
-}
-
 /// Bursty on/off UDP source.
 ///
-/// Alternates between ON periods (CBR at `rate_bps`) and OFF periods
+/// Alternates between ON periods (constant rate `rate_bps`) and OFF periods
 /// (silent). Period lengths are drawn uniformly from
 /// `[0.5, 1.5] × mean` so bursts do not phase-lock with anything else
 /// in the simulation, while the worst-case burst stays bounded (an
@@ -89,15 +73,6 @@ impl OnOffUdp {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn cbr_rate_and_spacing() {
-        let arr = cbr(8e6, 1000, SimDuration::from_secs(1)); // 1 ms gaps
-        assert_eq!(arr.len(), 1000);
-        for w in arr.windows(2) {
-            assert_eq!(w[1].0 - w[0].0, SimDuration::from_millis(1));
-        }
-    }
 
     #[test]
     fn onoff_average_rate() {

@@ -1,161 +1,220 @@
-//! Lying-domain strategies (the paper's threat model, §2.1).
+//! Lying domains (the paper's threat model, §2.1): one [`Lie`] for
+//! every way a domain can misreport or mistreat the traffic it carries.
 //!
-//! A lying domain constructs receipts from incomplete or fabricated
-//! information; colluding domains may share observations. These
-//! helpers doctor a [`crate::run::HopOutput`]'s receipts the way a liar
-//! would, so tests and examples can demonstrate the §3.1 exposure
-//! story: lies create inconsistencies, and the inconsistency always
-//! lands on an inter-domain link adjacent to a liar, exposing it to the
-//! neighbor it implicated.
+//! A domain either signs receipts that do not match what it forwarded
+//! (a *receipt* lie: [`Lie::BlameShift`], [`Lie::Sugarcoat`],
+//! [`Lie::CoverUp`]) or treats the packets it forwards differently (a
+//! *forwarding* lie: [`Lie::MarkerDrop`], [`Lie::FastPath`]). A
+//! [`crate::Scenario`] applies forwarding lies while it simulates the
+//! path and receipt lies to the batches before each HOP signs them. A
+//! liar holds its own key, so its frames MAC-verify: authenticity binds
+//! a receipt to its HOP, not to the truth, and VPM catches lies by
+//! consistency instead. §3.1's claim is that a receipt lie always
+//! surfaces on an inter-domain link adjacent to a liar, exposing it to
+//! the neighbor it implicated.
 
-use vpm_core::receipt::{AggReceipt, SampleRecord};
-use vpm_packet::{HopId, SimDuration};
+use std::borrow::Cow;
+use vpm_core::receipt::{AggReceipt, SampleReceipt, SampleRecord};
+use vpm_hash::{Digest, Threshold};
+use vpm_netsim::channel::{ChannelConfig, DelayModel};
+use vpm_netsim::congestion::PacketFate;
+use vpm_packet::SimDuration;
 
-use crate::run::{HopOutput, PathRun};
+use crate::run::Report;
+use crate::topology::Topology;
 
-/// How a lying domain doctors its egress receipts.
-#[derive(Debug, Clone, Copy)]
-pub enum LieStrategy {
-    /// Hide loss: claim every packet that *entered* the domain was
-    /// delivered, with a small plausible transit delay. (The §3.1
-    /// example: X drops p but claims delivering it to N.)
-    BlameShiftLoss {
-        /// The fake transit delay to stamp on fabricated receipts.
+/// One domain's lie. Domains are named as in Figure 1 (`"L"`, `"X"`,
+/// `"N"`); a lie naming a domain that is not on the path, or a HOP the
+/// domain does not have, changes nothing.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Lie {
+    /// Hide loss: the liar's egress claims it delivered every packet
+    /// its ingress saw, `claimed_delay` later (§3.1: X drops p but
+    /// claims delivering it to N).
+    BlameShift {
+        /// The lying domain.
+        liar: &'static str,
+        /// The transit delay stamped on every claim.
         claimed_delay: SimDuration,
     },
-    /// Hide delay: report egress timestamps shaved by a constant.
-    SugarcoatDelay {
+    /// Hide delay: the liar's egress reports every timestamp `shave`
+    /// early.
+    Sugarcoat {
+        /// The lying domain.
+        liar: &'static str,
         /// How much delay to hide.
         shave: SimDuration,
     },
+    /// Collusion: the accomplice's ingress claims it received exactly
+    /// what its upstream neighbor claims to have delivered, 50 µs
+    /// later (§3.1: "N has the option of covering X's lie"). Listed
+    /// after the neighbor's own lie, it copies that lie.
+    CoverUp {
+        /// The covering domain.
+        accomplice: &'static str,
+    },
+    /// The liar drops every marker packet it carries (§5.3).
+    MarkerDrop {
+        /// The lying domain.
+        liar: &'static str,
+    },
+    /// The liar forwards the packets it guesses will be sampled (their
+    /// own digest passes the HOPs' sampling rate) after `fast`, and
+    /// every other packet as its channel would (§5.1). Algorithm 1 keys
+    /// the real decision on a future marker, so the guess misses.
+    FastPath {
+        /// The lying domain.
+        liar: &'static str,
+        /// The delay of a fast-pathed packet.
+        fast: SimDuration,
+        /// Seeds the per-packet draws of a jittered slow path.
+        seed: u64,
+    },
 }
 
-/// Apply a lie: rewrite the egress HOP's receipts given the domain's
-/// ingress observations. Returns the doctored egress output.
-///
-/// The receipt batch is re-signed with the HOP's own key — a lying
-/// domain signs its own lies; authenticity is not what VPM relies on to
-/// catch them (consistency is).
-pub fn apply_lie(ingress: &HopOutput, egress: &mut HopOutput, strategy: LieStrategy) {
-    match strategy {
-        LieStrategy::BlameShiftLoss { claimed_delay } => {
-            // Claim the egress saw exactly what the ingress saw.
-            egress.samples = ingress
-                .samples
-                .iter()
-                .map(|r| SampleRecord {
-                    pkt_id: r.pkt_id,
-                    time: r.time + claimed_delay,
-                })
-                .collect();
-            egress.aggregates = ingress
-                .aggregates
-                .iter()
-                .map(|a| AggReceipt {
-                    path: egress.path,
-                    ..a.clone()
-                })
-                .collect();
-        }
-        LieStrategy::SugarcoatDelay { shave } => {
-            for r in &mut egress.samples {
-                r.time = r.time - shave;
+/// The 64-bit golden-ratio increment of the splitmix64 streams.
+const GOLDEN: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// The splitmix64 output function.
+pub(crate) fn splitmix(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+impl Lie {
+    /// Does domain `name` drop the markers it carries under `lies`?
+    pub(crate) fn drops_markers(lies: &[Lie], name: &str) -> bool {
+        lies.iter()
+            .any(|l| matches!(l, Lie::MarkerDrop { liar } if *liar == name))
+    }
+
+    /// What domain `name` does to the packets it forwards under `lies`:
+    /// its own `channel`, with the delay of each packet whose digest
+    /// passes `guess` replaced by a fast path if it fast-paths.
+    /// `digests` are the trace's, in trace order; the replacement is a
+    /// per-packet series over them.
+    pub(crate) fn transit<'a>(
+        lies: &[Lie],
+        name: &str,
+        channel: &'a ChannelConfig,
+        digests: &[Digest],
+        guess: Threshold,
+    ) -> Cow<'a, ChannelConfig> {
+        let Some((fast, seed)) = lies.iter().find_map(|l| match *l {
+            Lie::FastPath { liar, fast, seed } if liar == name => Some((fast, seed)),
+            _ => None,
+        }) else {
+            return Cow::Borrowed(channel);
+        };
+        let fates = digests
+            .iter()
+            .enumerate()
+            .map(|(i, d)| {
+                let z = splitmix(seed.wrapping_add((i as u64 + 1).wrapping_mul(GOLDEN)));
+                let slow = match &channel.delay {
+                    DelayModel::Constant(d) => PacketFate::Delivered(*d),
+                    DelayModel::Jitter { base, jitter } => PacketFate::Delivered(
+                        *base + SimDuration::from_micros(z % (jitter.as_nanos() / 1000 + 1)),
+                    ),
+                    DelayModel::Series(fates) => {
+                        fates.get(i).copied().unwrap_or(PacketFate::Dropped)
+                    }
+                };
+                if guess.passes(d.0) {
+                    PacketFate::Delivered(fast)
+                } else {
+                    slow
+                }
+            })
+            .collect();
+        Cow::Owned(ChannelConfig {
+            delay: DelayModel::Series(fates),
+            ..channel.clone()
+        })
+    }
+
+    /// Rewrite the receipts the HOPs of `topology` are about to sign,
+    /// if this is a receipt lie. `reports` are in path order.
+    pub(crate) fn doctor(&self, topology: &Topology, reports: &mut [Report]) {
+        let hops = |name: &str| topology.domain_by_name(name).map(|d| (d.ingress, d.egress));
+        let (from, to, shift) = match *self {
+            Lie::BlameShift {
+                liar,
+                claimed_delay,
+            } => match hops(liar) {
+                Some((Some(ingress), Some(egress))) => {
+                    (ingress, egress, Shift::Later(claimed_delay))
+                }
+                _ => return,
+            },
+            Lie::Sugarcoat { liar, shave } => match hops(liar) {
+                Some((_, Some(egress))) => (egress, egress, Shift::Earlier(shave)),
+                _ => return,
+            },
+            Lie::CoverUp { accomplice } => {
+                let Some((Some(ingress), _)) = hops(accomplice) else {
+                    return;
+                };
+                match topology.links.iter().find(|l| l.down == ingress) {
+                    Some(link) => (link.up, ingress, Shift::Later(SimDuration::from_micros(50))),
+                    None => return,
+                }
             }
+            Lie::MarkerDrop { .. } | Lie::FastPath { .. } => return,
+        };
+        let Some(source) = reports.iter().find(|r| r.hop == from) else {
+            return;
+        };
+        let samples: Vec<SampleRecord> = source
+            .batch
+            .samples
+            .iter()
+            .flat_map(|r| &r.samples)
+            .map(|r| SampleRecord {
+                pkt_id: r.pkt_id,
+                time: match shift {
+                    Shift::Later(d) => r.time + d,
+                    Shift::Earlier(d) => r.time - d,
+                },
+            })
+            .collect();
+        let aggregates = source.batch.aggregates.clone();
+        if let Some(target) = reports.iter_mut().find(|r| r.hop == to) {
+            forge(target, samples, aggregates);
         }
     }
-    rebatch(egress);
 }
 
-/// One lying egress: the domain whose egress HOP doctors its receipts
-/// from what its ingress HOP observed.
-#[derive(Debug, Clone, Copy)]
-pub struct LieSite {
-    /// The liar's ingress HOP (source of the observations the lie is
-    /// constructed from).
-    pub ingress: HopId,
-    /// The liar's egress HOP (whose receipts are doctored).
-    pub egress: HopId,
-    /// The lie.
-    pub strategy: LieStrategy,
+/// Which way a receipt lie moves the timestamps it copies.
+#[derive(Clone, Copy)]
+enum Shift {
+    Later(SimDuration),
+    Earlier(SimDuration),
 }
 
-/// Apply several independent lies to one run — the multi-liar threat
-/// model: each site's domain doctors its own egress from its own
-/// ingress observations, without coordination between liars. §3.1's
-/// localization argument applies to each liar separately: every lie
-/// still surfaces on an inter-domain link adjacent to *that* liar.
-pub fn apply_lies(run: &mut PathRun, sites: &[LieSite]) {
-    for site in sites {
-        #[expect(
-            clippy::expect_used,
-            reason = "the lie site was resolved on this run's path just above"
-        )]
-        let ingress = run
-            .hop(site.ingress)
-            .expect("lie site ingress exists")
-            .clone();
-        #[expect(
-            clippy::expect_used,
-            reason = "the lie site was resolved on this run's path just above"
-        )]
-        let egress = run.hop_mut(site.egress).expect("lie site egress exists");
-        apply_lie(&ingress, egress, site.strategy);
-    }
-}
-
-/// Collusion: a downstream neighbor covers an upstream liar by claiming
-/// to have received exactly what the liar claims to have delivered
-/// (§3.1: "N has the option of covering X's lie"). The neighbor's
-/// *ingress* receipts become a copy of the liar's egress claims.
-pub fn cover_up(liar_egress: &HopOutput, accomplice_ingress: &mut HopOutput) {
-    accomplice_ingress.samples = liar_egress
-        .samples
-        .iter()
-        .map(|r| SampleRecord {
-            pkt_id: r.pkt_id,
-            // Received right after the liar claims to have delivered.
-            time: r.time + SimDuration::from_micros(50),
-        })
+/// Make `target` claim `samples` and `aggregates` as one sample receipt
+/// and its own aggregate receipts, all under its own `PathID`.
+fn forge(target: &mut Report, samples: Vec<SampleRecord>, aggregates: Vec<AggReceipt>) {
+    let path = target.path;
+    target.batch.samples = vec![SampleReceipt { path, samples }];
+    target.batch.aggregates = aggregates
+        .into_iter()
+        .map(|a| AggReceipt { path, ..a })
         .collect();
-    accomplice_ingress.aggregates = liar_egress
-        .aggregates
-        .iter()
-        .map(|a| AggReceipt {
-            path: accomplice_ingress.path,
-            ..a.clone()
-        })
-        .collect();
-    rebatch(accomplice_ingress);
-}
-
-/// Rebuild the HOP's batch from its doctored records. The liar holds
-/// its own key, so the frame it publishes MAC-verifies: authenticity
-/// binds a receipt to its HOP, not to the truth.
-fn rebatch(out: &mut HopOutput) {
-    out.batch.samples = vec![vpm_core::receipt::SampleReceipt {
-        path: out.path,
-        samples: out.samples.clone(),
-    }];
-    out.batch.aggregates = out.aggregates.clone();
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::run::{run_path, RunConfig};
+    use crate::run::{PathRun, RunConfig};
+    use crate::scenario::Scenario;
     use crate::topology::Figure1;
-    use vpm_netsim::channel::{ChannelConfig, DelayModel};
     use vpm_netsim::reorder::ReorderModel;
-    use vpm_packet::{HopId, SimDuration};
-    use vpm_trace::{TraceConfig, TraceGenerator};
+    use vpm_packet::HopId;
+    use vpm_trace::TraceConfig;
 
-    fn lossy_x_run() -> crate::run::PathRun {
-        let t = TraceGenerator::new(TraceConfig {
-            target_pps: 50_000.0,
-            duration: SimDuration::from_millis(150),
-            ..TraceConfig::paper_default(1, 11)
-        })
-        .generate();
+    fn lossy_x(lies: Vec<Lie>) -> PathRun {
         let mut fig = Figure1::ideal();
         fig.x_transit = ChannelConfig {
             delay: DelayModel::Constant(SimDuration::from_micros(200)),
@@ -163,53 +222,67 @@ mod tests {
             reorder: ReorderModel::none(),
             seed: 3,
         };
-        let cfg = RunConfig {
-            sampling_rate: 0.05,
-            aggregate_size: 500,
-            marker_rate: 0.01,
-            j_window: SimDuration::from_millis(2),
-            ..RunConfig::default()
+        let scenario = Scenario {
+            lies,
+            ..Scenario::new(
+                TraceConfig {
+                    target_pps: 50_000.0,
+                    duration: SimDuration::from_millis(150),
+                    ..TraceConfig::paper_default(1, 11)
+                },
+                fig.build(),
+                RunConfig {
+                    sampling_rate: 0.05,
+                    aggregate_size: 500,
+                    marker_rate: 0.01,
+                    j_window: SimDuration::from_millis(2),
+                    ..RunConfig::default()
+                },
+            )
         };
-        run_path(&t, &fig.build(), &cfg)
+        scenario.evaluate().0
+    }
+
+    fn blame_shift(liar: &'static str) -> Lie {
+        Lie::BlameShift {
+            liar,
+            claimed_delay: SimDuration::from_micros(200),
+        }
     }
 
     #[test]
     fn blame_shift_fabricates_full_delivery() {
-        let mut run = lossy_x_run();
-        let ingress = run.hop(HopId(4)).unwrap().clone();
-        let egress = run.hop_mut(HopId(5)).unwrap();
-        let before = egress.samples.len();
-        apply_lie(
-            &ingress,
-            egress,
-            LieStrategy::BlameShiftLoss {
-                claimed_delay: SimDuration::from_micros(200),
-            },
-        );
+        let honest = lossy_x(vec![]);
+        let lying = lossy_x(vec![blame_shift("X")]);
+        let before = honest.hop(HopId(5)).unwrap().samples().len();
+        let ingress = lying.hop(HopId(4)).unwrap().samples();
+        let egress = lying.hop(HopId(5)).unwrap();
         assert!(
-            egress.samples.len() > before,
+            egress.samples().len() > before,
             "lie must add fabricated records"
         );
-        assert_eq!(egress.samples.len(), ingress.samples.len());
-        // The batch the liar will sign and publish carries the lie.
-        let h5 = run.hop(HopId(5)).unwrap();
-        assert_eq!(h5.batch.sample_records(), h5.samples.len());
+        assert_eq!(egress.samples().len(), ingress.len());
+        // The liar signs one sample receipt under its own PathID.
+        assert_eq!(egress.batch.samples.len(), 1);
+        assert_eq!(egress.batch.samples[0].path, egress.path);
+        assert!(egress
+            .batch
+            .aggregates
+            .iter()
+            .all(|a| a.path == egress.path));
     }
 
     #[test]
     fn sugarcoat_shifts_times_down() {
-        let mut run = lossy_x_run();
-        let ingress = run.hop(HopId(4)).unwrap().clone();
-        let before: Vec<_> = run.hop(HopId(5)).unwrap().samples.clone();
-        let egress = run.hop_mut(HopId(5)).unwrap();
-        apply_lie(
-            &ingress,
-            egress,
-            LieStrategy::SugarcoatDelay {
-                shave: SimDuration::from_micros(150),
-            },
-        );
-        for (a, b) in before.iter().zip(&egress.samples) {
+        let honest = lossy_x(vec![]);
+        let lying = lossy_x(vec![Lie::Sugarcoat {
+            liar: "X",
+            shave: SimDuration::from_micros(150),
+        }]);
+        let before = honest.hop(HopId(5)).unwrap().samples();
+        let after = lying.hop(HopId(5)).unwrap().samples();
+        assert_eq!(before.len(), after.len());
+        for (a, b) in before.iter().zip(after.iter()) {
             assert!(b.time <= a.time);
             assert_eq!(a.pkt_id, b.pkt_id);
         }
@@ -217,59 +290,32 @@ mod tests {
 
     #[test]
     fn apply_lies_doctors_every_site_independently() {
-        let mut run = lossy_x_run();
-        let l_ingress = run.hop(HopId(2)).unwrap().samples.len();
-        let n_ingress = run.hop(HopId(6)).unwrap().samples.len();
-        apply_lies(
-            &mut run,
-            &[
-                LieSite {
-                    ingress: HopId(2),
-                    egress: HopId(3),
-                    strategy: LieStrategy::BlameShiftLoss {
-                        claimed_delay: SimDuration::from_micros(200),
-                    },
-                },
-                LieSite {
-                    ingress: HopId(6),
-                    egress: HopId(7),
-                    strategy: LieStrategy::BlameShiftLoss {
-                        claimed_delay: SimDuration::from_micros(200),
-                    },
-                },
-            ],
-        );
-        // Each egress now mirrors its own ingress, batch included.
-        for (egress, expect) in [(HopId(3), l_ingress), (HopId(7), n_ingress)] {
-            let h = run.hop(egress).unwrap();
-            assert_eq!(h.samples.len(), expect, "{egress}");
-            assert_eq!(h.batch.sample_records(), expect, "{egress}");
+        let honest = lossy_x(vec![]);
+        let lying = lossy_x(vec![blame_shift("L"), blame_shift("N")]);
+        // Each egress now mirrors its own ingress; X's is untouched.
+        for (ingress, egress) in [(HopId(2), HopId(3)), (HopId(6), HopId(7))] {
+            let expect = lying.hop(ingress).unwrap().samples().len();
+            assert_eq!(
+                lying.hop(egress).unwrap().samples().len(),
+                expect,
+                "{egress}"
+            );
         }
+        assert_eq!(
+            lying.hop(HopId(5)).unwrap().batch,
+            honest.hop(HopId(5)).unwrap().batch
+        );
     }
 
     #[test]
-    fn cover_up_copies_the_lie() {
-        let mut run = lossy_x_run();
-        let ingress = run.hop(HopId(4)).unwrap().clone();
-        {
-            let egress = run.hop_mut(HopId(5)).unwrap();
-            apply_lie(
-                &ingress,
-                egress,
-                LieStrategy::BlameShiftLoss {
-                    claimed_delay: SimDuration::from_micros(200),
-                },
-            );
-        }
-        let liar_egress = run.hop(HopId(5)).unwrap().clone();
-        let accomplice = run.hop_mut(HopId(6)).unwrap();
-        cover_up(&liar_egress, accomplice);
-        assert_eq!(accomplice.samples.len(), liar_egress.samples.len());
-        let ids_match = accomplice
-            .samples
+    fn an_accomplice_copies_the_lie() {
+        let run = lossy_x(vec![blame_shift("X"), Lie::CoverUp { accomplice: "N" }]);
+        let liar = run.hop(HopId(5)).unwrap().samples();
+        let accomplice = run.hop(HopId(6)).unwrap().samples();
+        assert_eq!(accomplice.len(), liar.len());
+        assert!(accomplice
             .iter()
-            .zip(&liar_egress.samples)
-            .all(|(a, b)| a.pkt_id == b.pkt_id && a.time >= b.time);
-        assert!(ids_match);
+            .zip(liar.iter())
+            .all(|(a, b)| a.pkt_id == b.pkt_id && a.time >= b.time));
     }
 }

@@ -1,12 +1,13 @@
 //! The paper's §7.2 evaluation, run through the shipped pipeline.
 //!
-//! Every figure is a list of scenarios: a synthetic trace pushed
+//! Every figure is a list of [`Scenario`]s: a synthetic trace pushed
 //! through the Figure-1 topology with the figure's channel as domain
 //! `X`'s transit, under a [`RunConfig`]. Each scenario runs through
-//! [`run_path`] (collector, processor, signed wire codec, bus) and is
-//! read back through [`analyze_path`], the verifier the scenario matrix
-//! and the fleet use, so a regression anywhere on that path moves
-//! these tables.
+//! [`Scenario::evaluate`] (collector, processor, signed wire codec,
+//! bus, and the verifier the scenario matrix and the fleet use), so a
+//! regression anywhere on that path moves these tables. The delay
+//! figures' congestion is computed from the trace itself, so they
+//! generate it once more to compute it.
 //!
 //! | table | driver | what it reads |
 //! |-------|--------|---------------|
@@ -27,9 +28,9 @@ use vpm_packet::{HopId, SimDuration};
 use vpm_stats::accuracy::{quantile_error, DEFAULT_QUANTILES};
 use vpm_trace::{TraceConfig, TraceGenerator, TracePacket};
 
-use crate::run::{run_path, HopTuning, PathRun, RunConfig};
+use crate::run::{HopTuning, PathRun, RunConfig};
+use crate::scenario::Scenario;
 use crate::topology::Figure1;
-use crate::verdict::analyze_path;
 
 /// Mean Gilbert-Elliott burst length of the paper's loss inside `X`.
 const LOSS_BURST: f64 = 5.0;
@@ -224,20 +225,19 @@ pub struct VerifiabilityPoint {
     pub matched_verify: usize,
 }
 
-fn trace(pps: f64, duration: SimDuration, seed: u64) -> Vec<TracePacket> {
-    TraceGenerator::new(TraceConfig {
+fn trace(pps: f64, duration: SimDuration, seed: u64) -> TraceConfig {
+    TraceConfig {
         target_pps: pps,
         duration,
         ..TraceConfig::paper_default(1, seed)
-    })
-    .generate()
+    }
 }
 
 /// The congestion both delay figures put inside `X`: per-packet fates
 /// of the trace behind a bursty UDP flow at the paper's bottleneck.
-fn congestion(trace: &[TracePacket], seed: u64) -> Vec<PacketFate> {
+fn congestion(trace: TraceConfig, seed: u64) -> Vec<PacketFate> {
     foreground_delays(
-        trace,
+        &TraceGenerator::new(trace).generate(),
         &BottleneckConfig::paper_default(),
         &CrossTraffic::paper_bursty_udp(),
         seed,
@@ -248,17 +248,17 @@ fn congestion(trace: &[TracePacket], seed: u64) -> Vec<PacketFate> {
 /// transit, under `cfg`. Returns the run and the collector's estimate
 /// of `X` (every Figure-1 analysis has one).
 fn run_x(
-    trace: &[TracePacket],
+    trace: TraceConfig,
     x: ChannelConfig,
-    cfg: &RunConfig,
+    cfg: RunConfig,
 ) -> Option<(PathRun, DomainEstimate)> {
     let topology = Figure1 {
         x_transit: x,
         ..Figure1::ideal()
     }
     .build();
-    let run = run_path(trace, &topology, cfg);
-    let estimate = analyze_path(&topology, &run).domain("X")?.estimate.clone();
+    let (run, analysis) = Scenario::new(trace, topology, cfg).evaluate();
+    let estimate = analysis.domain("X")?.estimate.clone();
     Some((run, estimate))
 }
 
@@ -278,7 +278,7 @@ fn delay_error(truth: &[f64], estimate: Option<&DelayEstimate>) -> f64 {
 /// Run Figure 2: one scenario per loss rate × sampling rate.
 pub fn fig2(cfg: &Fig2Config) -> Vec<Fig2Point> {
     let trace = trace(cfg.pps, cfg.duration, cfg.seed);
-    let fates = congestion(&trace, cfg.seed ^ 0xc0);
+    let fates = congestion(trace, cfg.seed ^ 0xc0);
     let mut points = Vec::new();
     for &loss in &cfg.loss_rates {
         let x = ChannelConfig {
@@ -293,7 +293,7 @@ pub fn fig2(cfg: &Fig2Config) -> Vec<Fig2Point> {
                 marker_rate: cfg.marker_rate,
                 ..RunConfig::default()
             };
-            let Some((run, estimate)) = run_x(&trace, x.clone(), &run_cfg) else {
+            let Some((run, estimate)) = run_x(trace, x.clone(), run_cfg) else {
                 continue;
             };
             points.push(Fig2Point {
@@ -385,7 +385,8 @@ fn joined_spans_secs(trace: &[TracePacket], up: &[AggReceipt], join: &JoinResult
 
 /// Run Figure 3: one scenario per loss rate.
 pub fn fig3(cfg: &Fig3Config) -> Vec<Fig3Point> {
-    let trace = trace(cfg.pps, cfg.duration, cfg.seed);
+    let trace_cfg = trace(cfg.pps, cfg.duration, cfg.seed);
+    let trace = TraceGenerator::new(trace_cfg).generate();
     let run_cfg = RunConfig {
         aggregate_size: cfg.aggregate_size,
         j_window: cfg.j_window,
@@ -403,9 +404,9 @@ pub fn fig3(cfg: &Fig3Config) -> Vec<Fig3Point> {
                 // the pinned tables were recorded with.
                 seed: cfg.seed ^ 0x6e ^ 0x51ce,
             };
-            let (run, estimate) = run_x(&trace, x, &run_cfg)?;
+            let (run, estimate) = run_x(trace_cfg, x, run_cfg.clone())?;
             let join = &estimate.join;
-            let spans = joined_spans_secs(&trace, &run.hop(HopId(4))?.aggregates, join);
+            let spans = joined_spans_secs(&trace, run.hop(HopId(4))?.aggregates(), join);
             Some(Fig3Point {
                 loss_rate: loss,
                 granularity_secs: if spans.is_empty() {
@@ -444,7 +445,7 @@ pub fn render_fig3(points: &[Fig3Point]) -> String {
 pub fn verifiability(cfg: &VerifiabilityConfig) -> Vec<VerifiabilityPoint> {
     let trace = trace(cfg.pps, cfg.duration, cfg.seed);
     let x = ChannelConfig {
-        delay: DelayModel::Series(congestion(&trace, cfg.seed ^ 0xa1)),
+        delay: DelayModel::Series(congestion(trace, cfg.seed ^ 0xa1)),
         loss: Some((VERIFIABILITY_LOSS, LOSS_BURST)),
         reorder: ReorderModel::none(),
         seed: cfg.seed ^ 0xb2,
@@ -467,13 +468,13 @@ pub fn verifiability(cfg: &VerifiabilityConfig) -> Vec<VerifiabilityPoint> {
                 overrides: HashMap::from([(HopId(3), tuning), (HopId(6), tuning)]),
                 ..base.clone()
             };
-            let (run, own) = run_x(&trace, x.clone(), &run_cfg)?;
+            let (run, own) = run_x(trace, x.clone(), run_cfg)?;
             let (h3, h6) = (run.hop(HopId(3))?, run.hop(HopId(6))?);
             let verify = Verifier::default().estimate_domain(
-                &h3.samples,
-                &h3.aggregates,
-                &h6.samples,
-                &h6.aggregates,
+                &h3.samples(),
+                h3.aggregates(),
+                &h6.samples(),
+                h6.aggregates(),
             );
             let truth = x_truth(&run);
             let truth_3_to_6: Vec<f64> = truth.iter().map(|d| d + links_ms).collect();

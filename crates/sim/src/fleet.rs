@@ -5,17 +5,16 @@
 //! module scales the verifier plane the way the collector (PR 3) and
 //! wire (PR 4) planes were scaled:
 //!
-//! * [`build_fleet`] lays out N independent Figure-1 instances
+//! * [`build_fleet`] lays out N independent Figure-1 [`Scenario`]s
 //!   ([`Figure1::numbered`]) with disjoint HOP/domain id spaces and
-//!   per-path prefix pairs, each cell's environment (delay model, loss
+//!   per-path prefix pairs, each path's environment (delay model, loss
 //!   process, honest vs lying) sampled deterministically from the
 //!   scenario-matrix axes;
-//! * [`run_fleet`] drives every path end to end and publishes all
-//!   receipts through **one shared transport** from concurrent
-//!   publisher threads — interleaved frames, racing sequence numbers,
-//!   some paths leading with an empty quiet-interval batch (the PR 4
-//!   edge case) — exactly the traffic shape a production receipt bus
-//!   sees;
+//! * [`run_fleet`] runs every path's scenario straight into **one
+//!   shared transport** from concurrent publisher threads, each frame
+//!   published once — interleaved frames, racing sequence numbers,
+//!   some paths leading with an empty quiet-interval batch — exactly
+//!   the traffic shape a production receipt bus sees;
 //! * [`analyze_fleet_from_transport`] fans per-path verification
 //!   ([`crate::verdict::analyze_from_transport_scoped`], which touches
 //!   only each HOP's shard) across a `vpm_core::par_map_indexed`
@@ -33,13 +32,15 @@ use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use vpm_netsim::channel::{ChannelConfig, DelayModel};
 use vpm_netsim::reorder::ReorderModel;
-use vpm_packet::{DomainId, HopId, SimDuration};
-use vpm_trace::{TraceConfig, TraceGenerator};
-use vpm_wire::{Profile, ReceiptTransport};
+use vpm_packet::{DomainId, SimDuration};
+use vpm_trace::TraceConfig;
+use vpm_wire::ReceiptTransport;
 
-use crate::adversary::{apply_lies, LieSite, LieStrategy};
-use crate::run::{run_path, RunConfig};
-use crate::topology::{Figure1, Topology};
+use crate::adversary::splitmix;
+use crate::run::RunConfig;
+use crate::scenario::Scenario;
+use crate::scenario_matrix::AdversaryAxis;
+use crate::topology::Figure1;
 use crate::verdict::{analyze_from_transport_scoped, PathAnalysis};
 
 /// Base seed of the canonical fleet (`vpm fleet` default).
@@ -75,95 +76,24 @@ impl Default for FleetConfig {
     }
 }
 
-/// The lie a lying fleet path tells (a subset of the matrix's
-/// adversary axis — the two receipt-doctoring strategies that need no
-/// re-run).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum FleetLie {
-    /// `X` fabricates egress receipts to hide its loss.
-    BlameShift,
-    /// `X` shaves its egress timestamps to hide delay.
-    Sugarcoat,
-}
-
-impl FleetLie {
-    /// Stable label for reports.
-    pub fn name(&self) -> &'static str {
-        match self {
-            FleetLie::BlameShift => "blame-shift",
-            FleetLie::Sugarcoat => "sugarcoat",
-        }
-    }
-
-    fn strategy(&self) -> LieStrategy {
-        match self {
-            FleetLie::BlameShift => LieStrategy::BlameShiftLoss {
-                claimed_delay: SimDuration::from_micros(300),
-            },
-            FleetLie::Sugarcoat => LieStrategy::SugarcoatDelay {
-                shave: SimDuration::from_millis(5),
-            },
-        }
-    }
-}
-
-/// One path of the fleet: its topology, run configuration, and (for
-/// lying paths) the lie.
+/// One path of the fleet.
 #[derive(Debug, Clone)]
 pub struct FleetPath {
     /// Position in the fleet (stable across runs).
     pub index: usize,
-    /// The path's Figure-1 instance (disjoint HOP/domain ids).
-    pub topology: Topology,
-    /// The path's runner configuration.
-    pub run_config: RunConfig,
-    /// The lie this path's `X` tells, if any.
-    pub lie: Option<FleetLie>,
-    /// Does the path lead with an empty quiet-interval batch?
-    pub quiet_first_interval: bool,
-    /// Trace duration for this path (ms).
-    pub trace_ms: u64,
-    /// Trace rate for this path (packets per second).
-    pub target_pps: f64,
-    /// The path's derived seed.
-    pub seed: u64,
+    /// The path's scenario: a Figure-1 instance with disjoint HOP and
+    /// domain ids, and the lies of its adversary level.
+    pub scenario: Scenario,
+    /// What the path's `X` does: honest, blame-shift or sugarcoat.
+    pub adversary: AdversaryAxis,
 }
 
 impl FleetPath {
-    /// The lying domain's HOP pair: `X`'s ingress (the observations
-    /// the lie is constructed from) and egress (whose receipts are
-    /// doctored), read from the path's own topology.
-    #[expect(
-        clippy::expect_used,
-        reason = "fleet topologies are Figure-1 chains by construction, and Figure-1 transit domains always carry both HOPs"
-    )]
-    pub fn liar_hops(&self) -> (HopId, HopId) {
-        let x = self
-            .topology
-            .domain_by_name("X")
-            .expect("fleet paths are Figure-1 chains");
-        (
-            x.ingress.expect("transit has ingress"),
-            x.egress.expect("transit has egress"),
-        )
-    }
-
     /// The inter-domain link a lie by this path's `X` must surface on:
     /// `X` egress → `N` ingress, read from the path's own topology so
     /// it can never drift from the instance's HOP numbering.
-    pub fn expected_liar_link(&self) -> (u16, u16) {
-        let (_, egress) = self.liar_hops();
-        #[expect(
-            clippy::expect_used,
-            reason = "the Figure-1 builder places X's egress on an inter-domain link"
-        )]
-        let link = self
-            .topology
-            .links
-            .iter()
-            .find(|l| l.up == egress)
-            .expect("X egress sits on an inter-domain link");
-        (link.up.0, link.down.0)
+    pub fn expected_liar_link(&self) -> Option<(u16, u16)> {
+        self.scenario.topology.egress_link("X")
     }
 
     /// The domain the fleet verifier analyzes this path as (the
@@ -173,7 +103,7 @@ impl FleetPath {
         reason = "built topologies always have at least one domain"
     )]
     pub fn collector_domain(&self) -> DomainId {
-        self.topology.domain_ids()[0]
+        self.scenario.topology.domain_ids()[0]
     }
 }
 
@@ -195,13 +125,10 @@ fn is_liar(i: usize, n: usize, k: usize) -> bool {
 /// Deterministic splitmix64 stream over the fleet seed (shared with
 /// the audit workload's churn process).
 pub(crate) fn mix(seed: u64, salt: u64) -> u64 {
-    let mut z = seed ^ salt.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
+    splitmix(seed ^ salt.wrapping_mul(0x9e37_79b9_7f4a_7c15))
 }
 
-/// Lay out a fleet: `config.paths` independent Figure-1 instances with
+/// Lay out a fleet: `config.paths` independent Figure-1 scenarios with
 /// environments cycled deterministically through the matrix's delay
 /// and loss axes, `config.liars` lying paths spread evenly (blame-shift
 /// paths are guaranteed loss to hide), and every fifth path leading
@@ -213,15 +140,16 @@ pub fn build_fleet(config: &FleetConfig) -> Fleet {
     let paths = (0..config.paths)
         .map(|i| {
             let seed = mix(config.base_seed, i as u64 + 1);
-            let lying = is_liar(i, config.paths, config.liars);
-            let lie = lying.then(|| {
+            let adversary = if is_liar(i, config.paths, config.liars) {
                 liar_count += 1;
                 if liar_count % 2 == 1 {
-                    FleetLie::BlameShift
+                    AdversaryAxis::BlameShift
                 } else {
-                    FleetLie::Sugarcoat
+                    AdversaryAxis::Sugarcoat
                 }
-            });
+            } else {
+                AdversaryAxis::Honest
+            };
             let delay = match i % 2 {
                 0 => DelayModel::Constant(SimDuration::from_micros(300)),
                 _ => DelayModel::Jitter {
@@ -232,8 +160,8 @@ pub fn build_fleet(config: &FleetConfig) -> Fleet {
             // Loss axis: none / uniform / bursty — except a blame-shift
             // liar always carries loss (there is nothing to hide
             // otherwise).
-            let loss = match (lie, i % 3) {
-                (Some(FleetLie::BlameShift), _) | (_, 1) => Some((0.05, 1.0)),
+            let loss = match (adversary, i % 3) {
+                (AdversaryAxis::BlameShift, _) | (_, 1) => Some((0.05, 1.0)),
                 (_, 2) => Some((0.12, 4.0)),
                 _ => None,
             };
@@ -243,6 +171,13 @@ pub fn build_fleet(config: &FleetConfig) -> Fleet {
                 loss,
                 reorder: ReorderModel::none(),
                 seed: seed ^ 0xc4a1,
+            };
+            let topology = fig.build();
+            let trace = TraceConfig {
+                target_pps: config.target_pps,
+                duration: SimDuration::from_millis(config.trace_ms),
+                spec: topology.spec,
+                ..TraceConfig::paper_default(1, seed ^ 0x7ace)
             };
             let run_config = RunConfig {
                 sampling_rate: 0.05,
@@ -270,13 +205,12 @@ pub fn build_fleet(config: &FleetConfig) -> Fleet {
             };
             FleetPath {
                 index: i,
-                topology: fig.build(),
-                run_config,
-                lie,
-                quiet_first_interval: i % 5 == 3,
-                trace_ms: config.trace_ms,
-                target_pps: config.target_pps,
-                seed,
+                scenario: Scenario {
+                    quiet_first_interval: i % 5 == 3,
+                    lies: adversary.lies(seed),
+                    ..Scenario::new(trace, topology, run_config)
+                },
+                adversary,
             }
         })
         .collect();
@@ -286,90 +220,28 @@ pub fn build_fleet(config: &FleetConfig) -> Fleet {
     }
 }
 
-/// Run one path end to end and publish its receipts (doctored by its
-/// lie, if any) through `transport`. Returns the number of frames
-/// published.
-fn publish_path(path: &FleetPath, transport: &dyn ReceiptTransport) -> usize {
-    let trace = TraceGenerator::new(TraceConfig {
-        target_pps: path.target_pps,
-        duration: SimDuration::from_millis(path.trace_ms),
-        spec: path.topology.spec,
-        ..TraceConfig::paper_default(1, path.seed ^ 0x7ace)
-    })
-    .generate();
-    let mut run = run_path(&trace, &path.topology, &path.run_config);
-    if let Some(lie) = path.lie {
-        let (ingress, egress) = path.liar_hops();
-        apply_lies(
-            &mut run,
-            &[LieSite {
-                ingress,
-                egress,
-                strategy: lie.strategy(),
-            }],
-        );
-    }
-    let on_path = path.topology.domain_ids();
-    let mut frames = 0usize;
-    for h in &run.hops {
-        let key = h.hop_key();
-        #[expect(
-            clippy::expect_used,
-            reason = "every fleet HOP key was registered in the loop above"
-        )]
-        transport
-            .register_key(h.hop, key)
-            .expect("fleet HOP keys are consistent");
-        if path.quiet_first_interval {
-            // Interval 0: nothing matured yet — an empty, signed batch
-            // (the PR 4 quiet-first-interval edge, now a standing part
-            // of the fleet's traffic shape).
-            let empty = vpm_core::processor::ReceiptBatch {
-                hop: h.hop,
-                batch_seq: 0,
-                samples: vec![],
-                aggregates: vec![],
-            };
-            #[expect(
-                clippy::expect_used,
-                reason = "encoding a batch this code just built cannot exceed wire limits"
-            )]
-            transport
-                .publish_batch(h.domain, &empty, Profile::Precise, on_path.clone(), &key)
-                .expect("signed empty batches publish");
-            frames += 1;
-        }
-        #[expect(
-            clippy::expect_used,
-            reason = "encoding a batch this code just built cannot exceed wire limits"
-        )]
-        transport
-            .publish_batch(h.domain, &h.batch, Profile::Precise, on_path.clone(), &key)
-            .expect("signed batches publish");
-        frames += 1;
-    }
-    frames
-}
-
-/// Drive every path of the fleet through `transport` from
+/// Run every path's scenario into `transport` from
 /// `config.publishers` concurrent threads: paths are claimed from an
 /// atomic work list, so frames from different paths interleave on the
 /// bus and sequence numbers race — the traffic shape the per-shard
-/// cursor design exists for. Returns the total frames published.
+/// cursor design exists for. Each frame is published once. Returns the
+/// total frames published.
 pub fn run_fleet(fleet: &Fleet, transport: &dyn ReceiptTransport) -> usize {
     let workers = fleet.config.publishers.clamp(1, fleet.paths.len());
     let next = AtomicUsize::new(0);
     let total = AtomicUsize::new(0);
     std::thread::scope(|s| {
         for _ in 0..workers {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= fleet.paths.len() {
-                    break;
+            s.spawn(|| {
+                while let Some(path) = fleet.paths.get(next.fetch_add(1, Ordering::Relaxed)) {
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "fleet paths have disjoint HOP ids, so the transport admits every key and frame"
+                    )]
+                    let run = path.scenario.run(transport).expect("fleet paths publish");
+                    let per_hop = 1 + usize::from(path.scenario.quiet_first_interval);
+                    total.fetch_add(run.hops.len() * per_hop, Ordering::Relaxed);
                 }
-                #[expect(clippy::indexing_slicing, reason = "i ranges over fleet.paths indices")]
-                let frames = publish_path(&fleet.paths[i], transport);
-                total.fetch_add(frames, Ordering::Relaxed);
             });
         }
     });
@@ -405,53 +277,21 @@ impl FleetPathVerdict {
 
     /// Judge one path's analysis against what the fleet built it to be.
     pub fn from_analysis(path: &FleetPath, analysis: &PathAnalysis) -> FleetPathVerdict {
-        let flagged: Vec<(u16, u16)> = analysis
-            .flagged_links()
-            .iter()
-            .map(|l| (l.up.0, l.down.0))
-            .collect();
-        let x_loss_est = analysis.domain("X").and_then(|d| d.estimate.loss.rate());
-        let mut failures = Vec::new();
-        match path.lie {
-            None => {
-                if !flagged.is_empty() {
-                    failures.push(format!(
-                        "false accusation: honest path flagged links {flagged:?}"
-                    ));
-                }
-            }
-            Some(lie) => {
-                let expected = path.expected_liar_link();
-                if !flagged.contains(&expected) {
-                    failures.push(format!(
-                        "liar not exposed: {} missing from {flagged:?}",
-                        format_args!("{}→{}", expected.0, expected.1)
-                    ));
-                }
-                if let Some(&link) = flagged.iter().find(|&&l| l != expected) {
-                    failures.push(format!(
-                        "false accusation: innocent link {}→{} flagged",
-                        link.0, link.1
-                    ));
-                }
-                if lie == FleetLie::BlameShift {
-                    // The lie's whole point: X must *look* lossless.
-                    match x_loss_est {
-                        Some(est) if est < 0.02 => {}
-                        other => {
-                            failures.push(format!("blame-shift failed to hide X loss ({other:?})"))
-                        }
-                    }
-                }
-            }
-        }
+        let scenario = &path.scenario;
         FleetPathVerdict {
             path: path.index,
-            lie: path.lie.map(|l| l.name().to_string()),
-            x_loss_est,
-            flagged_links: flagged,
+            lie: (path.adversary != AdversaryAxis::Honest)
+                .then(|| path.adversary.name().to_string()),
+            x_loss_est: analysis.domain("X").and_then(|d| d.estimate.loss.rate()),
+            flagged_links: analysis
+                .flagged_links()
+                .iter()
+                .map(|l| (l.up.0, l.down.0))
+                .collect(),
             domains: analysis.domains.iter().map(|d| d.summary()).collect(),
-            failures,
+            failures: path
+                .adversary
+                .failures(&scenario.lies, &scenario.topology, analysis),
         }
     }
 }
@@ -475,9 +315,12 @@ pub fn analyze_fleet_from_transport(
             clippy::expect_used,
             reason = "the collector domain is taken from the path being verified"
         )]
-        let analysis =
-            analyze_from_transport_scoped(&path.topology, transport, path.collector_domain())
-                .expect("the fleet collector is on-path");
+        let analysis = analyze_from_transport_scoped(
+            &path.scenario.topology,
+            transport,
+            path.collector_domain(),
+        )
+        .expect("the fleet collector is on-path");
         FleetPathVerdict::from_analysis(path, &analysis)
     })
 }
@@ -555,34 +398,38 @@ mod tests {
         let b = build_fleet(&cfg);
         assert_eq!(a.paths.len(), 12);
         for (pa, pb) in a.paths.iter().zip(&b.paths) {
-            assert_eq!(pa.seed, pb.seed);
-            assert_eq!(pa.lie, pb.lie);
-            assert_eq!(pa.topology.hops(), pb.topology.hops());
+            assert_eq!(pa.scenario.trace.seed, pb.scenario.trace.seed);
+            assert_eq!(pa.scenario.lies, pb.scenario.lies);
+            assert_eq!(pa.adversary, pb.adversary);
+            assert_eq!(pa.scenario.topology.hops(), pb.scenario.topology.hops());
         }
-        assert_eq!(a.paths.iter().filter(|p| p.lie.is_some()).count(), 4);
-        // Blame-shift paths always have loss to hide.
+        let liars = a
+            .paths
+            .iter()
+            .filter(|p| p.adversary != AdversaryAxis::Honest);
+        assert_eq!(liars.count(), 4);
         for p in &a.paths {
-            if p.lie == Some(FleetLie::BlameShift) {
-                assert!(
-                    p.topology
-                        .domain_by_name("X")
-                        .unwrap()
-                        .transit
-                        .loss
-                        .is_some(),
-                    "path {}",
-                    p.index
-                );
+            let topology = &p.scenario.topology;
+            // Blame-shift paths always have loss to hide.
+            if p.adversary == AdversaryAxis::BlameShift {
+                let x = topology.domain_by_name("X").unwrap();
+                assert!(x.transit.loss.is_some(), "path {}", p.index);
             }
+            // Only liars lie.
+            assert_eq!(
+                p.scenario.lies.is_empty(),
+                p.adversary == AdversaryAxis::Honest
+            );
             // Disjoint id spaces.
             assert_eq!(
-                p.topology.hops()[0],
-                HopId(1 + p.index as u16 * crate::topology::FIGURE1_HOPS)
+                topology.hops()[0],
+                vpm_packet::HopId(1 + p.index as u16 * crate::topology::FIGURE1_HOPS)
             );
         }
         // Both lie flavours appear.
-        let lies: std::collections::HashSet<_> = a.paths.iter().filter_map(|p| p.lie).collect();
-        assert_eq!(lies.len(), 2);
+        let lies: std::collections::HashSet<_> =
+            a.paths.iter().map(|p| p.adversary.name()).collect();
+        assert_eq!(lies.len(), 3, "honest, blame-shift and sugarcoat: {lies:?}");
     }
 
     #[test]
@@ -593,7 +440,7 @@ mod tests {
             ..FleetConfig::default()
         });
         // Path 0 is the canonical Figure 1: X egress 5 → N ingress 6.
-        assert_eq!(fleet.paths[0].expected_liar_link(), (5, 6));
-        assert_eq!(fleet.paths[2].expected_liar_link(), (21, 22));
+        assert_eq!(fleet.paths[0].expected_liar_link(), Some((5, 6)));
+        assert_eq!(fleet.paths[2].expected_liar_link(), Some((21, 22)));
     }
 }

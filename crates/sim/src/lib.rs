@@ -10,13 +10,16 @@
 //!
 //! * [`topology`] — domains, HOPs, inter-domain links; the canonical
 //!   Figure 1 topology `S–L–X–N–D`.
-//! * [`run`] — the path runner: trace in at HOP 1, receipts out of all
-//!   HOPs — every batch encoded into a v2 wire frame, published through
-//!   a `vpm_wire::ReceiptTransport`, fetched and decoded back — with
-//!   ground truth retained for evaluation.
-//! * [`adversary`] — lying-domain strategies: blame shifting, delay
-//!   sugarcoating, marker dropping, collusive cover-up, and the
-//!   sample-bias attempt VPM is designed to defeat.
+//! * [`scenario`] — one [`Scenario`]: a trace, a path with every
+//!   domain's channel, the HOPs' configuration and the [`Lie`]s its
+//!   domains tell; [`Scenario::run`] simulates it and publishes each
+//!   HOP's signed frames once to a `vpm_wire::ReceiptTransport`.
+//! * [`run`] — the data plane under a scenario: trace in at HOP 1,
+//!   every HOP's receipts out, with ground truth retained for
+//!   evaluation.
+//! * [`adversary`] — the one [`Lie`] vocabulary: blame shifting, delay
+//!   sugarcoating, a colluding cover-up, marker dropping, and the
+//!   sample-bias fast path VPM is designed to defeat.
 //! * [`verdict`] — the receipt collector's path analysis: per-domain
 //!   estimates, per-link consistency, liar exposure — from a run's
 //!   outputs or purely from transport-fetched frames
@@ -24,20 +27,19 @@
 //!   [`verdict::analyze_from_transport_scoped`] that touches one shard
 //!   per HOP).
 //! * [`fleet`] — the many-path workload: N independent Figure-1
-//!   instances publishing interleaved through one shared `ShardedBus`
+//!   scenarios publishing interleaved through one shared `ShardedBus`
 //!   from concurrent threads, verified in parallel
 //!   ([`fleet::analyze_fleet_from_transport`]) with verdicts
 //!   byte-identical for every `--jobs` count — surfaced as
 //!   `vpm fleet`.
 //! * [`figures`] — Figure 2, Figure 3 and the §7.2 verifiability
-//!   sweep, each a list of [`run`] scenarios read back through
-//!   [`verdict`].
+//!   sweep, each a list of scenarios read back through [`verdict`].
 //! * [`scenario_matrix`] — the deterministic scenario grid: delay
 //!   model (incl. congestion series), loss process, reorder window,
 //!   sampling rate, clock quality, deployment state and adversary
-//!   strategy (incl. two independent liars) as one enumerable,
-//!   reproducible, parallel-evaluable table — the repo's primary
-//!   verification instrument, surfaced as `vpm matrix`.
+//!   level (incl. two independent liars) as one enumerable,
+//!   reproducible, parallel-evaluable table of scenarios — the repo's
+//!   primary verification instrument, surfaced as `vpm matrix`.
 //! * [`audit`] — continuous operation: a streaming [`audit::Auditor`]
 //!   that follows the bus under churn for thousands of intervals with
 //!   bounded memory (epoch GC below its own cursor), checkpoints into
@@ -74,18 +76,21 @@ pub mod figures;
 pub mod fleet;
 pub mod partial;
 pub mod run;
+pub mod scenario;
 pub mod scenario_matrix;
 pub mod topology;
 pub mod verdict;
 
+pub use adversary::Lie;
 pub use audit::{
     run_audit, AuditConfig, AuditError, AuditOutcome, AuditRunStats, AuditVerdict, Auditor,
 };
 pub use fleet::{
     analyze_fleet_from_transport, build_fleet, render_fleet_table, run_fleet, Fleet, FleetConfig,
-    FleetLie, FleetPath, FleetPathVerdict,
+    FleetPath, FleetPathVerdict,
 };
-pub use run::{run_path, run_path_with_transport, PathRun, RunConfig, RunError};
+pub use run::{PathRun, RunConfig};
+pub use scenario::Scenario;
 pub use scenario_matrix::{
     evaluate_cell, evaluate_grid, full_grid, parse_filter, render_matrix_table, Cell, CellVerdict,
     MatrixFilter, CANONICAL_BASE_SEED,

@@ -84,10 +84,10 @@ pub fn analyze_partial(
             name: dom.name.clone(),
             hops: (hi.hop, he.hop),
             estimate: verifier.estimate_domain(
-                &hi.samples,
-                &hi.aggregates,
-                &he.samples,
-                &he.aggregates,
+                &hi.samples(),
+                hi.aggregates(),
+                &he.samples(),
+                he.aggregates(),
             ),
         });
     }
@@ -107,10 +107,10 @@ pub fn analyze_partial(
                             down_hop: down_h,
                             spans: std::mem::take(&mut gap),
                             estimate: verifier.estimate_domain(
-                                &u.samples,
-                                &u.aggregates,
-                                &d.samples,
-                                &d.aggregates,
+                                &u.samples(),
+                                u.aggregates(),
+                                &d.samples(),
+                                d.aggregates(),
                             ),
                         });
                     }
@@ -144,21 +144,16 @@ pub fn analyze_partial(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::adversary::{apply_lie, LieStrategy};
-    use crate::run::{run_path, RunConfig};
+    use crate::adversary::Lie;
+    use crate::run::RunConfig;
+    use crate::scenario::Scenario;
     use crate::topology::Figure1;
     use vpm_netsim::channel::{ChannelConfig, DelayModel};
     use vpm_netsim::reorder::ReorderModel;
     use vpm_packet::SimDuration;
-    use vpm_trace::{TraceConfig, TraceGenerator};
+    use vpm_trace::TraceConfig;
 
-    fn scenario(x_loss: f64, l_loss: f64) -> (Topology, PathRun) {
-        let t = TraceGenerator::new(TraceConfig {
-            target_pps: 50_000.0,
-            duration: SimDuration::from_millis(250),
-            ..TraceConfig::paper_default(1, 61)
-        })
-        .generate();
+    fn scenario(x_loss: f64, l_loss: f64, lies: Vec<Lie>) -> (Topology, PathRun) {
         let mut fig = Figure1::ideal();
         let ch = |loss: f64, seed: u64| ChannelConfig {
             delay: DelayModel::Constant(SimDuration::from_micros(300)),
@@ -168,7 +163,11 @@ mod tests {
         };
         fig.x_transit = ch(x_loss, 3);
         fig.l_transit = ch(l_loss, 5);
-        let topo = fig.build();
+        let trace = TraceConfig {
+            target_pps: 50_000.0,
+            duration: SimDuration::from_millis(250),
+            ..TraceConfig::paper_default(1, 61)
+        };
         let cfg = RunConfig {
             sampling_rate: 0.05,
             aggregate_size: 500,
@@ -176,8 +175,12 @@ mod tests {
             j_window: SimDuration::from_millis(2),
             ..RunConfig::default()
         };
-        let run = run_path(&t, &topo, &cfg);
-        (topo, run)
+        let scenario = Scenario {
+            lies,
+            ..Scenario::new(trace, fig.build(), cfg)
+        };
+        let run = scenario.evaluate().0;
+        (scenario.topology, run)
     }
 
     fn deployed_except(topo: &Topology, name: &str) -> HashSet<DomainId> {
@@ -190,7 +193,7 @@ mod tests {
 
     #[test]
     fn non_deployer_measured_by_bracketing_hops() {
-        let (topo, run) = scenario(0.15, 0.0);
+        let (topo, run) = scenario(0.15, 0.0, vec![]);
         let deployed = deployed_except(&topo, "X");
         let a = analyze_partial(&topo, &run, &deployed);
         // X has no per-domain report…
@@ -216,15 +219,11 @@ mod tests {
         // egress receipts claiming full delivery — with X out of the
         // protocol, the fabricated loss lands on the 3→6 segment, i.e.
         // on X.
-        let (topo, mut run) = scenario(0.0, 0.15);
-        let ingress2 = run.hop(HopId(2)).unwrap().clone();
-        apply_lie(
-            &ingress2,
-            run.hop_mut(HopId(3)).unwrap(),
-            LieStrategy::BlameShiftLoss {
-                claimed_delay: SimDuration::from_micros(300),
-            },
-        );
+        let lie = Lie::BlameShift {
+            liar: "L",
+            claimed_delay: SimDuration::from_micros(300),
+        };
+        let (topo, run) = scenario(0.0, 0.15, vec![lie]);
         let deployed = deployed_except(&topo, "X");
         let a = analyze_partial(&topo, &run, &deployed);
         // L's books look clean.
@@ -240,7 +239,7 @@ mod tests {
 
     #[test]
     fn sole_deployer_still_self_reports() {
-        let (topo, run) = scenario(0.10, 0.0);
+        let (topo, run) = scenario(0.10, 0.0, vec![]);
         // Only X deploys.
         let deployed: HashSet<DomainId> =
             [topo.domain_by_name("X").unwrap().id].into_iter().collect();
@@ -256,7 +255,7 @@ mod tests {
 
     #[test]
     fn full_deployment_degenerates_to_standard_analysis() {
-        let (topo, run) = scenario(0.10, 0.0);
+        let (topo, run) = scenario(0.10, 0.0, vec![]);
         let deployed: HashSet<DomainId> = topo.domain_ids().into_iter().collect();
         let a = analyze_partial(&topo, &run, &deployed);
         assert!(a.segments.is_empty());

@@ -21,19 +21,18 @@
 //!    ground truth within tolerances; partially deployed cells check
 //!    the bracketing segment from `partial::analyze_partial` instead
 //!    of the per-domain report);
-//! 2. if the cell names an adversary, re-run (or doctor) the same
-//!    scenario with the lie applied and check **exposure**: the lie
-//!    surfaces exactly where §3.1 says it must — on an inter-domain
-//!    link adjacent to a liar (for two liars, on a link adjacent to
-//!    *each* liar), or (for collusion) as blame absorbed inside the
-//!    colluding coalition, or (for sampling bias) as a defeated attack
-//!    whose estimates still track the truth.
+//! 2. if the cell names an adversary, run the same scenario again with
+//!    the level's [`Lie`]s ([`AdversaryAxis::lies`]) and check
+//!    **exposure**: the lie surfaces exactly where §3.1 says it must —
+//!    on an inter-domain link adjacent to a liar (for two liars, on a
+//!    link adjacent to *each* liar; [`AdversaryAxis::failures`], the
+//!    check the fleet shares), or (for collusion) as blame absorbed
+//!    inside the colluding coalition, or (for sampling bias) as a
+//!    defeated attack whose estimates still track the truth.
 //!
-//! Every cell's receipts take the full dissemination path: `run_path`
-//! encodes each HOP's batch into a v2 wire frame, publishes it through
-//! a `vpm_wire::ReceiptTransport`, and rebuilds the outputs from the
-//! fetched, decoded frames — so all 216 cells double as a losslessness
-//! proof for the binary codec.
+//! Every cell is a [`Scenario`]: each HOP signs its batch into a v2
+//! wire frame and publishes it through a private
+//! `vpm_wire::ShardedBus`, which MAC-verifies every frame it admits.
 //!
 //! Everything is seeded: evaluating the same cell twice produces
 //! byte-identical [`CellVerdict`]s, and [`evaluate_grid`] evaluates
@@ -52,13 +51,14 @@ use vpm_netsim::channel::{ChannelConfig, DelayModel};
 use vpm_netsim::congestion::{foreground_delays, BottleneckConfig, CrossTraffic, PacketFate};
 use vpm_netsim::reorder::ReorderModel;
 use vpm_packet::{DomainId, HopId, SimDuration};
-use vpm_trace::{TraceConfig, TraceGenerator, TracePacket};
+use vpm_trace::{TraceConfig, TraceGenerator};
 
-use crate::adversary::{apply_lies, cover_up, LieSite, LieStrategy};
+use crate::adversary::Lie;
 use crate::partial::analyze_partial;
-use crate::run::{run_path, ClockMode, PathRun, RunConfig};
+use crate::run::{ClockMode, PathRun, RunConfig};
+use crate::scenario::Scenario;
 use crate::topology::{Figure1, Topology};
-use crate::verdict::{analyze_path, PathAnalysis};
+use crate::verdict::PathAnalysis;
 
 /// Base seed of the canonical sweep run by the integration suite and
 /// the `vpm matrix` subcommand. Changing it changes every cell's
@@ -91,12 +91,6 @@ impl DelayAxis {
             DelayAxis::Jitter => "jitter",
             DelayAxis::Congested => "congested",
         }
-    }
-
-    /// Fast-path delay a biased domain gives packets it wants to look
-    /// good on (well below either closed-form model's typical transit).
-    fn fast_path(&self) -> SimDuration {
-        SimDuration::from_micros(30)
     }
 }
 
@@ -325,7 +319,99 @@ impl AdversaryAxis {
             _ => true,
         }
     }
+    /// The lies a path tells at this level, in the order they apply.
+    /// `seed` draws the sample-bias attacker's jittered slow path.
+    pub fn lies(&self, seed: u64) -> Vec<Lie> {
+        let blame_shift = |liar| Lie::BlameShift {
+            liar,
+            claimed_delay: SimDuration::from_micros(300),
+        };
+        match self {
+            AdversaryAxis::Honest => Vec::new(),
+            AdversaryAxis::BlameShift => vec![blame_shift("X")],
+            AdversaryAxis::Sugarcoat => vec![Lie::Sugarcoat {
+                liar: "X",
+                shave: SimDuration::from_millis(5),
+            }],
+            AdversaryAxis::MarkerDrop => vec![Lie::MarkerDrop { liar: "X" }],
+            AdversaryAxis::Collude => vec![blame_shift("X"), Lie::CoverUp { accomplice: "N" }],
+            AdversaryAxis::SampleBias => vec![Lie::FastPath {
+                liar: "X",
+                fast: SimDuration::from_micros(FAST_PATH_US),
+                seed,
+            }],
+            AdversaryAxis::TwoLiars => vec![blame_shift("L"), blame_shift("N")],
+        }
+    }
+
+    /// The domains whose egress link a run at this level must flag,
+    /// and no other link; `None` where the evidence is not a flagged
+    /// link (the marker dropper's vanished markers, the coalition's
+    /// absorbed loss, the defeated bias).
+    pub fn exposes(&self) -> Option<&'static [&'static str]> {
+        match self {
+            AdversaryAxis::Honest => Some(&[]),
+            AdversaryAxis::BlameShift | AdversaryAxis::Sugarcoat => Some(&["X"]),
+            AdversaryAxis::TwoLiars => Some(&["L", "N"]),
+            AdversaryAxis::MarkerDrop | AdversaryAxis::Collude | AdversaryAxis::SampleBias => None,
+        }
+    }
+
+    /// Every way `analysis` of a path that told `lies` at this level
+    /// falls short of §3.1, as one message each: a liar's link not
+    /// flagged, a flagged link no liar explains, or a blame-shifter
+    /// whose own books still show its loss. The fleet's verdicts and
+    /// the matrix's exposure check share it.
+    pub fn failures(
+        &self,
+        lies: &[Lie],
+        topology: &Topology,
+        analysis: &PathAnalysis,
+    ) -> Vec<String> {
+        let flagged = flagged(analysis);
+        let mut failures = Vec::new();
+        if let Some(liars) = self.exposes() {
+            let expected: Vec<(u16, u16)> = liars
+                .iter()
+                .filter_map(|l| topology.egress_link(l))
+                .collect();
+            if expected.is_empty() {
+                if !flagged.is_empty() {
+                    failures.push(format!(
+                        "false accusation: honest path flagged links {flagged:?}"
+                    ));
+                }
+            } else {
+                for (up, down) in expected.iter().filter(|l| !flagged.contains(l)) {
+                    failures.push(format!(
+                        "liar not exposed: {up}→{down} missing from {flagged:?}"
+                    ));
+                }
+                if let Some((up, down)) = flagged.iter().find(|l| !expected.contains(l)) {
+                    failures.push(format!(
+                        "false accusation: innocent link {up}→{down} flagged"
+                    ));
+                }
+            }
+        }
+        for lie in lies {
+            if let Lie::BlameShift { liar, .. } = *lie {
+                // The lie's whole point: the liar must *look* lossless.
+                match analysis.domain(liar).and_then(|d| d.estimate.loss.rate()) {
+                    Some(est) if est < 0.02 => {}
+                    other => failures.push(format!(
+                        "blame-shift failed to hide {liar} loss ({other:?})"
+                    )),
+                }
+            }
+        }
+        failures
+    }
 }
+
+/// The delay (µs) a sample-bias attacker gives the packets it wants to
+/// look good on (well below either closed-form model's typical transit).
+const FAST_PATH_US: u64 = 30;
 
 /// One fully specified scenario.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -592,102 +678,96 @@ pub fn full_grid(base_seed: u64) -> Vec<Cell> {
     cells
 }
 
-/// Per-packet fates of the cell's trace through the congested
-/// bottleneck (the Figure-2 congestion methodology scaled to the
-/// cell's 40 kpps trace: bursty UDP oversubscribes the link while ON,
-/// the queue oscillates through several milliseconds, and drops stay
-/// rare).
-///
-/// The series is generated over the full trace schedule and applied
-/// positionally to X's input stream. When an upstream domain thins
-/// that stream (two-liar cells, where `L` carries loss), the series
-/// acts as a fixed *exogenous* congestion schedule rather than a
-/// closed-loop function of X's exact arrivals — still a valid bursty
-/// delay process (truth and estimates both derive from the applied
-/// delays), just not re-simulated per survivor set.
-fn congested_fates(cell: &Cell, trace: &[TracePacket]) -> Vec<PacketFate> {
-    // Sized against the cell's ~130 Mbps foreground so the queue
-    // oscillates through several milliseconds without tail drops, with
-    // bursts short enough (~12 ms cycle) that the delay process mixes
-    // ~10 times within the 120 ms trace — congestion states must
-    // decorrelate across marker windows or the matched-sample median
-    // degenerates to a handful of effective observations.
-    let bottleneck = BottleneckConfig {
-        rate_bps: 200e6,
-        queue_limit: SimDuration::from_millis(30),
-        prop_delay: SimDuration::from_micros(500),
-    };
-    let cross = CrossTraffic::BurstyUdp {
-        rate_bps: 400e6,
-        mean_on: SimDuration::from_millis(2),
-        mean_off: SimDuration::from_millis(10),
-        pkt_bytes: 1250,
-    };
-    foreground_delays(trace, &bottleneck, &cross, cell.seed ^ 0x0b07)
-}
-
-fn x_channel(cell: &Cell, trace: &[TracePacket]) -> ChannelConfig {
-    let delay = match cell.delay {
-        DelayAxis::Constant => DelayModel::Constant(SimDuration::from_micros(300)),
-        DelayAxis::Jitter => DelayModel::Jitter {
-            base: SimDuration::from_micros(100),
-            jitter: SimDuration::from_micros(800),
-        },
-        DelayAxis::Congested => DelayModel::Series(congested_fates(cell, trace)),
-    };
-    ChannelConfig {
-        delay,
-        loss: cell.loss.channel_loss(),
-        reorder: cell.reorder.model(),
-        seed: cell.seed ^ 0xc4a1,
-    }
-}
-
-fn topology(cell: &Cell, trace: &[TracePacket]) -> Topology {
-    let mut fig = Figure1::ideal();
-    fig.x_transit = x_channel(cell, trace);
-    if cell.adversary == AdversaryAxis::TwoLiars {
-        // The liars are L and N; give each loss of its own to hide.
-        let (rate, burst) = TWO_LIAR_LOSS;
-        fig.l_transit = ChannelConfig {
-            delay: DelayModel::Constant(SimDuration::from_micros(300)),
-            loss: Some((rate, burst)),
-            reorder: ReorderModel::none(),
-            seed: cell.seed ^ 0x11a2,
+impl Cell {
+    /// The cell's scenario with `lies` told: a 120 ms, 40 kpps trace
+    /// through Figure 1 with the cell's delay, loss and reordering
+    /// inside `X` (and, for two liars, loss of their own inside `L` and
+    /// `N`), under the cell's sampling rate and clocks.
+    pub fn scenario(&self, lies: Vec<Lie>) -> Scenario {
+        let trace = TraceConfig {
+            target_pps: 40_000.0,
+            duration: SimDuration::from_millis(120),
+            ..TraceConfig::paper_default(1, self.seed ^ 0x7ace)
         };
-        fig.n_transit = ChannelConfig {
-            delay: DelayModel::Constant(SimDuration::from_micros(300)),
-            loss: Some((rate, burst)),
-            reorder: ReorderModel::none(),
-            seed: cell.seed ^ 0x22b3,
+        let mut fig = Figure1::ideal();
+        fig.x_transit = ChannelConfig {
+            delay: match self.delay {
+                DelayAxis::Constant => DelayModel::Constant(SimDuration::from_micros(300)),
+                DelayAxis::Jitter => DelayModel::Jitter {
+                    base: SimDuration::from_micros(100),
+                    jitter: SimDuration::from_micros(800),
+                },
+                DelayAxis::Congested => DelayModel::Series(self.congested_fates(trace)),
+            },
+            loss: self.loss.channel_loss(),
+            reorder: self.reorder.model(),
+            seed: self.seed ^ 0xc4a1,
         };
+        if self.adversary == AdversaryAxis::TwoLiars {
+            // The liars are L and N; give each loss of its own to hide.
+            let lossy = |seed| ChannelConfig {
+                delay: DelayModel::Constant(SimDuration::from_micros(300)),
+                loss: Some(TWO_LIAR_LOSS),
+                reorder: ReorderModel::none(),
+                seed,
+            };
+            fig.l_transit = lossy(self.seed ^ 0x11a2);
+            fig.n_transit = lossy(self.seed ^ 0x22b3);
+        }
+        let config = RunConfig {
+            sampling_rate: self.sampling_rate,
+            aggregate_size: 400,
+            // Near the paper's µ = 10⁻³ regime: markers are identifiable
+            // (digest above µ) and always sampled, so they MUST stay a
+            // small fraction of the sample set or a sample-bias attacker
+            // fast-pathing the top of digest space skews the estimate.
+            marker_rate: 2e-3,
+            j_window: SimDuration::from_millis(2),
+            clocks: self.clock.mode(),
+            seed: self.seed ^ 0x10c5,
+            ..RunConfig::default()
+        };
+        Scenario {
+            lies,
+            ..Scenario::new(trace, fig.build(), config)
+        }
     }
-    fig.build()
-}
 
-fn run_config(cell: &Cell) -> RunConfig {
-    RunConfig {
-        sampling_rate: cell.sampling_rate,
-        aggregate_size: 400,
-        // Near the paper's µ = 10⁻³ regime: markers are identifiable
-        // (digest above µ) and always sampled, so they MUST stay a
-        // small fraction of the sample set or a sample-bias attacker
-        // fast-pathing the top of digest space skews the estimate.
-        marker_rate: 2e-3,
-        j_window: SimDuration::from_millis(2),
-        clocks: cell.clock.mode(),
-        seed: cell.seed ^ 0x10c5,
-        ..RunConfig::default()
+    /// Per-packet fates of the cell's trace through the congested
+    /// bottleneck (the Figure-2 congestion methodology scaled to the
+    /// cell's 40 kpps trace: bursty UDP oversubscribes the link while
+    /// ON, the queue oscillates through several milliseconds, and drops
+    /// stay rare).
+    ///
+    /// The series is generated over the full trace schedule and applied
+    /// positionally to X's input stream. When an upstream domain thins
+    /// that stream (two-liar cells, where `L` carries loss), the series
+    /// acts as a fixed *exogenous* congestion schedule rather than a
+    /// closed-loop function of X's exact arrivals — still a valid
+    /// bursty delay process (truth and estimates both derive from the
+    /// applied delays), just not re-simulated per survivor set.
+    fn congested_fates(&self, trace: TraceConfig) -> Vec<PacketFate> {
+        // Sized against the cell's ~130 Mbps foreground so the queue
+        // oscillates through several milliseconds without tail drops,
+        // with bursts short enough (~12 ms cycle) that the delay
+        // process mixes ~10 times within the 120 ms trace — congestion
+        // states must decorrelate across marker windows or the
+        // matched-sample median degenerates to a handful of effective
+        // observations.
+        let bottleneck = BottleneckConfig {
+            rate_bps: 200e6,
+            queue_limit: SimDuration::from_millis(30),
+            prop_delay: SimDuration::from_micros(500),
+        };
+        let cross = CrossTraffic::BurstyUdp {
+            rate_bps: 400e6,
+            mean_on: SimDuration::from_millis(2),
+            mean_off: SimDuration::from_millis(10),
+            pkt_bytes: 1250,
+        };
+        let trace = TraceGenerator::new(trace).generate();
+        foreground_delays(&trace, &bottleneck, &cross, self.seed ^ 0x0b07)
     }
-}
-
-fn trace(cell: &Cell) -> Vec<TracePacket> {
-    TraceGenerator::new(TraceConfig {
-        target_pps: 40_000.0,
-        duration: SimDuration::from_millis(120),
-        ..TraceConfig::paper_default(1, cell.seed ^ 0x7ace)
-    })
-    .generate()
 }
 
 /// Quantile of an unsorted sample (NaN for an empty one), via the same
@@ -721,6 +801,14 @@ fn est_median(estimate: &vpm_core::verify::DomainEstimate) -> f64 {
         .unwrap_or(f64::NAN)
 }
 
+/// A domain's receipt-derived loss rate (NaN when incomputable).
+fn loss_est(analysis: &PathAnalysis, name: &str) -> f64 {
+    analysis
+        .domain(name)
+        .and_then(|d| d.estimate.loss.rate())
+        .unwrap_or(f64::NAN)
+}
+
 fn flagged(analysis: &PathAnalysis) -> Vec<(u16, u16)> {
     analysis
         .flagged_links()
@@ -742,11 +830,9 @@ const LINK_DELAY_MS: f64 = 0.05;
 /// Evaluate one cell. Pure: the same cell always produces the same
 /// verdict, byte for byte.
 pub fn evaluate_cell(cell: &Cell) -> CellVerdict {
-    let t = trace(cell);
-    let topo = topology(cell, &t);
-    let cfg = run_config(cell);
-    let honest_run = run_path(&t, &topo, &cfg);
-    let honest = analyze_path(&topo, &honest_run);
+    let scenario = cell.scenario(Vec::new());
+    let topo = &scenario.topology;
+    let (honest_run, honest) = scenario.evaluate();
 
     let mut failures = Vec::new();
 
@@ -762,47 +848,33 @@ pub fn evaluate_cell(cell: &Cell) -> CellVerdict {
     }
 
     // --- Invariant 2: estimates track retained ground truth. ---
-    #[expect(
-        clippy::expect_used,
-        reason = "X is a fixed transit domain of the Figure-1 topology"
-    )]
-    let x_truth = honest_run.truth("X").expect("X is on the path");
-    let x_loss_truth = 1.0 - x_truth.delivered as f64 / x_truth.sent as f64;
-    let x_delay_truth_ms = median(&x_truth.delays_ms);
-
-    let (band_lo, band_hi) = truth_delay_band(cell, &x_truth.delays_ms);
+    let (x_loss_truth, x_delays_ms) = truth(&honest_run, "X");
+    let x_delay_truth_ms = median(x_delays_ms);
+    let (band_lo, band_hi) = truth_delay_band(cell, x_delays_ms);
 
     // Under full deployment X's own report is checked; under partial
     // deployment X produces no receipts and the bracketing 3→6 segment
     // must localize its behaviour instead (§8).
     let (x_loss_est, x_delay_est_ms, matched_samples, delay_offset_ms) = match cell.deploy {
-        DeployAxis::Full => {
-            #[expect(
-                clippy::expect_used,
-                reason = "X is a fixed transit domain of the Figure-1 topology"
-            )]
-            let x_report = honest.domain("X").expect("X is a transit domain");
-            (
-                x_report.estimate.loss.rate().unwrap_or(f64::NAN),
-                est_median(&x_report.estimate),
-                x_report.estimate.matched_samples,
+        DeployAxis::Full => match honest.domain("X") {
+            Some(x) => (
+                loss_est(&honest, "X"),
+                est_median(&x.estimate),
+                x.estimate.matched_samples,
                 0.0,
-            )
-        }
+            ),
+            None => (f64::NAN, f64::NAN, 0, 0.0),
+        },
         DeployAxis::Partial => {
-            #[expect(
-                clippy::expect_used,
-                reason = "X is a fixed transit domain of the Figure-1 topology"
-            )]
-            let x_id = topo.domain_by_name("X").expect("X exists").id;
+            let x_id = topo.domain_by_name("X").map(|d| d.id);
             let deployed: HashSet<DomainId> = topo
                 .domains
                 .iter()
-                .filter(|d| d.id != x_id)
                 .map(|d| d.id)
+                .filter(|&id| Some(id) != x_id)
                 .collect();
-            let pa = analyze_partial(&topo, &honest_run, &deployed);
-            match pa.segment_spanning(x_id) {
+            let pa = analyze_partial(topo, &honest_run, &deployed);
+            match x_id.and_then(|x| pa.segment_spanning(x)) {
                 None => {
                     // Impossible on Figure 1 by construction; recorded
                     // as a failure (NaN estimates fail the tolerance
@@ -854,19 +926,9 @@ pub fn evaluate_cell(cell: &Cell) -> CellVerdict {
     // where L and N carry loss of their own and must instead be
     // *measured* accurately before they start lying.
     for name in ["L", "N"] {
-        #[expect(
-            clippy::expect_used,
-            reason = "the name iterates over known Figure-1 transit domains"
-        )]
-        let report = honest.domain(name).expect("transit domain");
-        let loss = report.estimate.loss.rate().unwrap_or(f64::NAN);
+        let loss = loss_est(&honest, name);
         if cell.adversary == AdversaryAxis::TwoLiars {
-            #[expect(
-                clippy::expect_used,
-                reason = "truth is retained for every transit domain of the run"
-            )]
-            let truth = honest_run.truth(name).expect("truth retained");
-            let truth_rate = 1.0 - truth.delivered as f64 / truth.sent as f64;
+            let truth_rate = truth(&honest_run, name).0;
             // NaN-safe: an unavailable estimate must count as out of
             // tolerance.
             if loss.is_nan() || (loss - truth_rate).abs() > LOSS_TOL {
@@ -891,322 +953,85 @@ pub fn evaluate_cell(cell: &Cell) -> CellVerdict {
                 ),
             ),
         },
-        AdversaryAxis::BlameShift => {
-            let mut run = honest_run.clone();
-            apply_lies(
-                &mut run,
-                &[LieSite {
-                    ingress: HopId(4),
-                    egress: HopId(5),
-                    strategy: LieStrategy::BlameShiftLoss {
-                        claimed_delay: SimDuration::from_micros(300),
-                    },
-                }],
-            );
-            let analysis = analyze_path(&topo, &run);
-            let fl = flagged(&analysis);
-            #[expect(
-                clippy::expect_used,
-                reason = "X is a fixed transit domain of the Figure-1 topology"
-            )]
-            let x_est = analysis
-                .domain("X")
-                .expect("X")
-                .estimate
-                .loss
-                .rate()
-                .unwrap_or(f64::NAN);
-            // NaN-safe: a broken post-lie estimate is a failure too.
-            let hidden = x_est < 0.02;
-            if !hidden {
-                failures.push(format!("blame-shift failed to hide X loss ({x_est:.4})"));
-            }
-            if !fl.contains(&XN_LINK) {
-                failures.push(format!("blame-shift not flagged on X→N link ({fl:?})"));
-            }
-            if fl.iter().any(|&l| l != XN_LINK) {
-                failures.push(format!("blame-shift flagged innocent links ({fl:?})"));
-            }
-            let detail = format!(
-                "X hid loss {x_loss_truth:.3}→{x_est:.3}; link 5→6 flagged: {}",
-                fl.contains(&XN_LINK)
-            );
-            (fl, detail)
-        }
-        AdversaryAxis::Sugarcoat => {
-            let mut run = honest_run.clone();
-            apply_lies(
-                &mut run,
-                &[LieSite {
-                    ingress: HopId(4),
-                    egress: HopId(5),
-                    strategy: LieStrategy::SugarcoatDelay {
-                        shave: SimDuration::from_millis(5),
-                    },
-                }],
-            );
-            let analysis = analyze_path(&topo, &run);
-            let fl = flagged(&analysis);
-            if !fl.contains(&XN_LINK) {
-                failures.push(format!("sugarcoat not flagged on X→N link ({fl:?})"));
-            }
-            if fl.iter().any(|&l| l != XN_LINK) {
-                failures.push(format!("sugarcoat flagged innocent links ({fl:?})"));
-            }
-            let detail = format!("X shaved 5 ms; link 5→6 flagged: {}", fl.contains(&XN_LINK));
-            (fl, detail)
-        }
-        #[expect(
-            clippy::expect_used,
-            reason = "X is a fixed transit domain of the Figure-1 topology"
-        )]
-        AdversaryAxis::MarkerDrop => {
-            let mut attack_cfg = cfg.clone();
-            attack_cfg.marker_dropper = Some(topo.domain_by_name("X").expect("X exists").id);
-            let attacked = run_path(&t, &topo, &attack_cfg);
-            let analysis = analyze_path(&topo, &attacked);
-            let fl = flagged(&analysis);
-            // §5.3: markers are *expected* receipts. X's ingress sampled
-            // markers that no HOP downstream of X ever acknowledges —
-            // standing evidence pinned between HOPs 4 and 6.
-            let marker = Threshold::from_rate(attack_cfg.marker_rate);
-            #[expect(
-                clippy::expect_used,
-                reason = "hop 6 is N's ingress in the fixed Figure-1 layout"
-            )]
-            let downstream: HashSet<_> = attacked
-                .hop(HopId(6))
-                .expect("N ingress")
-                .samples
-                .iter()
-                .map(|r| r.pkt_id)
-                .collect();
-            #[expect(
-                clippy::expect_used,
-                reason = "hop 4 is X's ingress in the fixed Figure-1 layout"
-            )]
-            let vanished = attacked
-                .hop(HopId(4))
-                .expect("X ingress")
-                .samples
-                .iter()
-                .filter(|r| marker.passes(r.pkt_id.0) && !downstream.contains(&r.pkt_id))
-                .count();
-            // Samples the verifier can match across the 4→6 segment.
-            let matched = |run: &PathRun| {
-                #[expect(
-                    clippy::expect_used,
-                    reason = "hops 4 and 6 exist in the fixed Figure-1 layout"
-                )]
-                let (h4, h6) = (
-                    run.hop(HopId(4)).expect("hop 4"),
-                    run.hop(HopId(6)).expect("hop 6"),
-                );
-                vpm_core::verify::Verifier::default()
-                    .estimate_domain(&h4.samples, &h4.aggregates, &h6.samples, &h6.aggregates)
-                    .matched_samples
+        adversary => {
+            let lying = Scenario {
+                lies: adversary.lies(cell.seed ^ 0xb1a5),
+                ..scenario.clone()
             };
-            let m_honest = matched(&honest_run);
-            let m_attacked = matched(&attacked);
-            if vanished == 0 {
-                failures.push("marker-drop left no vanished-marker evidence".to_string());
-            }
-            if (m_attacked as f64) >= 0.7 * m_honest as f64 {
-                failures.push(format!(
-                    "marker-drop did not collapse sample matching ({m_honest}→{m_attacked})"
-                ));
-            }
-            let detail = format!(
-                "{vanished} expected markers vanished inside X; matches {m_honest}→{m_attacked}"
-            );
-            (fl, detail)
-        }
-        AdversaryAxis::Collude => {
-            let mut run = honest_run.clone();
-            apply_lies(
-                &mut run,
-                &[LieSite {
-                    ingress: HopId(4),
-                    egress: HopId(5),
-                    strategy: LieStrategy::BlameShiftLoss {
-                        claimed_delay: SimDuration::from_micros(300),
-                    },
-                }],
-            );
-            #[expect(
-                clippy::expect_used,
-                reason = "hop 5 is X's egress in the fixed Figure-1 layout"
-            )]
-            let liar_egress = run.hop(HopId(5)).expect("X egress").clone();
-            #[expect(
-                clippy::expect_used,
-                reason = "hop 6 is N's ingress in the fixed Figure-1 layout"
-            )]
-            cover_up(&liar_egress, run.hop_mut(HopId(6)).expect("N ingress"));
-            let analysis = analyze_path(&topo, &run);
+            let (run, analysis) = lying.evaluate();
+            failures.extend(adversary.failures(&lying.lies, topo, &analysis));
             let fl = flagged(&analysis);
-            // The coalition hides the X→N mismatch…
-            if fl.contains(&XN_LINK) {
-                failures.push("cover-up failed to hide the X→N link".to_string());
-            }
-            // …but §3.1: the loss does not vanish — the accomplice's own
-            // books inherit it.
-            #[expect(
-                clippy::expect_used,
-                reason = "N is a fixed transit domain of the Figure-1 topology"
-            )]
-            let n_est = analysis
-                .domain("N")
-                .expect("N")
-                .estimate
-                .loss
-                .rate()
-                .unwrap_or(0.0);
-            if n_est < 0.5 * x_loss_truth {
-                failures.push(format!(
-                    "accomplice N absorbed only {n_est:.4} of X's {x_loss_truth:.4} loss"
-                ));
-            }
-            let detail =
-                format!("coalition quiet; N absorbed X's loss ({n_est:.3} vs {x_loss_truth:.3})");
-            (fl, detail)
-        }
-        AdversaryAxis::SampleBias => {
-            // X fast-paths packets whose digest passes the σ threshold —
-            // its best guess at "will be sampled". Algorithm 1 keys the
-            // real sampling decision on a *future marker*, so the guess
-            // misses and the estimate still tracks the slow path.
-            let digests: Vec<_> = t.iter().map(|tp| tp.packet.digest()).collect();
-            let guess = Threshold::from_rate(cell.sampling_rate);
-            let mut rng_seed = cell.seed ^ 0xb1a5;
-            let fates: Vec<PacketFate> = digests
-                .iter()
-                .map(|d| {
-                    // Deterministic per-packet slow-path delay drawn from
-                    // the cell's delay model (splitmix over the seed).
-                    rng_seed = rng_seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
-                    let mut z = rng_seed;
-                    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-                    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-                    z ^= z >> 31;
-                    let slow = match cell.delay {
-                        DelayAxis::Jitter => SimDuration::from_micros(100 + z % 801),
-                        // Constant (Congested is never paired with this
-                        // adversary — no closed-form slow path exists).
-                        _ => SimDuration::from_micros(300),
-                    };
-                    if guess.passes(d.0) {
-                        PacketFate::Delivered(cell.delay.fast_path())
-                    } else {
-                        PacketFate::Delivered(slow)
+            let detail = match adversary {
+                AdversaryAxis::BlameShift => format!(
+                    "X hid loss {x_loss_truth:.3}→{:.3}; link 5→6 flagged: {}",
+                    loss_est(&analysis, "X"),
+                    fl.contains(&XN_LINK)
+                ),
+                AdversaryAxis::Sugarcoat => {
+                    format!("X shaved 5 ms; link 5→6 flagged: {}", fl.contains(&XN_LINK))
+                }
+                AdversaryAxis::MarkerDrop => {
+                    let marker = Threshold::from_rate(lying.config.marker_rate);
+                    marker_drop_evidence(&honest_run, &run, marker, &mut failures)
+                }
+                AdversaryAxis::Collude => {
+                    // The coalition hides the X→N mismatch…
+                    if fl.contains(&XN_LINK) {
+                        failures.push("cover-up failed to hide the X→N link".to_string());
                     }
-                })
-                .collect();
-            let mut fig = Figure1::ideal();
-            fig.x_transit = ChannelConfig {
-                delay: DelayModel::Series(fates),
-                loss: cell.loss.channel_loss(),
-                reorder: cell.reorder.model(),
-                seed: cell.seed ^ 0xc4a1,
+                    // …but §3.1: the loss does not vanish — the
+                    // accomplice's own books inherit it.
+                    let n_est = analysis
+                        .domain("N")
+                        .and_then(|d| d.estimate.loss.rate())
+                        .unwrap_or(0.0);
+                    if n_est < 0.5 * x_loss_truth {
+                        failures.push(format!(
+                            "accomplice N absorbed only {n_est:.4} of X's {x_loss_truth:.4} loss"
+                        ));
+                    }
+                    format!(
+                        "coalition quiet; N absorbed X's loss ({n_est:.3} vs {x_loss_truth:.3})"
+                    )
+                }
+                AdversaryAxis::SampleBias => {
+                    // X fast-paths packets whose digest passes the σ
+                    // threshold — its best guess at "will be sampled".
+                    // Algorithm 1 keys the real sampling decision on a
+                    // *future marker*, so the guess misses and the
+                    // estimate still tracks the slow path.
+                    let truth_med = median(truth(&run, "X").1);
+                    let est_med = analysis
+                        .domain("X")
+                        .map_or(f64::NAN, |x| est_median(&x.estimate));
+                    let fast_ms = SimDuration::from_micros(FAST_PATH_US).as_nanos() as f64 / 1e6;
+                    let tol = delay_tolerance(cell, truth_med);
+                    // NaN-safe: a NaN estimate must count as a failure.
+                    let tracks_truth = (est_med - truth_med).abs() <= tol;
+                    if !tracks_truth {
+                        failures.push(format!(
+                            "bias skewed the estimate: {est_med:.4} ms vs truth {truth_med:.4} ms"
+                        ));
+                    }
+                    let above_fast_path = est_med > 3.0 * fast_ms;
+                    if !above_fast_path {
+                        failures.push(format!(
+                            "estimate {est_med:.4} ms collapsed toward the fast path {fast_ms:.4} ms"
+                        ));
+                    }
+                    format!(
+                        "bias defeated: estimate {est_med:.3} ms tracks truth {truth_med:.3} ms, \
+                         not the {fast_ms:.3} ms fast path"
+                    )
+                }
+                AdversaryAxis::TwoLiars => format!(
+                    "both liars exposed: 3→4 flagged {}, 7→8 flagged {}, X clean {}",
+                    fl.contains(&LX_LINK),
+                    fl.contains(&ND_LINK),
+                    !fl.contains(&XN_LINK)
+                ),
+                AdversaryAxis::Honest => String::new(),
             };
-            let biased_topo = fig.build();
-            let biased_run = run_path(&t, &biased_topo, &cfg);
-            let analysis = analyze_path(&biased_topo, &biased_run);
-            let fl = flagged(&analysis);
-            #[expect(
-                clippy::expect_used,
-                reason = "X is a fixed transit domain of the Figure-1 topology"
-            )]
-            let truth = biased_run.truth("X").expect("X");
-            let truth_med = median(&truth.delays_ms);
-            #[expect(
-                clippy::expect_used,
-                reason = "X is a fixed transit domain of the Figure-1 topology"
-            )]
-            let est_med = est_median(&analysis.domain("X").expect("X").estimate);
-            let fast_ms = cell.delay.fast_path().as_nanos() as f64 / 1e6;
-            let tol = delay_tolerance(cell, truth_med);
-            // NaN-safe: a NaN estimate must count as a failure.
-            let tracks_truth = (est_med - truth_med).abs() <= tol;
-            if !tracks_truth {
-                failures.push(format!(
-                    "bias skewed the estimate: {est_med:.4} ms vs truth {truth_med:.4} ms"
-                ));
-            }
-            let above_fast_path = est_med > 3.0 * fast_ms;
-            if !above_fast_path {
-                failures.push(format!(
-                    "estimate {est_med:.4} ms collapsed toward the fast path {fast_ms:.4} ms"
-                ));
-            }
-            let detail = format!(
-                "bias defeated: estimate {est_med:.3} ms tracks truth {truth_med:.3} ms, \
-                 not the {fast_ms:.3} ms fast path"
-            );
-            (fl, detail)
-        }
-        AdversaryAxis::TwoLiars => {
-            // L and N each hide their own loss by fabricating egress
-            // receipts — independently, without coordination.
-            let mut run = honest_run.clone();
-            apply_lies(
-                &mut run,
-                &[
-                    LieSite {
-                        ingress: HopId(2),
-                        egress: HopId(3),
-                        strategy: LieStrategy::BlameShiftLoss {
-                            claimed_delay: SimDuration::from_micros(300),
-                        },
-                    },
-                    LieSite {
-                        ingress: HopId(6),
-                        egress: HopId(7),
-                        strategy: LieStrategy::BlameShiftLoss {
-                            claimed_delay: SimDuration::from_micros(300),
-                        },
-                    },
-                ],
-            );
-            let analysis = analyze_path(&topo, &run);
-            let fl = flagged(&analysis);
-            // Both liars now look lossless from their own receipts…
-            for name in ["L", "N"] {
-                #[expect(
-                    clippy::expect_used,
-                    reason = "the liar domain is a fixed transit of the Figure-1 topology"
-                )]
-                let est = analysis
-                    .domain(name)
-                    .expect("liar domain")
-                    .estimate
-                    .loss
-                    .rate()
-                    .unwrap_or(f64::NAN);
-                if est.is_nan() || est >= 0.02 {
-                    failures.push(format!("liar {name} failed to hide its loss ({est:.4})"));
-                }
-            }
-            // …and *both* surface, each on an inter-domain link
-            // adjacent to itself (§3.1 per liar), with the innocent X
-            // between them staying clean.
-            for (link, liar) in [(LX_LINK, "L"), (ND_LINK, "N")] {
-                if !fl.contains(&link) {
-                    failures.push(format!(
-                        "liar {liar} not exposed on link {}→{} ({fl:?})",
-                        link.0, link.1
-                    ));
-                }
-            }
-            if fl.iter().any(|&l| l != LX_LINK && l != ND_LINK) {
-                failures.push(format!("two-liar run flagged innocent links ({fl:?})"));
-            }
-            let detail = format!(
-                "both liars exposed: 3→4 flagged {}, 7→8 flagged {}, X clean {}",
-                fl.contains(&LX_LINK),
-                fl.contains(&ND_LINK),
-                !fl.contains(&XN_LINK)
-            );
             (fl, detail)
         }
     };
@@ -1214,7 +1039,7 @@ pub fn evaluate_cell(cell: &Cell) -> CellVerdict {
     CellVerdict {
         id: cell.id,
         label: cell.label(),
-        trace_len: t.len(),
+        trace_len: honest_run.trace_len,
         honest_consistent,
         x_loss_est,
         x_loss_truth,
@@ -1225,6 +1050,61 @@ pub fn evaluate_cell(cell: &Cell) -> CellVerdict {
         exposure,
         failures,
     }
+}
+
+/// A transit domain's true loss rate and per-packet delays (NaN and
+/// none when the run kept no truth for it).
+fn truth<'a>(run: &'a PathRun, name: &str) -> (f64, &'a [f64]) {
+    run.truth(name).map_or((f64::NAN, &[]), |t| {
+        (1.0 - t.delivered as f64 / t.sent as f64, &t.delays_ms)
+    })
+}
+
+/// §5.3's evidence against a marker dropper, with a failure for each
+/// piece missing: markers X's ingress sampled that no HOP downstream of
+/// X acknowledges (markers are *expected* receipts, pinned between HOPs
+/// 4 and 6), and sample matching across 4→6 collapsing against the
+/// honest run.
+fn marker_drop_evidence(
+    honest: &PathRun,
+    attacked: &PathRun,
+    marker: Threshold,
+    failures: &mut Vec<String>,
+) -> String {
+    let (Some(h4), Some(h6)) = (attacked.hop(HopId(4)), attacked.hop(HopId(6))) else {
+        failures.push("marker-drop run lacks HOP 4 or 6".to_string());
+        return String::new();
+    };
+    let downstream: HashSet<_> = h6.samples().iter().map(|r| r.pkt_id).collect();
+    let vanished = h4
+        .samples()
+        .iter()
+        .filter(|r| marker.passes(r.pkt_id.0) && !downstream.contains(&r.pkt_id))
+        .count();
+    // Samples the verifier can match across the 4→6 segment.
+    let matched = |run: &PathRun| match (run.hop(HopId(4)), run.hop(HopId(6))) {
+        (Some(h4), Some(h6)) => {
+            vpm_core::verify::Verifier::default()
+                .estimate_domain(
+                    &h4.samples(),
+                    h4.aggregates(),
+                    &h6.samples(),
+                    h6.aggregates(),
+                )
+                .matched_samples
+        }
+        _ => 0,
+    };
+    let (m_honest, m_attacked) = (matched(honest), matched(attacked));
+    if vanished == 0 {
+        failures.push("marker-drop left no vanished-marker evidence".to_string());
+    }
+    if (m_attacked as f64) >= 0.7 * m_honest as f64 {
+        failures.push(format!(
+            "marker-drop did not collapse sample matching ({m_honest}→{m_attacked})"
+        ));
+    }
+    format!("{vanished} expected markers vanished inside X; matches {m_honest}→{m_attacked}")
 }
 
 /// Evaluate many cells, `jobs` at a time, merging verdicts in cell

@@ -107,6 +107,15 @@ impl Topology {
         self.domains.iter().find(|d| d.name == name)
     }
 
+    /// The inter-domain link leaving domain `name`'s egress HOP, as
+    /// `(up, down)` HOP ids: where a receipt lie by that domain
+    /// surfaces (§3.1).
+    pub fn egress_link(&self, name: &str) -> Option<(u16, u16)> {
+        let egress = self.domain_by_name(name)?.egress?;
+        let link = self.links.iter().find(|l| l.up == egress)?;
+        Some((link.up.0, link.down.0))
+    }
+
     /// The `PathID` each HOP stamps on its receipts, in path order —
     /// the single source of truth shared by the path runner (which
     /// registers these on every pipeline) and path-scoped verification

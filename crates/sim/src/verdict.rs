@@ -144,8 +144,8 @@ impl<'a> HopReceipts<'a> {
             hop: h.hop,
             domain: h.domain,
             path: h.path,
-            samples: Cow::Borrowed(&h.samples),
-            aggregates: Cow::Borrowed(&h.aggregates),
+            samples: h.samples(),
+            aggregates: Cow::Borrowed(h.aggregates()),
             key_epoch: h.key_epoch,
         }
     }
@@ -172,7 +172,7 @@ impl<'a> HopReceipts<'a> {
 
 /// `parts` in order as one slice: borrowed when at most one part is
 /// non-empty, else copied once.
-fn concat<'a, T: Clone>(parts: impl Iterator<Item = &'a [T]>) -> Cow<'a, [T]> {
+pub(crate) fn concat<'a, T: Clone>(parts: impl Iterator<Item = &'a [T]>) -> Cow<'a, [T]> {
     let mut parts = parts.filter(|p| !p.is_empty());
     match (parts.next(), parts.next()) {
         (None, _) => Cow::Borrowed(&[]),
@@ -320,21 +320,19 @@ fn analyze(topology: &Topology, hops: &[HopReceipts]) -> PathAnalysis {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::adversary::{apply_lie, cover_up, LieStrategy};
-    use crate::run::{run_path, RunConfig};
+    use crate::adversary::Lie;
+    use crate::run::RunConfig;
+    use crate::scenario::Scenario;
     use crate::topology::Figure1;
+    use vpm_core::processor::default_hop_key;
     use vpm_netsim::channel::{ChannelConfig, DelayModel};
     use vpm_netsim::reorder::ReorderModel;
     use vpm_packet::SimDuration;
-    use vpm_trace::{TraceConfig, TraceGenerator};
+    use vpm_trace::TraceConfig;
 
-    fn scenario(loss_in_x: f64) -> (Topology, PathRun) {
-        let t = TraceGenerator::new(TraceConfig {
-            target_pps: 50_000.0,
-            duration: SimDuration::from_millis(200),
-            ..TraceConfig::paper_default(1, 17)
-        })
-        .generate();
+    /// Figure 1 with `loss_in_x` inside X (bursts of 4), a `ms`-long
+    /// 50 kpps trace of `seed`, and the given lies.
+    fn scenario(loss_in_x: f64, ms: u64, seed: u64, lies: Vec<Lie>) -> Scenario {
         let mut fig = Figure1::ideal();
         if loss_in_x > 0.0 {
             fig.x_transit = ChannelConfig {
@@ -344,7 +342,11 @@ mod tests {
                 seed: 5,
             };
         }
-        let topo = fig.build();
+        let trace = TraceConfig {
+            target_pps: 50_000.0,
+            duration: SimDuration::from_millis(ms),
+            ..TraceConfig::paper_default(1, seed)
+        };
         let cfg = RunConfig {
             sampling_rate: 0.05,
             aggregate_size: 500,
@@ -352,14 +354,22 @@ mod tests {
             j_window: SimDuration::from_millis(2),
             ..RunConfig::default()
         };
-        let run = run_path(&t, &topo, &cfg);
-        (topo, run)
+        Scenario {
+            lies,
+            ..Scenario::new(trace, fig.build(), cfg)
+        }
+    }
+
+    fn blame_shift() -> Lie {
+        Lie::BlameShift {
+            liar: "X",
+            claimed_delay: SimDuration::from_micros(200),
+        }
     }
 
     #[test]
     fn honest_lossy_domain_is_consistent_and_measured() {
-        let (topo, run) = scenario(0.2);
-        let analysis = analyze_path(&topo, &run);
+        let (_, analysis) = scenario(0.2, 200, 17, vec![]).evaluate();
         assert!(analysis.all_consistent(), "honest receipts must check out");
         let x = analysis.domain("X").unwrap();
         let loss = x.estimate.loss.rate().unwrap();
@@ -404,10 +414,28 @@ mod tests {
             .unwrap();
     }
 
+    /// Register every HOP of `run` on `transport` under its own key and
+    /// publish its batch, except `skip`'s.
+    fn publish_all_but(
+        transport: &vpm_wire::ShardedBus,
+        run: &PathRun,
+        skip: Option<HopId>,
+        on_path: &[DomainId],
+    ) {
+        for h in &run.hops {
+            let key = default_hop_key(h.hop);
+            transport.register_key(h.hop, key).unwrap();
+            if Some(h.hop) != skip {
+                publish(transport, h, &h.batch, &key, on_path);
+            }
+        }
+    }
+
     /// `h`'s batch split in two at the middle of its sample records and
     /// of its aggregate receipts, both halves non-empty.
     fn split_batch(h: &HopOutput) -> [vpm_core::ReceiptBatch; 2] {
-        let (s, a) = (h.samples.len() / 2, h.aggregates.len() / 2);
+        let (samples, aggregates) = (h.samples(), h.aggregates());
+        let (s, a) = (samples.len() / 2, aggregates.len() / 2);
         assert!(s > 0 && a > 0, "too few receipts to split");
         let half = |samples: &[SampleRecord], aggregates: &[AggReceipt], seq: u64| {
             vpm_core::ReceiptBatch {
@@ -422,8 +450,8 @@ mod tests {
         };
         let seq = h.batch.batch_seq;
         [
-            half(&h.samples[..s], &h.aggregates[..a], seq),
-            half(&h.samples[s..], &h.aggregates[a..], seq + 1),
+            half(&samples[..s], &aggregates[..a], seq),
+            half(&samples[s..], &aggregates[a..], seq + 1),
         ]
     }
 
@@ -431,93 +459,54 @@ mod tests {
     /// same verdicts as one reading the runner's outputs directly.
     #[test]
     fn transport_only_analysis_matches_path_analysis() {
-        let t = TraceGenerator::new(TraceConfig {
-            target_pps: 50_000.0,
-            duration: SimDuration::from_millis(200),
-            ..TraceConfig::paper_default(1, 23)
-        })
-        .generate();
-        let mut fig = Figure1::ideal();
-        fig.x_transit = ChannelConfig {
-            delay: DelayModel::Constant(SimDuration::from_micros(200)),
-            loss: Some((0.15, 4.0)),
-            reorder: ReorderModel::none(),
-            seed: 5,
-        };
-        let topo = fig.build();
-        let cfg = RunConfig {
-            sampling_rate: 0.05,
-            aggregate_size: 500,
-            marker_rate: 0.01,
-            j_window: SimDuration::from_millis(2),
-            ..RunConfig::default()
-        };
+        let scenario = scenario(0.15, 200, 23, vec![]);
+        let topo = &scenario.topology;
         let transport = vpm_wire::ShardedBus::new(4);
-        let run = crate::run::run_path_with_transport(&t, &topo, &cfg, &transport).unwrap();
-        let from_run = analyze_path(&topo, &run);
+        let run = scenario.run(&transport).unwrap();
+        let from_run = analyze_path(topo, &run);
         let requester = topo.domain_ids()[0];
-        let from_wire = super::analyze_from_transport(&topo, &transport, requester).unwrap();
+        let from_wire = super::analyze_from_transport(topo, &transport, requester).unwrap();
         assert_same_analysis(&from_run, &from_wire);
         // And an off-path collector is refused outright.
         assert!(matches!(
-            super::analyze_from_transport(&topo, &transport, DomainId(99)),
+            super::analyze_from_transport(topo, &transport, DomainId(99)),
             Err(vpm_wire::TransportError::NotOnPath { .. })
         ));
     }
 
     /// A quiet first reporting interval publishes an empty batch (no
-    /// path table); the collector must still use the populated batches
-    /// that follow rather than dropping the HOP. Those batches are the
-    /// HOP's only receipts, so both collectors read them in place.
+    /// path table) as `batch_seq` 0; the collector must still use the
+    /// populated batch that follows as 1 rather than dropping the HOP.
+    /// Those batches are the HOP's only receipts, so both collectors
+    /// read them in place.
     #[test]
     fn empty_first_batch_does_not_hide_a_hop_from_the_collector() {
-        let t = TraceGenerator::new(TraceConfig {
-            target_pps: 50_000.0,
-            duration: SimDuration::from_millis(150),
-            ..TraceConfig::paper_default(1, 29)
-        })
-        .generate();
-        let topo = Figure1::ideal().build();
-        let cfg = RunConfig {
-            sampling_rate: 0.05,
-            aggregate_size: 500,
-            marker_rate: 0.01,
-            j_window: SimDuration::from_millis(2),
-            ..RunConfig::default()
+        let scenario = Scenario {
+            quiet_first_interval: true,
+            ..scenario(0.0, 150, 29, vec![])
         };
-        let run = crate::run::run_path(&t, &topo, &cfg);
+        let topo = &scenario.topology;
         let transport = vpm_wire::ShardedBus::new(1);
+        let run = scenario.run(&transport).unwrap();
         let on_path = topo.domain_ids();
-        for h in &run.hops {
-            let key = h.hop_key();
-            transport.register_key(h.hop, key).unwrap();
-            // Interval 0: nothing matured yet — an empty, signed batch.
-            let empty = vpm_core::processor::ReceiptBatch {
-                hop: h.hop,
-                batch_seq: 0,
-                samples: vec![],
-                aggregates: vec![],
-            };
-            publish(&transport, h, &empty, &key, &on_path);
-            // Interval 1: the real receipts.
-            publish(&transport, h, &h.batch, &key, &on_path);
-        }
         for h in &run.hops {
             let frames = transport.fetch(on_path[0], h.hop).unwrap();
             assert_eq!(frames.len(), 2);
             assert!(frames[0].batch.samples.is_empty() && frames[0].batch.aggregates.is_empty());
-            let view = HopReceipts::from_frames(&topo, h.hop, h.path, &frames).unwrap();
+            let seqs: Vec<u64> = frames.iter().map(|p| p.batch.batch_seq).collect();
+            assert_eq!(seqs, [0, 1], "{}", h.hop);
+            let view = HopReceipts::from_frames(topo, h.hop, h.path, &frames).unwrap();
             assert!(matches!(view.samples, Cow::Borrowed(_)), "{}", h.hop);
             assert!(matches!(view.aggregates, Cow::Borrowed(_)), "{}", h.hop);
             assert_eq!(
                 (&*view.samples, &*view.aggregates),
-                (&*h.samples, &*h.aggregates)
+                (&*h.samples(), h.aggregates())
             );
         }
-        let baseline = analyze_path(&topo, &run);
-        let by_hop = super::analyze_from_transport(&topo, &transport, on_path[0]).unwrap();
+        let baseline = analyze_path(topo, &run);
+        let by_hop = super::analyze_from_transport(topo, &transport, on_path[0]).unwrap();
         assert_same_analysis(&baseline, &by_hop);
-        let scoped = super::analyze_from_transport_scoped(&topo, &transport, on_path[0]).unwrap();
+        let scoped = super::analyze_from_transport_scoped(topo, &transport, on_path[0]).unwrap();
         assert_same_analysis(&baseline, &scoped);
     }
 
@@ -526,58 +515,18 @@ mod tests {
     /// first reporting interval on the bus.
     #[test]
     fn scoped_analysis_matches_hop_fetch_analysis() {
-        let t = TraceGenerator::new(TraceConfig {
-            target_pps: 50_000.0,
-            duration: SimDuration::from_millis(150),
-            ..TraceConfig::paper_default(1, 31)
-        })
-        .generate();
-        let mut fig = Figure1::ideal();
-        fig.x_transit = ChannelConfig {
-            delay: DelayModel::Constant(SimDuration::from_micros(200)),
-            loss: Some((0.1, 3.0)),
-            reorder: ReorderModel::none(),
-            seed: 7,
+        let scenario = Scenario {
+            quiet_first_interval: true,
+            ..scenario(0.1, 150, 31, vec![])
         };
-        let topo = fig.build();
-        let cfg = RunConfig {
-            sampling_rate: 0.05,
-            aggregate_size: 500,
-            marker_rate: 0.01,
-            j_window: SimDuration::from_millis(2),
-            ..RunConfig::default()
-        };
+        let topo = &scenario.topology;
         let transport = vpm_wire::ShardedBus::new(8);
-        let on_path = topo.domain_ids();
-        // An empty interval-0 batch for every HOP, then the real run.
-        // The keys must be the processors' own: the run that follows
-        // registers them too, and the transport refuses a different
-        // key for an established HOP.
-        for (hop, _) in topo.hop_path_ids() {
-            let key = vpm_core::processor::default_hop_key(hop);
-            transport.register_key(hop, key).unwrap();
-            let empty = vpm_core::processor::ReceiptBatch {
-                hop,
-                batch_seq: 0,
-                samples: vec![],
-                aggregates: vec![],
-            };
-            transport
-                .publish_batch(
-                    topo.domain_of(hop).unwrap().id,
-                    &empty,
-                    vpm_wire::Profile::Precise,
-                    on_path.clone(),
-                    &key,
-                )
-                .unwrap();
-        }
-        let run = crate::run::run_path_with_transport(&t, &topo, &cfg, &transport).unwrap();
-        let requester = on_path[0];
-        let by_hop = super::analyze_from_transport(&topo, &transport, requester).unwrap();
-        let scoped = super::analyze_from_transport_scoped(&topo, &transport, requester).unwrap();
+        let run = scenario.run(&transport).unwrap();
+        let requester = topo.domain_ids()[0];
+        let by_hop = super::analyze_from_transport(topo, &transport, requester).unwrap();
+        let scoped = super::analyze_from_transport_scoped(topo, &transport, requester).unwrap();
         assert_same_analysis(&by_hop, &scoped);
-        assert_same_analysis(&analyze_path(&topo, &run), &scoped);
+        assert_same_analysis(&analyze_path(topo, &run), &scoped);
     }
 
     /// A HOP whose key rotates mid-stream stays fully analyzable: the
@@ -588,16 +537,13 @@ mod tests {
     #[test]
     fn rotated_key_hop_still_verifies_and_carries_the_new_epoch() {
         use vpm_wire::{HopKey, KeyEpoch, ReceiptTransport};
-        let (topo, run) = scenario(0.0);
+        let scenario = scenario(0.0, 200, 17, vec![]);
+        let (topo, (run, baseline)) = (&scenario.topology, scenario.evaluate());
         let transport = vpm_wire::ShardedBus::new(1);
         let on_path = topo.domain_ids();
-        for h in &run.hops {
-            let key = h.hop_key();
-            transport.register_key(h.hop, key).unwrap();
-            publish(&transport, h, &h.batch, &key, &on_path);
-        }
+        publish_all_but(&transport, &run, None, &on_path);
         // Rotate HOP 4 and publish a second interval under the new key.
-        let h4 = run.hop(vpm_packet::HopId(4)).unwrap();
+        let h4 = run.hop(HopId(4)).unwrap();
         let rotated = HopKey::from_seed(0x5070_a7ed ^ h4.hop.0 as u64);
         assert_eq!(transport.rotate_key(h4.hop, rotated), Ok(KeyEpoch(1)));
         let next = vpm_core::processor::ReceiptBatch {
@@ -614,7 +560,7 @@ mod tests {
                 &next,
                 vpm_wire::Profile::Precise,
                 on_path.clone(),
-                &h4.hop_key(),
+                &default_hop_key(h4.hop),
             ),
             Err(vpm_wire::TransportError::BadMac { hop: h4.hop })
         );
@@ -628,20 +574,19 @@ mod tests {
         assert_eq!(published[1].epoch, KeyEpoch(1));
         assert_eq!(published[0].batch.batch_seq, h4.batch.batch_seq);
         assert_eq!(published[1].batch.batch_seq, h4.batch.batch_seq + 1);
-        let view = HopReceipts::from_frames(&topo, h4.hop, h4.path, &published).unwrap();
+        let view = HopReceipts::from_frames(topo, h4.hop, h4.path, &published).unwrap();
         assert_eq!(view.key_epoch, KeyEpoch(1));
         // Both frames' receipts, in publish order, each once; the
         // second frame holds none, so they are read in place.
-        assert_eq!(&*view.samples, &*h4.samples);
-        assert_eq!(&*view.aggregates, &*h4.aggregates);
+        assert_eq!(&*view.samples, &*h4.samples());
+        assert_eq!(&*view.aggregates, h4.aggregates());
         assert!(matches!(view.samples, Cow::Borrowed(_)));
         assert!(matches!(view.aggregates, Cow::Borrowed(_)));
         // And the collector's verdicts are unchanged by the rotation.
-        let analysis = super::analyze_from_transport(&topo, &transport, on_path[0]).unwrap();
+        let analysis = super::analyze_from_transport(topo, &transport, on_path[0]).unwrap();
         assert!(analysis.all_consistent());
-        let baseline = analyze_path(&topo, &run);
         assert_same_analysis(&baseline, &analysis);
-        let scoped = super::analyze_from_transport_scoped(&topo, &transport, on_path[0]).unwrap();
+        let scoped = super::analyze_from_transport_scoped(topo, &transport, on_path[0]).unwrap();
         assert_same_analysis(&baseline, &scoped);
     }
 
@@ -651,33 +596,28 @@ mod tests {
     #[test]
     fn receipts_across_a_rotation_are_copied_once_in_publish_order() {
         use vpm_wire::{HopKey, KeyEpoch, ReceiptTransport};
-        let (topo, run) = scenario(0.1);
+        let scenario = scenario(0.1, 200, 17, vec![]);
+        let (topo, (run, baseline)) = (&scenario.topology, scenario.evaluate());
         let transport = vpm_wire::ShardedBus::new(1);
         let on_path = topo.domain_ids();
-        let h4 = run.hop(vpm_packet::HopId(4)).unwrap();
-        for h in &run.hops {
-            let key = h.hop_key();
-            transport.register_key(h.hop, key).unwrap();
-            if h.hop != h4.hop {
-                publish(&transport, h, &h.batch, &key, &on_path);
-            }
-        }
+        let h4 = run.hop(HopId(4)).unwrap();
+        publish_all_but(&transport, &run, Some(h4.hop), &on_path);
         let [first, second] = split_batch(h4);
-        publish(&transport, h4, &first, &h4.hop_key(), &on_path);
+        publish(&transport, h4, &first, &default_hop_key(h4.hop), &on_path);
         let rotated = HopKey::from_seed(0x5070_a7ed ^ h4.hop.0 as u64);
         assert_eq!(transport.rotate_key(h4.hop, rotated), Ok(KeyEpoch(1)));
         publish(&transport, h4, &second, &rotated, &on_path);
 
         let frames = transport.fetch_path(on_path[0], &h4.path).unwrap();
         assert_eq!(frames.len(), 2);
-        let view = HopReceipts::from_frames(&topo, h4.hop, h4.path, &frames).unwrap();
+        let view = HopReceipts::from_frames(topo, h4.hop, h4.path, &frames).unwrap();
         assert!(matches!(view.samples, Cow::Owned(_)));
         assert!(matches!(view.aggregates, Cow::Owned(_)));
-        assert_eq!(&*view.samples, &*h4.samples);
-        assert_eq!(&*view.aggregates, &*h4.aggregates);
+        assert_eq!(&*view.samples, &*h4.samples());
+        assert_eq!(&*view.aggregates, h4.aggregates());
         assert_eq!(view.key_epoch, KeyEpoch(1));
-        let scoped = super::analyze_from_transport_scoped(&topo, &transport, on_path[0]).unwrap();
-        assert_same_analysis(&analyze_path(&topo, &run), &scoped);
+        let scoped = super::analyze_from_transport_scoped(topo, &transport, on_path[0]).unwrap();
+        assert_same_analysis(&baseline, &scoped);
     }
 
     /// A frame holding more than one sample receipt for the HOP's path
@@ -685,49 +625,41 @@ mod tests {
     /// aggregate receipts are still read in place.
     #[test]
     fn several_sample_receipts_in_one_frame_are_copied_in_order() {
-        let (topo, run) = scenario(0.1);
+        let scenario = scenario(0.1, 200, 17, vec![]);
+        let (topo, (run, baseline)) = (&scenario.topology, scenario.evaluate());
         let transport = vpm_wire::ShardedBus::new(1);
         let on_path = topo.domain_ids();
-        let h5 = run.hop(vpm_packet::HopId(5)).unwrap();
-        for h in &run.hops {
-            let key = h.hop_key();
-            transport.register_key(h.hop, key).unwrap();
-            if h.hop == h5.hop {
-                let [first, second] = split_batch(h5);
-                let two_receipts = vpm_core::ReceiptBatch {
-                    samples: [first.samples, second.samples].concat(),
-                    ..h5.batch.clone()
-                };
-                assert_eq!(two_receipts.samples.len(), 2);
-                publish(&transport, h, &two_receipts, &key, &on_path);
-            } else {
-                publish(&transport, h, &h.batch, &key, &on_path);
-            }
-        }
+        let h5 = run.hop(HopId(5)).unwrap();
+        publish_all_but(&transport, &run, Some(h5.hop), &on_path);
+        let [first, second] = split_batch(h5);
+        let two_receipts = vpm_core::ReceiptBatch {
+            samples: [first.samples, second.samples].concat(),
+            ..h5.batch.clone()
+        };
+        assert_eq!(two_receipts.samples.len(), 2);
+        publish(
+            &transport,
+            h5,
+            &two_receipts,
+            &default_hop_key(h5.hop),
+            &on_path,
+        );
 
         let frames = transport.fetch_path(on_path[0], &h5.path).unwrap();
         assert_eq!(frames.len(), 1);
-        let view = HopReceipts::from_frames(&topo, h5.hop, h5.path, &frames).unwrap();
+        let view = HopReceipts::from_frames(topo, h5.hop, h5.path, &frames).unwrap();
         assert!(matches!(view.samples, Cow::Owned(_)));
         assert!(matches!(view.aggregates, Cow::Borrowed(_)));
-        assert_eq!(&*view.samples, &*h5.samples);
-        assert_eq!(&*view.aggregates, &*h5.aggregates);
-        let scoped = super::analyze_from_transport_scoped(&topo, &transport, on_path[0]).unwrap();
-        assert_same_analysis(&analyze_path(&topo, &run), &scoped);
+        assert_eq!(&*view.samples, &*h5.samples());
+        assert_eq!(&*view.aggregates, h5.aggregates());
+        let scoped = super::analyze_from_transport_scoped(topo, &transport, on_path[0]).unwrap();
+        assert_same_analysis(&baseline, &scoped);
     }
 
     #[test]
     fn blame_shift_liar_exposed_on_its_link() {
-        let (topo, mut run) = scenario(0.2);
-        let ingress = run.hop(vpm_packet::HopId(4)).unwrap().clone();
-        apply_lie(
-            &ingress,
-            run.hop_mut(vpm_packet::HopId(5)).unwrap(),
-            LieStrategy::BlameShiftLoss {
-                claimed_delay: SimDuration::from_micros(200),
-            },
-        );
-        let analysis = analyze_path(&topo, &run);
+        let scenario = scenario(0.2, 200, 17, vec![blame_shift()]);
+        let (topo, (_, analysis)) = (&scenario.topology, scenario.evaluate());
         // X now *looks* lossless from its own receipts…
         let x_loss = analysis.domain("X").unwrap().estimate.loss.rate().unwrap();
         assert!(x_loss < 0.01, "liar hides its loss: {x_loss}");
@@ -735,7 +667,7 @@ mod tests {
         let flagged = analysis.flagged_links();
         assert!(!flagged.is_empty(), "the lie must surface somewhere");
         assert!(flagged.iter().any(|l| {
-            l.up == vpm_packet::HopId(5)
+            l.up == HopId(5)
                 && l.implicates
                     == (
                         topo.domain_by_name("X").unwrap().id,
@@ -744,30 +676,16 @@ mod tests {
         }));
         // No *other* link is flagged: the evidence localizes the lie.
         for l in &flagged {
-            assert_eq!(l.up, vpm_packet::HopId(5), "only the X→N link: {:?}", l.up);
+            assert_eq!(l.up, HopId(5), "only the X→N link: {:?}", l.up);
         }
     }
 
     #[test]
     fn colluding_cover_up_moves_blame_into_accomplice() {
-        let (topo, mut run) = scenario(0.2);
-        let ingress4 = run.hop(vpm_packet::HopId(4)).unwrap().clone();
-        apply_lie(
-            &ingress4,
-            run.hop_mut(vpm_packet::HopId(5)).unwrap(),
-            LieStrategy::BlameShiftLoss {
-                claimed_delay: SimDuration::from_micros(200),
-            },
-        );
-        let liar_egress = run.hop(vpm_packet::HopId(5)).unwrap().clone();
-        cover_up(&liar_egress, run.hop_mut(vpm_packet::HopId(6)).unwrap());
-        let analysis = analyze_path(&topo, &run);
+        let lies = vec![blame_shift(), Lie::CoverUp { accomplice: "N" }];
+        let (_, analysis) = scenario(0.2, 200, 17, lies).evaluate();
         // The X→N link now *looks* consistent…
-        let xn = analysis
-            .links
-            .iter()
-            .find(|l| l.up == vpm_packet::HopId(5))
-            .unwrap();
+        let xn = analysis.links.iter().find(|l| l.up == HopId(5)).unwrap();
         assert!(xn.report.is_consistent(), "cover-up hides the X→N mismatch");
         // …but N is left holding X's loss: either N's own estimate shows
         // the loss (it reported its egress honestly) or the N→D link is
@@ -781,19 +699,14 @@ mod tests {
 
     #[test]
     fn sugarcoat_delay_breaks_link_rule() {
-        let (topo, mut run) = scenario(0.0);
-        let ingress = run.hop(vpm_packet::HopId(4)).unwrap().clone();
-        apply_lie(
-            &ingress,
-            run.hop_mut(vpm_packet::HopId(5)).unwrap(),
-            LieStrategy::SugarcoatDelay {
-                shave: SimDuration::from_millis(5), // hide 5 ms of delay
-            },
-        );
-        let analysis = analyze_path(&topo, &run);
+        let lies = vec![Lie::Sugarcoat {
+            liar: "X",
+            shave: SimDuration::from_millis(5), // hide 5 ms of delay
+        }];
+        let (_, analysis) = scenario(0.0, 200, 17, lies).evaluate();
         // Claiming earlier egress times makes the X→N link transit look
         // LONGER than MaxDiff: rule 2 fires.
         let flagged = analysis.flagged_links();
-        assert!(flagged.iter().any(|l| l.up == vpm_packet::HopId(5)));
+        assert!(flagged.iter().any(|l| l.up == HopId(5)));
     }
 }

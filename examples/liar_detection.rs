@@ -16,12 +16,12 @@
 
 use vpm::netsim::channel::{ChannelConfig, DelayModel};
 use vpm::netsim::reorder::ReorderModel;
-use vpm::packet::{HopId, SimDuration};
-use vpm::sim::adversary::{apply_lie, cover_up, LieStrategy};
-use vpm::sim::run::{run_path, PathRun, RunConfig};
+use vpm::packet::SimDuration;
+use vpm::sim::run::RunConfig;
 use vpm::sim::topology::{Figure1, Topology};
-use vpm::sim::verdict::{analyze_path, PathAnalysis};
-use vpm::trace::{TraceConfig, TraceGenerator};
+use vpm::sim::verdict::PathAnalysis;
+use vpm::sim::{Lie, Scenario};
+use vpm::trace::TraceConfig;
 
 fn report(title: &str, topo: &Topology, analysis: &PathAnalysis) {
     println!("\n=== {title} ===");
@@ -59,21 +59,6 @@ fn report(title: &str, topo: &Topology, analysis: &PathAnalysis) {
     }
 }
 
-fn fresh_run(topo: &Topology) -> PathRun {
-    let trace = TraceGenerator::new(TraceConfig {
-        target_pps: 100_000.0,
-        duration: SimDuration::from_millis(500),
-        ..TraceConfig::paper_default(1, 23)
-    })
-    .generate();
-    let cfg = RunConfig {
-        sampling_rate: 0.02,
-        aggregate_size: 2_000,
-        ..RunConfig::default()
-    };
-    run_path(&trace, topo, &cfg)
-}
-
 fn main() {
     // X drops 20% of everything it carries.
     let mut fig = Figure1::ideal();
@@ -83,43 +68,45 @@ fn main() {
         reorder: ReorderModel::none(),
         seed: 3,
     };
-    let topo = fig.build();
+    let honest = Scenario::new(
+        TraceConfig {
+            target_pps: 100_000.0,
+            duration: SimDuration::from_millis(500),
+            ..TraceConfig::paper_default(1, 23)
+        },
+        fig.build(),
+        RunConfig {
+            sampling_rate: 0.02,
+            aggregate_size: 2_000,
+            ..RunConfig::default()
+        },
+    );
+    let topo = &honest.topology;
+    let blame_shift = Lie::BlameShift {
+        liar: "X",
+        claimed_delay: SimDuration::from_micros(200),
+    };
+    let lying = |lies| Scenario {
+        lies,
+        ..honest.clone()
+    };
 
     // Act 1: honesty.
-    let run = fresh_run(&topo);
-    report("Act 1: everyone honest", &topo, &analyze_path(&topo, &run));
+    report("Act 1: everyone honest", topo, &honest.evaluate().1);
     println!("  → X's 20% loss is on the record; nobody is implicated falsely.");
 
     // Act 2: X lies alone.
-    let mut run2 = fresh_run(&topo);
-    let ingress4 = run2.hop(HopId(4)).expect("hop 4").clone();
-    apply_lie(
-        &ingress4,
-        run2.hop_mut(HopId(5)).expect("hop 5"),
-        LieStrategy::BlameShiftLoss {
-            claimed_delay: SimDuration::from_micros(200),
-        },
-    );
-    let a2 = analyze_path(&topo, &run2);
-    report("Act 2: X fabricates delivery receipts", &topo, &a2);
+    let a2 = lying(vec![blame_shift]).evaluate().1;
+    report("Act 2: X fabricates delivery receipts", topo, &a2);
     println!(
         "  → X's own books look clean now, but the X→N link screams: N never\n    acknowledged those packets. The rest of the world sees {{X, N}}; N knows\n    exactly who lied (it was implicated)."
     );
 
     // Act 3: N covers for X.
-    let mut run3 = fresh_run(&topo);
-    let ingress4 = run3.hop(HopId(4)).expect("hop 4").clone();
-    apply_lie(
-        &ingress4,
-        run3.hop_mut(HopId(5)).expect("hop 5"),
-        LieStrategy::BlameShiftLoss {
-            claimed_delay: SimDuration::from_micros(200),
-        },
-    );
-    let liar_egress = run3.hop(HopId(5)).expect("hop 5").clone();
-    cover_up(&liar_egress, run3.hop_mut(HopId(6)).expect("hop 6"));
-    let a3 = analyze_path(&topo, &run3);
-    report("Act 3: N colludes and covers the lie", &topo, &a3);
+    let a3 = lying(vec![blame_shift, Lie::CoverUp { accomplice: "N" }])
+        .evaluate()
+        .1;
+    report("Act 3: N colludes and covers the lie", topo, &a3);
     println!(
         "  → The X→N link is quiet, but the loss did not vanish: N's ingress now\n    claims packets its egress never delivered, so the books pin X's loss on N.\n    Colluding with a liar means absorbing the liar's losses (§3.1)."
     );

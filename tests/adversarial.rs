@@ -8,20 +8,20 @@ use vpm::hash::Threshold;
 use vpm::netsim::channel::{ChannelConfig, DelayModel};
 use vpm::netsim::reorder::ReorderModel;
 use vpm::packet::{HopId, SimDuration};
-use vpm::sim::adversary::{apply_lie, cover_up, LieStrategy};
-use vpm::sim::run::{run_path, PathRun, RunConfig};
+use vpm::sim::run::{PathRun, RunConfig};
 use vpm::sim::topology::{Figure1, Topology};
-use vpm::sim::verdict::analyze_path;
+use vpm::sim::verdict::PathAnalysis;
+use vpm::sim::{Lie, Scenario};
 use vpm::stats::quantile::{empirical_quantile, sort_samples};
 use vpm::trace::{TraceConfig, TraceGenerator};
 
-fn lossy_scenario(seed: u64) -> (Topology, PathRun) {
-    let t = TraceGenerator::new(TraceConfig {
+/// Figure 1 with 25 % bursty loss inside X, telling `lies`.
+fn lossy_scenario(seed: u64, lies: Vec<Lie>) -> (Topology, PathRun, PathAnalysis) {
+    let t = TraceConfig {
         target_pps: 50_000.0,
         duration: SimDuration::from_millis(250),
         ..TraceConfig::paper_default(1, seed)
-    })
-    .generate();
+    };
     let mut fig = Figure1::ideal();
     fig.x_transit = ChannelConfig {
         delay: DelayModel::Constant(SimDuration::from_micros(300)),
@@ -29,7 +29,6 @@ fn lossy_scenario(seed: u64) -> (Topology, PathRun) {
         reorder: ReorderModel::none(),
         seed,
     };
-    let topo = fig.build();
     let cfg = RunConfig {
         sampling_rate: 0.05,
         aggregate_size: 500,
@@ -37,28 +36,30 @@ fn lossy_scenario(seed: u64) -> (Topology, PathRun) {
         j_window: SimDuration::from_millis(2),
         ..RunConfig::default()
     };
-    let run = run_path(&t, &topo, &cfg);
-    (topo, run)
+    let scenario = Scenario {
+        lies,
+        ..Scenario::new(t, fig.build(), cfg)
+    };
+    let (run, analysis) = scenario.evaluate();
+    (scenario.topology, run, analysis)
+}
+
+/// `liar` hides its loss by fabricating egress receipts.
+fn blame_shift(liar: &'static str) -> Lie {
+    Lie::BlameShift {
+        liar,
+        claimed_delay: SimDuration::from_micros(300),
+    }
 }
 
 #[test]
 fn lie_hides_loss_from_own_books_but_not_from_the_link() {
-    let (topo, mut run) = lossy_scenario(31);
+    let (_, run, analysis) = lossy_scenario(31, vec![blame_shift("X")]);
     let true_loss = {
         let x = run.truth("X").unwrap();
         1.0 - x.delivered as f64 / x.sent as f64
     };
     assert!(true_loss > 0.2);
-
-    let ingress = run.hop(HopId(4)).unwrap().clone();
-    apply_lie(
-        &ingress,
-        run.hop_mut(HopId(5)).unwrap(),
-        LieStrategy::BlameShiftLoss {
-            claimed_delay: SimDuration::from_micros(300),
-        },
-    );
-    let analysis = analyze_path(&topo, &run);
 
     // Books look clean; the link does not.
     assert!(analysis.domain("X").unwrap().estimate.loss.rate().unwrap() < 0.01);
@@ -91,26 +92,12 @@ fn full_collusion_chain_pushes_blame_to_the_last_liar() {
     // X lies; N covers at ingress but must then either absorb the loss
     // or lie again at egress. Here N lies again (egress fabricated from
     // its ingress claims) — and the N→D link exposes it to D.
-    let (topo, mut run) = lossy_scenario(37);
-    let ingress4 = run.hop(HopId(4)).unwrap().clone();
-    apply_lie(
-        &ingress4,
-        run.hop_mut(HopId(5)).unwrap(),
-        LieStrategy::BlameShiftLoss {
-            claimed_delay: SimDuration::from_micros(300),
-        },
-    );
-    let egress5 = run.hop(HopId(5)).unwrap().clone();
-    cover_up(&egress5, run.hop_mut(HopId(6)).unwrap());
-    let ingress6 = run.hop(HopId(6)).unwrap().clone();
-    apply_lie(
-        &ingress6,
-        run.hop_mut(HopId(7)).unwrap(),
-        LieStrategy::BlameShiftLoss {
-            claimed_delay: SimDuration::from_micros(300),
-        },
-    );
-    let analysis = analyze_path(&topo, &run);
+    let lies = vec![
+        blame_shift("X"),
+        Lie::CoverUp { accomplice: "N" },
+        blame_shift("N"),
+    ];
+    let (topo, _, analysis) = lossy_scenario(37, lies);
     // X→N and N internal books are clean...
     assert!(analysis
         .links
@@ -134,22 +121,12 @@ fn cover_up_without_further_lies_absorbs_the_loss() {
     // reports its own egress honestly. No link is flagged — but X's
     // loss has not disappeared; N's own books now show it. Collusion
     // means absorbing the liar's losses.
-    let (topo, mut run) = lossy_scenario(53);
+    let lies = vec![blame_shift("X"), Lie::CoverUp { accomplice: "N" }];
+    let (_, run, analysis) = lossy_scenario(53, lies);
     let true_loss = {
         let x = run.truth("X").unwrap();
         1.0 - x.delivered as f64 / x.sent as f64
     };
-    let ingress4 = run.hop(HopId(4)).unwrap().clone();
-    apply_lie(
-        &ingress4,
-        run.hop_mut(HopId(5)).unwrap(),
-        LieStrategy::BlameShiftLoss {
-            claimed_delay: SimDuration::from_micros(300),
-        },
-    );
-    let egress5 = run.hop(HopId(5)).unwrap().clone();
-    cover_up(&egress5, run.hop_mut(HopId(6)).unwrap());
-    let analysis = analyze_path(&topo, &run);
 
     // The coalition's links are quiet, and X's books look perfect…
     assert!(analysis
@@ -184,12 +161,11 @@ fn sugarcoating_delay_cannot_beat_max_diff() {
     // X is slow (8 ms transit) and shaves 6 ms off its egress
     // timestamps to look fast. Its own estimate improves — but the
     // X→N link now shows >MaxDiff transit and X is exposed.
-    let t = TraceGenerator::new(TraceConfig {
+    let t = TraceConfig {
         target_pps: 50_000.0,
         duration: SimDuration::from_millis(250),
         ..TraceConfig::paper_default(1, 41)
-    })
-    .generate();
+    };
     let mut fig = Figure1::ideal();
     fig.x_transit = ChannelConfig {
         delay: DelayModel::Constant(SimDuration::from_millis(8)),
@@ -197,7 +173,6 @@ fn sugarcoating_delay_cannot_beat_max_diff() {
         reorder: ReorderModel::none(),
         seed: 41,
     };
-    let topo = fig.build();
     let cfg = RunConfig {
         sampling_rate: 0.05,
         aggregate_size: 500,
@@ -205,16 +180,14 @@ fn sugarcoating_delay_cannot_beat_max_diff() {
         j_window: SimDuration::from_millis(2),
         ..RunConfig::default()
     };
-    let mut run = run_path(&t, &topo, &cfg);
-    let ingress = run.hop(HopId(4)).unwrap().clone();
-    apply_lie(
-        &ingress,
-        run.hop_mut(HopId(5)).unwrap(),
-        LieStrategy::SugarcoatDelay {
+    let scenario = Scenario {
+        lies: vec![Lie::Sugarcoat {
+            liar: "X",
             shave: SimDuration::from_millis(6),
-        },
-    );
-    let analysis = analyze_path(&topo, &run);
+        }],
+        ..Scenario::new(t, fig.build(), cfg)
+    };
+    let (_, analysis) = scenario.evaluate();
     // The lie works on X's own numbers…
     let p50 = analysis
         .domain("X")
@@ -312,23 +285,23 @@ fn marker_dropping_is_self_defeating() {
     // markers "are expected to be always sampled and reported on":
     // HOP 4's receipts contain every marker, HOP 5's contain none of
     // the dropped ones — standing evidence against X.
-    let t = TraceGenerator::new(TraceConfig {
+    let t = TraceConfig {
         target_pps: 50_000.0,
         duration: SimDuration::from_millis(250),
         ..TraceConfig::paper_default(1, 47)
-    })
-    .generate();
-    let topo = Figure1::ideal().build();
-    let mut cfg = RunConfig {
+    };
+    let cfg = RunConfig {
         sampling_rate: 0.05,
         aggregate_size: 500,
         marker_rate: 0.01,
         j_window: SimDuration::from_millis(2),
         ..RunConfig::default()
     };
-    cfg.marker_dropper = Some(topo.domain_by_name("X").unwrap().id);
-    let run = run_path(&t, &topo, &cfg);
-    let analysis = analyze_path(&topo, &run);
+    let scenario = Scenario {
+        lies: vec![Lie::MarkerDrop { liar: "X" }],
+        ..Scenario::new(t, Figure1::ideal().build(), cfg)
+    };
+    let (run, analysis) = scenario.evaluate();
 
     // 1. X's loss performance becomes incomputable (join collapses):
     //    self-defeating for a domain that wanted to look good.
@@ -341,17 +314,17 @@ fn marker_dropping_is_self_defeating() {
     // 2. Matched delay samples collapse too.
     let h4 = run.hop(HopId(4)).unwrap();
     let h5 = run.hop(HopId(5)).unwrap();
-    let matched = vpm::core::verify::match_samples(&h4.samples, &h5.samples).len();
+    let (h4, h5) = (h4.samples(), h5.samples());
+    let matched = vpm::core::verify::match_samples(&h4, &h5).len();
     assert!(
-        (matched as f64) < 0.2 * h4.samples.len() as f64,
+        (matched as f64) < 0.2 * h4.len() as f64,
         "matched {matched} of {}",
-        h4.samples.len()
+        h4.len()
     );
     // 3. Every marker HOP 4 reported is missing downstream — evidence.
     let marker = vpm::hash::Threshold::from_rate(0.01);
-    let h5_ids: std::collections::HashSet<_> = h5.samples.iter().map(|r| r.pkt_id).collect();
+    let h5_ids: std::collections::HashSet<_> = h5.iter().map(|r| r.pkt_id).collect();
     let vanished = h4
-        .samples
         .iter()
         .filter(|r| marker.passes(r.pkt_id.0) && !h5_ids.contains(&r.pkt_id))
         .count();

@@ -2,25 +2,31 @@
 //! frames → transport → verification, all through the public facade
 //! API.
 
+use vpm::core::processor::default_hop_key;
 use vpm::core::verify::Verifier;
 use vpm::netsim::channel::{ChannelConfig, DelayModel};
 use vpm::netsim::reorder::ReorderModel;
 use vpm::packet::{DomainId, HopId, SimDuration};
-use vpm::sim::run::{run_path, ClockMode, HopTuning, RunConfig};
-use vpm::sim::topology::Figure1;
-use vpm::sim::verdict::analyze_path;
-use vpm::trace::{TraceConfig, TraceGenerator, TracePacket};
+use vpm::sim::run::{ClockMode, HopTuning, PathRun, RunConfig};
+use vpm::sim::topology::{Figure1, Topology};
+use vpm::sim::verdict::{analyze_path, PathAnalysis};
+use vpm::sim::Scenario;
+use vpm::trace::TraceConfig;
 use vpm::wire::{
-    HopKey, KeyEpoch, Profile, ReceiptTransport, ShardedBus, TransportError, WireEncoder, WireFrame,
+    HopKey, KeyEpoch, ReceiptTransport, ShardedBus, TransportError, WireEncoder, WireFrame,
 };
 
-fn trace(ms: u64, seed: u64) -> Vec<TracePacket> {
-    TraceGenerator::new(TraceConfig {
+fn trace(ms: u64, seed: u64) -> TraceConfig {
+    TraceConfig {
         target_pps: 50_000.0,
         duration: SimDuration::from_millis(ms),
         ..TraceConfig::paper_default(1, seed)
-    })
-    .generate()
+    }
+}
+
+/// Run `trace` through `topology` under `cfg` on a private bus.
+fn evaluate(trace: TraceConfig, topology: Topology, cfg: RunConfig) -> (PathRun, PathAnalysis) {
+    Scenario::new(trace, topology, cfg).evaluate()
 }
 
 fn base_cfg() -> RunConfig {
@@ -46,9 +52,7 @@ fn congested_domain_measured_accurately_across_full_path() {
         reorder: ReorderModel::none(),
         seed: 9,
     };
-    let topo = fig.build();
-    let run = run_path(&t, &topo, &base_cfg());
-    let analysis = analyze_path(&topo, &run);
+    let (run, analysis) = evaluate(t, fig.build(), base_cfg());
 
     assert!(analysis.all_consistent());
 
@@ -81,19 +85,11 @@ fn congested_domain_measured_accurately_across_full_path() {
 
 #[test]
 fn receipts_flow_through_the_transport_with_privacy() {
-    let t = trace(100, 2);
-    let topo = Figure1::ideal().build();
-    let run = run_path(&t, &topo, &base_cfg());
-
+    let scenario = Scenario::new(trace(100, 2), Figure1::ideal().build(), base_cfg());
     let bus = ShardedBus::new(1);
-    let on_path: Vec<DomainId> = topo.domain_ids();
-    for h in &run.hops {
-        let key = h.hop_key();
-        bus.register_key(h.hop, key).unwrap();
-        bus.publish_batch(h.domain, &h.batch, Profile::Precise, on_path.clone(), &key)
-            .expect("honest batches publish");
-    }
+    let run = scenario.run(&bus).expect("honest batches publish");
     assert_eq!(bus.len(), 8);
+    let on_path: Vec<DomainId> = scenario.topology.domain_ids();
 
     // Any on-path domain can fetch any HOP's receipts; the decoded
     // batch on the far side is the published one, bit for bit.
@@ -108,12 +104,11 @@ fn receipts_flow_through_the_transport_with_privacy() {
 
 #[test]
 fn tampered_receipts_never_enter_circulation() {
-    let t = trace(100, 3);
     let topo = Figure1::ideal().build();
-    let run = run_path(&t, &topo, &base_cfg());
+    let (run, _) = evaluate(trace(100, 3), topo.clone(), base_cfg());
     let bus = ShardedBus::new(1);
     let h5 = run.hop(HopId(5)).unwrap();
-    let key = h5.hop_key();
+    let key = default_hop_key(h5.hop);
     bus.register_key(h5.hop, key).unwrap();
     let mut doctored = h5.batch.clone();
     if let Some(a) = doctored.aggregates.first_mut() {
@@ -173,16 +168,16 @@ fn per_hop_tuning_controls_receipt_volume() {
             aggregate_size: 200,
         },
     );
-    let run = run_path(&t, &topo, &cfg);
+    let (run, _) = evaluate(t, topo, cfg);
     let h4 = run.hop(HopId(4)).unwrap();
     let h6 = run.hop(HopId(6)).unwrap();
-    assert!(h4.samples.len() > 5 * h6.samples.len());
-    assert!(h4.aggregates.len() > 3 * h6.aggregates.len());
+    assert!(h4.samples().len() > 5 * h6.samples().len());
+    assert!(h4.aggregates().len() > 3 * h6.aggregates().len());
     // Superset property across differently-tuned HOPs on the same
     // stream: every packet HOP 6 sampled, HOP 4 (lower σ) sampled too.
-    let ids4: std::collections::HashSet<_> = h4.samples.iter().map(|r| r.pkt_id).collect();
+    let ids4: std::collections::HashSet<_> = h4.samples().iter().map(|r| r.pkt_id).collect();
     let missing = h6
-        .samples
+        .samples()
         .iter()
         .filter(|r| !ids4.contains(&r.pkt_id))
         .count();
@@ -205,8 +200,7 @@ fn verification_works_under_ntp_grade_clocks() {
     let mut cfg = base_cfg();
     cfg.clocks = ClockMode::NtpGrade;
     cfg.seed = 55;
-    let run = run_path(&t, &topo, &cfg);
-    let analysis = analyze_path(&topo, &run);
+    let (_, analysis) = evaluate(t, topo, cfg);
     assert!(
         analysis.all_consistent(),
         "NTP-grade skew within MaxDiff must not trigger inconsistencies"
@@ -233,12 +227,11 @@ fn desynchronized_clocks_violate_max_diff_as_the_paper_warns() {
     // inter-domain link or be involved in a lie)".
     let t = trace(200, 6);
     let topo = Figure1::ideal().build(); // MaxDiff = 2 ms
-    let cfg = base_cfg();
-    let mut run = run_path(&t, &topo, &cfg);
+    let (mut run, _) = evaluate(t, topo.clone(), base_cfg());
     // Simulate HOP 6's clock running 5 ms behind: its reported times
     // for received packets are 5 ms late.
-    let h6 = run.hop_mut(HopId(6)).unwrap();
-    for r in &mut h6.samples {
+    let h6 = run.hops.iter_mut().find(|h| h.hop == HopId(6)).unwrap();
+    for r in h6.batch.samples.iter_mut().flat_map(|s| &mut s.samples) {
         r.time += SimDuration::from_millis(5);
     }
     let analysis = analyze_path(&topo, &run);
@@ -253,13 +246,16 @@ fn desynchronized_clocks_violate_max_diff_as_the_paper_warns() {
 fn domain_estimates_survive_serde_roundtrip() {
     // Receipts and estimates are wire types; a collector may archive
     // them as JSON.
-    let t = trace(150, 7);
-    let topo = Figure1::ideal().build();
-    let run = run_path(&t, &topo, &base_cfg());
+    let (run, _) = evaluate(trace(150, 7), Figure1::ideal().build(), base_cfg());
     let v = Verifier::default();
     let h4 = run.hop(HopId(4)).unwrap();
     let h5 = run.hop(HopId(5)).unwrap();
-    let est = v.estimate_domain(&h4.samples, &h4.aggregates, &h5.samples, &h5.aggregates);
+    let est = v.estimate_domain(
+        &h4.samples(),
+        h4.aggregates(),
+        &h5.samples(),
+        h5.aggregates(),
+    );
     let json = serde_json::to_string(&est).unwrap();
     let back: vpm::core::verify::DomainEstimate = serde_json::from_str(&json).unwrap();
     assert_eq!(est, back);

@@ -8,8 +8,8 @@ use vpm::netsim::channel::ChannelConfig;
 use vpm::netsim::reorder::ReorderModel;
 use vpm::packet::{HopId, SimDuration};
 use vpm::sim::figures::{self, Fig2Config, Fig2Point, Fig3Config, Fig3Point, VerifiabilityConfig};
-use vpm::sim::{analyze_path, run_path, Figure1, RunConfig};
-use vpm::trace::{TraceConfig, TraceGenerator};
+use vpm::sim::{Figure1, RunConfig, Scenario};
+use vpm::trace::TraceConfig;
 
 /// Compare `table` with `tests/golden/<name>`. Regenerate (after a
 /// change that is meant to move the numbers) with
@@ -187,12 +187,11 @@ fn aggtrans_fixes_reordering_miscounts() {
     let abs_error =
         |j: &JoinResult| -> u64 { j.joined.iter().map(|a| a.lost.unsigned_abs()).sum() };
     for seed in [1, 2, 3, 5] {
-        let trace = TraceGenerator::new(TraceConfig {
+        let trace = TraceConfig {
             target_pps: 50_000.0,
             duration: SimDuration::from_millis(800),
             ..TraceConfig::paper_default(1, seed)
-        })
-        .generate();
+        };
         let reorder = ReorderModel {
             p_reorder: 0.3,
             max_shift: SimDuration::from_micros(800),
@@ -212,11 +211,10 @@ fn aggtrans_fixes_reordering_miscounts() {
             j_window: SimDuration::from_millis(1),
             ..RunConfig::default()
         };
-        let run = run_path(&trace, &topology, &cfg);
-        let analysis = analyze_path(&topology, &run);
+        let (run, analysis) = Scenario::new(trace, topology, cfg).evaluate();
         let aligned = &analysis.domain("X").unwrap().estimate.join;
         let stripped = |hop| {
-            let mut aggregates = run.hop(HopId(hop)).unwrap().aggregates.clone();
+            let mut aggregates = run.hop(HopId(hop)).unwrap().aggregates().to_vec();
             aggregates.iter_mut().for_each(|a| a.agg_trans.clear());
             aggregates
         };

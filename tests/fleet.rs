@@ -22,9 +22,11 @@ use vpm::sim::fleet::{
     analyze_fleet_from_transport, build_fleet, run_fleet, Fleet, FleetConfig, FleetPath,
     FleetPathVerdict,
 };
+use vpm::sim::scenario_matrix::AdversaryAxis;
 use vpm::sim::topology::Figure1;
 use vpm::sim::verdict::analyze_from_transport;
-use vpm::sim::RunConfig;
+use vpm::sim::{RunConfig, Scenario};
+use vpm::trace::TraceConfig;
 use vpm::wire::{HopKey, Profile, ReceiptTransport, ShardedBus};
 
 fn small_fleet_config() -> FleetConfig {
@@ -56,11 +58,11 @@ fn fleet_exposes_exactly_its_liars() {
     assert_eq!(verdicts.len(), fleet.paths.len());
     for (p, v) in fleet.paths.iter().zip(&verdicts) {
         assert!(v.passed(), "path {}: {:?}", p.index, v.failures);
-        match p.lie {
-            None => assert!(v.flagged_links.is_empty(), "path {}", p.index),
-            Some(_) => assert_eq!(
+        match p.adversary {
+            AdversaryAxis::Honest => assert!(v.flagged_links.is_empty(), "path {}", p.index),
+            _ => assert_eq!(
                 v.flagged_links,
-                vec![p.expected_liar_link()],
+                Vec::from_iter(p.expected_liar_link()),
                 "path {}",
                 p.index
             ),
@@ -73,6 +75,32 @@ fn fleet_exposes_exactly_its_liars() {
         .map(|v| v.path)
         .collect();
     assert_eq!(exposed.len(), 3);
+}
+
+/// Every HOP's frames on a fleet bus carry `batch_seq` 0, 1, … in
+/// publish order, without a repeat: a path with a quiet first interval
+/// numbers its empty batch 0 and its receipts 1.
+#[test]
+fn every_hops_frames_count_their_batch_seqs_from_zero() {
+    let fleet = build_fleet(&small_fleet_config());
+    let bus = ShardedBus::new(16);
+    run_fleet(&fleet, &bus);
+    let mut quiet = 0;
+    for p in &fleet.paths {
+        let topology = &p.scenario.topology;
+        for hop in topology.hops() {
+            let frames = bus.fetch(p.collector_domain(), hop).unwrap();
+            let seqs: Vec<u64> = frames.iter().map(|f| f.batch.batch_seq).collect();
+            let expected: Vec<u64> = (0..frames.len() as u64).collect();
+            assert_eq!(seqs, expected, "path {} {hop}", p.index);
+            assert_eq!(
+                frames.len(),
+                1 + usize::from(p.scenario.quiet_first_interval)
+            );
+        }
+        quiet += usize::from(p.scenario.quiet_first_interval);
+    }
+    assert!(quiet > 0, "the fleet has quiet-first-interval paths");
 }
 
 #[test]
@@ -144,7 +172,7 @@ fn forged_and_replaced_keys_never_enter_fleet_circulation() {
     let len_before = bus.len();
     let verdicts_before = bytes(&analyze_fleet_from_transport(&fleet, &bus, 2));
 
-    let victim_path = &fleet.paths[1].topology;
+    let victim_path = &fleet.paths[1].scenario.topology;
     let victim = victim_path.hops()[3];
     let domain = victim_path.domain_of(victim).unwrap().id;
     let on_path = victim_path.domain_ids();
@@ -216,18 +244,18 @@ fn synthetic_fleet(n: usize, seed: u64) -> (Fleet, ShardedBus) {
     let paths: Vec<FleetPath> = (0..n)
         .map(|i| FleetPath {
             index: i,
-            topology: Figure1::numbered(i).build(),
-            run_config: RunConfig::default(),
-            lie: None,
-            quiet_first_interval: false,
-            trace_ms: 0,
-            target_pps: 0.0,
-            seed: seed ^ i as u64,
+            scenario: Scenario::new(
+                TraceConfig::paper_default(1, seed ^ i as u64),
+                Figure1::numbered(i).build(),
+                RunConfig::default(),
+            ),
+            adversary: AdversaryAxis::Honest,
         })
         .collect();
     for p in &paths {
-        let on_path = p.topology.domain_ids();
-        for (hop, path_id) in p.topology.hop_path_ids() {
+        let topology = &p.scenario.topology;
+        let on_path = topology.domain_ids();
+        for (hop, path_id) in topology.hop_path_ids() {
             let key = HopKey::from_seed(0x5eed ^ hop.0 as u64);
             bus.register_key(hop, key).unwrap();
             if mix(&mut rng) % 10 < 3 {
@@ -242,7 +270,7 @@ fn synthetic_fleet(n: usize, seed: u64) -> (Fleet, ShardedBus) {
                     aggregates: vec![],
                 };
                 bus.publish_batch(
-                    p.topology.domain_of(hop).unwrap().id,
+                    topology.domain_of(hop).unwrap().id,
                     &empty,
                     Profile::Precise,
                     on_path.clone(),
@@ -274,7 +302,7 @@ fn synthetic_fleet(n: usize, seed: u64) -> (Fleet, ShardedBus) {
                 }],
             };
             bus.publish_batch(
-                p.topology.domain_of(hop).unwrap().id,
+                topology.domain_of(hop).unwrap().id,
                 &batch,
                 Profile::Precise,
                 on_path.clone(),
@@ -313,7 +341,7 @@ proptest! {
             .iter()
             .map(|p| {
                 let analysis =
-                    analyze_from_transport(&p.topology, &bus, p.collector_domain())
+                    analyze_from_transport(&p.scenario.topology, &bus, p.collector_domain())
                         .expect("collector is on-path");
                 FleetPathVerdict::from_analysis(p, &analysis)
             })

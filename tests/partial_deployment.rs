@@ -12,20 +12,19 @@ use std::collections::HashSet;
 use vpm::netsim::channel::{ChannelConfig, DelayModel};
 use vpm::netsim::reorder::ReorderModel;
 use vpm::packet::{DomainId, HopId, SimDuration};
-use vpm::sim::adversary::{apply_lies, LieSite, LieStrategy};
 use vpm::sim::partial::analyze_partial;
-use vpm::sim::run::{run_path, PathRun, RunConfig};
+use vpm::sim::run::{PathRun, RunConfig};
 use vpm::sim::topology::{Figure1, Topology};
-use vpm::trace::{TraceConfig, TraceGenerator};
+use vpm::sim::{Lie, Scenario};
+use vpm::trace::TraceConfig;
 
-/// Figure-1 run with the given loss inside X.
-fn lossy_x_scenario(x_loss: f64, seed: u64) -> (Topology, PathRun) {
-    let t = TraceGenerator::new(TraceConfig {
+/// Figure-1 run with the given loss inside X, and X telling `lies`.
+fn lossy_x_scenario(x_loss: f64, seed: u64, lies: Vec<Lie>) -> (Topology, PathRun) {
+    let t = TraceConfig {
         target_pps: 50_000.0,
         duration: SimDuration::from_millis(250),
         ..TraceConfig::paper_default(1, seed)
-    })
-    .generate();
+    };
     let mut fig = Figure1::ideal();
     fig.x_transit = ChannelConfig {
         delay: DelayModel::Constant(SimDuration::from_micros(300)),
@@ -33,7 +32,6 @@ fn lossy_x_scenario(x_loss: f64, seed: u64) -> (Topology, PathRun) {
         reorder: ReorderModel::none(),
         seed: seed ^ 0x9a,
     };
-    let topo = fig.build();
     let cfg = RunConfig {
         sampling_rate: 0.05,
         aggregate_size: 500,
@@ -41,8 +39,20 @@ fn lossy_x_scenario(x_loss: f64, seed: u64) -> (Topology, PathRun) {
         j_window: SimDuration::from_millis(2),
         ..RunConfig::default()
     };
-    let run = run_path(&t, &topo, &cfg);
-    (topo, run)
+    let scenario = Scenario {
+        lies,
+        ..Scenario::new(t, fig.build(), cfg)
+    };
+    let run = scenario.evaluate().0;
+    (scenario.topology, run)
+}
+
+/// X hides its loss by fabricating egress receipts.
+fn blame_shift() -> Lie {
+    Lie::BlameShift {
+        liar: "X",
+        claimed_delay: SimDuration::from_micros(300),
+    }
 }
 
 fn deployed_except(topo: &Topology, name: &str) -> HashSet<DomainId> {
@@ -61,18 +71,8 @@ fn deployed_except(topo: &Topology, name: &str) -> HashSet<DomainId> {
 /// measuring clean.
 #[test]
 fn liar_inside_uncovered_segment_blame_lands_on_the_spanning_segment() {
-    let (topo, mut run) = lossy_x_scenario(0.18, 77);
     // X lies exactly as a deployed blame-shifter would…
-    apply_lies(
-        &mut run,
-        &[LieSite {
-            ingress: HopId(4),
-            egress: HopId(5),
-            strategy: LieStrategy::BlameShiftLoss {
-                claimed_delay: SimDuration::from_micros(300),
-            },
-        }],
-    );
+    let (topo, run) = lossy_x_scenario(0.18, 77, vec![blame_shift()]);
     // …but nobody is listening: X is outside the deployment.
     let deployed = deployed_except(&topo, "X");
     let a = analyze_partial(&topo, &run, &deployed);
@@ -106,7 +106,7 @@ fn liar_inside_uncovered_segment_blame_lands_on_the_spanning_segment() {
 /// because the bracketing HOPs 3 and 6 are honest.
 #[test]
 fn delay_lie_inside_uncovered_segment_cannot_sugarcoat_the_segment() {
-    let (topo, mut run) = lossy_x_scenario(0.0, 78);
+    let (topo, run) = lossy_x_scenario(0.0, 78, vec![]);
     let honest_deployed = deployed_except(&topo, "X");
     let honest_seg_delay = {
         let a = analyze_partial(&topo, &run, &honest_deployed);
@@ -122,16 +122,11 @@ fn delay_lie_inside_uncovered_segment_cannot_sugarcoat_the_segment() {
             .unwrap()
             .value
     };
-    apply_lies(
-        &mut run,
-        &[LieSite {
-            ingress: HopId(4),
-            egress: HopId(5),
-            strategy: LieStrategy::SugarcoatDelay {
-                shave: SimDuration::from_millis(5),
-            },
-        }],
-    );
+    let sugarcoat = Lie::Sugarcoat {
+        liar: "X",
+        shave: SimDuration::from_millis(5),
+    };
+    let (_, run) = lossy_x_scenario(0.0, 78, vec![sugarcoat]);
     let a = analyze_partial(&topo, &run, &honest_deployed);
     let x_id = topo.domain_by_name("X").unwrap().id;
     let seg = a.segment_spanning(x_id).unwrap();
@@ -158,17 +153,7 @@ fn delay_lie_inside_uncovered_segment_cannot_sugarcoat_the_segment() {
 /// above this is the §8 incentive in executable form.
 #[test]
 fn same_lie_with_full_deployment_is_exposed_instead() {
-    let (topo, mut run) = lossy_x_scenario(0.18, 77);
-    apply_lies(
-        &mut run,
-        &[LieSite {
-            ingress: HopId(4),
-            egress: HopId(5),
-            strategy: LieStrategy::BlameShiftLoss {
-                claimed_delay: SimDuration::from_micros(300),
-            },
-        }],
-    );
+    let (topo, run) = lossy_x_scenario(0.18, 77, vec![blame_shift()]);
     let analysis = vpm::sim::verdict::analyze_path(&topo, &run);
     let flagged: Vec<_> = analysis
         .flagged_links()
