@@ -5,8 +5,8 @@
 //!
 //! * **One entry point.** [`Collector`](crate::Collector) and the
 //!   multi-core [`ShardedCollector`](crate::ShardedCollector) are
-//!   interchangeable behind `impl Ingest` — `Processor::report` and
-//!   `run_path` are generic over it.
+//!   interchangeable behind `impl Ingest` — `Processor::report` is
+//!   generic over it.
 //! * **Typed errors.** An entry naming an unregistered path index
 //!   comes back as [`IngestError::PathOutOfRange`] in the report
 //!   (position, offending index, table size). The entry counts into

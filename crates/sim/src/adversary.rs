@@ -308,7 +308,7 @@ mod tests {
     }
 
     #[test]
-    fn an_accomplice_copies_the_lie() {
+    fn cover_up_copies_the_lie() {
         let run = lossy_x(vec![blame_shift("X"), Lie::CoverUp { accomplice: "N" }]);
         let liar = run.hop(HopId(5)).unwrap().samples();
         let accomplice = run.hop(HopId(6)).unwrap().samples();

@@ -406,7 +406,7 @@ pub fn fig3(cfg: &Fig3Config) -> Vec<Fig3Point> {
             };
             let (run, estimate) = run_x(trace_cfg, x, run_cfg.clone())?;
             let join = &estimate.join;
-            let spans = joined_spans_secs(&trace, run.hop(HopId(4))?.aggregates(), join);
+            let spans = joined_spans_secs(&trace, &run.hop(HopId(4))?.batch.aggregates, join);
             Some(Fig3Point {
                 loss_rate: loss,
                 granularity_secs: if spans.is_empty() {
@@ -472,9 +472,9 @@ pub fn verifiability(cfg: &VerifiabilityConfig) -> Vec<VerifiabilityPoint> {
             let (h3, h6) = (run.hop(HopId(3))?, run.hop(HopId(6))?);
             let verify = Verifier::default().estimate_domain(
                 &h3.samples(),
-                h3.aggregates(),
+                &h3.batch.aggregates,
                 &h6.samples(),
-                h6.aggregates(),
+                &h6.batch.aggregates,
             );
             let truth = x_truth(&run);
             let truth_3_to_6: Vec<f64> = truth.iter().map(|d| d + links_ms).collect();

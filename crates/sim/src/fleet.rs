@@ -89,13 +89,6 @@ pub struct FleetPath {
 }
 
 impl FleetPath {
-    /// The inter-domain link a lie by this path's `X` must surface on:
-    /// `X` egress → `N` ingress, read from the path's own topology so
-    /// it can never drift from the instance's HOP numbering.
-    pub fn expected_liar_link(&self) -> Option<(u16, u16)> {
-        self.scenario.topology.egress_link("X")
-    }
-
     /// The domain the fleet verifier analyzes this path as (the
     /// path's source domain — always on-path).
     #[expect(
@@ -440,7 +433,8 @@ mod tests {
             ..FleetConfig::default()
         });
         // Path 0 is the canonical Figure 1: X egress 5 → N ingress 6.
-        assert_eq!(fleet.paths[0].expected_liar_link(), Some((5, 6)));
-        assert_eq!(fleet.paths[2].expected_liar_link(), Some((21, 22)));
+        let link = |i: usize| fleet.paths[i].scenario.topology.egress_link("X");
+        assert_eq!(link(0), Some((5, 6)));
+        assert_eq!(link(2), Some((21, 22)));
     }
 }

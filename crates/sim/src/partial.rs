@@ -85,9 +85,9 @@ pub fn analyze_partial(
             hops: (hi.hop, he.hop),
             estimate: verifier.estimate_domain(
                 &hi.samples(),
-                hi.aggregates(),
+                &hi.batch.aggregates,
                 &he.samples(),
-                he.aggregates(),
+                &he.batch.aggregates,
             ),
         });
     }
@@ -108,9 +108,9 @@ pub fn analyze_partial(
                             spans: std::mem::take(&mut gap),
                             estimate: verifier.estimate_domain(
                                 &u.samples(),
-                                u.aggregates(),
+                                &u.batch.aggregates,
                                 &d.samples(),
-                                d.aggregates(),
+                                &d.batch.aggregates,
                             ),
                         });
                     }

@@ -1,20 +1,19 @@
 //! The data plane of a path run, and what a run leaves behind.
 //!
-//! [`simulate`] pushes a trace along a [`Topology`]: every HOP observes
+//! `simulate` pushes a trace along a [`Topology`]: every HOP observes
 //! the stream through its (possibly imperfect) clock and feeds its VPM
 //! pipeline; every transit domain and inter-domain link transforms the
-//! stream (delay / loss / reordering, and the forwarding
-//! [`Lie`]s of the domains that tell one) on the way. It retains ground
-//! truth (true per-domain delays and losses) so experiments can score
-//! the receipt-derived estimates against reality. Each HOP's final
-//! batch comes back as a [`Report`], which [`crate::Scenario::run`]
-//! lets the HOP sign and publish; the published batches make up the
-//! [`PathRun`].
+//! stream (delay / loss / reordering, and the forwarding [`Lie`]s of
+//! the domains that tell one) on the way. It retains ground truth (true
+//! per-domain delays and losses) so experiments can score the
+//! receipt-derived estimates against reality. Each HOP's final batch
+//! comes back with its key, which [`crate::Scenario::run`] lets the HOP
+//! sign and publish; the published batches make up the [`PathRun`].
 
 use std::borrow::Cow;
 use std::collections::HashMap;
 use vpm_core::processor::ReceiptBatch;
-use vpm_core::receipt::{AggReceipt, PathId, SampleRecord};
+use vpm_core::receipt::{PathId, SampleRecord};
 use vpm_core::{HopConfig, HopPipeline, Ingest};
 use vpm_hash::{Digest, HopKey, KeyEpoch, Threshold};
 use vpm_netsim::channel::{apply, arrivals, ChannelConfig};
@@ -100,11 +99,6 @@ impl HopOutput {
     /// several.
     pub fn samples(&self) -> Cow<'_, [SampleRecord]> {
         concat(self.batch.samples.iter().map(|r| r.samples.as_slice()))
-    }
-
-    /// The aggregate receipts, in stream order.
-    pub fn aggregates(&self) -> &[AggReceipt] {
-        &self.batch.aggregates
     }
 }
 
@@ -366,7 +360,7 @@ mod tests {
         for h in &run.hops {
             assert_eq!(h.observed, run.trace_len, "{} observed", h.hop);
             assert!(!h.samples().is_empty());
-            assert!(!h.aggregates().is_empty());
+            assert!(!h.batch.aggregates.is_empty());
         }
         for truth in &run.truths {
             assert_eq!(truth.sent, truth.delivered, "{}", truth.name);
@@ -553,9 +547,9 @@ mod tests {
         let h5 = run.hop(HopId(5)).unwrap();
         let est = v.estimate_domain(
             &h4.samples(),
-            h4.aggregates(),
+            &h4.batch.aggregates,
             &h5.samples(),
-            h5.aggregates(),
+            &h5.batch.aggregates,
         );
         assert_eq!(est.loss.rate().unwrap_or(1.0), 0.0, "no loss in X");
         let delay = est.delay.expect("matched samples exist");
@@ -565,7 +559,7 @@ mod tests {
     }
 
     #[test]
-    fn marker_drop_desyncs_sampling() {
+    fn marker_dropper_desyncs_sampling() {
         let clean = ideal(trace(200, 4));
         let attacked = Scenario {
             lies: vec![Lie::MarkerDrop { liar: "X" }],

@@ -22,10 +22,10 @@
 //!    the bracketing segment from `partial::analyze_partial` instead
 //!    of the per-domain report);
 //! 2. if the cell names an adversary, run the same scenario again with
-//!    the level's [`Lie`]s ([`AdversaryAxis::lies`]) and check
+//!    the level's [`Lie`]s (`AdversaryAxis::lies`) and check
 //!    **exposure**: the lie surfaces exactly where §3.1 says it must —
 //!    on an inter-domain link adjacent to a liar (for two liars, on a
-//!    link adjacent to *each* liar; [`AdversaryAxis::failures`], the
+//!    link adjacent to *each* liar; `AdversaryAxis::failures`, the
 //!    check the fleet shares), or (for collusion) as blame absorbed
 //!    inside the colluding coalition, or (for sampling bias) as a
 //!    defeated attack whose estimates still track the truth.
@@ -319,9 +319,10 @@ impl AdversaryAxis {
             _ => true,
         }
     }
+
     /// The lies a path tells at this level, in the order they apply.
     /// `seed` draws the sample-bias attacker's jittered slow path.
-    pub fn lies(&self, seed: u64) -> Vec<Lie> {
+    pub(crate) fn lies(&self, seed: u64) -> Vec<Lie> {
         let blame_shift = |liar| Lie::BlameShift {
             liar,
             claimed_delay: SimDuration::from_micros(300),
@@ -348,7 +349,7 @@ impl AdversaryAxis {
     /// and no other link; `None` where the evidence is not a flagged
     /// link (the marker dropper's vanished markers, the coalition's
     /// absorbed loss, the defeated bias).
-    pub fn exposes(&self) -> Option<&'static [&'static str]> {
+    pub(crate) fn exposes(&self) -> Option<&'static [&'static str]> {
         match self {
             AdversaryAxis::Honest => Some(&[]),
             AdversaryAxis::BlameShift | AdversaryAxis::Sugarcoat => Some(&["X"]),
@@ -362,7 +363,7 @@ impl AdversaryAxis {
     /// flagged, a flagged link no liar explains, or a blame-shifter
     /// whose own books still show its loss. The fleet's verdicts and
     /// the matrix's exposure check share it.
-    pub fn failures(
+    pub(crate) fn failures(
         &self,
         lies: &[Lie],
         topology: &Topology,
@@ -413,7 +414,8 @@ impl AdversaryAxis {
 /// look good on (well below either closed-form model's typical transit).
 const FAST_PATH_US: u64 = 30;
 
-/// One fully specified scenario.
+/// One point of the grid, which `Cell::scenario` turns into a
+/// [`Scenario`].
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct Cell {
     /// Position in the grid (stable across runs).
@@ -683,7 +685,7 @@ impl Cell {
     /// through Figure 1 with the cell's delay, loss and reordering
     /// inside `X` (and, for two liars, loss of their own inside `L` and
     /// `N`), under the cell's sampling rate and clocks.
-    pub fn scenario(&self, lies: Vec<Lie>) -> Scenario {
+    pub(crate) fn scenario(&self, lies: Vec<Lie>) -> Scenario {
         let trace = TraceConfig {
             target_pps: 40_000.0,
             duration: SimDuration::from_millis(120),
@@ -1087,9 +1089,9 @@ fn marker_drop_evidence(
             vpm_core::verify::Verifier::default()
                 .estimate_domain(
                     &h4.samples(),
-                    h4.aggregates(),
+                    &h4.batch.aggregates,
                     &h6.samples(),
-                    h6.aggregates(),
+                    &h6.batch.aggregates,
                 )
                 .matched_samples
         }

@@ -145,7 +145,7 @@ impl<'a> HopReceipts<'a> {
             domain: h.domain,
             path: h.path,
             samples: h.samples(),
-            aggregates: Cow::Borrowed(h.aggregates()),
+            aggregates: Cow::Borrowed(&h.batch.aggregates),
             key_epoch: h.key_epoch,
         }
     }
@@ -434,7 +434,7 @@ mod tests {
     /// `h`'s batch split in two at the middle of its sample records and
     /// of its aggregate receipts, both halves non-empty.
     fn split_batch(h: &HopOutput) -> [vpm_core::ReceiptBatch; 2] {
-        let (samples, aggregates) = (h.samples(), h.aggregates());
+        let (samples, aggregates) = (h.samples(), &h.batch.aggregates);
         let (s, a) = (samples.len() / 2, aggregates.len() / 2);
         assert!(s > 0 && a > 0, "too few receipts to split");
         let half = |samples: &[SampleRecord], aggregates: &[AggReceipt], seq: u64| {
@@ -500,7 +500,7 @@ mod tests {
             assert!(matches!(view.aggregates, Cow::Borrowed(_)), "{}", h.hop);
             assert_eq!(
                 (&*view.samples, &*view.aggregates),
-                (&*h.samples(), h.aggregates())
+                (&*h.samples(), &*h.batch.aggregates)
             );
         }
         let baseline = analyze_path(topo, &run);
@@ -579,7 +579,7 @@ mod tests {
         // Both frames' receipts, in publish order, each once; the
         // second frame holds none, so they are read in place.
         assert_eq!(&*view.samples, &*h4.samples());
-        assert_eq!(&*view.aggregates, h4.aggregates());
+        assert_eq!(&*view.aggregates, &h4.batch.aggregates);
         assert!(matches!(view.samples, Cow::Borrowed(_)));
         assert!(matches!(view.aggregates, Cow::Borrowed(_)));
         // And the collector's verdicts are unchanged by the rotation.
@@ -614,7 +614,7 @@ mod tests {
         assert!(matches!(view.samples, Cow::Owned(_)));
         assert!(matches!(view.aggregates, Cow::Owned(_)));
         assert_eq!(&*view.samples, &*h4.samples());
-        assert_eq!(&*view.aggregates, h4.aggregates());
+        assert_eq!(&*view.aggregates, &h4.batch.aggregates);
         assert_eq!(view.key_epoch, KeyEpoch(1));
         let scoped = super::analyze_from_transport_scoped(topo, &transport, on_path[0]).unwrap();
         assert_same_analysis(&baseline, &scoped);
@@ -651,7 +651,7 @@ mod tests {
         assert!(matches!(view.samples, Cow::Owned(_)));
         assert!(matches!(view.aggregates, Cow::Borrowed(_)));
         assert_eq!(&*view.samples, &*h5.samples());
-        assert_eq!(&*view.aggregates, h5.aggregates());
+        assert_eq!(&*view.aggregates, &h5.batch.aggregates);
         let scoped = super::analyze_from_transport_scoped(topo, &transport, on_path[0]).unwrap();
         assert_same_analysis(&baseline, &scoped);
     }

@@ -14,7 +14,7 @@
 //!   ([`TransportError::BadMac`] & friends), now serialized back to
 //!   the offending client instead of trusted from it.
 //! * [`TcpTransport`] is a client implementing [`ReceiptTransport`],
-//!   so `run_path_with_transport`, the fleet runner, and anything else
+//!   so `vpm_sim::Scenario::run`, the fleet runner, and anything else
 //!   written against the trait works unchanged across a socket. It
 //!   reconnects on connection loss and resumes its subscriptions from
 //!   the last delivered global sequence number — no duplicates, no

@@ -97,51 +97,102 @@ fn positive_arg(args: &[String], i: usize, default: u64) -> u64 {
     v
 }
 
+/// A flag command's exit code: `Ok` once it ran, `Err` when it stopped
+/// early on an error it already reported (a usage error is exit 2).
+type Outcome = Result<ExitCode, ExitCode>;
+
+/// Report a usage error: `vpm: {msg}`, then usage; exit 2.
+fn usage_error(msg: impl std::fmt::Display) -> ExitCode {
+    eprintln!("vpm: {msg}");
+    usage()
+}
+
+/// The one flag parser: a command's `--name` switches and `--name
+/// VALUE` options, read left to right.
+struct Flags<'a> {
+    command: &'static str,
+    rest: std::slice::Iter<'a, String>,
+}
+
+impl<'a> Flags<'a> {
+    /// The flags of `vpm <command> ...` (`args[0]` is the command).
+    fn new(command: &'static str, args: &'a [String]) -> Self {
+        Flags {
+            command,
+            rest: args.get(1..).unwrap_or_default().iter(),
+        }
+    }
+
+    /// The next flag, if any.
+    fn next_flag(&mut self) -> Option<&'a str> {
+        self.rest.next().map(String::as_str)
+    }
+
+    /// The value after `flag`; a missing one is "`flag` needs `what`".
+    fn value(&mut self, flag: &str, what: &str) -> Result<&'a str, ExitCode> {
+        self.next_flag()
+            .ok_or_else(|| usage_error(format!("{flag} needs {what}")))
+    }
+
+    /// The count after `flag`, at least `min`; an unparsable or smaller
+    /// one is "`flag` value '…' is not `what`".
+    fn count<T: std::str::FromStr + PartialOrd>(
+        &mut self,
+        flag: &str,
+        min: T,
+        what: &str,
+    ) -> Result<T, ExitCode> {
+        let v = self.value(flag, "a number")?;
+        match v.parse::<T>() {
+            Ok(n) if n >= min => Ok(n),
+            _ => Err(usage_error(format!("{flag} value '{v}' is not {what}"))),
+        }
+    }
+
+    /// The error for a flag this command does not know.
+    fn unknown(&self, flag: &str) -> ExitCode {
+        usage_error(format!("unknown {} option '{flag}'", self.command))
+    }
+}
+
+/// Exit 0 when every verdict passed, else 1.
+fn passed(all: bool) -> ExitCode {
+    if all {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    }
+}
+
+/// Print serialized `what` as one line of JSON; a serializer failure is
+/// exit 1.
+fn print_json(json: Result<String, serde_json::Error>, what: &str) -> Result<(), ExitCode> {
+    match json {
+        Ok(s) => {
+            println!("{s}");
+            Ok(())
+        }
+        Err(e) => {
+            eprintln!("vpm: cannot serialize {what}: {e:?}");
+            Err(ExitCode::FAILURE)
+        }
+    }
+}
+
 /// Parse and run `vpm matrix [--filter axis=value]... [--json]
 /// [--jobs N]`.
-fn matrix(args: &[String]) -> ExitCode {
-    let mut filters: Vec<MatrixFilter> = Vec::new();
-    let mut json = false;
-    let mut jobs = 1usize;
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
+fn matrix(args: &[String]) -> Outcome {
+    let mut flags = Flags::new("matrix", args);
+    let (mut filters, mut json, mut jobs) = (Vec::<MatrixFilter>::new(), false, 1usize);
+    while let Some(flag) = flags.next_flag() {
+        match flag {
             "--filter" => {
-                let Some(spec) = args.get(i + 1) else {
-                    eprintln!("vpm: --filter needs an axis=value argument");
-                    return usage();
-                };
-                match parse_filter(spec) {
-                    Ok(f) => filters.push(f),
-                    Err(e) => {
-                        eprintln!("vpm: {e}");
-                        return usage();
-                    }
-                }
-                i += 2;
+                let spec = flags.value(flag, "an axis=value argument")?;
+                filters.push(parse_filter(spec).map_err(usage_error)?);
             }
-            "--json" => {
-                json = true;
-                i += 1;
-            }
-            "--jobs" => {
-                let Some(n) = args.get(i + 1) else {
-                    eprintln!("vpm: --jobs needs a number");
-                    return usage();
-                };
-                match n.parse::<usize>() {
-                    Ok(n) if n >= 1 => jobs = n,
-                    _ => {
-                        eprintln!("vpm: --jobs value '{n}' is not a positive integer");
-                        return usage();
-                    }
-                }
-                i += 2;
-            }
-            other => {
-                eprintln!("vpm: unknown matrix option '{other}'");
-                return usage();
-            }
+            "--json" => json = true,
+            "--jobs" => jobs = flags.count(flag, 1, "a positive integer")?,
+            other => return Err(flags.unknown(other)),
         }
     }
 
@@ -154,95 +205,55 @@ fn matrix(args: &[String]) -> ExitCode {
     // change) would otherwise "verify" zero cells and exit 0.
     if cells.is_empty() {
         eprintln!("vpm: no cells match the given filters");
-        return ExitCode::from(2);
+        return Err(ExitCode::from(2));
     }
     let verdicts = evaluate_grid(&cells, jobs);
     if json {
-        match serde_json::to_string(&verdicts) {
-            Ok(s) => println!("{s}"),
-            Err(e) => {
-                eprintln!("vpm: cannot serialize verdicts: {e:?}");
-                return ExitCode::FAILURE;
-            }
-        }
+        print_json(serde_json::to_string(&verdicts), "verdicts")?;
     } else {
         print!("{}", render_matrix_table(&cells, &verdicts));
     }
-    if verdicts.iter().all(|v| v.passed()) {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
+    Ok(passed(verdicts.iter().all(|v| v.passed())))
 }
 
 /// Parse and run `vpm fleet [--paths N] [--jobs J] [--liars K]
 /// [--shards S] [--json] [--transport tcp:ADDR]`.
-fn fleet(args: &[String]) -> ExitCode {
-    let mut paths = 64usize;
-    let mut jobs = 4usize;
-    let mut liars: Option<usize> = None;
-    let mut shards = 32usize;
-    let mut json = false;
-    let mut tcp_addr: Option<String> = None;
-    let mut i = 1;
-    while i < args.len() {
-        let flag = args[i].as_str();
+fn fleet(args: &[String]) -> Outcome {
+    let mut flags = Flags::new("fleet", args);
+    let (mut paths, mut jobs, mut liars, mut shards) = (64usize, 4usize, None, 32usize);
+    let (mut json, mut tcp_addr) = (false, None);
+    while let Some(flag) = flags.next_flag() {
         match flag {
-            "--json" => {
-                json = true;
-                i += 1;
-            }
+            "--json" => json = true,
             "--transport" => {
-                let Some(v) = args.get(i + 1) else {
-                    eprintln!("vpm: --transport needs tcp:HOST:PORT");
-                    return usage();
-                };
+                let v = flags.value(flag, "tcp:HOST:PORT")?;
                 match v.strip_prefix("tcp:") {
                     Some(addr) if !addr.is_empty() => tcp_addr = Some(addr.to_string()),
                     _ => {
-                        eprintln!("vpm: --transport value '{v}' is not tcp:HOST:PORT");
-                        return usage();
+                        return Err(usage_error(format!(
+                            "--transport value '{v}' is not tcp:HOST:PORT"
+                        )))
                     }
                 }
-                i += 2;
             }
-            "--paths" | "--jobs" | "--liars" | "--shards" => {
-                let Some(v) = args.get(i + 1) else {
-                    eprintln!("vpm: {flag} needs a number");
-                    return usage();
-                };
-                // `--liars 0` is a legitimate all-honest fleet; the
-                // other counts must stay positive.
-                let min = usize::from(flag != "--liars");
-                let parsed = match v.parse::<usize>() {
-                    Ok(n) if n >= min => n,
-                    _ => {
-                        eprintln!("vpm: {flag} value '{v}' is not a valid count");
-                        return usage();
-                    }
-                };
-                match flag {
-                    "--paths" => paths = parsed,
-                    "--jobs" => jobs = parsed,
-                    "--liars" => liars = Some(parsed),
-                    _ => shards = parsed,
-                }
-                i += 2;
-            }
-            other => {
-                eprintln!("vpm: unknown fleet option '{other}'");
-                return usage();
-            }
+            "--paths" => paths = flags.count(flag, 1, "a valid count")?,
+            "--jobs" => jobs = flags.count(flag, 1, "a valid count")?,
+            // `--liars 0` is a legitimate all-honest fleet.
+            "--liars" => liars = Some(flags.count(flag, 0, "a valid count")?),
+            "--shards" => shards = flags.count(flag, 1, "a valid count")?,
+            other => return Err(flags.unknown(other)),
         }
     }
     let liars = liars.unwrap_or(paths / 8);
     if liars > paths {
-        eprintln!("vpm: --liars {liars} exceeds --paths {paths}");
-        return usage();
+        return Err(usage_error(format!(
+            "--liars {liars} exceeds --paths {paths}"
+        )));
     }
     if paths * vpm::sim::topology::FIGURE1_HOPS as usize > u16::MAX as usize {
-        eprintln!("vpm: --paths {paths} overflows the 16-bit HOP id space");
-        return usage();
+        return Err(usage_error(format!(
+            "--paths {paths} overflows the 16-bit HOP id space"
+        )));
     }
 
     let cfg = vpm::sim::FleetConfig {
@@ -261,75 +272,40 @@ fn fleet(args: &[String]) -> ExitCode {
             Ok(t) => Box::new(t),
             Err(e) => {
                 eprintln!("vpm: cannot reach receipt server at {addr}: {e}");
-                return ExitCode::FAILURE;
+                return Ok(ExitCode::FAILURE);
             }
         },
     };
     vpm::sim::run_fleet(&fleet, transport.as_ref());
     let verdicts = vpm::sim::analyze_fleet_from_transport(&fleet, transport.as_ref(), jobs);
     if json {
-        match serde_json::to_string(&verdicts) {
-            Ok(s) => println!("{s}"),
-            Err(e) => {
-                eprintln!("vpm: cannot serialize fleet verdicts: {e:?}");
-                return ExitCode::FAILURE;
-            }
-        }
+        print_json(serde_json::to_string(&verdicts), "fleet verdicts")?;
     } else {
         print!("{}", vpm::sim::render_fleet_table(&fleet, &verdicts));
     }
-    if verdicts.iter().all(|v| v.passed()) {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
+    Ok(passed(verdicts.iter().all(|v| v.passed())))
 }
 
 /// Parse and run `vpm serve [--listen ADDR] [--shards S]`: bind a
 /// [`vpm::wire::TcpServer`] over a fresh sharded bus and serve until
 /// killed.
-fn serve(args: &[String]) -> ExitCode {
-    let mut listen = String::from("127.0.0.1:0");
-    let mut shards = 32usize;
-    let mut i = 1;
-    while i < args.len() {
-        let flag = args[i].as_str();
+fn serve(args: &[String]) -> Outcome {
+    let mut flags = Flags::new("serve", args);
+    let (mut listen, mut shards) = ("127.0.0.1:0", 32usize);
+    while let Some(flag) = flags.next_flag() {
         match flag {
-            "--listen" => {
-                let Some(v) = args.get(i + 1) else {
-                    eprintln!("vpm: --listen needs HOST:PORT");
-                    return usage();
-                };
-                listen = v.clone();
-                i += 2;
-            }
-            "--shards" => {
-                let Some(v) = args.get(i + 1) else {
-                    eprintln!("vpm: --shards needs a number");
-                    return usage();
-                };
-                match v.parse::<usize>() {
-                    Ok(n) if n >= 1 => shards = n,
-                    _ => {
-                        eprintln!("vpm: --shards value '{v}' is not a positive integer");
-                        return usage();
-                    }
-                }
-                i += 2;
-            }
-            other => {
-                eprintln!("vpm: unknown serve option '{other}'");
-                return usage();
-            }
+            "--listen" => listen = flags.value(flag, "HOST:PORT")?,
+            "--shards" => shards = flags.count(flag, 1, "a positive integer")?,
+            other => return Err(flags.unknown(other)),
         }
     }
 
     let bus = std::sync::Arc::new(vpm::wire::ShardedBus::new(shards));
-    let server = match vpm::wire::TcpServer::bind(listen.as_str(), bus) {
+    let server = match vpm::wire::TcpServer::bind(listen, bus) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("vpm: cannot bind {listen}: {e}");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
     };
     // The exact line harnesses scrape for the resolved ephemeral port.
@@ -347,72 +323,47 @@ fn serve(args: &[String]) -> ExitCode {
 /// Parse and run `vpm audit [--paths N] [--intervals N] [--shards S]
 /// [--gc-every N] [--checkpoint-every N] [--restart-at K] [--seed S]
 /// [--assert-flat] [--json]`.
-fn audit(args: &[String]) -> ExitCode {
+fn audit(args: &[String]) -> Outcome {
+    use vpm::sim::audit::workload::MAX_AUDIT_PATHS;
+    let mut flags = Flags::new("audit", args);
     let mut cfg = vpm::sim::audit::AuditConfig::default();
     let mut json = false;
-    let mut i = 1;
-    while i < args.len() {
-        let flag = args[i].as_str();
+    while let Some(flag) = flags.next_flag() {
+        let mut count = || flags.count(flag, 0u64, "a non-negative integer");
         match flag {
-            "--json" => {
-                json = true;
-                i += 1;
-            }
-            "--assert-flat" => {
-                cfg.assert_flat = true;
-                i += 1;
-            }
-            "--paths" | "--intervals" | "--shards" | "--gc-every" | "--checkpoint-every"
-            | "--restart-at" | "--seed" => {
-                let Some(v) = args.get(i + 1) else {
-                    eprintln!("vpm: {flag} needs a number");
-                    return usage();
-                };
-                let Ok(parsed) = v.parse::<u64>() else {
-                    eprintln!("vpm: {flag} value '{v}' is not a non-negative integer");
-                    return usage();
-                };
-                match flag {
-                    "--paths" => {
-                        if parsed == 0 || parsed > vpm::sim::audit::workload::MAX_AUDIT_PATHS as u64
-                        {
-                            eprintln!(
-                                "vpm: --paths must be 1..={}",
-                                vpm::sim::audit::workload::MAX_AUDIT_PATHS
-                            );
-                            return usage();
-                        }
-                        cfg.paths = parsed as usize;
-                    }
-                    "--intervals" => cfg.intervals = parsed,
-                    "--shards" => {
-                        if parsed == 0 {
-                            eprintln!("vpm: --shards must be positive");
-                            return usage();
-                        }
-                        cfg.shards = parsed as usize;
-                    }
-                    "--gc-every" => cfg.gc_every = parsed,
-                    "--checkpoint-every" => cfg.checkpoint_every = parsed,
-                    "--restart-at" => cfg.restart_at = Some(parsed),
-                    _ => cfg.seed = parsed,
+            "--json" => json = true,
+            "--assert-flat" => cfg.assert_flat = true,
+            "--paths" => {
+                let n = count()?;
+                if n == 0 || n > MAX_AUDIT_PATHS as u64 {
+                    return Err(usage_error(format!(
+                        "--paths must be 1..={MAX_AUDIT_PATHS}"
+                    )));
                 }
-                i += 2;
+                cfg.paths = n as usize;
             }
-            other => {
-                eprintln!("vpm: unknown audit option '{other}'");
-                return usage();
+            "--intervals" => cfg.intervals = count()?,
+            "--shards" => {
+                let n = count()?;
+                if n == 0 {
+                    return Err(usage_error("--shards must be positive"));
+                }
+                cfg.shards = n as usize;
             }
+            "--gc-every" => cfg.gc_every = count()?,
+            "--checkpoint-every" => cfg.checkpoint_every = count()?,
+            "--restart-at" => cfg.restart_at = Some(count()?),
+            "--seed" => cfg.seed = count()?,
+            other => return Err(flags.unknown(other)),
         }
     }
     // Checked once every flag is in: `--intervals` may come later.
     if let Some(k) = cfg.restart_at {
         if !(1..=cfg.intervals).contains(&k) {
-            eprintln!(
-                "vpm: --restart-at must be 1..={} (an audited interval)",
+            return Err(usage_error(format!(
+                "--restart-at must be 1..={} (an audited interval)",
                 cfg.intervals
-            );
-            return usage();
+            )));
         }
     }
 
@@ -420,20 +371,14 @@ fn audit(args: &[String]) -> ExitCode {
         Ok(o) => o,
         Err(e) => {
             eprintln!("vpm: audit failed: {e}");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
     };
     if json {
         // The verdict alone: deterministic in the seed and invariant
         // under checkpoint/restart, so the CI byte-identity gate can
         // `cmp` two runs directly. Stats (timings, RSS) stay out.
-        match serde_json::to_string(&outcome.verdict) {
-            Ok(s) => println!("{s}"),
-            Err(e) => {
-                eprintln!("vpm: cannot serialize audit verdict: {e:?}");
-                return ExitCode::FAILURE;
-            }
-        }
+        print_json(serde_json::to_string(&outcome.verdict), "audit verdict")?;
     } else {
         let v = &outcome.verdict;
         let s = &outcome.stats;
@@ -459,7 +404,7 @@ fn audit(args: &[String]) -> ExitCode {
             println!("  rss: {base} KiB after warmup, {end} KiB at end");
         }
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 fn print_overhead_rows(rows: &[(String, f64, f64)]) {
@@ -495,11 +440,17 @@ fn main() -> ExitCode {
         eprintln!("vpm: unexpected argument '{extra}'");
         return usage();
     }
+    let flagged: Option<fn(&[String]) -> Outcome> = match cmd.as_str() {
+        "matrix" => Some(matrix),
+        "fleet" => Some(fleet),
+        "serve" => Some(serve),
+        "audit" => Some(audit),
+        _ => None,
+    };
+    if let Some(run) = flagged {
+        return run(&args).unwrap_or_else(|code| code);
+    }
     match cmd.as_str() {
-        "matrix" => return matrix(&args),
-        "fleet" => return fleet(&args),
-        "serve" => return serve(&args),
-        "audit" => return audit(&args),
         "fig2" => {
             let cfg = figures::Fig2Config::paper(
                 SimDuration::from_secs(positive_arg(&args, 1, 2)),

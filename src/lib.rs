@@ -33,10 +33,10 @@
 //! | [`packet`] | `vpm-packet` | packets, headers, prefixes, paths, time |
 //! | [`stats`] | `vpm-stats` | quantile estimation (Sommers et al.), loss stats |
 //! | [`trace`] | `vpm-trace` | synthetic traces (CAIDA substitute) |
-//! | [`netsim`] | `vpm-netsim` | DES, queues, TCP/UDP, Gilbert-Elliott, clocks |
+//! | [`netsim`] | `vpm-netsim` | DES, drop-tail queue, bursty UDP, Gilbert-Elliott, clocks |
 //! | [`core`] | `vpm-core` | receipts, Algorithms 1 & 2, joins, verification |
 //! | [`wire`] | `vpm-wire` | v2 binary receipt codec, `ReceiptTransport` dissemination |
-//! | [`sim`] | `vpm-sim` | topologies, adversaries, the §7.2 figures, the scenario matrix, the many-path fleet |
+//! | [`sim`] | `vpm-sim` | topologies, one `Scenario` and its runner, the one `Lie` vocabulary, the verifier; the §7.2 figures, the scenario matrix and the many-path fleet, all built from scenarios |
 //!
 //! `vpm-lint` (`crates/lint`) is not re-exported and nothing here
 //! depends on it: it holds R3, the lock-discipline check, which runs

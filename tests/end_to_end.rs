@@ -172,7 +172,7 @@ fn per_hop_tuning_controls_receipt_volume() {
     let h4 = run.hop(HopId(4)).unwrap();
     let h6 = run.hop(HopId(6)).unwrap();
     assert!(h4.samples().len() > 5 * h6.samples().len());
-    assert!(h4.aggregates().len() > 3 * h6.aggregates().len());
+    assert!(h4.batch.aggregates.len() > 3 * h6.batch.aggregates.len());
     // Superset property across differently-tuned HOPs on the same
     // stream: every packet HOP 6 sampled, HOP 4 (lower σ) sampled too.
     let ids4: std::collections::HashSet<_> = h4.samples().iter().map(|r| r.pkt_id).collect();
@@ -252,9 +252,9 @@ fn domain_estimates_survive_serde_roundtrip() {
     let h5 = run.hop(HopId(5)).unwrap();
     let est = v.estimate_domain(
         &h4.samples(),
-        h4.aggregates(),
+        &h4.batch.aggregates,
         &h5.samples(),
-        h5.aggregates(),
+        &h5.batch.aggregates,
     );
     let json = serde_json::to_string(&est).unwrap();
     let back: vpm::core::verify::DomainEstimate = serde_json::from_str(&json).unwrap();

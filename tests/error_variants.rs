@@ -3,8 +3,6 @@
 //! Each table row feeds one input and expects one variant.
 //! `variant_table!` also expands its patterns into a `match` with no
 //! `_` arm, so a new variant does not compile until it gets a row.
-//! (`RunError`'s table, `every_run_error_variant_is_reachable`, lives
-//! beside the faulty test transport in `vpm-sim`'s `run` module.)
 
 use std::io::Write;
 use std::net::TcpListener;

@@ -214,7 +214,7 @@ fn aggtrans_fixes_reordering_miscounts() {
         let (run, analysis) = Scenario::new(trace, topology, cfg).evaluate();
         let aligned = &analysis.domain("X").unwrap().estimate.join;
         let stripped = |hop| {
-            let mut aggregates = run.hop(HopId(hop)).unwrap().aggregates().to_vec();
+            let mut aggregates = run.hop(HopId(hop)).unwrap().batch.aggregates.clone();
             aggregates.iter_mut().for_each(|a| a.agg_trans.clear());
             aggregates
         };

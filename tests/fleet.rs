@@ -62,7 +62,7 @@ fn fleet_exposes_exactly_its_liars() {
             AdversaryAxis::Honest => assert!(v.flagged_links.is_empty(), "path {}", p.index),
             _ => assert_eq!(
                 v.flagged_links,
-                Vec::from_iter(p.expected_liar_link()),
+                Vec::from_iter(p.scenario.topology.egress_link("X")),
                 "path {}",
                 p.index
             ),
