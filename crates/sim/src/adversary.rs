@@ -83,6 +83,12 @@ pub(crate) fn splitmix(mut z: u64) -> u64 {
 }
 
 impl Lie {
+    /// Does this lie change what the liar does to packets, rather than
+    /// what its HOPs sign?
+    pub(crate) fn forwards(&self) -> bool {
+        matches!(self, Lie::MarkerDrop { .. } | Lie::FastPath { .. })
+    }
+
     /// Does domain `name` drop the markers it carries under `lies`?
     pub(crate) fn drops_markers(lies: &[Lie], name: &str) -> bool {
         lies.iter()

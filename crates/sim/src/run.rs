@@ -104,7 +104,7 @@ impl HopOutput {
 
 /// One HOP's final batch before it is signed, with the key that signs
 /// it. Receipt lies rewrite `batch` here.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(crate) struct Report {
     pub(crate) hop: HopId,
     pub(crate) domain: DomainId,
@@ -191,15 +191,25 @@ fn drop_markers(stream: &Stream, digests: &[Digest], marker: Threshold) -> Strea
         .collect()
 }
 
+/// A simulated path before its HOPs publish.
+#[derive(Debug, Clone)]
+pub(crate) struct Simulation {
+    /// Every HOP's final batch, in path order.
+    pub(crate) reports: Vec<Report>,
+    /// Ground truth per transit domain, in path order.
+    pub(crate) truths: Vec<DomainTruth>,
+    /// Packets injected at the path head.
+    pub(crate) trace_len: usize,
+}
+
 /// Push `trace` through `topology` under `cfg`, with the forwarding
-/// `lies` applied, and return every HOP's final batch (in path order)
-/// and the ground truth of every transit domain.
+/// `lies` applied (receipt lies are the publisher's business).
 pub(crate) fn simulate(
     trace: &[TracePacket],
     topology: &Topology,
     cfg: &RunConfig,
     lies: &[Lie],
-) -> (Vec<Report>, Vec<DomainTruth>) {
+) -> Simulation {
     // Slice-digest the whole trace through the word-oriented lookup3
     // fast path (identical digests to per-packet `Packet::digest`).
     let digests: Vec<Digest> = vpm_packet::digest_packets(
@@ -311,7 +321,11 @@ pub(crate) fn simulate(
             })
         })
         .collect();
-    (reports, truths)
+    Simulation {
+        reports,
+        truths,
+        trace_len: trace.len(),
+    }
 }
 
 #[cfg(test)]

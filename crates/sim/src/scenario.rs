@@ -15,7 +15,7 @@ use vpm_trace::{TraceConfig, TraceGenerator};
 use vpm_wire::{Profile, ReceiptTransport, ShardedBus, TransportError, WireEncoder};
 
 use crate::adversary::Lie;
-use crate::run::{simulate, HopOutput, PathRun, Report, RunConfig};
+use crate::run::{simulate, HopOutput, PathRun, Report, RunConfig, Simulation};
 use crate::topology::Topology;
 use crate::verdict::{analyze_path, PathAnalysis};
 
@@ -58,8 +58,29 @@ impl Scenario {
     /// (paths built with [`crate::Figure1::numbered`]): a transport
     /// refuses a second key for an established HOP.
     pub fn run(&self, transport: &dyn ReceiptTransport) -> Result<PathRun, TransportError> {
+        self.publish(self.simulate(), transport)
+    }
+
+    /// The data plane of [`Self::run`]: the trace through the path, with
+    /// the forwarding lies applied. Receipt lies do not enter it, so
+    /// scenarios that differ only in those can share one simulation.
+    pub(crate) fn simulate(&self) -> Simulation {
         let trace = TraceGenerator::new(self.trace).generate();
-        let (mut reports, truths) = simulate(&trace, &self.topology, &self.config, &self.lies);
+        simulate(&trace, &self.topology, &self.config, &self.lies)
+    }
+
+    /// The publishing half of [`Self::run`], over a simulation of this
+    /// scenario's path: the receipt lies, then every HOP's frames.
+    pub(crate) fn publish(
+        &self,
+        simulation: Simulation,
+        transport: &dyn ReceiptTransport,
+    ) -> Result<PathRun, TransportError> {
+        let Simulation {
+            mut reports,
+            truths,
+            trace_len,
+        } = simulation;
         for lie in &self.lies {
             lie.doctor(&self.topology, &mut reports);
         }
@@ -102,19 +123,24 @@ impl Scenario {
         Ok(PathRun {
             hops,
             truths,
-            trace_len: trace.len(),
+            trace_len,
         })
     }
 
     /// [`Self::run`] on a private bus, and the collector's analysis of
     /// what the HOPs published.
+    pub fn evaluate(&self) -> (PathRun, PathAnalysis) {
+        self.evaluate_simulation(self.simulate())
+    }
+
+    /// [`Self::evaluate`] over a simulation of this scenario's path.
     #[expect(
         clippy::expect_used,
         reason = "a private bus admits every frame its own HOPs sign"
     )]
-    pub fn evaluate(&self) -> (PathRun, PathAnalysis) {
+    pub(crate) fn evaluate_simulation(&self, simulation: Simulation) -> (PathRun, PathAnalysis) {
         let run = self
-            .run(&ShardedBus::new(1))
+            .publish(simulation, &ShardedBus::new(1))
             .expect("a private bus admits every frame its own HOPs sign");
         let analysis = analyze_path(&self.topology, &run);
         (run, analysis)

@@ -834,7 +834,8 @@ const LINK_DELAY_MS: f64 = 0.05;
 pub fn evaluate_cell(cell: &Cell) -> CellVerdict {
     let scenario = cell.scenario(Vec::new());
     let topo = &scenario.topology;
-    let (honest_run, honest) = scenario.evaluate();
+    let simulation = scenario.simulate();
+    let (honest_run, honest) = scenario.evaluate_simulation(simulation.clone());
 
     let mut failures = Vec::new();
 
@@ -960,7 +961,14 @@ pub fn evaluate_cell(cell: &Cell) -> CellVerdict {
                 lies: adversary.lies(cell.seed ^ 0xb1a5),
                 ..scenario.clone()
             };
-            let (run, analysis) = lying.evaluate();
+            // Receipt lies leave what the network did as it was: the
+            // liars sign lies over the honest simulation.
+            let simulation = if lying.lies.iter().any(Lie::forwards) {
+                lying.simulate()
+            } else {
+                simulation
+            };
+            let (run, analysis) = lying.evaluate_simulation(simulation);
             failures.extend(adversary.failures(&lying.lies, topo, &analysis));
             let fl = flagged(&analysis);
             let detail = match adversary {
