@@ -73,7 +73,7 @@ pub enum Lie {
 }
 
 /// The 64-bit golden-ratio increment of the splitmix64 streams.
-const GOLDEN: u64 = 0x9e37_79b9_7f4a_7c15;
+pub(crate) const GOLDEN: u64 = 0x9e37_79b9_7f4a_7c15;
 
 /// The splitmix64 output function.
 pub(crate) fn splitmix(mut z: u64) -> u64 {

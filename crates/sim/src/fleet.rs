@@ -36,7 +36,7 @@ use vpm_packet::{DomainId, SimDuration};
 use vpm_trace::TraceConfig;
 use vpm_wire::ReceiptTransport;
 
-use crate::adversary::splitmix;
+use crate::adversary::{splitmix, GOLDEN};
 use crate::run::RunConfig;
 use crate::scenario::Scenario;
 use crate::scenario_matrix::AdversaryAxis;
@@ -118,7 +118,7 @@ fn is_liar(i: usize, n: usize, k: usize) -> bool {
 /// Deterministic splitmix64 stream over the fleet seed (shared with
 /// the audit workload's churn process).
 pub(crate) fn mix(seed: u64, salt: u64) -> u64 {
-    splitmix(seed ^ salt.wrapping_mul(0x9e37_79b9_7f4a_7c15))
+    splitmix(seed ^ salt.wrapping_mul(GOLDEN))
 }
 
 /// Lay out a fleet: `config.paths` independent Figure-1 scenarios with
