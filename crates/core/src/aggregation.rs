@@ -244,11 +244,6 @@ impl Aggregator {
         std::mem::take(&mut self.finished)
     }
 
-    /// Number of aggregates finalized but not yet drained.
-    pub fn finished_len(&self) -> usize {
-        self.finished.len()
-    }
-
     /// Work counters.
     pub fn stats(&self) -> AggregatorStats {
         self.stats

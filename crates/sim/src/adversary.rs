@@ -213,40 +213,17 @@ fn forge(target: &mut Report, samples: Vec<SampleRecord>, aggregates: Vec<AggRec
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::run::{PathRun, RunConfig};
-    use crate::scenario::Scenario;
+    use crate::run::PathRun;
+    use crate::scenario::{lossy, Scenario};
     use crate::topology::Figure1;
-    use vpm_netsim::reorder::ReorderModel;
     use vpm_packet::HopId;
-    use vpm_trace::TraceConfig;
 
     fn lossy_x(lies: Vec<Lie>) -> PathRun {
-        let mut fig = Figure1::ideal();
-        fig.x_transit = ChannelConfig {
-            delay: DelayModel::Constant(SimDuration::from_micros(200)),
-            loss: Some((0.15, 4.0)),
-            reorder: ReorderModel::none(),
-            seed: 3,
+        let fig = Figure1 {
+            x_transit: lossy(0.15, 3),
+            ..Figure1::ideal()
         };
-        let scenario = Scenario {
-            lies,
-            ..Scenario::new(
-                TraceConfig {
-                    target_pps: 50_000.0,
-                    duration: SimDuration::from_millis(150),
-                    ..TraceConfig::paper_default(1, 11)
-                },
-                fig.build(),
-                RunConfig {
-                    sampling_rate: 0.05,
-                    aggregate_size: 500,
-                    marker_rate: 0.01,
-                    j_window: SimDuration::from_millis(2),
-                    ..RunConfig::default()
-                },
-            )
-        };
-        scenario.evaluate().0
+        Scenario::quick(fig.build(), 150, 11, lies).evaluate().0
     }
 
     fn blame_shift(liar: &'static str) -> Lie {

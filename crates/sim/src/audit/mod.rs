@@ -464,7 +464,7 @@ mod tests {
         auditor.drain(&bus).unwrap();
         auditor.finish_interval().unwrap();
         // Hand-publish a partial interval: first HOP only.
-        super::workload::publish_one_hop_for_tests(&bus, 0, 1, 0, 50).unwrap();
+        super::workload::publish_hop(&bus, 0, 1, 0, 50).unwrap();
         auditor.drain(&bus).unwrap();
         assert!(matches!(
             auditor.checkpoint(&bus),

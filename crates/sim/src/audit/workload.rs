@@ -146,7 +146,7 @@ fn slot_path(slot: usize) -> PathId {
 }
 
 /// Publish one HOP's signed aggregate report for one interval.
-fn publish_hop(
+pub(crate) fn publish_hop(
     transport: &dyn ReceiptTransport,
     slot: usize,
     idx: u16,
@@ -210,19 +210,6 @@ pub fn publish_interval(
         }
     }
     Ok(published)
-}
-
-/// Test hook: publish a single HOP report so the auditor's unit tests
-/// can leave an interval deliberately partial.
-#[cfg(test)]
-pub(crate) fn publish_one_hop_for_tests(
-    transport: &dyn ReceiptTransport,
-    slot: usize,
-    idx: u16,
-    interval: u64,
-    count: u64,
-) -> Result<u64, TransportError> {
-    publish_hop(transport, slot, idx, interval, count)
 }
 
 /// Shape of one `vpm audit` run.

@@ -12,7 +12,7 @@
 //!
 //! This module implements all three baselines *for real* on the same
 //! workload as VPM, so the table above becomes measured numbers
-//! (`examples/baseline_comparison.rs`).
+//! (`vpm baselines`).
 
 #![expect(
     clippy::indexing_slicing,
@@ -85,7 +85,7 @@ impl Workload {
     }
 
     /// True delays of delivered packets (what a perfect observer sees).
-    pub fn truth_delays(&self) -> Vec<f64> {
+    fn truth_delays(&self) -> Vec<f64> {
         (0..self.digests.len())
             .filter(|&i| self.survives[i])
             .map(|i| self.delays_ms[i])
@@ -145,7 +145,7 @@ pub fn strawman(w: &Workload) -> SchemeReport {
 /// packet's own digest) and fast-paths exactly those packets; the
 /// colluding downstream neighbor samples the same set, so all receipts
 /// stay mutually consistent.
-pub fn trajectory_sampling(w: &Workload, rate: f64, biased: bool) -> SchemeReport {
+fn trajectory_sampling(w: &Workload, rate: f64, biased: bool) -> SchemeReport {
     let sigma = Threshold::from_rate(rate);
     let sampled: Vec<bool> = w.digests.iter().map(|d| sigma.passes(d.0)).collect();
 
@@ -204,7 +204,7 @@ pub fn trajectory_sampling(w: &Workload, rate: f64, biased: bool) -> SchemeRepor
 /// Returns `(report, phantom_loss_under_reordering)` — the second value
 /// quantifies the §3.3 reordering failure: |loss error| in packets on a
 /// *lossless* reordered copy of the stream.
-pub fn difference_aggregator(w: &Workload, agg_size: u64) -> (SchemeReport, u64) {
+fn difference_aggregator(w: &Workload, agg_size: u64) -> (SchemeReport, u64) {
     // Loss from counts: exact when no reordering (same cut digests).
     let delta = Aggregator::delta_for_aggregate_size(agg_size);
     let j = SimDuration::ZERO; // DA++ has no reordering window
@@ -303,7 +303,7 @@ pub fn difference_aggregator(w: &Workload, agg_size: u64) -> (SchemeReport, u64)
 
 /// VPM on the same workload: marker-keyed sampling + aggregation with
 /// AggTrans windows.
-pub fn vpm_scheme(w: &Workload, rate: f64, agg_size: u64) -> SchemeReport {
+fn vpm_scheme(w: &Workload, rate: f64, agg_size: u64) -> SchemeReport {
     let marker = Threshold::from_rate(5e-3);
     let sigma = Threshold::from_rate(rate);
     let mut h_in = DelaySampler::new(marker, sigma);

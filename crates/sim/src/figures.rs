@@ -5,9 +5,9 @@
 //! `X`'s transit, under a [`RunConfig`]. Each scenario runs through
 //! [`Scenario::evaluate`] (collector, processor, signed wire codec,
 //! bus, and the verifier the scenario matrix and the fleet use), so a
-//! regression anywhere on that path moves these tables. The delay
-//! figures' congestion is computed from the trace itself, so they
-//! generate it once more to compute it.
+//! regression anywhere on that path moves these tables. Each figure
+//! generates its trace once: every scenario of it runs over those
+//! packets, and the delay figures' congestion is computed from them.
 //!
 //! | table | driver | what it reads |
 //! |-------|--------|---------------|
@@ -234,21 +234,23 @@ fn trace(pps: f64, duration: SimDuration, seed: u64) -> TraceConfig {
 }
 
 /// The congestion both delay figures put inside `X`: per-packet fates
-/// of the trace behind a bursty UDP flow at the paper's bottleneck.
-fn congestion(trace: TraceConfig, seed: u64) -> Vec<PacketFate> {
+/// of the trace's `packets` behind a bursty UDP flow at the paper's
+/// bottleneck.
+fn congestion(packets: &[TracePacket], seed: u64) -> Vec<PacketFate> {
     foreground_delays(
-        &TraceGenerator::new(trace).generate(),
+        packets,
         &BottleneckConfig::paper_default(),
         &CrossTraffic::paper_bursty_udp(),
         seed,
     )
 }
 
-/// One scenario: `trace` through Figure 1 with `x` as domain `X`'s
-/// transit, under `cfg`. Returns the run and the collector's estimate
-/// of `X` (every Figure-1 analysis has one).
+/// One scenario: `trace` (whose packets are `packets`) through Figure
+/// 1 with `x` as domain `X`'s transit, under `cfg`. Returns the run and
+/// the collector's estimate of `X` (every Figure-1 analysis has one).
 fn run_x(
     trace: TraceConfig,
+    packets: &[TracePacket],
     x: ChannelConfig,
     cfg: RunConfig,
 ) -> Option<(PathRun, DomainEstimate)> {
@@ -257,7 +259,8 @@ fn run_x(
         ..Figure1::ideal()
     }
     .build();
-    let (run, analysis) = Scenario::new(trace, topology, cfg).evaluate();
+    let scenario = Scenario::new(trace, topology, cfg);
+    let (run, analysis) = scenario.evaluate_simulation(scenario.simulate(packets));
     let estimate = analysis.domain("X")?.estimate.clone();
     Some((run, estimate))
 }
@@ -278,7 +281,8 @@ fn delay_error(truth: &[f64], estimate: Option<&DelayEstimate>) -> f64 {
 /// Run Figure 2: one scenario per loss rate × sampling rate.
 pub fn fig2(cfg: &Fig2Config) -> Vec<Fig2Point> {
     let trace = trace(cfg.pps, cfg.duration, cfg.seed);
-    let fates = congestion(trace, cfg.seed ^ 0xc0);
+    let packets = TraceGenerator::new(trace).generate();
+    let fates = congestion(&packets, cfg.seed ^ 0xc0);
     let mut points = Vec::new();
     for &loss in &cfg.loss_rates {
         let x = ChannelConfig {
@@ -293,7 +297,7 @@ pub fn fig2(cfg: &Fig2Config) -> Vec<Fig2Point> {
                 marker_rate: cfg.marker_rate,
                 ..RunConfig::default()
             };
-            let Some((run, estimate)) = run_x(trace, x.clone(), run_cfg) else {
+            let Some((run, estimate)) = run_x(trace, &packets, x.clone(), run_cfg) else {
                 continue;
             };
             points.push(Fig2Point {
@@ -404,7 +408,7 @@ pub fn fig3(cfg: &Fig3Config) -> Vec<Fig3Point> {
                 // the pinned tables were recorded with.
                 seed: cfg.seed ^ 0x6e ^ 0x51ce,
             };
-            let (run, estimate) = run_x(trace_cfg, x, run_cfg.clone())?;
+            let (run, estimate) = run_x(trace_cfg, &trace, x, run_cfg.clone())?;
             let join = &estimate.join;
             let spans = joined_spans_secs(&trace, &run.hop(HopId(4))?.batch.aggregates, join);
             Some(Fig3Point {
@@ -444,8 +448,9 @@ pub fn render_fig3(points: &[Fig3Point]) -> String {
 /// and 6 tuned to it through [`RunConfig::overrides`].
 pub fn verifiability(cfg: &VerifiabilityConfig) -> Vec<VerifiabilityPoint> {
     let trace = trace(cfg.pps, cfg.duration, cfg.seed);
+    let packets = TraceGenerator::new(trace).generate();
     let x = ChannelConfig {
-        delay: DelayModel::Series(congestion(trace, cfg.seed ^ 0xa1)),
+        delay: DelayModel::Series(congestion(&packets, cfg.seed ^ 0xa1)),
         loss: Some((VERIFIABILITY_LOSS, LOSS_BURST)),
         reorder: ReorderModel::none(),
         seed: cfg.seed ^ 0xb2,
@@ -468,7 +473,7 @@ pub fn verifiability(cfg: &VerifiabilityConfig) -> Vec<VerifiabilityPoint> {
                 overrides: HashMap::from([(HopId(3), tuning), (HopId(6), tuning)]),
                 ..base.clone()
             };
-            let (run, own) = run_x(trace, x.clone(), run_cfg)?;
+            let (run, own) = run_x(trace, &packets, x.clone(), run_cfg)?;
             let (h3, h6) = (run.hop(HopId(3))?, run.hop(HopId(6))?);
             let verify = Verifier::default().estimate_domain(
                 &h3.samples(),

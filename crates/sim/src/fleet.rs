@@ -16,9 +16,9 @@
 //!   some paths leading with an empty quiet-interval batch — exactly
 //!   the traffic shape a production receipt bus sees;
 //! * [`analyze_fleet_from_transport`] fans per-path verification
-//!   ([`crate::verdict::analyze_from_transport_scoped`], which touches
-//!   only each HOP's shard) across a `vpm_core::par_map_indexed`
-//!   worker pool. Verdicts are merged in path order, so the output is
+//!   ([`crate::verdict::analyze_from_transport`], which touches only
+//!   each HOP's shard) across a `vpm_core::par_map_indexed` worker
+//!   pool. Verdicts are merged in path order, so the output is
 //!   **byte-identical for every `jobs` count** — and byte-identical to
 //!   folding `analyze_from_transport` over the paths sequentially
 //!   (`tests/fleet.rs` pins both, the latter under proptest).
@@ -41,7 +41,7 @@ use crate::run::RunConfig;
 use crate::scenario::Scenario;
 use crate::scenario_matrix::AdversaryAxis;
 use crate::topology::Figure1;
-use crate::verdict::{analyze_from_transport_scoped, PathAnalysis};
+use crate::verdict::{analyze_from_transport, PathAnalysis};
 
 /// Base seed of the canonical fleet (`vpm fleet` default).
 pub const FLEET_BASE_SEED: u64 = 0xF1EE_7000;
@@ -292,7 +292,7 @@ impl FleetPathVerdict {
 /// Verify every path of the fleet purely from disseminated frames,
 /// `jobs` paths at a time.
 ///
-/// Each worker runs [`analyze_from_transport_scoped`] for one path —
+/// Each worker runs [`analyze_from_transport`] for one path —
 /// on a sharded transport that touches only the shards holding that
 /// path's frames — and verdicts are merged in path order via
 /// [`vpm_core::par_map_indexed`], so the result (and its serialized
@@ -308,12 +308,9 @@ pub fn analyze_fleet_from_transport(
             clippy::expect_used,
             reason = "the collector domain is taken from the path being verified"
         )]
-        let analysis = analyze_from_transport_scoped(
-            &path.scenario.topology,
-            transport,
-            path.collector_domain(),
-        )
-        .expect("the fleet collector is on-path");
+        let analysis =
+            analyze_from_transport(&path.scenario.topology, transport, path.collector_domain())
+                .expect("the fleet collector is on-path");
         FleetPathVerdict::from_analysis(path, &analysis)
     })
 }

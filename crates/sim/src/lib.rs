@@ -9,7 +9,8 @@
 //! through all of it.
 //!
 //! * [`topology`] — domains, HOPs, inter-domain links; the canonical
-//!   Figure 1 topology `S–L–X–N–D`.
+//!   Figure 1 topology `S–L–X–N–D`, and a domain that runs no HOPs
+//!   (§8 partial deployment, [`Topology::without_hops`]).
 //! * [`scenario`] — one [`Scenario`]: a trace, a path with every
 //!   domain's channel, the HOPs' configuration and the [`Lie`]s its
 //!   domains tell; [`Scenario::run`] simulates it and publishes each
@@ -21,11 +22,10 @@
 //!   sugarcoating, a colluding cover-up, marker dropping, and the
 //!   sample-bias fast path VPM is designed to defeat.
 //! * [`verdict`] — the receipt collector's path analysis: per-domain
-//!   estimates, per-link consistency, liar exposure — from a run's
-//!   outputs or purely from transport-fetched frames
-//!   ([`verdict::analyze_from_transport`], or the path-scoped
-//!   [`verdict::analyze_from_transport_scoped`] that touches one shard
-//!   per HOP).
+//!   estimates, per-link consistency, liar exposure, and the segment
+//!   over each domain without HOPs — read purely from the frames the
+//!   HOPs published, by the one reader
+//!   [`verdict::analyze_from_transport`] (one shard per HOP fetch).
 //! * [`fleet`] — the many-path workload: N independent Figure-1
 //!   scenarios publishing interleaved through one shared `ShardedBus`
 //!   from concurrent threads, verified in parallel
@@ -74,7 +74,6 @@ pub mod audit;
 pub mod baselines;
 pub mod figures;
 pub mod fleet;
-pub mod partial;
 pub mod run;
 pub mod scenario;
 pub mod scenario_matrix;
@@ -96,4 +95,4 @@ pub use scenario_matrix::{
     MatrixFilter, CANONICAL_BASE_SEED,
 };
 pub use topology::{DomainRole, Figure1, LinkSpec, Topology};
-pub use verdict::{analyze_path, PathAnalysis};
+pub use verdict::{analyze_from_transport, PathAnalysis};

@@ -338,38 +338,19 @@ mod tests {
     use std::time::Duration;
     use vpm_netsim::channel::DelayModel;
     use vpm_netsim::reorder::ReorderModel;
-    use vpm_trace::TraceConfig;
     use vpm_wire::{
         Published, ReceiptTransport, ShardedBus, SubscriptionId, TransportError, WaitOutcome,
         WireFrame,
     };
 
-    fn trace(n_ms: u64, seed: u64) -> TraceConfig {
-        TraceConfig {
-            target_pps: 50_000.0,
-            duration: SimDuration::from_millis(n_ms),
-            ..TraceConfig::paper_default(1, seed)
-        }
-    }
-
-    fn quick_cfg() -> RunConfig {
-        RunConfig {
-            sampling_rate: 0.05,
-            aggregate_size: 500,
-            marker_rate: 0.01,
-            j_window: SimDuration::from_millis(2),
-            ..RunConfig::default()
-        }
-    }
-
-    /// The ideal Figure 1 under [`quick_cfg`].
-    fn ideal(trace: TraceConfig) -> Scenario {
-        Scenario::new(trace, Figure1::ideal().build(), quick_cfg())
+    /// The ideal Figure 1 under a `ms`-long trace of `seed`.
+    fn ideal(ms: u64, seed: u64) -> Scenario {
+        Scenario::quick(Figure1::ideal().build(), ms, seed, vec![])
     }
 
     #[test]
     fn ideal_run_all_hops_see_everything() {
-        let (run, _) = ideal(trace(200, 1)).evaluate();
+        let (run, _) = ideal(200, 1).evaluate();
         assert_eq!(run.hops.len(), 8);
         for h in &run.hops {
             assert_eq!(h.observed, run.trace_len, "{} observed", h.hop);
@@ -387,7 +368,7 @@ mod tests {
     #[test]
     fn run_receipts_round_trip_the_wire_codec_losslessly() {
         let transport = ShardedBus::new(1);
-        let run = ideal(trace(150, 21)).run(&transport).unwrap();
+        let run = ideal(150, 21).run(&transport).unwrap();
         assert_eq!(transport.len(), run.hops.len());
         for h in &run.hops {
             let published = transport.fetch(h.domain, h.hop).unwrap();
@@ -413,7 +394,7 @@ mod tests {
     /// yields identical outputs.
     #[test]
     fn path_run_is_identical_across_transports_and_shard_counts() {
-        let scenario = ideal(trace(150, 22));
+        let scenario = ideal(150, 22);
         let baseline = scenario.run(&ShardedBus::new(1)).unwrap();
         for shards in [4, 16] {
             let run = scenario.run(&ShardedBus::new(shards)).unwrap();
@@ -431,13 +412,7 @@ mod tests {
     #[test]
     fn concurrent_runs_on_a_shared_transport_match_private_runs() {
         let scenarios: Vec<Scenario> = (0..4)
-            .map(|i| {
-                Scenario::new(
-                    trace(60, 40 + i as u64),
-                    Figure1::numbered(i).build(),
-                    quick_cfg(),
-                )
-            })
+            .map(|i| Scenario::quick(Figure1::numbered(i).build(), 60, 40 + i as u64, vec![]))
             .collect();
         let private: Vec<PathRun> = scenarios.iter().map(|s| s.evaluate().0).collect();
         let shared = ShardedBus::new(8);
@@ -525,7 +500,7 @@ mod tests {
     #[test]
     fn a_refusing_transport_is_a_typed_run_error() {
         let transport = RefusingTransport(ShardedBus::new(1));
-        match ideal(trace(20, 11)).run(&transport) {
+        match ideal(20, 11).run(&transport) {
             Err(TransportError::Connection(msg)) => assert_eq!(msg, "refused by test"),
             other => panic!("expected Connection, got {other:?}"),
         }
@@ -541,7 +516,7 @@ mod tests {
             reorder: ReorderModel::none(),
             seed: 7,
         };
-        let (run, _) = Scenario::new(trace(200, 2), fig.build(), quick_cfg()).evaluate();
+        let (run, _) = Scenario::quick(fig.build(), 200, 2, vec![]).evaluate();
         let x = run.truth("X").unwrap();
         let loss = 1.0 - x.delivered as f64 / x.sent as f64;
         assert!((loss - 0.2).abs() < 0.05, "loss {loss}");
@@ -555,7 +530,7 @@ mod tests {
 
     #[test]
     fn estimates_recover_truth_on_ideal_path() {
-        let (run, _) = ideal(trace(300, 3)).evaluate();
+        let (run, _) = ideal(300, 3).evaluate();
         let v = vpm_core::verify::Verifier::default();
         let h4 = run.hop(HopId(4)).unwrap();
         let h5 = run.hop(HopId(5)).unwrap();
@@ -574,7 +549,7 @@ mod tests {
 
     #[test]
     fn marker_dropper_desyncs_sampling() {
-        let clean = ideal(trace(200, 4));
+        let clean = ideal(200, 4);
         let attacked = Scenario {
             lies: vec![Lie::MarkerDrop { liar: "X" }],
             ..clean.clone()
@@ -617,7 +592,7 @@ mod tests {
 
     #[test]
     fn ntp_clocks_still_yield_usable_delays() {
-        let mut scenario = ideal(trace(200, 5));
+        let mut scenario = ideal(200, 5);
         scenario.config.clocks = ClockMode::NtpGrade;
         let (run, _) = scenario.evaluate();
         let v = vpm_core::verify::Verifier::default();

@@ -11,13 +11,14 @@
 //! §7.2 figure a list read by one estimator.
 
 use vpm_core::processor::ReceiptBatch;
-use vpm_trace::{TraceConfig, TraceGenerator};
+use vpm_packet::DomainId;
+use vpm_trace::{TraceConfig, TraceGenerator, TracePacket};
 use vpm_wire::{Profile, ReceiptTransport, ShardedBus, TransportError, WireEncoder};
 
 use crate::adversary::Lie;
 use crate::run::{simulate, HopOutput, PathRun, Report, RunConfig, Simulation};
 use crate::topology::Topology;
-use crate::verdict::{analyze_path, PathAnalysis};
+use crate::verdict::{analyze_from_transport, PathAnalysis};
 
 /// One fully specified path experiment.
 #[derive(Debug, Clone)]
@@ -58,15 +59,21 @@ impl Scenario {
     /// (paths built with [`crate::Figure1::numbered`]): a transport
     /// refuses a second key for an established HOP.
     pub fn run(&self, transport: &dyn ReceiptTransport) -> Result<PathRun, TransportError> {
-        self.publish(self.simulate(), transport)
+        self.publish(self.simulate(&self.packets()), transport)
     }
 
-    /// The data plane of [`Self::run`]: the trace through the path, with
-    /// the forwarding lies applied. Receipt lies do not enter it, so
-    /// scenarios that differ only in those can share one simulation.
-    pub(crate) fn simulate(&self) -> Simulation {
-        let trace = TraceGenerator::new(self.trace).generate();
-        simulate(&trace, &self.topology, &self.config, &self.lies)
+    /// The packets of [`Self::trace`], which scenarios over one trace
+    /// can share.
+    pub(crate) fn packets(&self) -> Vec<TracePacket> {
+        TraceGenerator::new(self.trace).generate()
+    }
+
+    /// The data plane of [`Self::run`]: this scenario's `packets`
+    /// through the path, with the forwarding lies applied. Receipt lies
+    /// do not enter it, so scenarios that differ only in those can
+    /// share one simulation.
+    pub(crate) fn simulate(&self, packets: &[TracePacket]) -> Simulation {
+        simulate(packets, &self.topology, &self.config, &self.lies)
     }
 
     /// The publishing half of [`Self::run`], over a simulation of this
@@ -128,21 +135,60 @@ impl Scenario {
     }
 
     /// [`Self::run`] on a private bus, and the collector's analysis of
-    /// what the HOPs published.
+    /// the frames the HOPs published there.
     pub fn evaluate(&self) -> (PathRun, PathAnalysis) {
-        self.evaluate_simulation(self.simulate())
+        self.evaluate_simulation(self.simulate(&self.packets()))
     }
 
     /// [`Self::evaluate`] over a simulation of this scenario's path.
     #[expect(
         clippy::expect_used,
-        reason = "a private bus admits every frame its own HOPs sign"
+        reason = "a private bus admits every frame its own HOPs sign, and shows it to every domain on the path"
     )]
     pub(crate) fn evaluate_simulation(&self, simulation: Simulation) -> (PathRun, PathAnalysis) {
+        let bus = ShardedBus::new(1);
         let run = self
-            .publish(simulation, &ShardedBus::new(1))
-            .expect("a private bus admits every frame its own HOPs sign");
-        let analysis = analyze_path(&self.topology, &run);
-        (run, analysis)
+            .publish(simulation, &bus)
+            .expect("the bus admits its own HOPs' frames");
+        let collector = self.topology.domains.first().map_or(DomainId(0), |d| d.id);
+        let analysis = analyze_from_transport(&self.topology, &bus, collector);
+        (run, analysis.expect("the collector is on the path"))
+    }
+}
+
+#[cfg(test)]
+impl Scenario {
+    /// A test scenario: a `ms`-long 50 kpps trace of `seed` through
+    /// `topology`, telling `lies`, every HOP at σ = 5 %, 500-packet
+    /// aggregates, µ = 1 % and J = 2 ms.
+    pub(crate) fn quick(topology: Topology, ms: u64, seed: u64, lies: Vec<Lie>) -> Self {
+        use vpm_packet::SimDuration;
+        let trace = TraceConfig {
+            target_pps: 50_000.0,
+            duration: SimDuration::from_millis(ms),
+            ..TraceConfig::paper_default(1, seed)
+        };
+        let config = RunConfig {
+            sampling_rate: 0.05,
+            aggregate_size: 500,
+            marker_rate: 0.01,
+            j_window: SimDuration::from_millis(2),
+            ..RunConfig::default()
+        };
+        Scenario {
+            lies,
+            ..Scenario::new(trace, topology, config)
+        }
+    }
+}
+
+/// A test transit: 200 µs, losing `rate` of the packets in bursts of 4.
+#[cfg(test)]
+pub(crate) fn lossy(rate: f64, seed: u64) -> vpm_netsim::channel::ChannelConfig {
+    let delay = vpm_packet::SimDuration::from_micros(200);
+    vpm_netsim::channel::ChannelConfig {
+        loss: Some((rate, 4.0)),
+        seed,
+        ..vpm_netsim::channel::ChannelConfig::ideal(delay)
     }
 }

@@ -18,9 +18,9 @@
 //!    NTP-grade clocks, whose mutual skew stays under the advertised
 //!    `MaxDiff` and must never produce a false accusation) and
 //!    **accuracy** (receipt-derived loss and delay track the retained
-//!    ground truth within tolerances; partially deployed cells check
-//!    the bracketing segment from `partial::analyze_partial` instead
-//!    of the per-domain report);
+//!    ground truth within tolerances; in a partially deployed cell `X`
+//!    runs no HOPs, and the collector's segment spanning it is checked
+//!    instead of a per-domain report);
 //! 2. if the cell names an adversary, run the same scenario again with
 //!    the level's [`Lie`]s (`AdversaryAxis::lies`) and check
 //!    **exposure**: the lie surfaces exactly where §3.1 says it must —
@@ -50,11 +50,10 @@ use vpm_hash::Threshold;
 use vpm_netsim::channel::{ChannelConfig, DelayModel};
 use vpm_netsim::congestion::{foreground_delays, BottleneckConfig, CrossTraffic, PacketFate};
 use vpm_netsim::reorder::ReorderModel;
-use vpm_packet::{DomainId, HopId, SimDuration};
-use vpm_trace::{TraceConfig, TraceGenerator};
+use vpm_packet::{HopId, SimDuration};
+use vpm_trace::{TraceConfig, TraceGenerator, TracePacket};
 
 use crate::adversary::Lie;
-use crate::partial::analyze_partial;
 use crate::run::{ClockMode, PathRun, RunConfig};
 use crate::scenario::Scenario;
 use crate::topology::{Figure1, Topology};
@@ -123,13 +122,13 @@ impl LossAxis {
         }
     }
 
-    /// Every family label [`Self::family`] can return — the `--filter`
+    /// Every family label `Self::family` can return — the `--filter`
     /// vocabulary (kept adjacent so they cannot drift apart).
     pub const FAMILIES: [&'static str; 3] = ["none", "uniform", "gilbert"];
 
     /// Stable family label for filters ("none" / "uniform" /
     /// "gilbert").
-    pub fn family(&self) -> &'static str {
+    fn family(&self) -> &'static str {
         match self {
             LossAxis::None => "none",
             LossAxis::Uniform(_) => "uniform",
@@ -164,12 +163,12 @@ impl ReorderAxis {
         }
     }
 
-    /// Every family label [`Self::family`] can return — the `--filter`
+    /// Every family label `Self::family` can return — the `--filter`
     /// vocabulary (kept adjacent so they cannot drift apart).
     pub const FAMILIES: [&'static str; 2] = ["none", "window"];
 
     /// Stable family label for filters ("none" / "window").
-    pub fn family(&self) -> &'static str {
+    fn family(&self) -> &'static str {
         match self {
             ReorderAxis::None => "none",
             ReorderAxis::Window { .. } => "window",
@@ -225,10 +224,12 @@ impl ClockAxis {
 pub enum DeployAxis {
     /// Every domain runs HOPs.
     Full,
-    /// `X` does not deploy: it produces no receipts, and its
-    /// performance can only be measured end-to-end over the segment
+    /// `X` does not deploy: its domain runs no HOPs
+    /// ([`Topology::without_hops`]), so it produces no receipts, and
+    /// its performance can only be measured end-to-end over the segment
     /// between the nearest deployed HOPs (3→6), which is exactly where
-    /// `partial::analyze_partial` must localize it.
+    /// the collector's [`PathAnalysis::segment_spanning`] must localize
+    /// it.
     Partial,
 }
 
@@ -456,7 +457,7 @@ impl Cell {
 
     /// Detailed delay token ("const300us", "jitter100+800us",
     /// "congested").
-    pub fn delay_token(&self) -> &'static str {
+    fn delay_token(&self) -> &'static str {
         match self.delay {
             DelayAxis::Constant => "const300us",
             DelayAxis::Jitter => "jitter100+800us",
@@ -465,7 +466,7 @@ impl Cell {
     }
 
     /// Detailed loss token.
-    pub fn loss_token(&self) -> String {
+    fn loss_token(&self) -> String {
         match self.loss {
             LossAxis::None => "lossless".to_string(),
             LossAxis::Uniform(r) => format!("uniform{:.0}%", r * 100.0),
@@ -474,7 +475,7 @@ impl Cell {
     }
 
     /// Detailed reorder token.
-    pub fn reorder_token(&self) -> String {
+    fn reorder_token(&self) -> String {
         match self.reorder {
             ReorderAxis::None => "inorder".to_string(),
             ReorderAxis::Window { p, shift_us } => {
@@ -681,16 +682,19 @@ pub fn full_grid(base_seed: u64) -> Vec<Cell> {
 }
 
 impl Cell {
-    /// The cell's scenario with `lies` told: a 120 ms, 40 kpps trace
-    /// through Figure 1 with the cell's delay, loss and reordering
-    /// inside `X` (and, for two liars, loss of their own inside `L` and
-    /// `N`), under the cell's sampling rate and clocks.
-    pub(crate) fn scenario(&self, lies: Vec<Lie>) -> Scenario {
+    /// The cell's honest scenario — a 120 ms, 40 kpps trace through
+    /// Figure 1 with the cell's delay, loss and reordering inside `X`
+    /// (and, for two liars, loss of their own inside `L` and `N`), and
+    /// no HOPs in `X` when it does not deploy, under the cell's
+    /// sampling rate and clocks — with its trace's packets, generated
+    /// once per cell: a congested `X` delays them by their own fates.
+    pub(crate) fn scenario(&self) -> (Scenario, Vec<TracePacket>) {
         let trace = TraceConfig {
             target_pps: 40_000.0,
             duration: SimDuration::from_millis(120),
             ..TraceConfig::paper_default(1, self.seed ^ 0x7ace)
         };
+        let packets = TraceGenerator::new(trace).generate();
         let mut fig = Figure1::ideal();
         fig.x_transit = ChannelConfig {
             delay: match self.delay {
@@ -699,7 +703,7 @@ impl Cell {
                     base: SimDuration::from_micros(100),
                     jitter: SimDuration::from_micros(800),
                 },
-                DelayAxis::Congested => DelayModel::Series(self.congested_fates(trace)),
+                DelayAxis::Congested => DelayModel::Series(self.congested_fates(&packets)),
             },
             loss: self.loss.channel_loss(),
             reorder: self.reorder.model(),
@@ -729,10 +733,11 @@ impl Cell {
             seed: self.seed ^ 0x10c5,
             ..RunConfig::default()
         };
-        Scenario {
-            lies,
-            ..Scenario::new(trace, fig.build(), config)
-        }
+        let topology = match self.deploy {
+            DeployAxis::Full => fig.build(),
+            DeployAxis::Partial => fig.build().without_hops("X"),
+        };
+        (Scenario::new(trace, topology, config), packets)
     }
 
     /// Per-packet fates of the cell's trace through the congested
@@ -748,7 +753,7 @@ impl Cell {
     /// closed-loop function of X's exact arrivals — still a valid
     /// bursty delay process (truth and estimates both derive from the
     /// applied delays), just not re-simulated per survivor set.
-    fn congested_fates(&self, trace: TraceConfig) -> Vec<PacketFate> {
+    fn congested_fates(&self, packets: &[TracePacket]) -> Vec<PacketFate> {
         // Sized against the cell's ~130 Mbps foreground so the queue
         // oscillates through several milliseconds without tail drops,
         // with bursts short enough (~12 ms cycle) that the delay
@@ -767,8 +772,7 @@ impl Cell {
             mean_off: SimDuration::from_millis(10),
             pkt_bytes: 1250,
         };
-        let trace = TraceGenerator::new(trace).generate();
-        foreground_delays(&trace, &bottleneck, &cross, self.seed ^ 0x0b07)
+        foreground_delays(packets, &bottleneck, &cross, self.seed ^ 0x0b07)
     }
 }
 
@@ -832,9 +836,9 @@ const LINK_DELAY_MS: f64 = 0.05;
 /// Evaluate one cell. Pure: the same cell always produces the same
 /// verdict, byte for byte.
 pub fn evaluate_cell(cell: &Cell) -> CellVerdict {
-    let scenario = cell.scenario(Vec::new());
+    let (scenario, packets) = cell.scenario();
     let topo = &scenario.topology;
-    let simulation = scenario.simulate();
+    let simulation = scenario.simulate(&packets);
     let (honest_run, honest) = scenario.evaluate_simulation(simulation.clone());
 
     let mut failures = Vec::new();
@@ -856,54 +860,38 @@ pub fn evaluate_cell(cell: &Cell) -> CellVerdict {
     let (band_lo, band_hi) = truth_delay_band(cell, x_delays_ms);
 
     // Under full deployment X's own report is checked; under partial
-    // deployment X produces no receipts and the bracketing 3→6 segment
-    // must localize its behaviour instead (§8).
-    let (x_loss_est, x_delay_est_ms, matched_samples, delay_offset_ms) = match cell.deploy {
-        DeployAxis::Full => match honest.domain("X") {
-            Some(x) => (
-                loss_est(&honest, "X"),
-                est_median(&x.estimate),
-                x.estimate.matched_samples,
-                0.0,
-            ),
-            None => (f64::NAN, f64::NAN, 0, 0.0),
-        },
+    // deployment X runs no HOPs and the bracketing 3→6 segment must
+    // localize its behaviour instead (§8). The segment includes the two
+    // ideal inter-domain links bracketing X.
+    let (x_estimate, delay_offset_ms) = match cell.deploy {
+        DeployAxis::Full => (honest.domain("X").map(|x| &x.estimate), 0.0),
         DeployAxis::Partial => {
-            let x_id = topo.domain_by_name("X").map(|d| d.id);
-            let deployed: HashSet<DomainId> = topo
-                .domains
-                .iter()
-                .map(|d| d.id)
-                .filter(|&id| Some(id) != x_id)
-                .collect();
-            let pa = analyze_partial(topo, &honest_run, &deployed);
-            match x_id.and_then(|x| pa.segment_spanning(x)) {
+            let segment = topo
+                .domain_by_name("X")
+                .and_then(|x| honest.segment_spanning(x.id));
+            match segment {
+                // Impossible on Figure 1 by construction; recorded as a
+                // failure (NaN estimates fail the tolerance checks
+                // below too) rather than special-cased.
                 None => {
-                    // Impossible on Figure 1 by construction; recorded
-                    // as a failure (NaN estimates fail the tolerance
-                    // checks below too) rather than special-cased.
-                    failures.push("partial analysis produced no segment spanning X".to_string());
-                    (f64::NAN, f64::NAN, 0, 0.0)
+                    failures.push("partial analysis produced no segment spanning X".to_string())
                 }
-                Some(seg) => {
-                    if (seg.up_hop, seg.down_hop) != (HopId(3), HopId(6)) {
-                        failures.push(format!(
-                            "segment spanning X is {}→{}, expected 3→6",
-                            seg.up_hop, seg.down_hop
-                        ));
-                    }
-                    // The segment includes the two ideal inter-domain
-                    // links bracketing X.
-                    (
-                        seg.estimate.loss.rate().unwrap_or(f64::NAN),
-                        est_median(&seg.estimate),
-                        seg.estimate.matched_samples,
-                        2.0 * LINK_DELAY_MS,
-                    )
+                Some(seg) if (seg.up_hop, seg.down_hop) != (HopId(3), HopId(6)) => {
+                    failures.push(format!(
+                        "segment spanning X is {}→{}, expected 3→6",
+                        seg.up_hop, seg.down_hop
+                    ));
                 }
+                Some(_) => {}
             }
+            (segment.map(|s| &s.estimate), 2.0 * LINK_DELAY_MS)
         }
     };
+    let (x_loss_est, x_delay_est_ms, matched_samples) =
+        x_estimate.map_or((f64::NAN, f64::NAN, 0), |e| {
+            let loss = e.loss.rate().unwrap_or(f64::NAN);
+            (loss, est_median(e), e.matched_samples)
+        });
 
     // NaN-safe: an unavailable estimate must count as out of tolerance.
     let loss_ok = (x_loss_est - x_loss_truth).abs() <= LOSS_TOL;
@@ -964,7 +952,7 @@ pub fn evaluate_cell(cell: &Cell) -> CellVerdict {
             // Receipt lies leave what the network did as it was: the
             // liars sign lies over the honest simulation.
             let simulation = if lying.lies.iter().any(Lie::forwards) {
-                lying.simulate()
+                lying.simulate(&packets)
             } else {
                 simulation
             };
@@ -1131,9 +1119,9 @@ pub fn evaluate_grid(cells: &[Cell], jobs: usize) -> Vec<CellVerdict> {
 pub enum MatrixFilter {
     /// `delay=<`[`DelayAxis::name`]`>`
     Delay(DelayAxis),
-    /// `loss=<`[`LossAxis::family`]`>`
+    /// `loss=<`[`LossAxis::FAMILIES`]`>`
     Loss(&'static str),
-    /// `reorder=<`[`ReorderAxis::family`]`>`
+    /// `reorder=<`[`ReorderAxis::FAMILIES`]`>`
     Reorder(&'static str),
     /// `rate=<f64>` (exact sampling-rate match)
     Rate(f64),

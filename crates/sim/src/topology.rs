@@ -90,11 +90,23 @@ impl Topology {
 
     /// The `MaxDiff` of the link a HOP sits on (every HOP is on exactly
     /// one inter-domain link).
-    pub fn link_max_diff(&self, hop: HopId) -> Option<SimDuration> {
+    fn link_max_diff(&self, hop: HopId) -> Option<SimDuration> {
         self.links
             .iter()
             .find(|l| l.up == hop || l.down == hop)
             .map(|l| l.max_diff)
+    }
+
+    /// This path with domain `name` out of the deployment (§8): it still
+    /// carries the traffic, through its own transit and the links on
+    /// either side, but runs no HOPs, so it produces no receipts. The
+    /// collector measures it over the segment its neighbors' HOPs
+    /// bracket. A name not on the path changes nothing.
+    pub fn without_hops(mut self, name: &str) -> Self {
+        if let Some(d) = self.domains.iter_mut().find(|d| d.name == name) {
+            (d.ingress, d.egress) = (None, None);
+        }
+        self
     }
 
     /// Domain ids in path order.

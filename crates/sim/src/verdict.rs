@@ -5,7 +5,12 @@
 //! domain's loss/delay estimate, checks every inter-domain link's
 //! consistency, and reports which links carry inconsistent claims —
 //! each such link implicates its two adjacent domains, and the
-//! implicated honest domain knows exactly who lied.
+//! implicated honest domain knows exactly who lied. A domain that runs
+//! no HOPs (§8 partial deployment) is measured end to end over the
+//! segment its deployed neighbors bracket.
+//!
+//! [`analyze_from_transport`] is the one reader: it judges a path from
+//! the frames its HOPs published, and nothing else.
 
 use std::borrow::Cow;
 use std::sync::Arc;
@@ -14,13 +19,12 @@ use serde::{Deserialize, Serialize};
 use vpm_core::receipt::{AggReceipt, PathId, SampleRecord};
 use vpm_core::verify::{DomainEstimate, LinkReport, Verifier};
 use vpm_packet::{DomainId, HopId};
-use vpm_wire::{KeyEpoch, Published, ReceiptTransport, TransportError};
+use vpm_wire::{Published, ReceiptTransport, TransportError};
 
-use crate::run::{HopOutput, PathRun};
 use crate::topology::{DomainRole, Topology};
 
 /// One transit domain's receipt-derived estimate.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DomainReport {
     /// The domain.
     pub domain: DomainId,
@@ -33,7 +37,7 @@ pub struct DomainReport {
 }
 
 /// One inter-domain link's consistency verdict.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LinkVerdict {
     /// Delivering HOP.
     pub up: HopId,
@@ -45,13 +49,31 @@ pub struct LinkVerdict {
     pub report: LinkReport,
 }
 
+/// The stretch of a path between two HOPs with receipts that crosses
+/// transit domains running no HOPs (§8's non-deployers). Whatever
+/// happens there, including a deployed neighbor's own lies, lands on
+/// the domains it spans: they have no receipts to refute it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SegmentReport {
+    /// The HOP at the segment's upstream edge.
+    pub up_hop: HopId,
+    /// The HOP at its downstream edge.
+    pub down_hop: HopId,
+    /// The domains without HOPs inside the segment, in path order.
+    pub spans: Vec<DomainId>,
+    /// The receipt-derived estimate over the whole segment.
+    pub estimate: DomainEstimate,
+}
+
 /// The collector's full path analysis.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PathAnalysis {
     /// Per-transit-domain estimates.
     pub domains: Vec<DomainReport>,
     /// Per-link verdicts.
     pub links: Vec<LinkVerdict>,
+    /// Per-segment estimates over the domains that run no HOPs.
+    pub segments: Vec<SegmentReport>,
 }
 
 impl PathAnalysis {
@@ -73,6 +95,12 @@ impl PathAnalysis {
     /// Are all links consistent?
     pub fn all_consistent(&self) -> bool {
         self.links.iter().all(|l| l.report.is_consistent())
+    }
+
+    /// The segment spanning a domain that runs no HOPs, if HOPs with
+    /// receipts bracket it.
+    pub fn segment_spanning(&self, domain: DomainId) -> Option<&SegmentReport> {
+        self.segments.iter().find(|s| s.spans.contains(&domain))
     }
 }
 
@@ -115,43 +143,26 @@ impl DomainReport {
 }
 
 /// One HOP's receipts as the verifier reads them, where they already
-/// are: borrowed from a [`PathRun`]'s [`HopOutput`], or from the frames
-/// a transport served. A HOP whose receipts fill one frame (with one
-/// sample receipt) is read straight from it; only receipts spread over
-/// several frames (a key rotation mid-stream) or several sample
-/// receipts are concatenated into one owned copy, in publish order.
+/// are: in the frames a transport served. A HOP whose receipts fill one
+/// frame (with one sample receipt) is read straight from it; only
+/// receipts spread over several frames (a key rotation mid-stream) or
+/// several sample receipts are concatenated into one owned copy, in
+/// publish order. A verifier never holds a HOP's key.
 #[derive(Debug, Clone)]
-pub struct HopReceipts<'a> {
-    /// The HOP.
-    pub hop: HopId,
-    /// Its domain.
-    pub domain: DomainId,
+struct HopReceipts<'a> {
+    hop: HopId,
+    domain: DomainId,
     /// The `PathID` its receipts carry.
-    pub path: PathId,
-    /// Its sample records, in observation order.
-    pub samples: Cow<'a, [SampleRecord]>,
-    /// Its aggregate receipts, in stream order.
-    pub aggregates: Cow<'a, [AggReceipt]>,
-    /// The key epoch its receipts were authenticated under: the newest
-    /// one when a rotation happened mid-stream. A verifier never holds
-    /// a HOP's key.
-    pub key_epoch: KeyEpoch,
+    path: PathId,
+    /// Sample records, in observation order.
+    samples: Cow<'a, [SampleRecord]>,
+    /// Aggregate receipts, in stream order.
+    aggregates: Cow<'a, [AggReceipt]>,
 }
 
 impl<'a> HopReceipts<'a> {
-    fn of_output(h: &'a HopOutput) -> Self {
-        HopReceipts {
-            hop: h.hop,
-            domain: h.domain,
-            path: h.path,
-            samples: h.samples(),
-            aggregates: Cow::Borrowed(&h.batch.aggregates),
-            key_epoch: h.key_epoch,
-        }
-    }
-
     /// `hop`'s receipts from its fetched `frames`, in publish order;
-    /// `None` for a HOP outside `topology` or without frames.
+    /// `None` for a HOP outside `topology`.
     fn from_frames(
         topology: &Topology,
         hop: HopId,
@@ -165,7 +176,6 @@ impl<'a> HopReceipts<'a> {
             path,
             samples: concat(samples.map(|r| r.samples.as_slice())),
             aggregates: concat(frames.iter().map(|p| p.batch.aggregates.as_slice())),
-            key_epoch: frames.iter().map(|p| p.epoch).max()?,
         })
     }
 }
@@ -184,58 +194,28 @@ pub(crate) fn concat<'a, T: Clone>(parts: impl Iterator<Item = &'a [T]>) -> Cow<
     }
 }
 
-/// Analyze a completed path run (possibly doctored by adversaries).
-pub fn analyze_path(topology: &Topology, run: &PathRun) -> PathAnalysis {
-    let hops: Vec<HopReceipts> = run.hops.iter().map(HopReceipts::of_output).collect();
-    analyze(topology, &hops)
-}
-
-/// Analyze a path from disseminated receipts alone: fetch every HOP's
-/// frames from the transport as `requester`, read the decoded batches
-/// per HOP in publish order, and run the same verifier logic as
-/// [`analyze_path`].
+/// Analyze a path from disseminated receipts alone: the receipt
+/// collector's position, which never touches a run, only what
+/// `publish` put on the wire.
 ///
-/// This is the receipt collector's real position in the redesigned
-/// pipeline — it never touches a `PathRun`, only what `publish` put on
-/// the wire. Authenticity was enforced once, at publish (the transport
-/// refuses a frame whose MAC does not verify under its HOP's key), so
-/// the collector reads the decoded batches in place ([`HopReceipts`]);
-/// HOPs that published nothing are simply absent from the analysis,
-/// exactly like non-deployed HOPs in [`analyze_path`]. Fails with
+/// Every HOP's frames are fetched as `requester` by the `PathID` it
+/// stamps (from [`Topology::hop_path_ids`]). On a
+/// [`vpm_wire::ShardedBus`] each such fetch touches exactly one shard,
+/// so analyzing one path of an N-path fleet costs O(its own frames),
+/// not O(every frame on the bus). Authenticity was enforced once, at
+/// publish (the transport refuses a frame whose MAC does not verify
+/// under its HOP's key), so the collector reads the decoded batches in
+/// place. An empty batch (a quiet reporting interval) carries no path
+/// table, so a path-scoped fetch never sees it, and it holds no
+/// receipts either way.
+///
+/// A HOP without frames is absent from the analysis: no estimate for
+/// its domain and no verdict for its link. Only a domain the topology
+/// gives no HOPs (§8's non-deployer) is measured instead, over the
+/// segment between the HOPs that bracket it. Fails with
 /// [`TransportError::NotOnPath`] when `requester` did not observe the
 /// traffic.
 pub fn analyze_from_transport(
-    topology: &Topology,
-    transport: &dyn ReceiptTransport,
-    requester: DomainId,
-) -> Result<PathAnalysis, TransportError> {
-    let mut fetched = Vec::new();
-    for hop in topology.hops() {
-        let frames = transport.fetch(requester, hop)?;
-        // An empty batch (e.g. a quiet first reporting interval) has no
-        // path table; take the path from the first frame that names one
-        // and skip the hop only if *no* frame does.
-        let Some(&path) = frames.iter().find_map(|p| p.paths.first()) else {
-            continue;
-        };
-        fetched.push((hop, path, frames));
-    }
-    Ok(analyze_frames(topology, &fetched))
-}
-
-/// [`analyze_from_transport`], but **path-scoped**: every HOP's frames
-/// are fetched by its `PathID` (from [`Topology::hop_path_ids`])
-/// instead of by HOP id. On a [`vpm_wire::ShardedBus`] each such fetch
-/// touches exactly one shard, so analyzing one path of an N-path fleet
-/// costs O(its own frames), not O(every frame on the bus) — this is
-/// the per-path unit of work `crate::fleet::analyze_fleet_from_transport`
-/// fans across its verification workers.
-///
-/// Produces the same analysis as [`analyze_from_transport`] for any
-/// publish sequence the path runner emits (pinned by test): an empty
-/// batch carries no path table, so a path-scoped fetch never sees it —
-/// but an empty batch contributes no samples or aggregates either way.
-pub fn analyze_from_transport_scoped(
     topology: &Topology,
     transport: &dyn ReceiptTransport,
     requester: DomainId,
@@ -251,23 +231,16 @@ pub fn analyze_from_transport_scoped(
         }
         fetched.push((hop, path, frames));
     }
-    Ok(analyze_frames(topology, &fetched))
-}
-
-/// The analysis over each fetched HOP's frames, read in place.
-fn analyze_frames(
-    topology: &Topology,
-    fetched: &[(HopId, PathId, Vec<Arc<Published>>)],
-) -> PathAnalysis {
     let hops: Vec<HopReceipts> = fetched
         .iter()
         .filter_map(|(hop, path, frames)| HopReceipts::from_frames(topology, *hop, *path, frames))
         .collect();
-    analyze(topology, &hops)
+    Ok(analyze(topology, &hops))
 }
 
-/// The one analysis body: every transit domain's estimate, then every
-/// link's consistency verdict, from whichever HOPs have receipts.
+/// The one analysis body: every transit domain's estimate, every
+/// link's consistency verdict, and every non-deployer's segment, from
+/// whichever HOPs have receipts.
 fn analyze(topology: &Topology, hops: &[HopReceipts]) -> PathAnalysis {
     let verifier = Verifier::default();
     let hop = |id: HopId| hops.iter().find(|h| h.hop == id);
@@ -314,55 +287,64 @@ fn analyze(topology: &Topology, hops: &[HopReceipts]) -> PathAnalysis {
         });
     }
 
-    PathAnalysis { domains, links }
+    // Each maximal run of transit domains without HOPs, bracketed by
+    // the last HOP before it and the first after it, both with
+    // receipts. Nothing is allocated on a path where every domain
+    // deploys.
+    let mut segments = Vec::new();
+    let mut gap = Vec::new();
+    let mut up: Option<&HopReceipts> = None;
+    for dom in &topology.domains {
+        if dom.ingress.is_none() && dom.egress.is_none() {
+            if dom.role == DomainRole::Transit {
+                gap.push(dom.id);
+            }
+            continue;
+        }
+        let spans = std::mem::take(&mut gap);
+        if let (false, Some(u), Some(d)) = (spans.is_empty(), up, dom.ingress.and_then(hop)) {
+            let estimate =
+                verifier.estimate_domain(&u.samples, &u.aggregates, &d.samples, &d.aggregates);
+            segments.push(SegmentReport {
+                up_hop: u.hop,
+                down_hop: d.hop,
+                spans,
+                estimate,
+            });
+        }
+        up = dom.egress.or(dom.ingress).and_then(hop);
+    }
+
+    PathAnalysis {
+        domains,
+        links,
+        segments,
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::adversary::Lie;
-    use crate::run::RunConfig;
-    use crate::scenario::Scenario;
+    use crate::run::{HopOutput, PathRun};
+    use crate::scenario::{lossy, Scenario};
     use crate::topology::Figure1;
     use vpm_core::processor::default_hop_key;
-    use vpm_netsim::channel::{ChannelConfig, DelayModel};
-    use vpm_netsim::reorder::ReorderModel;
     use vpm_packet::SimDuration;
-    use vpm_trace::TraceConfig;
 
-    /// Figure 1 with `loss_in_x` inside X (bursts of 4), a `ms`-long
-    /// 50 kpps trace of `seed`, and the given lies.
+    /// Figure 1 with `loss_in_x` inside X, a `ms`-long trace of `seed`,
+    /// and the given lies.
     fn scenario(loss_in_x: f64, ms: u64, seed: u64, lies: Vec<Lie>) -> Scenario {
         let mut fig = Figure1::ideal();
         if loss_in_x > 0.0 {
-            fig.x_transit = ChannelConfig {
-                delay: DelayModel::Constant(SimDuration::from_micros(200)),
-                loss: Some((loss_in_x, 4.0)),
-                reorder: ReorderModel::none(),
-                seed: 5,
-            };
+            fig.x_transit = lossy(loss_in_x, 5);
         }
-        let trace = TraceConfig {
-            target_pps: 50_000.0,
-            duration: SimDuration::from_millis(ms),
-            ..TraceConfig::paper_default(1, seed)
-        };
-        let cfg = RunConfig {
-            sampling_rate: 0.05,
-            aggregate_size: 500,
-            marker_rate: 0.01,
-            j_window: SimDuration::from_millis(2),
-            ..RunConfig::default()
-        };
-        Scenario {
-            lies,
-            ..Scenario::new(trace, fig.build(), cfg)
-        }
+        Scenario::quick(fig.build(), ms, seed, lies)
     }
 
-    fn blame_shift() -> Lie {
+    fn blame_shift(liar: &'static str) -> Lie {
         Lie::BlameShift {
-            liar: "X",
+            liar,
             claimed_delay: SimDuration::from_micros(200),
         }
     }
@@ -379,20 +361,10 @@ mod tests {
             let d = analysis.domain(name).unwrap();
             assert!(d.estimate.loss.rate().unwrap_or(0.0) < 0.01, "{name}");
         }
-    }
-
-    /// Field by field: every domain's estimate and every link's report.
-    fn assert_same_analysis(a: &PathAnalysis, b: &PathAnalysis) {
-        assert_eq!(a.domains.len(), b.domains.len());
-        for (a, b) in a.domains.iter().zip(&b.domains) {
-            assert_eq!((a.domain, &a.name, a.hops), (b.domain, &b.name, b.hops));
-            assert_eq!(a.estimate, b.estimate, "{}", a.name);
-        }
-        assert_eq!(a.links.len(), b.links.len());
-        for (a, b) in a.links.iter().zip(&b.links) {
-            assert_eq!((a.up, a.down, a.implicates), (b.up, b.down, b.implicates));
-            assert_eq!(a.report, b.report, "{}→{}", a.up, a.down);
-        }
+        // Full deployment: every transit domain reports, nothing is a
+        // segment.
+        assert_eq!(analysis.domains.len(), 3);
+        assert!(analysis.segments.is_empty());
     }
 
     /// Publish `batch` for `h`'s HOP, signed with `key`.
@@ -455,38 +427,20 @@ mod tests {
         ]
     }
 
-    /// A collector working purely from disseminated frames reaches the
-    /// same verdicts as one reading the runner's outputs directly.
-    #[test]
-    fn transport_only_analysis_matches_path_analysis() {
-        let scenario = scenario(0.15, 200, 23, vec![]);
-        let topo = &scenario.topology;
-        let transport = vpm_wire::ShardedBus::new(4);
-        let run = scenario.run(&transport).unwrap();
-        let from_run = analyze_path(topo, &run);
-        let requester = topo.domain_ids()[0];
-        let from_wire = super::analyze_from_transport(topo, &transport, requester).unwrap();
-        assert_same_analysis(&from_run, &from_wire);
-        // And an off-path collector is refused outright.
-        assert!(matches!(
-            super::analyze_from_transport(topo, &transport, DomainId(99)),
-            Err(vpm_wire::TransportError::NotOnPath { .. })
-        ));
-    }
-
     /// A quiet first reporting interval publishes an empty batch (no
     /// path table) as `batch_seq` 0; the collector must still use the
-    /// populated batch that follows as 1 rather than dropping the HOP.
-    /// Those batches are the HOP's only receipts, so both collectors
-    /// read them in place.
+    /// populated batch that follows as 1 rather than dropping the HOP,
+    /// and reaches the verdicts of a run without the empty batch. Those
+    /// batches are the HOP's only receipts, so they are read in place.
     #[test]
     fn empty_first_batch_does_not_hide_a_hop_from_the_collector() {
+        let loud = scenario(0.1, 150, 29, vec![]);
         let scenario = Scenario {
             quiet_first_interval: true,
-            ..scenario(0.0, 150, 29, vec![])
+            ..loud.clone()
         };
         let topo = &scenario.topology;
-        let transport = vpm_wire::ShardedBus::new(1);
+        let transport = vpm_wire::ShardedBus::new(8);
         let run = scenario.run(&transport).unwrap();
         let on_path = topo.domain_ids();
         for h in &run.hops {
@@ -503,37 +457,18 @@ mod tests {
                 (&*h.samples(), &*h.batch.aggregates)
             );
         }
-        let baseline = analyze_path(topo, &run);
-        let by_hop = super::analyze_from_transport(topo, &transport, on_path[0]).unwrap();
-        assert_same_analysis(&baseline, &by_hop);
-        let scoped = super::analyze_from_transport_scoped(topo, &transport, on_path[0]).unwrap();
-        assert_same_analysis(&baseline, &scoped);
-    }
-
-    /// The path-scoped collector (one shard per HOP fetch) reaches the
-    /// same verdicts as the by-HOP collector, including with an empty
-    /// first reporting interval on the bus.
-    #[test]
-    fn scoped_analysis_matches_hop_fetch_analysis() {
-        let scenario = Scenario {
-            quiet_first_interval: true,
-            ..scenario(0.1, 150, 31, vec![])
-        };
-        let topo = &scenario.topology;
-        let transport = vpm_wire::ShardedBus::new(8);
-        let run = scenario.run(&transport).unwrap();
-        let requester = topo.domain_ids()[0];
-        let by_hop = super::analyze_from_transport(topo, &transport, requester).unwrap();
-        let scoped = super::analyze_from_transport_scoped(topo, &transport, requester).unwrap();
-        assert_same_analysis(&by_hop, &scoped);
-        assert_same_analysis(&analyze_path(topo, &run), &scoped);
+        let analysis = analyze_from_transport(topo, &transport, on_path[0]).unwrap();
+        assert_eq!(loud.evaluate().1, analysis);
+        // And an off-path collector is refused outright.
+        assert!(matches!(
+            analyze_from_transport(topo, &transport, DomainId(99)),
+            Err(TransportError::NotOnPath { .. })
+        ));
     }
 
     /// A HOP whose key rotates mid-stream stays fully analyzable: the
     /// old-epoch frames keep being served, the new key signs at the
-    /// bumped epoch, the retired key is refused, and the collector's
-    /// view of the HOP carries the newest authenticated epoch (never a
-    /// secret).
+    /// bumped epoch, and the retired key is refused.
     #[test]
     fn rotated_key_hop_still_verifies_and_carries_the_new_epoch() {
         use vpm_wire::{HopKey, KeyEpoch, ReceiptTransport};
@@ -562,12 +497,11 @@ mod tests {
                 on_path.clone(),
                 &default_hop_key(h4.hop),
             ),
-            Err(vpm_wire::TransportError::BadMac { hop: h4.hop })
+            Err(TransportError::BadMac { hop: h4.hop })
         );
         // Fetch serves both epochs, each frame verified at publish under
-        // its own, in publish order; the collector's view carries the
-        // newest authenticated epoch, and no secret: `HopReceipts` has
-        // no key field at all.
+        // its own, in publish order. The collector holds no secret:
+        // `HopReceipts` has no key field at all.
         let published = transport.fetch(on_path[0], h4.hop).unwrap();
         assert_eq!(published.len(), 2);
         assert_eq!(published[0].epoch, KeyEpoch(0));
@@ -575,7 +509,6 @@ mod tests {
         assert_eq!(published[0].batch.batch_seq, h4.batch.batch_seq);
         assert_eq!(published[1].batch.batch_seq, h4.batch.batch_seq + 1);
         let view = HopReceipts::from_frames(topo, h4.hop, h4.path, &published).unwrap();
-        assert_eq!(view.key_epoch, KeyEpoch(1));
         // Both frames' receipts, in publish order, each once; the
         // second frame holds none, so they are read in place.
         assert_eq!(&*view.samples, &*h4.samples());
@@ -583,11 +516,9 @@ mod tests {
         assert!(matches!(view.samples, Cow::Borrowed(_)));
         assert!(matches!(view.aggregates, Cow::Borrowed(_)));
         // And the collector's verdicts are unchanged by the rotation.
-        let analysis = super::analyze_from_transport(topo, &transport, on_path[0]).unwrap();
+        let analysis = analyze_from_transport(topo, &transport, on_path[0]).unwrap();
         assert!(analysis.all_consistent());
-        assert_same_analysis(&baseline, &analysis);
-        let scoped = super::analyze_from_transport_scoped(topo, &transport, on_path[0]).unwrap();
-        assert_same_analysis(&baseline, &scoped);
+        assert_eq!(baseline, analysis);
     }
 
     /// A HOP whose key rotates between two frames that both hold
@@ -615,9 +546,8 @@ mod tests {
         assert!(matches!(view.aggregates, Cow::Owned(_)));
         assert_eq!(&*view.samples, &*h4.samples());
         assert_eq!(&*view.aggregates, &h4.batch.aggregates);
-        assert_eq!(view.key_epoch, KeyEpoch(1));
-        let scoped = super::analyze_from_transport_scoped(topo, &transport, on_path[0]).unwrap();
-        assert_same_analysis(&baseline, &scoped);
+        let analysis = analyze_from_transport(topo, &transport, on_path[0]).unwrap();
+        assert_eq!(baseline, analysis);
     }
 
     /// A frame holding more than one sample receipt for the HOP's path
@@ -652,13 +582,104 @@ mod tests {
         assert!(matches!(view.aggregates, Cow::Borrowed(_)));
         assert_eq!(&*view.samples, &*h5.samples());
         assert_eq!(&*view.aggregates, &h5.batch.aggregates);
-        let scoped = super::analyze_from_transport_scoped(topo, &transport, on_path[0]).unwrap();
-        assert_same_analysis(&baseline, &scoped);
+        let analysis = analyze_from_transport(topo, &transport, on_path[0]).unwrap();
+        assert_eq!(baseline, analysis);
+    }
+
+    /// A HOP whose frames are missing is a gap in the evidence, not a
+    /// domain that does not deploy: the collector drops what that HOP
+    /// would have backed (X's estimate, the 3→4 link) and does not
+    /// measure X over a segment.
+    #[test]
+    fn a_missing_hop_is_a_gap_not_a_non_deployer() {
+        let scenario = scenario(0.1, 150, 37, vec![]);
+        let (topo, (run, _)) = (&scenario.topology, scenario.evaluate());
+        let transport = vpm_wire::ShardedBus::new(4);
+        let on_path = topo.domain_ids();
+        publish_all_but(&transport, &run, Some(HopId(4)), &on_path);
+        let analysis = analyze_from_transport(topo, &transport, on_path[0]).unwrap();
+        assert!(analysis.domain("X").is_none());
+        assert!(analysis.domain("L").is_some() && analysis.domain("N").is_some());
+        let links: Vec<(HopId, HopId)> = analysis.links.iter().map(|l| (l.up, l.down)).collect();
+        assert!(!links.contains(&(HopId(3), HopId(4))), "{links:?}");
+        assert!(links.contains(&(HopId(5), HopId(6))), "{links:?}");
+        assert!(analysis.segments.is_empty());
+    }
+
+    /// §8: a domain without HOPs gets no report of its own; the 3→6
+    /// segment spans it and carries its loss.
+    #[test]
+    fn non_deployer_measured_by_bracketing_hops() {
+        let fig = Figure1 {
+            x_transit: lossy(0.15, 5),
+            ..Figure1::ideal()
+        };
+        let scenario = Scenario::quick(fig.build().without_hops("X"), 250, 61, vec![]);
+        let (topo, (_, a)) = (&scenario.topology, scenario.evaluate());
+        assert!(a.domain("X").is_none());
+        let x_id = topo.domain_by_name("X").unwrap().id;
+        let seg = a.segment_spanning(x_id).unwrap();
+        assert_eq!((seg.up_hop, seg.down_hop), (HopId(3), HopId(6)));
+        assert_eq!(seg.spans, vec![x_id]);
+        let loss = seg.estimate.loss.rate().unwrap();
+        assert!((loss - 0.15).abs() < 0.04, "segment loss {loss}");
+        // Deployed neighbors stay clean.
+        for d in &a.domains {
+            assert!(d.estimate.loss.rate().unwrap_or(0.0) < 0.02, "{}", d.name);
+        }
+    }
+
+    /// §8: "its neighbors are free to blame their performance problems
+    /// on X (since X does not produce any receipts to refute their
+    /// claims)". L drops 15% itself, then fabricates egress receipts
+    /// claiming full delivery — with X out of the protocol, the
+    /// fabricated loss lands on the 3→6 segment, i.e. on X.
+    #[test]
+    fn non_deployer_absorbs_a_neighbors_lie() {
+        let fig = Figure1 {
+            l_transit: lossy(0.15, 5),
+            ..Figure1::ideal()
+        };
+        let lie = vec![blame_shift("L")];
+        let scenario = Scenario::quick(fig.build().without_hops("X"), 250, 61, lie);
+        let (topo, (_, a)) = (&scenario.topology, scenario.evaluate());
+        // L's books look clean, and X has none.
+        assert!(a.domain("L").unwrap().estimate.loss.rate().unwrap() < 0.01);
+        assert!(a.domain("X").is_none());
+        // The segment spanning X shows L's loss — blame successfully
+        // shifted onto the non-deployer.
+        let x_id = topo.domain_by_name("X").unwrap().id;
+        let seg = a.segment_spanning(x_id).unwrap();
+        assert_eq!((seg.up_hop, seg.down_hop), (HopId(3), HopId(6)));
+        let loss = seg.estimate.loss.rate().unwrap();
+        assert!(loss > 0.10, "shifted blame {loss}");
+    }
+
+    /// A sole deployer's receipts are not independently verified, but
+    /// they are *verifiable* (§8): honest, internally consistent records
+    /// it can hand to customers during an incident.
+    #[test]
+    fn sole_deployer_still_self_reports() {
+        let fig = Figure1 {
+            x_transit: lossy(0.10, 3),
+            ..Figure1::ideal()
+        };
+        let only_x = ["S", "L", "N", "D"]
+            .into_iter()
+            .fold(fig.build(), Topology::without_hops);
+        let scenario = Scenario::quick(only_x, 250, 61, vec![]);
+        let (_, a) = scenario.evaluate();
+        assert!(a.segments.is_empty(), "no bracketing HOPs exist");
+        assert_eq!(a.domains.len(), 1);
+        let x = a.domain("X").unwrap();
+        let loss = x.estimate.loss.rate().unwrap();
+        assert!((loss - 0.10).abs() < 0.03, "self-reported loss {loss}");
+        assert!(x.estimate.delay.is_some());
     }
 
     #[test]
     fn blame_shift_liar_exposed_on_its_link() {
-        let scenario = scenario(0.2, 200, 17, vec![blame_shift()]);
+        let scenario = scenario(0.2, 200, 17, vec![blame_shift("X")]);
         let (topo, (_, analysis)) = (&scenario.topology, scenario.evaluate());
         // X now *looks* lossless from its own receipts…
         let x_loss = analysis.domain("X").unwrap().estimate.loss.rate().unwrap();
@@ -682,7 +703,7 @@ mod tests {
 
     #[test]
     fn colluding_cover_up_moves_blame_into_accomplice() {
-        let lies = vec![blame_shift(), Lie::CoverUp { accomplice: "N" }];
+        let lies = vec![blame_shift("X"), Lie::CoverUp { accomplice: "N" }];
         let (_, analysis) = scenario(0.2, 200, 17, lies).evaluate();
         // The X→N link now *looks* consistent…
         let xn = analysis.links.iter().find(|l| l.up == HopId(5)).unwrap();

@@ -21,7 +21,10 @@
 //!   skips (pinned by the loopback tests). If the server GC'd past
 //!   the resume point while the client was away, re-establishment
 //!   surfaces the typed [`TransportError::LaggedBehind`] instead of
-//!   resuming with silently missing frames.
+//!   resuming with silently missing frames; a resume point past the
+//!   server's head (a restarted server counts from 0 again) surfaces
+//!   the typed [`TransportError::UnknownResumePoint`] instead of
+//!   re-feeding sequence numbers with different frames.
 //!
 //! Retention is remote too: `compact_before` / `horizon` /
 //! `summaries` round-trip to the server's bus, so an out-of-process
@@ -128,6 +131,7 @@ const ERR_MALFORMED: u8 = 8;
 const ERR_UNKNOWN_SUBSCRIPTION: u8 = 9;
 const ERR_PROTOCOL: u8 = 10;
 const ERR_LAGGED_BEHIND: u8 = 11;
+const ERR_UNKNOWN_RESUME_POINT: u8 = 12;
 
 fn proto_err(msg: impl Into<String>) -> TransportError {
     TransportError::Protocol(msg.into())
@@ -183,6 +187,10 @@ fn encode_error(w: &mut Writer, e: &TransportError) {
             w.u8(ERR_LAGGED_BEHIND);
             w.u64(*horizon);
         }
+        TransportError::UnknownResumePoint { head } => {
+            w.u8(ERR_UNKNOWN_RESUME_POINT);
+            w.u64(*head);
+        }
     }
 }
 
@@ -212,6 +220,7 @@ fn decode_error(r: &mut Reader<'_>) -> Result<TransportError, WireError> {
         ERR_UNKNOWN_SUBSCRIPTION => TransportError::UnknownSubscription(SubscriptionId(r.u64()?)),
         ERR_PROTOCOL => TransportError::Protocol(read_string(r)?),
         ERR_LAGGED_BEHIND => TransportError::LaggedBehind { horizon: r.u64()? },
+        ERR_UNKNOWN_RESUME_POINT => TransportError::UnknownResumePoint { head: r.u64()? },
         other => TransportError::Protocol(format!("unknown error code {other}")),
     })
 }
@@ -503,9 +512,10 @@ fn handle_request_inner(
             } else {
                 bus.publish_seq()
             };
-            // A resume point the bus has GC'd past is refused with the
-            // typed `LaggedBehind`, serialized back to the client —
-            // never a cursor that silently skips reclaimed frames.
+            // A resume point the bus has GC'd past, or one past its
+            // head, is refused with the typed `LaggedBehind` or
+            // `UnknownResumePoint`, serialized back to the client —
+            // never a cursor that silently skips or replays frames.
             let sub = match &path {
                 None => bus.subscribe_from(requester, from)?,
                 Some(p) => bus.subscribe_path_from(requester, p, from)?,
@@ -745,11 +755,6 @@ impl TcpTransport {
             t.ensure_conn(&mut state)?;
         }
         Ok(t)
-    }
-
-    /// The server address this client dials.
-    pub fn server_addr(&self) -> &str {
-        &self.addr
     }
 
     /// Test hook: drop the current connection as if the network cut

@@ -240,6 +240,14 @@ pub enum TransportError {
         /// The lowest global sequence number still retained.
         horizon: u64,
     },
+    /// A resume point past the bus's head: this bus never issued it, so
+    /// the cursor is another bus's (a restarted server counts from 0
+    /// again). Resuming would re-deliver seen sequence numbers carrying
+    /// different frames.
+    UnknownResumePoint {
+        /// The next global sequence number this bus would issue.
+        head: u64,
+    },
     /// The connection to a remote transport endpoint failed: the
     /// server is unreachable, or the connection dropped mid-operation
     /// and could not be re-established.
@@ -278,6 +286,12 @@ impl fmt::Display for TransportError {
                 write!(
                     f,
                     "subscription lagged behind the retention horizon {horizon}; re-subscribe"
+                )
+            }
+            TransportError::UnknownResumePoint { head } => {
+                write!(
+                    f,
+                    "resume point past the bus head {head}: another bus's cursor"
                 )
             }
             TransportError::Connection(e) => write!(f, "transport connection failed: {e}"),
@@ -441,11 +455,12 @@ pub trait ReceiptTransport: Send + Sync {
     /// Open a global subscription whose stream starts at global
     /// sequence number `from_seq` instead of "now" — the resume
     /// primitive a checkpointed verifier restarts from. `from_seq`
-    /// past the current publish sequence is clamped (a resume point
-    /// cannot lie in the future); `from_seq` below the retention
-    /// horizon is a typed [`TransportError::LaggedBehind`] — the
-    /// suffix the resume owes was reclaimed, and resuming would mean
-    /// silently missing frames.
+    /// past the next sequence number the bus would issue is a typed
+    /// [`TransportError::UnknownResumePoint`] — this bus never issued
+    /// it, so the cursor is another bus's; `from_seq` below the
+    /// retention horizon is a typed [`TransportError::LaggedBehind`] —
+    /// the suffix the resume owes was reclaimed, and resuming would
+    /// mean silently missing frames.
     fn subscribe_from(
         &self,
         requester: DomainId,
@@ -860,8 +875,8 @@ impl ShardedBus {
     /// number `from_seq`: the shard is rescanned from its oldest
     /// retained entry and entries below `from_seq` are suppressed, so
     /// a reconnecting client sees exactly the suffix it has not been
-    /// delivered. A `from_seq` below the retention horizon is a typed
-    /// [`TransportError::LaggedBehind`], exactly as for
+    /// delivered. A `from_seq` past the head or below the retention
+    /// horizon is refused, exactly as for
     /// [`ReceiptTransport::subscribe_from`].
     pub fn subscribe_path_from(
         &self,
@@ -869,10 +884,7 @@ impl ShardedBus {
         path: &PathId,
         from_seq: u64,
     ) -> Result<SubscriptionId, TransportError> {
-        let horizon = self.horizon.load(Ordering::Acquire);
-        if from_seq < horizon {
-            return Err(TransportError::LaggedBehind { horizon });
-        }
+        self.check_resume_point(from_seq)?;
         let shard = self.shard_of_path(path);
         // Logical position of the shard's oldest retained entry.
         #[expect(
@@ -887,6 +899,20 @@ impl ShardedBus {
             pos,
             min_seq: from_seq,
         })))
+    }
+
+    /// Refuse a resume point this bus never issued (past its head) or
+    /// no longer holds the suffix of (below its retention horizon).
+    fn check_resume_point(&self, from_seq: u64) -> Result<(), TransportError> {
+        let head = self.seq.load(Ordering::Relaxed);
+        if from_seq > head {
+            return Err(TransportError::UnknownResumePoint { head });
+        }
+        let horizon = self.horizon.load(Ordering::Acquire);
+        if from_seq < horizon {
+            return Err(TransportError::LaggedBehind { horizon });
+        }
+        Ok(())
     }
 
     /// Would a poll of this cursor plausibly return or park entries?
@@ -1183,13 +1209,10 @@ impl ReceiptTransport for ShardedBus {
         requester: DomainId,
         from_seq: u64,
     ) -> Result<SubscriptionId, TransportError> {
-        let horizon = self.horizon.load(Ordering::Acquire);
-        if from_seq < horizon {
-            return Err(TransportError::LaggedBehind { horizon });
-        }
+        self.check_resume_point(from_seq)?;
         Ok(self.add_sub(ShardSub::Global(GlobalCursor {
             requester,
-            next_seq: from_seq.min(self.seq.load(Ordering::Relaxed)),
+            next_seq: from_seq,
             shard_pos: vec![0; self.shards.len()],
             pending: BTreeMap::new(),
         })))
@@ -1994,14 +2017,23 @@ mod tests {
         assert_eq!(got, expect, "path resume filters below the resume seq");
         assert!(bus.poll(psub).unwrap().is_empty());
 
-        // A future resume point clamps to "now": nothing is replayed,
-        // and the next publish is delivered normally.
-        let ahead = bus.subscribe_from(DomainId(0), u64::MAX).unwrap();
-        assert!(bus.poll(ahead).unwrap().is_empty());
+        // A resume point past the head is another bus's cursor (a
+        // restarted bus counts from 0 again): refused, on both kinds
+        // of subscription, with the head this bus is at. Resuming at
+        // the head itself is "now".
+        let head = TransportError::UnknownResumePoint { head: 10 };
+        assert_eq!(bus.subscribe_from(DomainId(0), 11), Err(head.clone()));
+        assert_eq!(bus.subscribe_from(DomainId(0), u64::MAX), Err(head.clone()));
+        assert_eq!(
+            bus.subscribe_path_from(DomainId(0), &path(1), 11),
+            Err(head)
+        );
+        let now = bus.subscribe_from(DomainId(0), 10).unwrap();
+        assert!(bus.poll(now).unwrap().is_empty());
         let (b, _) = batch(HopId(1), 99, 1);
         bus.publish(DomainId(1), frame(&b), vec![DomainId(0), DomainId(1)])
             .unwrap();
-        assert_eq!(bus.poll(ahead).unwrap().len(), 1);
+        assert_eq!(bus.poll(now).unwrap().len(), 1);
     }
 
     /// The retention contract, exercised identically at every shard
@@ -2258,6 +2290,9 @@ mod tests {
             from_seq: u64,
             path: Option<PathId>,
         ) -> Result<SubscriptionId, TransportError> {
+            if from_seq > self.head() {
+                return Err(TransportError::UnknownResumePoint { head: self.head() });
+            }
             if from_seq < self.horizon {
                 return Err(TransportError::LaggedBehind {
                     horizon: self.horizon,
@@ -2265,12 +2300,11 @@ mod tests {
             }
             let id = self.next_sub;
             self.next_sub += 1;
-            let next_seq = from_seq.min(self.head());
             self.cursors.insert(
                 id,
                 ModelCursor {
                     requester,
-                    next_seq,
+                    next_seq: from_seq,
                     path,
                 },
             );

@@ -36,7 +36,7 @@
 //! | [`netsim`] | `vpm-netsim` | DES, drop-tail queue, bursty UDP, Gilbert-Elliott, clocks |
 //! | [`core`] | `vpm-core` | receipts, Algorithms 1 & 2, joins, verification |
 //! | [`wire`] | `vpm-wire` | v2 binary receipt codec, `ReceiptTransport` dissemination |
-//! | [`sim`] | `vpm-sim` | topologies, one `Scenario` and its runner, the one `Lie` vocabulary, the verifier; the §7.2 figures, the scenario matrix and the many-path fleet, all built from scenarios |
+//! | [`sim`] | `vpm-sim` | topologies (a §8 non-deployer is a domain without HOPs), one `Scenario` and its runner, the one `Lie` vocabulary, the one verdict reader `analyze_from_transport`; the §7.2 figures, the scenario matrix and the many-path fleet, all built from scenarios and judged from the frames they publish |
 //!
 //! `vpm-lint` (`crates/lint`) is not re-exported and nothing here
 //! depends on it: it holds R3, the lock-discipline check, which runs

@@ -9,11 +9,11 @@ use vpm::netsim::reorder::ReorderModel;
 use vpm::packet::{DomainId, HopId, SimDuration};
 use vpm::sim::run::{ClockMode, HopTuning, PathRun, RunConfig};
 use vpm::sim::topology::{Figure1, Topology};
-use vpm::sim::verdict::{analyze_path, PathAnalysis};
+use vpm::sim::verdict::{analyze_from_transport, PathAnalysis};
 use vpm::sim::Scenario;
 use vpm::trace::TraceConfig;
 use vpm::wire::{
-    HopKey, KeyEpoch, ReceiptTransport, ShardedBus, TransportError, WireEncoder, WireFrame,
+    HopKey, KeyEpoch, Profile, ReceiptTransport, ShardedBus, TransportError, WireEncoder, WireFrame,
 };
 
 fn trace(ms: u64, seed: u64) -> TraceConfig {
@@ -229,12 +229,20 @@ fn desynchronized_clocks_violate_max_diff_as_the_paper_warns() {
     let topo = Figure1::ideal().build(); // MaxDiff = 2 ms
     let (mut run, _) = evaluate(t, topo.clone(), base_cfg());
     // Simulate HOP 6's clock running 5 ms behind: its reported times
-    // for received packets are 5 ms late.
+    // for received packets are 5 ms late. Every HOP signs and publishes
+    // what it reported, and the collector judges the path from there.
     let h6 = run.hops.iter_mut().find(|h| h.hop == HopId(6)).unwrap();
     for r in h6.batch.samples.iter_mut().flat_map(|s| &mut s.samples) {
         r.time += SimDuration::from_millis(5);
     }
-    let analysis = analyze_path(&topo, &run);
+    let (bus, on_path) = (ShardedBus::new(1), topo.domain_ids());
+    for h in &run.hops {
+        let key = default_hop_key(h.hop);
+        bus.register_key(h.hop, key).unwrap();
+        bus.publish_batch(h.domain, &h.batch, Profile::Precise, on_path.clone(), &key)
+            .unwrap();
+    }
+    let analysis = analyze_from_transport(&topo, &bus, on_path[0]).unwrap();
     let xn = analysis.links.iter().find(|l| l.up == HopId(5)).unwrap();
     assert!(
         !xn.report.is_consistent(),

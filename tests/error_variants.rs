@@ -152,6 +152,7 @@ fn every_transport_error_variant_is_reachable() {
         TransportError::Malformed(_) => publish(WireFrame::from_bytes(b"JUNK".to_vec())),
         TransportError::UnknownSubscription(_) => bus.poll(SubscriptionId(12_345)),
         TransportError::LaggedBehind { .. } => bus.subscribe_from(DomainId(1), 0),
+        TransportError::UnknownResumePoint { .. } => bus.subscribe_from(DomainId(1), 3),
         TransportError::Connection(_) => TcpTransport::connect(dead_addr),
         TransportError::Protocol(_) => TcpTransport::connect(liar_addr),
     );

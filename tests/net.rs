@@ -8,6 +8,7 @@
 //! * a mid-stream disconnect is survived transparently: the client
 //!   reconnects and resumes its cursor with no duplicated and no
 //!   skipped frame;
+//! * a resume point past a fresh server's head is refused, typed;
 //! * authenticity is enforced **server-side**: a forged-MAC frame, an
 //!   unknown key epoch, and an unsigned frame are refused with the
 //!   same typed errors the in-process bus raises.
@@ -274,6 +275,38 @@ fn a_gc_pass_during_a_disconnect_surfaces_lagged_behind_typed() {
 
     client.unsubscribe(fresh).unwrap();
     client.unsubscribe(sub).unwrap();
+    server.shutdown();
+}
+
+/// A cursor from another bus — here resume point 5 sent to a fresh
+/// server whose bus has issued nothing, as a client would after the
+/// server restarted — is refused with the typed `UnknownResumePoint`
+/// and the server's head, both to a raw subscribe request on the wire
+/// and through `TcpTransport`. Clamping it would re-feed seqs 0–4 with
+/// different frames.
+#[test]
+fn a_resume_past_a_fresh_servers_head_is_refused_typed() {
+    use std::io::Read;
+    let (mut server, client) = serve();
+    // Hello, then a subscribe (opcode 7) as domain 0 resuming (1) at 5.
+    let request = [&[7u8, 0, 0, 1][..], &5u64.to_le_bytes()].concat();
+    let mut raw = TcpStream::connect(server.local_addr()).unwrap();
+    raw.write_all(b"VPMN\x01").unwrap();
+    raw.write_all(&(request.len() as u32).to_le_bytes())
+        .unwrap();
+    raw.write_all(&request).unwrap();
+    // The server's hello, a 10-byte response: status 1 (typed error),
+    // code 12 (unknown resume point), head 0.
+    let mut response = [0u8; 19];
+    raw.read_exact(&mut response).unwrap();
+    assert_eq!(response[..9], *b"VPMN\x01\x0a\0\0\0");
+    assert_eq!(response[9..], [1, 12, 0, 0, 0, 0, 0, 0, 0, 0]);
+
+    assert_eq!(
+        client.subscribe_from(DomainId(0), 5),
+        Err(TransportError::UnknownResumePoint { head: 0 })
+    );
+    assert_eq!(client.subscriptions(), 0);
     server.shutdown();
 }
 

@@ -2,24 +2,26 @@
 //!
 //! The paper's incentive argument for non-deployers: "a domain has to
 //! report on its performance in order to prevent its neighbors from
-//! blaming their problems on it". These tests drive the sharpest form
-//! of that claim — a domain that both *lies* and sits *inside* an
-//! uncovered segment — and assert that `analyze_partial` localizes the
-//! blame onto the covered segment spanning the gap, never onto a
-//! deployed, honest domain.
+//! blaming their problems on it". A non-deployer is a domain that runs
+//! no HOPs (`Topology::without_hops`). These tests drive the sharpest
+//! form of that claim — a domain that both *lies* and sits *inside* an
+//! uncovered segment — and assert that the collector localizes the
+//! blame onto the segment spanning the gap, never onto a deployed,
+//! honest domain.
 
-use std::collections::HashSet;
+use vpm::core::verify::DomainEstimate;
 use vpm::netsim::channel::{ChannelConfig, DelayModel};
 use vpm::netsim::reorder::ReorderModel;
-use vpm::packet::{DomainId, HopId, SimDuration};
-use vpm::sim::partial::analyze_partial;
-use vpm::sim::run::{PathRun, RunConfig};
-use vpm::sim::topology::{Figure1, Topology};
+use vpm::packet::{HopId, SimDuration};
+use vpm::sim::run::RunConfig;
+use vpm::sim::topology::Figure1;
+use vpm::sim::verdict::PathAnalysis;
 use vpm::sim::{Lie, Scenario};
 use vpm::trace::TraceConfig;
 
-/// Figure-1 run with the given loss inside X, and X telling `lies`.
-fn lossy_x_scenario(x_loss: f64, seed: u64, lies: Vec<Lie>) -> (Topology, PathRun) {
+/// Figure 1 with the given loss inside X, which deploys or not, and X
+/// telling `lies`: the collector's analysis of the path.
+fn lossy_x_scenario(x_loss: f64, seed: u64, x_deploys: bool, lies: Vec<Lie>) -> PathAnalysis {
     let t = TraceConfig {
         target_pps: 50_000.0,
         duration: SimDuration::from_millis(250),
@@ -32,6 +34,10 @@ fn lossy_x_scenario(x_loss: f64, seed: u64, lies: Vec<Lie>) -> (Topology, PathRu
         reorder: ReorderModel::none(),
         seed: seed ^ 0x9a,
     };
+    let mut topology = fig.build();
+    if !x_deploys {
+        topology = topology.without_hops("X");
+    }
     let cfg = RunConfig {
         sampling_rate: 0.05,
         aggregate_size: 500,
@@ -41,10 +47,9 @@ fn lossy_x_scenario(x_loss: f64, seed: u64, lies: Vec<Lie>) -> (Topology, PathRu
     };
     let scenario = Scenario {
         lies,
-        ..Scenario::new(t, fig.build(), cfg)
+        ..Scenario::new(t, topology, cfg)
     };
-    let run = scenario.evaluate().0;
-    (scenario.topology, run)
+    scenario.evaluate().1
 }
 
 /// X hides its loss by fabricating egress receipts.
@@ -55,43 +60,32 @@ fn blame_shift() -> Lie {
     }
 }
 
-fn deployed_except(topo: &Topology, name: &str) -> HashSet<DomainId> {
-    topo.domains
-        .iter()
-        .filter(|d| d.name != name)
-        .map(|d| d.id)
-        .collect()
+/// The estimate over the segment spanning X, which must run from HOP 3
+/// to HOP 6.
+fn x_segment(a: &PathAnalysis) -> &DomainEstimate {
+    let x = Figure1::ideal().build().domain_by_name("X").unwrap().id;
+    let seg = a.segment_spanning(x).expect("segment over X");
+    assert_eq!((seg.up_hop, seg.down_hop), (HopId(3), HopId(6)));
+    &seg.estimate
 }
 
 /// §8, the missing case: the lying domain sits *inside* the uncovered
-/// segment. X drops 18% of its traffic AND fabricates egress receipts
-/// claiming full delivery — but X never deployed, so its receipts do
-/// not exist as far as the collector is concerned. The loss must land
-/// on the covered 3→6 segment spanning X, with every deployed domain
-/// measuring clean.
+/// segment. X drops 18% of its traffic AND would fabricate egress
+/// receipts claiming full delivery — but X never deployed, so it has
+/// no HOPs to sign them. The loss must land on the covered 3→6
+/// segment spanning X, with every deployed domain measuring clean.
 #[test]
 fn liar_inside_uncovered_segment_blame_lands_on_the_spanning_segment() {
-    // X lies exactly as a deployed blame-shifter would…
-    let (topo, run) = lossy_x_scenario(0.18, 77, vec![blame_shift()]);
-    // …but nobody is listening: X is outside the deployment.
-    let deployed = deployed_except(&topo, "X");
-    let a = analyze_partial(&topo, &run, &deployed);
-
+    let a = lossy_x_scenario(0.18, 77, false, vec![blame_shift()]);
     // X has no per-domain report, doctored or otherwise.
-    assert!(a.domains.iter().all(|d| d.name != "X"));
-
-    // The covered segment bracketing the gap carries the loss: X's
-    // fabricated receipts (HOPs 4 and 5) are ignored, and HOP 3 vs
-    // HOP 6 tells the truth.
-    let x_id = topo.domain_by_name("X").unwrap().id;
-    let seg = a.segment_spanning(x_id).expect("segment over X");
-    assert_eq!((seg.up_hop, seg.down_hop), (HopId(3), HopId(6)));
-    let seg_loss = seg.estimate.loss.rate().expect("segment loss computable");
+    assert!(a.domain("X").is_none());
+    // The covered segment bracketing the gap carries the loss: HOP 3
+    // vs HOP 6 tells the truth.
+    let seg_loss = x_segment(&a).loss.rate().expect("segment loss computable");
     assert!(
         (seg_loss - 0.18).abs() < 0.04,
         "segment loss {seg_loss} must carry X's hidden 18%"
     );
-
     // Deployed, honest domains measure clean — the lie cannot be
     // shifted onto them.
     for d in &a.domains {
@@ -101,49 +95,25 @@ fn liar_inside_uncovered_segment_blame_lands_on_the_spanning_segment() {
 }
 
 /// The same scenario with a *delay* lie: X sugarcoats its egress
-/// timestamps by 5 ms. Its receipts being ignored, the segment delay
-/// estimate still reports the true transit (no sugarcoating visible),
+/// timestamps by 5 ms. With no HOPs, X signs nothing, so the segment
+/// delay estimate reports the true transit (no sugarcoating visible),
 /// because the bracketing HOPs 3 and 6 are honest.
 #[test]
 fn delay_lie_inside_uncovered_segment_cannot_sugarcoat_the_segment() {
-    let (topo, run) = lossy_x_scenario(0.0, 78, vec![]);
-    let honest_deployed = deployed_except(&topo, "X");
-    let honest_seg_delay = {
-        let a = analyze_partial(&topo, &run, &honest_deployed);
-        let x_id = topo.domain_by_name("X").unwrap().id;
-        let seg = a.segment_spanning(x_id).unwrap();
-        seg.estimate
-            .delay
-            .as_ref()
-            .expect("matched samples exist")
-            .quantiles
-            .iter()
-            .find(|q| (q.q - 0.5).abs() < 1e-9)
-            .unwrap()
-            .value
+    let median = |a: &PathAnalysis| {
+        let delay = x_segment(a).delay.clone().expect("matched samples exist");
+        delay.quantiles.iter().find(|q| q.q == 0.5).unwrap().value
     };
+    let honest = median(&lossy_x_scenario(0.0, 78, false, vec![]));
     let sugarcoat = Lie::Sugarcoat {
         liar: "X",
         shave: SimDuration::from_millis(5),
     };
-    let (_, run) = lossy_x_scenario(0.0, 78, vec![sugarcoat]);
-    let a = analyze_partial(&topo, &run, &honest_deployed);
-    let x_id = topo.domain_by_name("X").unwrap().id;
-    let seg = a.segment_spanning(x_id).unwrap();
-    let lied_delay = seg
-        .estimate
-        .delay
-        .as_ref()
-        .expect("matched samples exist")
-        .quantiles
-        .iter()
-        .find(|q| (q.q - 0.5).abs() < 1e-9)
-        .unwrap()
-        .value;
+    let lied = median(&lossy_x_scenario(0.0, 78, false, vec![sugarcoat]));
     assert!(
-        (lied_delay - honest_seg_delay).abs() < 1e-9,
-        "segment estimate ({lied_delay} ms) must ignore the non-deployer's doctored \
-         receipts entirely (honest: {honest_seg_delay} ms)"
+        (lied - honest).abs() < 1e-9,
+        "segment estimate ({lied} ms) must not move with the non-deployer's lie \
+         (honest: {honest} ms)"
     );
 }
 
@@ -153,8 +123,7 @@ fn delay_lie_inside_uncovered_segment_cannot_sugarcoat_the_segment() {
 /// above this is the §8 incentive in executable form.
 #[test]
 fn same_lie_with_full_deployment_is_exposed_instead() {
-    let (topo, run) = lossy_x_scenario(0.18, 77, vec![blame_shift()]);
-    let analysis = vpm::sim::verdict::analyze_path(&topo, &run);
+    let analysis = lossy_x_scenario(0.18, 77, true, vec![blame_shift()]);
     let flagged: Vec<_> = analysis
         .flagged_links()
         .iter()
@@ -164,4 +133,5 @@ fn same_lie_with_full_deployment_is_exposed_instead() {
         flagged.contains(&(HopId(5), HopId(6))),
         "deployed liar is exposed on its own link: {flagged:?}"
     );
+    assert!(analysis.segments.is_empty());
 }
