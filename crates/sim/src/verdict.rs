@@ -361,10 +361,15 @@ mod tests {
             let d = analysis.domain(name).unwrap();
             assert!(d.estimate.loss.rate().unwrap_or(0.0) < 0.01, "{name}");
         }
-        // Full deployment: every transit domain reports, nothing is a
-        // segment.
-        assert_eq!(analysis.domains.len(), 3);
-        assert!(analysis.segments.is_empty());
+    }
+
+    /// Full deployment: every transit domain reports, nothing is a
+    /// segment.
+    #[test]
+    fn full_deployment_degenerates_to_standard_analysis() {
+        let (_, a) = scenario(0.1, 250, 61, vec![]).evaluate();
+        assert!(a.segments.is_empty());
+        assert_eq!(a.domains.len(), 3); // L, X, N
     }
 
     /// Publish `batch` for `h`'s HOP, signed with `key`.
