@@ -16,10 +16,10 @@
 //! On top of the plain algorithm, each closing aggregate carries an
 //! `AggTrans` patch-up window (§6.3): the digests of all packets
 //! observed within `J` time units on either side of the cut. A verifier
-//! uses these windows ([`crate::align`]) to migrate packets that
-//! reordering pushed across the boundary, re-aligning receipts from
-//! different HOPs. Finalizing a receipt therefore waits until `J` time
-//! units past the cut.
+//! uses these windows ([`crate::verify::join_aggregates`]) to migrate
+//! packets that reordering pushed across the boundary, re-aligning
+//! receipts from different HOPs. Finalizing a receipt therefore waits
+//! until `J` time units past the cut.
 //!
 //! [`Aggregator`] is the per-packet specification: the
 //! [`Collector`](crate::Collector) runs the same algorithm over its own

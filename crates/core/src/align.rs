@@ -14,29 +14,28 @@
 //! upstream but after it downstream, so the verifier migrates `p4` from
 //! HOP 4's later aggregate to its earlier one.
 
-use serde::{Deserialize, Serialize};
 use vpm_hash::Digest;
 
 use crate::digest_table::DigestTable;
 
 /// Net migration to apply to a downstream aggregate pair at one
 /// boundary so it matches the upstream packet assignment.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Migration {
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct Migration {
     /// Packets the downstream HOP counted *after* the boundary that the
     /// upstream HOP counted *before* it (move down-count: later →
     /// earlier).
-    pub to_earlier: u64,
+    pub(crate) to_earlier: u64,
     /// Packets the downstream HOP counted *before* the boundary that
     /// the upstream HOP counted *after* it (move: earlier → later).
-    pub to_later: u64,
+    pub(crate) to_later: u64,
 }
 
 impl Migration {
     /// Net adjustment to the aggregate *ending* at this boundary, from
     /// the downstream HOP's perspective: positive means its count for
     /// the earlier aggregate should increase.
-    pub fn net_to_earlier(&self) -> i64 {
+    pub(crate) fn net_to_earlier(&self) -> i64 {
         self.to_earlier as i64 - self.to_later as i64
     }
 }
@@ -53,16 +52,24 @@ impl Migration {
 /// upstream entry (a digest listed twice counts twice) that the
 /// downstream window holds on the other side of the boundary is one
 /// migrated packet; the boundary packet itself never migrates. The
-/// downstream window goes into a keyed hash table once and each
-/// upstream entry probes it once, so a boundary costs `O(w)` for
-/// `w`-digest windows. A verifier re-aligning many boundaries should
-/// reuse one table, as `verify::join_aggregates` does.
-pub fn window_migration(
+/// downstream window goes into a keyed hash table and each upstream
+/// entry probes it once, so a boundary costs `O(w)` for `w`-digest
+/// windows. This one-shot form serves the tests: the verifier calls
+/// [`WindowTable::migration`] on one table per thread, with the
+/// [`CutState`]s it has learned, so a path loads a window identical to
+/// its neighbour's once, not once per pair of HOPs.
+#[cfg(test)]
+pub(crate) fn window_migration(
     up_window: &[Digest],
     down_window: &[Digest],
     boundary: Digest,
 ) -> Option<Migration> {
-    WindowTable::new().migration(up_window, down_window, boundary)
+    WindowTable::new().migration(
+        up_window,
+        down_window,
+        boundary,
+        &mut [CutState::Unknown; 2],
+    )
 }
 
 /// A downstream entry sits before the boundary's first occurrence...
@@ -70,31 +77,82 @@ const BEFORE: u8 = 1;
 /// ...or at or after it.
 const AFTER: u8 = 2;
 
+/// What a receipt's `AggTrans` window holds of the cut it was recorded
+/// at (the next receipt's first packet). It depends on that window and
+/// that cut alone, so a verifier learns it once per receipt and a
+/// window byte-identical to a neighbour's shares the neighbour's.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) enum CutState {
+    /// Not learned yet.
+    #[default]
+    Unknown,
+    /// The window lacks the cut.
+    Absent,
+    /// The window holds the cut, and no digest on both sides of it.
+    Clean,
+    /// The window holds the cut, and some digest on both sides of it.
+    Straddles,
+}
+
 /// One downstream window as a [`DigestTable`]: each distinct digest
 /// with the sides of the boundary the window holds it on ([`BEFORE`]
 /// and/or [`AFTER`]). One table serves boundary after boundary.
 #[derive(Debug)]
-pub(crate) struct WindowTable(DigestTable<u8>);
+pub(crate) struct WindowTable {
+    sides: DigestTable<u8>,
+    /// Windows loaded since construction: what the verifier's memo of
+    /// [`CutState`]s saves.
+    #[cfg(test)]
+    pub(crate) loads: u64,
+}
 
 impl WindowTable {
     pub(crate) fn new() -> Self {
-        WindowTable(DigestTable::with_len(0))
+        WindowTable {
+            sides: DigestTable::with_len(0),
+            #[cfg(test)]
+            loads: 0,
+        }
     }
 
-    /// [`window_migration`], on this table.
+    /// [`window_migration`] on this table, given what `memo` knows of
+    /// the upstream and the downstream window's [`CutState`] at
+    /// `boundary`, and writing back what it learns.
+    ///
+    /// Identical windows hold the cut the same way, so the downstream
+    /// window inherits the upstream one's state. A window known to lack
+    /// the cut answers `None`, and identical clean windows no migration,
+    /// both without loading the downstream window. Any other answer
+    /// loads it, which learns its state; the probe learns whether the
+    /// upstream window lacks the cut.
     pub(crate) fn migration(
         &mut self,
         up_window: &[Digest],
         down_window: &[Digest],
         boundary: Digest,
+        memo: &mut [CutState; 2],
     ) -> Option<Migration> {
-        let straddles = self.load(down_window, boundary)?;
+        let same = up_window == down_window;
+        let [up, down] = memo;
+        if same && *down == CutState::Unknown {
+            *down = *up;
+        }
         // In identical windows every entry sits on the same side of the
         // split in both, so none migrates unless some digest sits on
         // both sides. Two honest HOPs with no reordering or loss near
-        // the cut report identical windows, so most boundaries end here.
-        if !straddles && up_window == down_window {
-            return Some(Migration::default());
+        // the cut report identical windows, so most boundaries end here,
+        // and, once one pair has learned the state, without a load.
+        let settled = |up: CutState, down: CutState| match (up, down) {
+            (CutState::Absent, _) | (_, CutState::Absent) => Some(None),
+            (_, CutState::Clean) if same => Some(Some(Migration::default())),
+            _ => None,
+        };
+        if let Some(answer) = settled(*up, *down) {
+            return answer;
+        }
+        *down = self.load(down_window, boundary);
+        if let Some(answer) = settled(*up, *down) {
+            return answer;
         }
         let (mut m, mut after) = (Migration::default(), false);
         for &d in up_window {
@@ -109,31 +167,41 @@ impl WindowTable {
                 m.to_earlier += u64::from(self.sides(d) & AFTER != 0);
             }
         }
+        if !after {
+            *up = CutState::Absent;
+        }
         after.then_some(m)
     }
 
-    /// Refill the table with `window`: whether some digest sits on both
-    /// sides of the split, or `None` when the window does not hold
-    /// `boundary`. The boundary lands on the [`AFTER`] side only, so no
-    /// upstream entry after the split can match it.
-    fn load(&mut self, window: &[Digest], boundary: Digest) -> Option<bool> {
-        self.0.clear_for(window.len());
+    /// Refill the table with `window` and say how it holds `boundary`.
+    /// The boundary lands on the [`AFTER`] side only, so no upstream
+    /// entry after the split can match it.
+    fn load(&mut self, window: &[Digest], boundary: Digest) -> CutState {
+        #[cfg(test)]
+        {
+            self.loads += 1;
+        }
+        self.sides.clear_for(window.len());
         let (mut side, mut straddles) = (BEFORE, false);
         for &d in window {
             if d == boundary {
                 side = AFTER;
             }
-            if let Some(sides) = self.0.entry(d) {
+            if let Some(sides) = self.sides.entry(d) {
                 *sides |= side;
                 straddles |= *sides == BEFORE | AFTER;
             }
         }
-        (side == AFTER).then_some(straddles)
+        match (side == AFTER, straddles) {
+            (false, _) => CutState::Absent,
+            (true, false) => CutState::Clean,
+            (true, true) => CutState::Straddles,
+        }
     }
 
     /// The sides `d` was seen on; 0 when the window lacks it.
     fn sides(&self, d: Digest) -> u8 {
-        self.0.get(d).copied().unwrap_or(0)
+        self.sides.get(d).copied().unwrap_or(0)
     }
 }
 
@@ -208,18 +276,30 @@ mod tests {
             }
             let boundary = cut_digest;
             let mut table = WindowTable::new();
+            let fresh = || [CutState::Unknown; 2];
             for cut in [1, 5] {
                 let (up, down) = (&up[..up.len() / cut], &down[..down.len() / cut]);
                 proptest::prop_assert_eq!(
-                    table.migration(up, down, boundary),
+                    table.migration(up, down, boundary, &mut fresh()),
                     window_migration_reference(up, down, boundary)
                 );
             }
             // And identical windows, with and without a digest on both
-            // sides of the cut.
+            // sides of the cut: once learning their state, and once
+            // from it, with another window loaded in between.
+            let same = window_migration_reference(&up, &up, boundary);
+            let mut memo = fresh();
+            proptest::prop_assert_eq!(table.migration(&up, &up, boundary, &mut memo), same);
+            table.migration(&down, &down, boundary, &mut fresh());
+            proptest::prop_assert_eq!(table.migration(&up, &up, boundary, &mut memo), same);
+            // The downstream window's learned state serves a later pair
+            // whose upstream window is unknown.
+            let mut memo = fresh();
+            table.migration(&up, &down, boundary, &mut memo);
+            table.migration(&up, &up, boundary, &mut fresh());
             proptest::prop_assert_eq!(
-                table.migration(&up, &up, boundary),
-                window_migration_reference(&up, &up, boundary)
+                table.migration(&up, &down, boundary, &mut [CutState::Unknown, memo[1]]),
+                window_migration_reference(&up, &down, boundary)
             );
         }
     }
@@ -230,15 +310,16 @@ mod tests {
         // table that survived the wrap with stale slots would still
         // count it.
         let mut table = WindowTable::new();
-        let first = table.migration(&d(&[3, 5]), &d(&[5, 3]), Digest(5));
+        let fresh = || [CutState::Unknown; 2];
+        let first = table.migration(&d(&[3, 5]), &d(&[5, 3]), Digest(5), &mut fresh());
         assert_eq!(first.map(|m| m.to_earlier), Some(1));
-        table.0.stamp = u32::MAX;
+        table.sides.stamp = u32::MAX;
         let (up, down) = (d(&[3, 5]), d(&[5, 6]));
         assert_eq!(
-            table.migration(&up, &down, Digest(5)),
+            table.migration(&up, &down, Digest(5), &mut fresh()),
             window_migration_reference(&up, &down, Digest(5))
         );
-        assert_eq!(table.0.stamp, 1);
+        assert_eq!(table.sides.stamp, 1);
     }
 
     #[test]

@@ -6,6 +6,11 @@
 //! (`verify::join_aggregates`) and `AggTrans` windows
 //! (`align::WindowTable`) — is a peer's, who may lie. Without the
 //! secret it cannot pick digests that pile into one probe run.
+//!
+//! Each thread's verifier keeps one table of each kind and refills it
+//! for every sample match, join and window (`verify::Scratch`): a fill
+//! takes a new stamp instead of zeroing, so once a table has grown to
+//! the largest fill it is neither cleared nor reallocated.
 
 use std::collections::hash_map::RandomState;
 use std::hash::BuildHasher;

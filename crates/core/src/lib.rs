@@ -21,13 +21,13 @@
 //!   join), including the paper's Table 1 as executable tests.
 //! * [`combine`] — receipt combination `⊎` (§4).
 //! * [`consistency`] — the inter-domain-link consistency rules (§4).
-//! * [`align`] — AggTrans-based receipt re-alignment under bounded
-//!   reordering (§6.3).
 //! * [`collector`] / [`processor`] — the data-plane and control-plane
 //!   router modules of §7, with resource accounting.
 //! * [`hop`] — a HOP's full pipeline and its tunable configuration.
 //! * [`verify`] — receipt matching, per-domain estimation and
-//!   cross-receipt verification with liar exposure.
+//!   cross-receipt verification with liar exposure, with the
+//!   AggTrans-based receipt re-alignment under bounded reordering
+//!   (§6.3) of the private `align` module.
 //! * [`overhead`] — the §7.1 back-of-the-envelope overhead model,
 //!   computed from this implementation's real receipt sizes.
 //! * [`parallel`] — the deterministic fork-join helper behind every
@@ -65,7 +65,7 @@
 )]
 
 pub mod aggregation;
-pub mod align;
+mod align;
 pub mod collector;
 pub mod combine;
 pub mod consistency;

@@ -15,12 +15,14 @@
 //! * check the §4 consistency rules across an inter-domain link and
 //!   collect the evidence that exposes liars (§3.1).
 
+use std::cell::Cell;
+
 use serde::{Deserialize, Serialize};
 use vpm_hash::Digest;
 use vpm_packet::SimTime;
 use vpm_stats::{estimate_quantile, LossStats, QuantileEstimate};
 
-use crate::align::WindowTable;
+use crate::align::{CutState, WindowTable};
 use crate::consistency::{
     check_aggregate_pair, check_max_diff, check_sample_pair, LinkInconsistency,
 };
@@ -64,49 +66,16 @@ impl MatchedSample {
 ///
 /// One table, keyed by the egress digests, counts each digest's
 /// occurrences on both sides; a pair is emitted, in ingress order, for
-/// every digest seen exactly once on each. The digests are a peer's,
+/// every digest seen exactly once on each. The table is this thread's,
+/// refilled from call to call without a new allocation once it has
+/// grown to the largest egress side. The digests are a peer's,
 /// who may lie, so the table is the verifier's keyed one (the same as
 /// the §6.3 join's): multiply-shift under a per-process secret
 /// multiplier, linear probing, at most an eighth full. A peer that does
 /// not know the secret cannot pick digests that pile into one probe
 /// run.
 pub fn match_samples(ingress: &[SampleRecord], egress: &[SampleRecord]) -> Vec<MatchedSample> {
-    #[derive(Debug, Clone, Copy, Default)]
-    struct Seen {
-        t_out: SimTime,
-        ingress: u8,
-        egress: u8,
-    }
-    let mut seen: DigestTable<Seen> = DigestTable::with_len(egress.len());
-    for r in egress {
-        if let Some(s) = seen.entry(r.pkt_id) {
-            if s.egress == 0 {
-                s.t_out = r.time;
-            }
-            s.egress = s.egress.saturating_add(1);
-        }
-    }
-    for r in ingress {
-        if let Some(s) = seen.get_mut(r.pkt_id) {
-            s.ingress = s.ingress.saturating_add(1);
-        }
-    }
-    let mut out = Vec::with_capacity(ingress.len().min(egress.len()));
-    for r in ingress {
-        if let Some(&Seen {
-            t_out,
-            ingress: 1,
-            egress: 1,
-        }) = seen.get(r.pkt_id)
-        {
-            out.push(MatchedSample {
-                pkt_id: r.pkt_id,
-                t_in: r.time,
-                t_out,
-            });
-        }
-    }
-    out
+    with_scratch(|scratch| scratch.match_samples(ingress, egress))
 }
 
 /// A delay estimate for a domain, from matched samples.
@@ -160,108 +129,19 @@ pub struct JoinResult {
     pub down_excluded: usize,
 }
 
-/// The `AggTrans` window a cut at receipt `i` of `side` is recorded in:
-/// the receipt that cut *closed*, the one before `i`. The cut that
-/// opens the stream closed nothing.
-fn closed_window(side: &[AggReceipt], i: usize) -> Option<&[Digest]> {
-    Some(side.get(i.checked_sub(1)?)?.agg_trans.as_slice())
-}
-
 /// Join two aggregate receipt streams at their common boundaries,
 /// applying AggTrans re-alignment where windows permit.
 ///
 /// A common boundary is a cut digest both streams open an aggregate
 /// with, taken in strictly increasing order on both sides. Each
 /// boundary's migration is computed once: it closes one joined
-/// aggregate and opens the next.
+/// aggregate and opens the next. The keyed tables are this thread's, as
+/// for [`match_samples`].
 pub fn join_aggregates(up: &[AggReceipt], down: &[AggReceipt]) -> JoinResult {
-    // Map upstream cut digests (aggregate first packets) to the index
-    // of their first occurrence.
-    let mut up_starts: DigestTable<Option<usize>> = DigestTable::with_len(up.len());
-    for (i, r) in up.iter().enumerate() {
-        if let Some(first @ None) = up_starts.entry(r.agg.first) {
-            *first = Some(i);
-        }
-    }
-    // Common boundaries (upstream index, downstream index, cut digest),
-    // strictly increasing on both sides.
-    let mut bounds: Vec<(usize, usize, Digest)> = Vec::new();
-    for (di, r) in down.iter().enumerate() {
-        if let Some(&Some(ui)) = up_starts.get(r.agg.first) {
-            if bounds.last().is_none_or(|&(prev, ..)| ui > prev) {
-                bounds.push((ui, di, r.agg.first));
-            }
-        }
-    }
-
-    // Net migration at a boundary, toward the aggregate it closes; zero
-    // where the windows cannot re-align it. One table serves every
-    // boundary.
-    let mut table = WindowTable::new();
-    let mut net_to_earlier = |&(ui, di, cut): &(usize, usize, Digest)| -> i64 {
-        closed_window(up, ui)
-            .zip(closed_window(down, di))
-            .and_then(|(up_window, down_window)| table.migration(up_window, down_window, cut))
-            .map_or(0, |m| m.net_to_earlier())
-    };
-    let span = |side: &[AggReceipt], from: usize, to: usize| -> u64 {
-        side.get(from..to)
-            .unwrap_or_default()
-            .iter()
-            .map(|r| r.pkt_cnt)
-            .sum()
-    };
-
-    let mut joined = Vec::with_capacity(bounds.len().saturating_sub(1));
-    let mut loss = LossStats::default();
-    let mut alignments = 0u64;
-    let mut start_adj = match bounds.as_slice() {
-        [first, _, ..] => net_to_earlier(first),
-        _ => 0,
-    };
-    for (&(ui, di, cut), end @ &(uj, dj, _)) in bounds.iter().zip(bounds.iter().skip(1)) {
-        let up_cnt = span(up, ui, uj);
-        let down_raw = span(down, di, dj);
-        let end_adj = net_to_earlier(end);
-        // Each interior boundary is tallied once, as the *start* of the
-        // joined aggregate it opens (its role as the previous
-        // aggregate's end is the same migration).
-        if start_adj != 0 {
-            alignments += 1;
-        }
-        let adjusted = down_raw as i64 + end_adj - start_adj;
-
-        joined.push(JoinedAggregate {
-            up_range: (ui, uj),
-            down_range: (di, dj),
-            up_cnt,
-            down_cnt_raw: down_raw,
-            down_cnt_adjusted: adjusted,
-            start_boundary: cut,
-            lost: up_cnt as i64 - adjusted,
-        });
-        loss.merge(LossStats::new(up_cnt, adjusted.max(0) as u64));
-        start_adj = end_adj;
-    }
-
-    let mean_span = if joined.is_empty() {
-        0.0
-    } else {
-        joined.iter().map(|j| j.up_cnt as f64).sum::<f64>() / joined.len() as f64
-    };
-    let (up_used, down_used) = match (bounds.first(), bounds.last()) {
-        (Some(first), Some(last)) => (last.0 - first.0, last.1 - first.1),
-        _ => (0, 0),
-    };
-
-    JoinResult {
-        joined,
-        loss,
-        mean_span_pkts: mean_span,
-        alignments_applied: alignments,
-        up_excluded: up.len() - up_used,
-        down_excluded: down.len() - down_used,
-    }
+    with_scratch(|scratch| {
+        scratch.start_chain(up.len() + down.len());
+        scratch.join(Stream::new(up, 0), Stream::new(down, up.len()))
+    })
 }
 
 /// A full per-domain estimate from two HOPs' receipts.
@@ -359,7 +239,8 @@ impl Verifier {
         })
     }
 
-    /// Full per-domain estimate from ingress/egress receipts.
+    /// Full per-domain estimate from ingress/egress receipts: a
+    /// two-HOP [`HopChain`].
     pub fn estimate_domain(
         &self,
         ingress_samples: &[SampleRecord],
@@ -367,17 +248,15 @@ impl Verifier {
         egress_samples: &[SampleRecord],
         egress_aggs: &[AggReceipt],
     ) -> DomainEstimate {
-        let matched = match_samples(ingress_samples, egress_samples);
-        let join = join_aggregates(ingress_aggs, egress_aggs);
-        DomainEstimate {
-            delay: self.estimate_delay(&matched),
-            loss: join.loss,
-            matched_samples: matched.len(),
-            join,
-        }
+        let hops = [
+            HopView::new(ingress_samples, ingress_aggs),
+            HopView::new(egress_samples, egress_aggs),
+        ];
+        self.chain(&hops, |chain| chain.estimate_domain(0, 1))
     }
 
-    /// Check the §4 consistency rules across one inter-domain link.
+    /// Check the §4 consistency rules across one inter-domain link: a
+    /// two-HOP [`HopChain`].
     ///
     /// `up` is the delivering HOP (e.g. HOP 5), `down` the receiving
     /// one (HOP 6).
@@ -390,13 +269,107 @@ impl Verifier {
         down_samples: &[SampleRecord],
         down_aggs: &[AggReceipt],
     ) -> LinkReport {
+        let hops = [
+            HopView::new(up_samples, up_aggs),
+            HopView::new(down_samples, down_aggs),
+        ];
+        self.chain(&hops, |chain| chain.check_link(up_path, 0, down_path, 1))
+    }
+
+    /// Judge pairs of one path's HOPs, given in path order, through one
+    /// engine: `judge` gets a [`HopChain`] over `hops` and names each
+    /// pair by the two HOPs' positions in it.
+    pub fn chain<R>(&self, hops: &[HopView<'_>], judge: impl FnOnce(&mut HopChain<'_>) -> R) -> R {
+        with_scratch(|scratch| {
+            scratch.start_chain(hops.iter().map(|h| h.aggregates.len()).sum());
+            judge(&mut HopChain {
+                verifier: self,
+                hops,
+                scratch,
+            })
+        })
+    }
+}
+
+/// One HOP's receipts, as a [`HopChain`] reads them.
+#[derive(Debug, Clone, Copy)]
+pub struct HopView<'a> {
+    /// Sample records, in observation order.
+    pub samples: &'a [SampleRecord],
+    /// Aggregate receipts, in stream order.
+    pub aggregates: &'a [AggReceipt],
+}
+
+impl<'a> HopView<'a> {
+    /// A HOP's sample records and aggregate receipts.
+    pub fn new(samples: &'a [SampleRecord], aggregates: &'a [AggReceipt]) -> Self {
+        HopView {
+            samples,
+            aggregates,
+        }
+    }
+}
+
+/// One path's HOPs under one verifier engine ([`Verifier::chain`]).
+///
+/// Every pair it judges gives what [`Verifier::estimate_domain`] and
+/// [`Verifier::check_link`] give on that pair alone. What the chain
+/// adds is memory: for every receipt, what its `AggTrans` window holds
+/// of the cut it was recorded at (the cut absent, present cleanly, or
+/// with a digest on both sides), learned the first time a join loads
+/// or compares the window. A window byte-identical to a neighbour's
+/// inherits the neighbour's state, so when the pairs go in path order
+/// (link 1→2, domain 2→3, link 3→4, …) an honest path loads each
+/// boundary's window once, not once per pair. The keyed tables are the
+/// thread's own and serve every pair and every chain, each fill under a
+/// new stamp.
+#[derive(Debug)]
+pub struct HopChain<'c> {
+    verifier: &'c Verifier,
+    hops: &'c [HopView<'c>],
+    scratch: &'c mut Scratch,
+}
+
+impl<'c> HopChain<'c> {
+    /// HOP `i`'s receipts and where its receipts' states start in the
+    /// memo; a position past the chain reads as a HOP without receipts.
+    fn hop(&self, i: usize) -> (HopView<'c>, Stream<'c>) {
+        let cuts = self.hops.iter().take(i).map(|h| h.aggregates.len()).sum();
+        let view = self.hops.get(i).copied().unwrap_or(HopView::new(&[], &[]));
+        (view, Stream::new(view.aggregates, cuts))
+    }
+
+    /// [`Verifier::estimate_domain`] with HOP `ingress` of this chain
+    /// upstream and HOP `egress` downstream.
+    pub fn estimate_domain(&mut self, ingress: usize, egress: usize) -> DomainEstimate {
+        let ((ing, ing_aggs), (eg, eg_aggs)) = (self.hop(ingress), self.hop(egress));
+        let matched = self.scratch.match_samples(ing.samples, eg.samples);
+        let join = self.scratch.join(ing_aggs, eg_aggs);
+        DomainEstimate {
+            delay: self.verifier.estimate_delay(&matched),
+            loss: join.loss,
+            matched_samples: matched.len(),
+            join,
+        }
+    }
+
+    /// [`Verifier::check_link`] with HOP `up` of this chain delivering
+    /// and HOP `down` receiving.
+    pub fn check_link(
+        &mut self,
+        up_path: &PathId,
+        up: usize,
+        down_path: &PathId,
+        down: usize,
+    ) -> LinkReport {
+        let ((up, up_aggs), (down, down_aggs)) = (self.hop(up), self.hop(down));
         let mut inconsistencies = Vec::new();
         if let Some(v) = check_max_diff(up_path, down_path) {
             inconsistencies.push(v);
         }
         let max_diff = up_path.max_diff;
 
-        let matched = match_samples(up_samples, down_samples);
+        let matched = self.scratch.match_samples(up.samples, down.samples);
         for m in &matched {
             let up_rec = SampleRecord {
                 pkt_id: m.pkt_id,
@@ -412,10 +385,10 @@ impl Verifier {
         }
         // A matched digest occurs exactly once on each side, so the
         // records left over are the unmatched ones.
-        let up_only = up_samples.len() - matched.len();
-        let down_only = down_samples.len() - matched.len();
+        let up_only = up.samples.len() - matched.len();
+        let down_only = down.samples.len() - matched.len();
 
-        let join = join_aggregates(up_aggs, down_aggs);
+        let join = self.scratch.join(up_aggs, down_aggs);
         for j in &join.joined {
             let agg = AggId {
                 first: j.start_boundary,
@@ -434,6 +407,241 @@ impl Verifier {
             down_only_samples: down_only,
             joined_aggregates: join.joined.len(),
         }
+    }
+}
+
+/// One HOP's aggregate receipts, and where their [`CutState`]s start in
+/// the chain's memo ([`Scratch::cuts`]).
+#[derive(Debug, Clone, Copy)]
+struct Stream<'a> {
+    receipts: &'a [AggReceipt],
+    cuts: usize,
+}
+
+impl<'a> Stream<'a> {
+    fn new(receipts: &'a [AggReceipt], cuts: usize) -> Self {
+        Stream { receipts, cuts }
+    }
+
+    /// The `AggTrans` window a cut at receipt `i` is recorded in, with
+    /// its state's place in the memo: that of the receipt the cut
+    /// *closed*, the one before `i`. The cut that opens the stream
+    /// closed nothing.
+    fn closed_window(&self, i: usize) -> Option<(&'a [Digest], usize)> {
+        let k = i.checked_sub(1)?;
+        Some((self.receipts.get(k)?.agg_trans.as_slice(), self.cuts + k))
+    }
+}
+
+/// One digest's sample records: the egress time of its first, and how
+/// many records each side holds.
+#[derive(Debug, Clone, Copy, Default)]
+struct Seen {
+    t_out: SimTime,
+    ingress: u8,
+    egress: u8,
+}
+
+/// The keyed tables and buffers one thread's verifier reuses from pair
+/// to pair and from path to path. Each fill of a table takes a new
+/// stamp, so once they have grown to the largest pair nothing is
+/// zeroed or allocated.
+#[derive(Debug)]
+struct Scratch {
+    /// [`match_samples`]' table, keyed by the egress digests.
+    seen: DigestTable<Seen>,
+    /// The join's upstream cut digests, each with its first receipt.
+    starts: DigestTable<Option<usize>>,
+    /// The join's common boundaries.
+    bounds: Vec<(usize, usize, Digest)>,
+    /// The downstream window at a boundary.
+    windows: WindowTable,
+    /// The chain's memo: every receipt's [`CutState`], HOP after HOP.
+    cuts: Vec<CutState>,
+}
+
+thread_local! {
+    /// This thread's [`Scratch`], lent to one call at a time.
+    static SCRATCH: Cell<Option<Scratch>> = const { Cell::new(None) };
+}
+
+/// Run `f` on this thread's [`Scratch`] (a fresh one when it is lent
+/// out already, as to a chain judging inside another's `judge`).
+fn with_scratch<R>(f: impl FnOnce(&mut Scratch) -> R) -> R {
+    let mut scratch = SCRATCH
+        .try_with(Cell::take)
+        .ok()
+        .flatten()
+        .unwrap_or_else(Scratch::new);
+    let out = f(&mut scratch);
+    let _ = SCRATCH.try_with(|cell| cell.set(Some(scratch)));
+    out
+}
+
+impl Scratch {
+    fn new() -> Self {
+        Scratch {
+            seen: DigestTable::with_len(0),
+            starts: DigestTable::with_len(0),
+            bounds: Vec::new(),
+            windows: WindowTable::new(),
+            cuts: Vec::new(),
+        }
+    }
+
+    /// Forget every state: a new chain, whose HOPs hold `receipts`
+    /// aggregate receipts in all.
+    fn start_chain(&mut self, receipts: usize) {
+        self.cuts.clear();
+        self.cuts.resize(receipts, CutState::Unknown);
+    }
+
+    /// [`match_samples`] on this scratch's table.
+    fn match_samples(
+        &mut self,
+        ingress: &[SampleRecord],
+        egress: &[SampleRecord],
+    ) -> Vec<MatchedSample> {
+        let seen = &mut self.seen;
+        seen.clear_for(egress.len());
+        for r in egress {
+            if let Some(s) = seen.entry(r.pkt_id) {
+                if s.egress == 0 {
+                    s.t_out = r.time;
+                }
+                s.egress = s.egress.saturating_add(1);
+            }
+        }
+        for r in ingress {
+            if let Some(s) = seen.get_mut(r.pkt_id) {
+                s.ingress = s.ingress.saturating_add(1);
+            }
+        }
+        let mut out = Vec::with_capacity(ingress.len().min(egress.len()));
+        for r in ingress {
+            if let Some(&Seen {
+                t_out,
+                ingress: 1,
+                egress: 1,
+            }) = seen.get(r.pkt_id)
+            {
+                out.push(MatchedSample {
+                    pkt_id: r.pkt_id,
+                    t_in: r.time,
+                    t_out,
+                });
+            }
+        }
+        out
+    }
+
+    /// [`join_aggregates`], reading and writing the memo's states of
+    /// both streams' windows.
+    fn join(&mut self, up: Stream<'_>, down: Stream<'_>) -> JoinResult {
+        // Map upstream cut digests (aggregate first packets) to the
+        // index of their first occurrence.
+        self.starts.clear_for(up.receipts.len());
+        for (i, r) in up.receipts.iter().enumerate() {
+            if let Some(first @ None) = self.starts.entry(r.agg.first) {
+                *first = Some(i);
+            }
+        }
+        // Common boundaries (upstream index, downstream index, cut
+        // digest), strictly increasing on both sides.
+        let mut bounds = std::mem::take(&mut self.bounds);
+        bounds.clear();
+        for (di, r) in down.receipts.iter().enumerate() {
+            if let Some(&Some(ui)) = self.starts.get(r.agg.first) {
+                if bounds.last().is_none_or(|&(prev, ..)| ui > prev) {
+                    bounds.push((ui, di, r.agg.first));
+                }
+            }
+        }
+        let span = |side: &[AggReceipt], from: usize, to: usize| -> u64 {
+            side.get(from..to)
+                .unwrap_or_default()
+                .iter()
+                .map(|r| r.pkt_cnt)
+                .sum()
+        };
+
+        let mut joined = Vec::with_capacity(bounds.len().saturating_sub(1));
+        let mut loss = LossStats::default();
+        let mut alignments = 0u64;
+        let mut start_adj = match bounds.as_slice() {
+            [first, _, ..] => self.net_to_earlier(up, down, *first),
+            _ => 0,
+        };
+        for (&(ui, di, cut), &end @ (uj, dj, _)) in bounds.iter().zip(bounds.iter().skip(1)) {
+            let up_cnt = span(up.receipts, ui, uj);
+            let down_raw = span(down.receipts, di, dj);
+            let end_adj = self.net_to_earlier(up, down, end);
+            // Each interior boundary is tallied once, as the *start* of
+            // the joined aggregate it opens (its role as the previous
+            // aggregate's end is the same migration).
+            if start_adj != 0 {
+                alignments += 1;
+            }
+            let adjusted = down_raw as i64 + end_adj - start_adj;
+
+            joined.push(JoinedAggregate {
+                up_range: (ui, uj),
+                down_range: (di, dj),
+                up_cnt,
+                down_cnt_raw: down_raw,
+                down_cnt_adjusted: adjusted,
+                start_boundary: cut,
+                lost: up_cnt as i64 - adjusted,
+            });
+            loss.merge(LossStats::new(up_cnt, adjusted.max(0) as u64));
+            start_adj = end_adj;
+        }
+
+        let mean_span = if joined.is_empty() {
+            0.0
+        } else {
+            joined.iter().map(|j| j.up_cnt as f64).sum::<f64>() / joined.len() as f64
+        };
+        let (up_used, down_used) = match (bounds.first(), bounds.last()) {
+            (Some(first), Some(last)) => (last.0 - first.0, last.1 - first.1),
+            _ => (0, 0),
+        };
+        self.bounds = bounds;
+
+        JoinResult {
+            joined,
+            loss,
+            mean_span_pkts: mean_span,
+            alignments_applied: alignments,
+            up_excluded: up.receipts.len() - up_used,
+            down_excluded: down.receipts.len() - down_used,
+        }
+    }
+
+    /// Net migration at a boundary, toward the aggregate it closes;
+    /// zero where the windows cannot re-align it.
+    fn net_to_earlier(
+        &mut self,
+        up: Stream<'_>,
+        down: Stream<'_>,
+        (ui, di, cut): (usize, usize, Digest),
+    ) -> i64 {
+        let (Some((up_window, u)), Some((down_window, d))) =
+            (up.closed_window(ui), down.closed_window(di))
+        else {
+            return 0;
+        };
+        let state = |at: usize| self.cuts.get(at).copied().unwrap_or_default();
+        let mut memo = [state(u), state(d)];
+        let m = self
+            .windows
+            .migration(up_window, down_window, cut, &mut memo);
+        for (at, learned) in [u, d].into_iter().zip(memo) {
+            if let Some(s) = self.cuts.get_mut(at) {
+                *s = learned;
+            }
+        }
+        m.map_or(0, |m| m.net_to_earlier())
     }
 }
 
@@ -626,15 +834,7 @@ mod tests {
         }
         (0..firsts.len())
             .map(|k| {
-                let mut window: Vec<Digest> = (0..rng.gen_range(0usize..10))
-                    .map(|_| Digest(rng.gen_range(0u64..16)))
-                    .collect();
-                if let Some(&closing) = firsts.get(k + 1) {
-                    for _ in 0..rng.gen_range(0usize..3) {
-                        let at = rng.gen_range(0usize..window.len() + 1);
-                        window.insert(at, Digest(closing));
-                    }
-                }
+                let window = arb_window(rng, firsts.get(k + 1).copied());
                 AggReceipt {
                     path: test_path(),
                     agg: AggId {
@@ -648,6 +848,21 @@ mod tests {
             .collect()
     }
 
+    /// Up to 9 digests from a 16-value space, with the `closing` cut
+    /// inserted 0 to 2 times.
+    fn arb_window(rng: &mut SmallRng, closing: Option<u64>) -> Vec<Digest> {
+        let mut window: Vec<Digest> = (0..rng.gen_range(0usize..10))
+            .map(|_| Digest(rng.gen_range(0u64..16)))
+            .collect();
+        if let Some(closing) = closing {
+            for _ in 0..rng.gen_range(0usize..3) {
+                let at = rng.gen_range(0usize..window.len() + 1);
+                window.insert(at, Digest(closing));
+            }
+        }
+        window
+    }
+
     /// Two streams over one cut sequence drawn from the windows' own
     /// digest space.
     fn arb_stream_pair(seed: u64) -> (Vec<AggReceipt>, Vec<AggReceipt>) {
@@ -658,7 +873,94 @@ mod tests {
         (arb_stream(&mut rng, &cuts), arb_stream(&mut rng, &cuts))
     }
 
+    /// A chain of 2 to 8 HOPs over one cut sequence, each with its own
+    /// sample records. A HOP after the first usually copies its
+    /// predecessor's receipts, keeping most windows byte-for-byte and
+    /// redrawing some (so windows are identical on one pair and differ
+    /// on the next), or lays one digest on both sides of a cut; now and
+    /// then it draws a stream of its own, with cuts dropped, repeated
+    /// or foreign. The windows' 16-value space puts digests on both
+    /// sides of cuts, and a window holds its cut zero to two times.
+    fn arb_chain(seed: u64) -> Vec<(Vec<SampleRecord>, Vec<AggReceipt>)> {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let cuts: Vec<u64> = (0..rng.gen_range(0usize..12))
+            .map(|_| rng.gen_range(0u64..16))
+            .collect();
+        let mut streams = vec![arb_stream(&mut rng, &cuts)];
+        for _ in 1..rng.gen_range(2usize..=8) {
+            let next = match (streams.last(), rng.gen_range(0u32..5)) {
+                (Some(prev), 1..) => {
+                    let mut next = prev.clone();
+                    let firsts: Vec<u64> = next.iter().map(|r| r.agg.first.0).collect();
+                    for (k, r) in next.iter_mut().enumerate() {
+                        let closing = firsts.get(k + 1).copied();
+                        match rng.gen_range(0u32..8) {
+                            0 => r.agg_trans = arb_window(&mut rng, closing),
+                            1 => {
+                                let x = Digest(rng.gen_range(0u64..16));
+                                r.agg_trans = vec![x, Digest(closing.unwrap_or(0)), x];
+                            }
+                            _ => {}
+                        }
+                    }
+                    next
+                }
+                _ => arb_stream(&mut rng, &cuts),
+            };
+            streams.push(next);
+        }
+        streams
+            .into_iter()
+            .map(|aggs| {
+                let ids: Vec<u64> = (0..rng.gen_range(0usize..40))
+                    .map(|_| rng.gen_range(0u64..24))
+                    .collect();
+                (arb_records(&ids, 0), aggs)
+            })
+            .collect()
+    }
+
+    /// The pairs a chain test judges: every adjacent pair in path
+    /// order, then a few more in any order (a segment, a pair taken
+    /// twice, a HOP against itself).
+    fn chain_pairs(seed: u64, hops: usize) -> Vec<(usize, usize)> {
+        let mut rng = SmallRng::seed_from_u64(seed ^ 0x9e37_79b9);
+        let mut pairs: Vec<(usize, usize)> = (1..hops).map(|k| (k - 1, k)).collect();
+        for _ in 0..rng.gen_range(0usize..4) {
+            pairs.push((rng.gen_range(0..hops), rng.gen_range(0..hops)));
+        }
+        pairs
+    }
+
     proptest::proptest! {
+        /// Every pair a chain judges equals the pair judged alone, and
+        /// its join the twice-per-boundary reference: the memo carries
+        /// only what a window and its cut determine.
+        #[test]
+        fn chain_equals_the_pairwise_verifier(seed in proptest::prelude::any::<u64>()) {
+            let hops = arb_chain(seed);
+            let views: Vec<HopView> = hops.iter().map(|(s, a)| HopView::new(s, a)).collect();
+            let pairs = chain_pairs(seed, hops.len());
+            let (v, path) = (Verifier::default(), test_path());
+            let chained: Vec<(DomainEstimate, LinkReport)> = v.chain(&views, |chain| {
+                pairs
+                    .iter()
+                    .map(|&(i, j)| (chain.estimate_domain(i, j), chain.check_link(&path, i, &path, j)))
+                    .collect()
+            });
+            for (&(i, j), (estimate, report)) in pairs.iter().zip(chained) {
+                let ((up_s, up_a), (down_s, down_a)) = (&hops[i], &hops[j]);
+                proptest::prop_assert_eq!(&estimate, &v.estimate_domain(up_s, up_a, down_s, down_a));
+                proptest::prop_assert_eq!(&estimate.join, &join_aggregates(up_a, down_a));
+                proptest::prop_assert_eq!(&estimate.join, &reference::join_aggregates(up_a, down_a));
+                proptest::prop_assert_eq!(estimate.matched_samples, match_samples(up_s, down_s).len());
+                proptest::prop_assert_eq!(
+                    &report,
+                    &v.check_link(&path, up_s, up_a, &path, down_s, down_a)
+                );
+            }
+        }
+
         #[test]
         fn match_equals_the_five_table_match(
             ingress in proptest::collection::vec(0u64..24, 0..60),
@@ -722,6 +1024,65 @@ mod tests {
             aligned > 30,
             "{aligned} re-aligned boundaries over 200 seeds"
         );
+    }
+
+    /// Windows loaded by `judge` on a chain over `views`.
+    fn loads(views: &[HopView], judge: impl FnOnce(&mut HopChain)) -> u64 {
+        Verifier::default().chain(views, |chain| {
+            let before = chain.scratch.windows.loads;
+            judge(chain);
+            chain.scratch.windows.loads - before
+        })
+    }
+
+    /// An honest 8-HOP path whose windows are all identical and clean:
+    /// judged in path order, each common cut's window is loaded once,
+    /// by the first pair, not once per pair.
+    #[test]
+    fn an_identical_chain_loads_each_window_once() {
+        let stream = long_stream(Digest, false);
+        let stream = &stream[..50];
+        let views = vec![HopView::new(&[], stream); 8];
+        let path = test_path();
+        // 50 common cuts, of which the first closed no window.
+        let cuts = 49;
+        let chained = loads(&views, |chain| {
+            for k in 1..8 {
+                if k % 2 == 1 {
+                    chain.check_link(&path, k - 1, &path, k);
+                } else {
+                    chain.estimate_domain(k - 1, k);
+                }
+            }
+        });
+        assert_eq!(chained, cuts);
+        let pairwise: u64 = (1..8)
+            .map(|k| loads(&views[k - 1..=k], |chain| drop(chain.estimate_domain(0, 1))))
+            .sum();
+        assert_eq!(pairwise, 7 * cuts);
+    }
+
+    /// The chain generator is only a test of the memo if its chains
+    /// share window states: together they load far fewer windows than
+    /// the same pairs judged alone.
+    #[test]
+    fn generated_chains_share_window_states() {
+        let (mut chained, mut pairwise) = (0, 0);
+        for seed in 0..200 {
+            let hops = arb_chain(seed);
+            let views: Vec<HopView> = hops.iter().map(|(s, a)| HopView::new(s, a)).collect();
+            let pairs = chain_pairs(seed, hops.len());
+            chained += loads(&views, |chain| {
+                for &(i, j) in &pairs {
+                    chain.estimate_domain(i, j);
+                }
+            });
+            for &(i, j) in &pairs {
+                let pair = [views[i], views[j]];
+                pairwise += loads(&pair, |chain| drop(chain.estimate_domain(0, 1)));
+            }
+        }
+        assert!(chained * 3 < pairwise * 2, "{chained} of {pairwise} loads");
     }
 
     /// 2,000 aggregates of 1,024 packets, packet `i`'s digest being

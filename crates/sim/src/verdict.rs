@@ -17,11 +17,11 @@ use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 use vpm_core::receipt::{AggReceipt, PathId, SampleRecord};
-use vpm_core::verify::{DomainEstimate, LinkReport, Verifier};
+use vpm_core::verify::{DomainEstimate, HopChain, HopView, LinkReport, Verifier};
 use vpm_packet::{DomainId, HopId};
 use vpm_wire::{Published, ReceiptTransport, TransportError};
 
-use crate::topology::{DomainRole, Topology};
+use crate::topology::{DomainRole, LinkSpec, Topology};
 
 /// One transit domain's receipt-derived estimate.
 #[derive(Debug, Clone, PartialEq)]
@@ -241,85 +241,81 @@ pub fn analyze_from_transport(
 /// The one analysis body: every transit domain's estimate, every
 /// link's consistency verdict, and every non-deployer's segment, from
 /// whichever HOPs have receipts.
+///
+/// One [`HopChain`] judges the pairs in path order — the link into a
+/// domain, then a segment ending at it, then the domain itself — so
+/// each pair's downstream HOP is the next pair's upstream one, and a
+/// window identical to its neighbour's is not loaded again.
 fn analyze(topology: &Topology, hops: &[HopReceipts]) -> PathAnalysis {
-    let verifier = Verifier::default();
-    let hop = |id: HopId| hops.iter().find(|h| h.hop == id);
-
-    let mut domains = Vec::new();
-    for dom in &topology.domains {
-        if dom.role != DomainRole::Transit {
-            continue;
-        }
-        let (Some(ing), Some(eg)) = (dom.ingress, dom.egress) else {
-            continue;
-        };
-        let (Some(hi), Some(he)) = (hop(ing), hop(eg)) else {
-            continue;
-        };
-        let estimate =
-            verifier.estimate_domain(&hi.samples, &hi.aggregates, &he.samples, &he.aggregates);
-        domains.push(DomainReport {
-            domain: dom.id,
-            name: dom.name.clone(),
-            hops: (ing, eg),
-            estimate,
-        });
-    }
-
-    let mut links = Vec::new();
-    for link in &topology.links {
-        let (Some(up), Some(down)) = (hop(link.up), hop(link.down)) else {
-            continue;
-        };
-        let report = verifier.check_link(
-            &up.path,
-            &up.samples,
-            &up.aggregates,
-            &down.path,
-            &down.samples,
-            &down.aggregates,
-        );
-        links.push(LinkVerdict {
-            up: link.up,
-            down: link.down,
-            implicates: (up.domain, down.domain),
-            report,
-        });
-    }
-
-    // Each maximal run of transit domains without HOPs, bracketed by
-    // the last HOP before it and the first after it, both with
-    // receipts. Nothing is allocated on a path where every domain
-    // deploys.
-    let mut segments = Vec::new();
-    let mut gap = Vec::new();
-    let mut up: Option<&HopReceipts> = None;
-    for dom in &topology.domains {
-        if dom.ingress.is_none() && dom.egress.is_none() {
-            if dom.role == DomainRole::Transit {
-                gap.push(dom.id);
-            }
-            continue;
-        }
-        let spans = std::mem::take(&mut gap);
-        if let (false, Some(u), Some(d)) = (spans.is_empty(), up, dom.ingress.and_then(hop)) {
-            let estimate =
-                verifier.estimate_domain(&u.samples, &u.aggregates, &d.samples, &d.aggregates);
-            segments.push(SegmentReport {
-                up_hop: u.hop,
-                down_hop: d.hop,
-                spans,
-                estimate,
+    let views: Vec<HopView> = hops
+        .iter()
+        .map(|h| HopView::new(&h.samples, &h.aggregates))
+        .collect();
+    let at = |id: HopId| hops.iter().enumerate().find(|(_, h)| h.hop == id);
+    Verifier::default().chain(&views, |chain| {
+        let (mut domains, mut links, mut segments) = (Vec::new(), Vec::new(), Vec::new());
+        let mut link_verdict = |chain: &mut HopChain, link: &LinkSpec| {
+            let (Some((u, up)), Some((d, down))) = (at(link.up), at(link.down)) else {
+                return;
+            };
+            links.push(LinkVerdict {
+                up: link.up,
+                down: link.down,
+                implicates: (up.domain, down.domain),
+                report: chain.check_link(&up.path, u, &down.path, d),
             });
+        };
+        // Each maximal run of transit domains without HOPs, bracketed
+        // by the last HOP before it and the first after it, both with
+        // receipts, is a segment. Nothing is allocated for segments on
+        // a path where every domain deploys.
+        let mut gap = Vec::new();
+        let mut up: Option<(usize, &HopReceipts)> = None;
+        let mut pending = topology.links.iter();
+        for (k, dom) in topology.domains.iter().enumerate() {
+            // The link into this domain (the first domain has none).
+            if let Some(link) = (k > 0).then(|| pending.next()).flatten() {
+                link_verdict(chain, link);
+            }
+            if dom.ingress.is_none() && dom.egress.is_none() {
+                if dom.role == DomainRole::Transit {
+                    gap.push(dom.id);
+                }
+                continue;
+            }
+            let spans = std::mem::take(&mut gap);
+            if let (false, Some((u, uh)), Some((d, dh))) =
+                (spans.is_empty(), up, dom.ingress.and_then(at))
+            {
+                segments.push(SegmentReport {
+                    up_hop: uh.hop,
+                    down_hop: dh.hop,
+                    spans,
+                    estimate: chain.estimate_domain(u, d),
+                });
+            }
+            if let (DomainRole::Transit, Some(ing), Some(eg)) = (dom.role, dom.ingress, dom.egress)
+            {
+                if let (Some((i, _)), Some((e, _))) = (at(ing), at(eg)) {
+                    domains.push(DomainReport {
+                        domain: dom.id,
+                        name: dom.name.clone(),
+                        hops: (ing, eg),
+                        estimate: chain.estimate_domain(i, e),
+                    });
+                }
+            }
+            up = dom.egress.or(dom.ingress).and_then(at);
         }
-        up = dom.egress.or(dom.ingress).and_then(hop);
-    }
-
-    PathAnalysis {
-        domains,
-        links,
-        segments,
-    }
+        for link in pending {
+            link_verdict(chain, link);
+        }
+        PathAnalysis {
+            domains,
+            links,
+            segments,
+        }
+    })
 }
 
 #[cfg(test)]

@@ -11,6 +11,8 @@
 //!    large block is ever reallocated: records never move.
 //! 3. Bytes held per idle and per active path, beside the paper's
 //!    20 B (§7.1). Run with `--nocapture` to see them.
+//! 4. The verifier: bytes allocated per analyzed fleet path, with its
+//!    keyed tables reused from pair to pair and path to path.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -32,6 +34,8 @@ struct Tally {
     reallocs: u64,
     /// Net bytes allocated (frees of older blocks count negative).
     bytes: i64,
+    /// Gross bytes allocated (a reallocation counts its growth).
+    allocated: u64,
     /// Big allocations, their size, and whether two sizes were seen.
     big: u64,
     big_size: usize,
@@ -64,6 +68,7 @@ unsafe impl GlobalAlloc for Counting {
         note(|t| {
             t.allocs += 1;
             t.bytes += layout.size() as i64;
+            t.allocated += layout.size() as u64;
             if layout.size() >= BIG {
                 if t.big > 0 && t.big_size != layout.size() {
                     t.big_mixed = true;
@@ -84,6 +89,7 @@ unsafe impl GlobalAlloc for Counting {
         note(|t| {
             t.reallocs += 1;
             t.bytes += new_size as i64 - layout.size() as i64;
+            t.allocated += new_size.saturating_sub(layout.size()) as u64;
             if new_size >= BIG || layout.size() >= BIG {
                 t.big_reallocs += 1;
             }
@@ -260,4 +266,32 @@ fn bytes_per_idle_and_active_path() {
         per_active - per_idle <= 256.0,
         "{per_active} B per active path"
     );
+}
+
+#[test]
+fn verifier_bytes_per_analyzed_path() {
+    use vpm::sim::{analyze_fleet_from_transport, build_fleet, run_fleet, FleetConfig};
+    // `fleet_verify`'s paths (200 ms at 50 kpps, one in eight lying),
+    // eight of them, analyzed on this thread.
+    const PATHS: usize = 8;
+    let fleet = build_fleet(&FleetConfig {
+        paths: PATHS,
+        liars: PATHS / 8,
+        publishers: 1,
+        trace_ms: 200,
+        target_pps: 50_000.0,
+        ..FleetConfig::default()
+    });
+    let bus = vpm::wire::ShardedBus::new(32);
+    run_fleet(&fleet, &bus);
+    let (verdicts, tally) = measure(|| analyze_fleet_from_transport(&fleet, &bus, 1));
+    assert!(verdicts.iter().all(|v| v.passed()), "{verdicts:?}");
+    let per_path = tally.allocated / PATHS as u64;
+    println!(
+        "verifier: {per_path} B in {} allocations per analyzed path \
+         (the verifier's keyed tables are this thread's, reused)",
+        tally.allocs / PATHS as u64
+    );
+    // 2.58 MB here when every pair allocated its own tables.
+    assert!(per_path <= 512 * 1024, "{per_path} B per path: {tally:?}");
 }
